@@ -111,9 +111,9 @@ def bench_sweeps(jobs: int | str | None, fast_path: str | None = None) -> dict:
     """Run the sweep-heavy experiments; returns timing + throughput.
 
     The returned dict carries the analytic-vs-DES split for the run
-    (``fast_path`` key).  In parallel mode the split covers the points
-    decided in the parent process (the vectorised batch pre-pass); points
-    simulated inside workers count their paths in worker registries.
+    (``fast_path`` key).  In parallel mode it covers the points simulated
+    inside workers too: the executor adds their ``fastpath`` counter
+    increments back into the parent's registry.
     """
     from repro import experiments as E
     from repro.sim.analytic import fastpath_summary
@@ -163,6 +163,32 @@ def classify_measurement(measured: float, baseline: float, tolerance: float) -> 
     if measured > baseline * STALE_FACTOR:
         return "stale-baseline"
     return "ok"
+
+
+def _gate(name: str, measured: float, ref: float, tolerance: float, note: str = "") -> int:
+    """Print a serial points/s figure against its baseline floor.
+
+    Returns 1 when ``measured`` lands more than ``tolerance`` below
+    ``ref``, else 0; landing more than ``STALE_FACTOR`` above it only
+    warns that the recorded baseline looks stale.
+    """
+    floor = ref * (1.0 - tolerance)
+    status = classify_measurement(measured, ref, tolerance)
+    tag = {"ok": "ok", "regression": "REGRESSION", "stale-baseline": "ok (stale?)"}[status]
+    print(
+        f"{name}/serial {measured:>10,.1f} points/s  "
+        f"(baseline {ref:,.1f}, floor {floor:,.1f}) {tag} {note}".rstrip()
+    )
+    if status == "stale-baseline":
+        print(
+            f"warning: {name} throughput exceeds baseline by > {STALE_FACTOR - 1:.0%}; "
+            f"re-record the baseline (run without checks)"
+        )
+    if status == "regression":
+        print(f"{name} throughput regression (> {tolerance:.0%} below baseline)")
+        return 1
+    print(f"{name} throughput within {tolerance:.0%} of baseline")
+    return 0
 
 
 def check_baseline(
@@ -244,27 +270,9 @@ def check_sweep(baseline_path: Path, tolerance: float = SWEEP_TOLERANCE) -> int:
     if not ref_fig or "points_per_s" not in ref_fig:
         print(f"baseline {baseline_path} has no sweep figure; re-record it")
         return 2
-    ref = ref_fig["points_per_s"]
-    floor = ref * (1.0 - tolerance)
     sweep = bench_sweeps(jobs=None)
-    measured = sweep["points_per_s"]
-    status = classify_measurement(measured, ref, tolerance)
-    tag = {"ok": "ok", "regression": "REGRESSION", "stale-baseline": "ok (stale?)"}[status]
-    print(
-        f"sweep/serial {measured:>10,.1f} points/s  "
-        f"(baseline {ref:,.1f}, floor {floor:,.1f}) {tag} "
-        f"[analytic={sweep['fast_path']['analytic']} des={sweep['fast_path']['des']}]"
-    )
-    if status == "stale-baseline":
-        print(
-            f"warning: sweep throughput exceeds baseline by > {STALE_FACTOR - 1:.0%}; "
-            f"re-record the baseline (run without checks)"
-        )
-    if status == "regression":
-        print(f"sweep throughput regression (> {tolerance:.0%} below baseline)")
-        return 1
-    print(f"sweep throughput within {tolerance:.0%} of baseline")
-    return 0
+    split = f"[analytic={sweep['fast_path']['analytic']} des={sweep['fast_path']['des']}]"
+    return _gate("sweep", sweep["points_per_s"], ref_fig["points_per_s"], tolerance, split)
 
 
 # -----------------------------------------------------------------------
@@ -275,8 +283,8 @@ def check_sweep(baseline_path: Path, tolerance: float = SWEEP_TOLERANCE) -> int:
 #: scenario each -> ``2 * CAMPAIGN_REPLICATES`` replicate points).
 CAMPAIGN_REPLICATES = 5
 
-#: Allowed fractional campaign-throughput shortfall before the
-#: (non-fatal) warning fires.  Same rationale as SWEEP_TOLERANCE: a
+#: Allowed fractional campaign-throughput shortfall for
+#: ``--check-campaign``.  Same rationale as SWEEP_TOLERANCE: a
 #: replicate is tens of milliseconds, so scheduling noise is large.
 CAMPAIGN_TOLERANCE = 0.25
 
@@ -301,47 +309,36 @@ def bench_campaign(replicates: int = CAMPAIGN_REPLICATES) -> dict:
     }
 
 
-def check_campaign(baseline_path: Path, tolerance: float = CAMPAIGN_TOLERANCE) -> int:
-    """Warn (never fail) when campaign throughput drops > ``tolerance``.
+def best_campaign(replicates: int, rounds: int) -> dict:
+    """The fastest of ``rounds`` :func:`bench_campaign` runs."""
+    runs = [bench_campaign(replicates) for _ in range(max(1, rounds))]
+    return max(runs, key=lambda fig: fig["points_per_s"])
 
-    Warn-only because the campaign figure rides on the DES and sweep
-    floors already gated above; this check exists to surface drift in
-    the campaign harness's own overhead (perturbation sampling,
-    histogram merging, aggregation) early, not to break the build on a
-    noisy box.  Returns 0 always, except 2 when there is no baseline.
+
+def check_campaign(
+    baseline_path: Path, tolerance: float = CAMPAIGN_TOLERANCE, rounds: int = 3
+) -> int:
+    """Assert campaign throughput is within ``tolerance`` of baseline.
+
+    Re-times the serial LU+FW campaign (best of ``rounds``: one run is
+    a fraction of a second, so a single sample is noisy) and fails when
+    points/s lands more than ``tolerance`` below the recorded
+    ``campaign`` figure.  The
+    default perturbation model puts a stall burst in every replicate,
+    so this gates the untraced DES replicate path plus the harness's own
+    overhead (perturbation sampling, histogram merging, aggregation).
+    Returns 0 on pass, 1 on regression, 2 when the baseline is missing
+    or has no campaign figure.
     """
     if not baseline_path.is_file():
         print(f"no baseline at {baseline_path}; run without checks first")
         return 2
-    report = json.loads(baseline_path.read_text())
-    ref_fig = report.get("campaign")
+    ref_fig = json.loads(baseline_path.read_text()).get("campaign")
     if not ref_fig or "points_per_s" not in ref_fig:
-        print(
-            f"baseline {baseline_path} has no campaign figure (schema "
-            f"{report.get('schema')}); re-record it to enable this check"
-        )
-        return 0
-    ref = ref_fig["points_per_s"]
-    floor = ref * (1.0 - tolerance)
-    figure = bench_campaign(int(ref_fig.get("replicates") or CAMPAIGN_REPLICATES))
-    measured = figure["points_per_s"]
-    status = classify_measurement(measured, ref, tolerance)
-    tag = {"ok": "ok", "regression": "WARN", "stale-baseline": "ok (stale?)"}[status]
-    print(
-        f"campaign/serial {measured:>8,.1f} points/s  "
-        f"(baseline {ref:,.1f}, floor {floor:,.1f}) {tag}"
-    )
-    if status == "regression":
-        print(
-            f"warning: campaign throughput dropped > {tolerance:.0%} below "
-            f"baseline (non-fatal; investigate or re-record)"
-        )
-    elif status == "stale-baseline":
-        print(
-            f"warning: campaign throughput exceeds baseline by > "
-            f"{STALE_FACTOR - 1:.0%}; re-record the baseline"
-        )
-    return 0
+        print(f"baseline {baseline_path} has no campaign figure; re-record it")
+        return 2
+    figure = best_campaign(int(ref_fig.get("replicates") or CAMPAIGN_REPLICATES), rounds)
+    return _gate("campaign", figure["points_per_s"], ref_fig["points_per_s"], tolerance)
 
 
 # -----------------------------------------------------------------------
@@ -439,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for the sweep benchmark (int or 'auto'; default serial)",
     )
     parser.add_argument(
-        "--rounds", type=int, default=3, help="DES benchmark rounds (best-of); default 3"
+        "--rounds", type=int, default=3,
+        help="DES and campaign benchmark rounds (best-of); default 3"
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller DES workloads (CI smoke mode)"
@@ -465,8 +463,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-campaign",
         action="store_true",
-        help="re-time the campaign harness and warn (non-fatal) when "
-        f"points/s lands > {CAMPAIGN_TOLERANCE:.0%} below the baseline",
+        help="compare serial campaign throughput (points/s) against the "
+        f"recorded baseline; non-zero exit when > {CAMPAIGN_TOLERANCE:.0%} below",
     )
     parser.add_argument(
         "--check-tune",
@@ -497,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.check_sweep:
             rc = max(rc, check_sweep(args.output))
         if args.check_campaign:
-            rc = max(rc, check_campaign(args.output))
+            rc = max(rc, check_campaign(args.output, rounds=args.rounds))
         if args.check_tune:
             rc = max(rc, check_tune())
         return rc
@@ -526,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
             f"[analytic={fp['analytic']} des={fp['des']}]"
         )
 
-    campaign = bench_campaign(3 if args.quick else CAMPAIGN_REPLICATES)
+    campaign = best_campaign(3 if args.quick else CAMPAIGN_REPLICATES, args.rounds)
     print(
         f"campaign/serial {campaign['points']} points "
         f"({campaign['replicates']} replicates/cell) in "

@@ -23,14 +23,14 @@ from typing import Optional, Sequence
 
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
-from ...sim.analytic import FastPathUnsupported
+from ...sim.analytic import NOMINAL_RATES, FastPathUnsupported, SteadyRates
 from .layout import ColumnBlockLayout
 from .simulate import FwSimConfig, FwSimResult
 
 __all__ = ["analytic_fw", "analytic_fw_batch"]
 
 
-def _fw_params(spec: MachineSpec, config: FwSimConfig, design):
+def _fw_params(spec: MachineSpec, config: FwSimConfig, design, rates=NOMINAL_RATES):
     if design is None:
         design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
     layout = ColumnBlockLayout(config.nb, spec.p)
@@ -41,11 +41,11 @@ def _fw_params(spec: MachineSpec, config: FwSimConfig, design):
         )
     net = spec.network
     block_bytes = config.b * config.b * 8
-    svc = net.latency + block_bytes / net.bandwidth
+    svc = net.latency + block_bytes / rates.network_bandwidth(net.bandwidth)
     op_cycles = design.tile_cycles(config.b)
     op_flops = 2.0 * float(config.b) ** 3
-    freq = design.freq_hz
-    b_d = min(8.0 * freq, spec.node.fpga.dram_link_bandwidth)
+    freq = rates.fpga_clock(design.freq_hz)
+    b_d = rates.b_d(design.freq_hz, spec.node.fpga.dram_link_bandwidth)
     rate = spec.node.processor.sustained_flops(config.cpu_kernel)
     if svc <= 0.0 or op_cycles <= 0 or rate <= 0.0:
         raise FastPathUnsupported(
@@ -59,10 +59,14 @@ def analytic_fw(
     spec: MachineSpec,
     config: FwSimConfig,
     design: Optional[FloydWarshallDesign] = None,
+    rates: SteadyRates = NOMINAL_RATES,
 ) -> FwSimResult:
-    """Replay the FW schedule without a DES (bitwise exact)."""
+    """Replay the FW schedule without a DES (bitwise exact).
+
+    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``.
+    """
     design, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = _fw_params(
-        spec, config, design
+        spec, config, design, rates
     )
     p = spec.p
     nb, l1, l2 = config.nb, config.l1, config.l2

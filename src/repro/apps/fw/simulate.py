@@ -99,11 +99,11 @@ class FwSimResult:
         return self.useful_flops / total / 1e9 if total > 0 else 0.0
 
 
-def _analytic_fw(spec, config, design):
+def _analytic_fw(spec, config, design, rates):
     # Deferred import: .analytic imports this module's config/result types.
     from .analytic import analytic_fw
 
-    return analytic_fw(spec, config, design)
+    return analytic_fw(spec, config, design, rates)
 
 
 def simulate_fw(
@@ -126,13 +126,14 @@ def simulate_fw(
 
     ``fast_path`` selects the analytic no-contention fast path
     (``"auto"`` / ``"on"`` / ``"off"``; None = process default); see
-    :mod:`repro.sim.analytic`.  Analytic results are bitwise identical.
+    :mod:`repro.sim.analytic`.  Analytic results are bitwise identical,
+    steady whole-run rate faults included.
     """
     from ...sim.analytic import try_fast_path
 
     fast = try_fast_path(
         "fw",
-        lambda: _analytic_fw(spec, config, design),
+        lambda rates: _analytic_fw(spec, config, design, rates),
         mode=fast_path,
         trace=trace,
         node_specs=node_specs,

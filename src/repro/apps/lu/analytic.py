@@ -34,7 +34,7 @@ from typing import Optional
 from ...hw.mm_design import MatrixMultiplyDesign
 from ...kernels.flops import getrf_flops, trsm_flops
 from ...machine.system import MachineSpec
-from ...sim.analytic import Replay
+from ...sim.analytic import NOMINAL_RATES, Replay, SteadyRates
 from .simulate import (
     LuSimConfig,
     LuSimResult,
@@ -50,9 +50,11 @@ def analytic_lu(
     spec: MachineSpec,
     config: LuSimConfig,
     design: Optional[MatrixMultiplyDesign] = None,
+    rates: SteadyRates = NOMINAL_RATES,
 ) -> LuSimResult:
     """Replay the distributed LU schedule without a DES (bitwise exact).
 
+    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``.
     Raises :class:`repro.sim.analytic.FastPathUnsupported` when the
     schedule hits an ambiguous same-time resource tie (then only the
     DES's micro-ordering can decide the outcome).
@@ -77,12 +79,13 @@ def analytic_lu(
     result_bytes = b * b * bw // (p - 1)
 
     net = spec.network
+    b_n = rates.network_bandwidth(net.bandwidth)
     chunk_size = int(job_bytes / S)  # comm.send coerces nbytes to int
-    chunk_svc = net.latency + chunk_size / net.bandwidth
+    chunk_svc = net.latency + chunk_size / b_n
     result_size = int(result_bytes)
-    result_svc = net.latency + result_size / net.bandwidth
-    freq = design.freq_hz
-    b_d = min(8.0 * freq, spec.node.fpga.dram_link_bandwidth)
+    result_svc = net.latency + result_size / b_n
+    freq = rates.fpga_clock(design.freq_hz)
+    b_d = rates.b_d(design.freq_hz, spec.node.fpga.dram_link_bandwidth)
     stage_dur = 0.0 + (stage_bytes / S) / b_d  # BandwidthChannel latency 0.0
     stage_dur_full = 0.0 + stage_bytes / b_d
     fpga_dur = fpga_cycles_per_job / freq

@@ -130,11 +130,11 @@ def iteration_jobs(t: int, nb: int) -> list[tuple[int, int]]:
     return out
 
 
-def _analytic_lu(spec, config, design):
+def _analytic_lu(spec, config, design, rates):
     # Deferred import: .analytic imports this module's schedule helpers.
     from .analytic import analytic_lu
 
-    return analytic_lu(spec, config, design)
+    return analytic_lu(spec, config, design, rates)
 
 
 def _analytic_block_mm(spec, b, b_f, k, design, stripes):
@@ -166,12 +166,14 @@ def simulate_lu(
     ``"auto"`` (bitwise-identical analytic replay when eligible, DES
     otherwise), ``"on"`` (raise if ineligible), ``"off"`` (always DES),
     or None for the process default (``REPRO_FAST_PATH``, else auto).
+    Steady whole-run rate faults fold into the replay; see
+    :func:`repro.sim.analytic.fast_path_refusal`.
     """
     from ...sim.analytic import try_fast_path
 
     fast = try_fast_path(
         "lu",
-        lambda: _analytic_lu(spec, config, design),
+        lambda rates: _analytic_lu(spec, config, design, rates),
         mode=fast_path,
         trace=trace,
         node_specs=node_specs,
@@ -409,7 +411,7 @@ def simulate_block_mm(
 
     fast = try_fast_path(
         "block_mm",
-        lambda: _analytic_block_mm(spec, b, b_f, k, design, stripes),
+        lambda _rates: _analytic_block_mm(spec, b, b_f, k, design, stripes),
         mode=fast_path,
         trace=trace,
     )

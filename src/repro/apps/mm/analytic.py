@@ -22,7 +22,7 @@ from typing import Optional
 
 from ...hw.mm_design import MatrixMultiplyDesign
 from ...machine.system import MachineSpec
-from ...sim.analytic import FastPathUnsupported
+from ...sim.analytic import NOMINAL_RATES, FastPathUnsupported, SteadyRates
 from .simulate import MmSimConfig, MmSimResult
 
 __all__ = ["analytic_mm"]
@@ -32,8 +32,12 @@ def analytic_mm(
     spec: MachineSpec,
     config: MmSimConfig,
     design: Optional[MatrixMultiplyDesign] = None,
+    rates: SteadyRates = NOMINAL_RATES,
 ) -> MmSimResult:
-    """Replay the ring-MM schedule without a DES (bitwise exact)."""
+    """Replay the ring-MM schedule without a DES (bitwise exact).
+
+    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``.
+    """
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
     p = spec.p
@@ -48,9 +52,9 @@ def analytic_mm(
 
     net = spec.network
     panel_size = int(panel_bytes)  # comm.send coerces nbytes to int
-    svc = net.latency + panel_size / net.bandwidth
-    freq = design.freq_hz
-    b_d = min(8.0 * freq, spec.node.fpga.dram_link_bandwidth)
+    svc = net.latency + panel_size / rates.network_bandwidth(net.bandwidth)
+    freq = rates.fpga_clock(design.freq_hz)
+    b_d = rates.b_d(design.freq_hz, spec.node.fpga.dram_link_bandwidth)
     rate = spec.node.processor.sustained_flops(config.cpu_kernel)
     if svc <= 0.0 or rate <= 0.0:
         raise FastPathUnsupported(

@@ -74,11 +74,11 @@ class MmSimResult:
         return self.useful_flops / self.elapsed / 1e9 if self.elapsed > 0 else 0.0
 
 
-def _analytic_mm(spec, config, design):
+def _analytic_mm(spec, config, design, rates):
     # Deferred import: .analytic imports this module's config/result types.
     from .analytic import analytic_mm
 
-    return analytic_mm(spec, config, design)
+    return analytic_mm(spec, config, design, rates)
 
 
 def simulate_mm(
@@ -101,13 +101,14 @@ def simulate_mm(
 
     ``fast_path`` selects the analytic no-contention fast path
     (``"auto"`` / ``"on"`` / ``"off"``; None = process default); see
-    :mod:`repro.sim.analytic`.  Analytic results are bitwise identical.
+    :mod:`repro.sim.analytic`.  Analytic results are bitwise identical,
+    steady whole-run rate faults included.
     """
     from ...sim.analytic import try_fast_path
 
     fast = try_fast_path(
         "mm",
-        lambda: _analytic_mm(spec, config, design),
+        lambda rates: _analytic_mm(spec, config, design, rates),
         mode=fast_path,
         trace=trace,
         node_specs=node_specs,

@@ -26,6 +26,7 @@ from typing import Any, Iterable, Optional
 from ..faults.scenarios import FaultEvent, FaultScenario
 from ..obs.metrics import REGISTRY, Histogram
 from ..parallel import ResultCache, SweepExecutor, cache_from_env
+from ..sim.analytic import fastpath_summary
 from .perturb import PerturbationModel, default_model
 from .runner import resolve_runner, run_replicate
 from .seeds import derive_seed
@@ -271,6 +272,12 @@ def _aggregate_cell(
     return cell
 
 
+def _simulated_paths() -> dict[str, int]:
+    """Points simulated so far by the analytic replay and by the DES."""
+    summary = fastpath_summary() or {}
+    return {path: summary.get(path, 0) for path in ("analytic", "des")}
+
+
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -290,12 +297,15 @@ def run_campaign(
 
     ``telemetry``, when a dict, is filled in place with run-health
     wall-clock data -- the executor's per-worker spans / queue waits /
-    straggler flags (:attr:`~repro.parallel.SweepExecutor.last_telemetry`)
-    and the cache hit statistics.  It is kept *out* of the returned
-    manifest on purpose: manifests are deterministic documents, compared
-    bitwise in CI; telemetry goes to the ledger's ``workers`` block and
-    the dashboard instead.
+    straggler flags (:attr:`~repro.parallel.SweepExecutor.last_telemetry`),
+    the cache hit statistics, and under ``replicates`` how many of the
+    replicates simulated here took the analytic replay vs the DES (the
+    ``fastpath.points`` deltas; cache hits simulate nothing).  It is kept
+    *out* of the returned manifest on purpose: manifests are
+    deterministic documents, compared bitwise in CI; telemetry goes to
+    the ledger's ``workers`` block and the dashboard instead.
     """
+    paths_before = _simulated_paths()
     tasks = campaign_tasks(spec)
     if cache is None:
         cache = cache_from_env()
@@ -325,6 +335,10 @@ def run_campaign(
 
     if telemetry is not None:
         telemetry["executor"] = dict(executor.last_telemetry)
+        telemetry["replicates"] = {
+            path: count - paths_before[path]
+            for path, count in _simulated_paths().items()
+        }
         if cache is not None:
             telemetry["cache"] = dict(cache.stats)
             telemetry["cache_hit_rate"] = cache.hit_rate

@@ -107,6 +107,15 @@ class DesignRunner:
     perturbation -- re-planning per replicate would measure the
     adaptive policies instead, which is :mod:`repro.faults`' job) and
     reconciles the perturbed makespan against the nominal prediction.
+
+    Replicates run untraced: the result keeps only the makespan and the
+    overlap reconciliation, neither of which needs a trace, and
+    :func:`repro.campaign.explain.run_traced` re-runs a replicate with
+    tracing when a regression needs explaining.  Untraced, a replicate
+    whose perturbation is steady rate jitter alone (no stall burst)
+    takes the analytic fast path with its factors folded in
+    (:func:`repro.sim.analytic.fast_path_refusal`); stall bursts and
+    other fault timelines still run the DES.
     """
 
     apps = ("lu", "fw")
@@ -120,7 +129,7 @@ class DesignRunner:
         injector = FaultInjector(scenario) if scenario.has_faults else None
         registry = MetricsRegistry()  # keep replicate gauges off the global registry
         try:
-            result = design.simulate(trace=True, faults=injector)
+            result = design.simulate(faults=injector)
         except ProcessFailure as exc:
             return {
                 "replicate": task.get("replicate"),

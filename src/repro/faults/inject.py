@@ -38,7 +38,8 @@ import dataclasses
 from typing import Any, Optional
 
 from ..machine.system import ReconfigurableSystem
-from .scenarios import FaultEvent, FaultScenario
+from ..sim.analytic import SteadyRates, scale_in_order
+from .scenarios import RATE_KINDS, FaultEvent, FaultScenario
 
 __all__ = ["FaultInjector", "NodeFailureError"]
 
@@ -81,10 +82,11 @@ class FaultInjector:
     ``exclude-node`` runs where the failed node was already removed from
     the machine.
 
-    One injector serves one run: :meth:`install` may be called once.
+    One injector serves one run: :meth:`install` (a DES run) or
+    :meth:`install_folded` (an analytic replay) may be called once.
     The ``injected`` list is the deterministic event log
     (``{"t", "kind", "phase", "node", "factor", "duration"}`` dicts in
-    application order).
+    application order), identical for both kinds of run.
     """
 
     def __init__(self, scenario: FaultScenario, fail_fast: bool = True) -> None:
@@ -92,10 +94,53 @@ class FaultInjector:
         self.fail_fast = fail_fast
         self.system: Optional[ReconfigurableSystem] = None
         self.injected: list[dict[str, Any]] = []
+        self._installed = False
         self._factors: dict[tuple, list[float]] = {}
         self._base: dict[tuple, float] = {}
 
     # -- installation ---------------------------------------------------
+
+    def _claim(self) -> None:
+        if self._installed:
+            raise RuntimeError("FaultInjector already installed; use one per run")
+        self._installed = True
+
+    def steady_rates(self) -> Optional[SteadyRates]:
+        """The scenario as rate factors an analytic replay can fold in.
+
+        Foldable means no stall bursts and every expanded event a steady
+        rate fault (``duration=None``) at ``at <= 0`` on every node
+        (``node=None``): exactly the events :meth:`install` applies
+        synchronously at t=0 to every target.  Factors keep
+        :meth:`FaultScenario.expand` order, the order :meth:`_scaled`
+        multiplies them in.  Returns None for any other timeline (the run
+        needs the DES).
+        """
+        if self.scenario.bursts:
+            return None
+        factors: dict[str, list[float]] = {kind: [] for kind in RATE_KINDS}
+        for event in self.scenario.expand():
+            if not (event.steady and event.at <= 0 and event.node is None):
+                return None
+            factors[event.kind].append(event.factor)
+        return SteadyRates(
+            link=tuple(factors["link_slowdown"]),
+            clock=tuple(factors["fpga_throttle"]),
+            dram=tuple(factors["dram_contention"]),
+        )
+
+    def install_folded(self) -> "FaultInjector":
+        """Record a run whose :meth:`steady_rates` an analytic replay folded.
+
+        Claims the injector like :meth:`install` and logs the same t=0
+        ``apply`` entry per event, in :meth:`FaultScenario.expand` order.
+        Foldable events target every node, so there is no node id to
+        validate against the machine.
+        """
+        self._claim()
+        for event in self.scenario.expand():
+            self._log(event, "apply", 0.0)
+        return self
 
     def install(self, system: ReconfigurableSystem) -> "FaultInjector":
         """Hook every scenario event into ``system``'s simulator.
@@ -104,8 +149,7 @@ class FaultInjector:
         and before the schedule processes are spawned (fault processes
         win FIFO ties at equal times).
         """
-        if self.system is not None:
-            raise RuntimeError("FaultInjector already installed; use one per run")
+        self._claim()
         self.system = system
         sim = system.sim
         p = system.p
@@ -227,10 +271,7 @@ class FaultInjector:
             raise ValueError(f"unknown perturbation target {key!r}")
 
     def _scaled(self, key: tuple, factors: list[float]) -> float:
-        value = self._base[key]
-        for factor in factors:
-            value *= factor
-        return value
+        return scale_in_order(self._base[key], factors)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -247,7 +288,7 @@ class FaultInjector:
                 "duration": event.duration,
             }
         )
-        trace = self.system.sim.trace
+        trace = self.system.sim.trace if self.system is not None else None
         if trace is not None:
             trace.record(
                 FAULT_LANE,

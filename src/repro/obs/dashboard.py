@@ -425,6 +425,13 @@ def _worker_lines(workers: dict[str, Any]) -> list[str]:
             f"w{w.get('worker')} pid {w.get('pid')}  chunks {w.get('chunks')}  "
             f"tasks {w.get('tasks')}  busy {busy:.3f}s  |{bar}|"
         )
+    split = workers.get("replicates") or {}
+    analytic, des = split.get("analytic", 0), split.get("des", 0)
+    if analytic + des:
+        out.append(
+            f"replicates: {analytic} analytic, {des} DES "
+            f"({des / (analytic + des):.0%} on the DES)"
+        )
     cache = workers.get("cache")
     if cache:
         rate = workers.get("cache_hit_rate")

@@ -479,7 +479,8 @@ def campaign_entry(
 
     ``workers`` optionally attaches executor telemetry for the run (the
     :attr:`repro.parallel.SweepExecutor.last_telemetry` dict plus cache
-    stats): per-worker spans, queue waits, imbalance and stragglers.
+    stats and the analytic-vs-DES replicate split): per-worker spans,
+    queue waits, imbalance and stragglers.
     It rides on the ledger entry only -- never inside the campaign
     manifest itself, which must stay bitwise-deterministic.
     """

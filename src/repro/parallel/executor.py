@@ -52,6 +52,21 @@ CHUNKS_PER_WORKER = 4
 #: dashboard's worker panel).
 STRAGGLER_FACTOR = 1.5
 
+#: Counters whose worker-side increments are added back into the
+#: parent's registry after a parallel map, so a counter delta taken
+#: around :meth:`SweepExecutor.map` reads the same serial or parallel
+#: (e.g. the campaign's analytic-vs-DES replicate split).
+SHIPPED_COUNTERS = ("fastpath.points", "fastpath.fallback")
+
+
+def _shipped_counts() -> dict[tuple, float]:
+    """Current values of the :data:`SHIPPED_COUNTERS` series."""
+    return {
+        (counter.name, tuple(sorted(counter.labels.items()))): counter.value
+        for name in SHIPPED_COUNTERS
+        for counter in REGISTRY.series(name)
+    }
+
 
 def resolve_jobs(jobs: Optional[int | str] = None) -> int:
     """The effective worker count for ``jobs`` (see module docstring)."""
@@ -91,12 +106,21 @@ def _run_chunk(fn: Callable[[Any], Any], chunk: list[Any]) -> bytes:
     Alongside the results the blob carries a per-chunk worker span --
     pid plus wall-clock start/end (``time.time``, comparable across
     processes on one host) -- which the parent folds into per-worker
-    telemetry: queue waits, busy time, imbalance, stragglers.
+    telemetry: queue waits, busy time, imbalance, stragglers.  It also
+    carries the chunk's increments of the :data:`SHIPPED_COUNTERS`.
     """
+    before = _shipped_counts()
     start = time.time()
     results = [fn(v) for v in chunk]
+    end = time.time()
+    counters = {
+        key: value - before.get(key, 0.0)
+        for key, value in _shipped_counts().items()
+        if value != before.get(key, 0.0)
+    }
     return pickle.dumps(
-        {"results": results, "pid": os.getpid(), "start": start, "end": time.time()},
+        {"results": results, "pid": os.getpid(), "start": start, "end": end,
+         "counters": counters},
         protocol=5,
     )
 
@@ -219,6 +243,8 @@ class SweepExecutor:
             for fut, submitted, size in futures:
                 payload = pickle.loads(fut.result())
                 results.extend(payload["results"])
+                for (name, labels), delta in payload["counters"].items():
+                    REGISTRY.counter(name, **dict(labels)).inc(delta)
                 spans.append(
                     {
                         "pid": payload["pid"],

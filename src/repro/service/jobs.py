@@ -266,6 +266,7 @@ class Job:
     attempts: int = 0
     #: Duplicate submissions collapsed onto this job while in flight.
     dedup_count: int = 0
+    #: Wall-clock (``time.time``) timestamps, for reporting only.
     created: float = field(default_factory=time.time)
     started: Optional[float] = None
     finished: Optional[float] = None
@@ -274,22 +275,35 @@ class Job:
     #: Job-scoped executor telemetry (the shared pool's last map() spans
     #: tagged with this job's id); wall-clock data, never in manifests.
     telemetry: dict[str, Any] = field(default_factory=dict)
+    #: ``time.monotonic`` readings of ``created``/``started``/``finished``:
+    #: the durations come from these, so a wall-clock step cannot skew them.
+    _mono: dict[str, float] = field(
+        default_factory=lambda: {"created": time.monotonic()}, repr=False
+    )
 
     @property
     def kind(self) -> str:
         return str(self.manifest.get("kind"))
 
+    def mark(self, *phases: str) -> None:
+        """Stamp ``phases`` (``"started"`` / ``"finished"``) as now."""
+        wall, mono = time.time(), time.monotonic()
+        for phase in phases:
+            setattr(self, phase, wall)
+            self._mono[phase] = mono
+
+    def _elapsed(self, start: str, end: str) -> Optional[float]:
+        if start not in self._mono or end not in self._mono:
+            return None
+        return self._mono[end] - self._mono[start]
+
     @property
     def queue_wait_s(self) -> Optional[float]:
-        if self.started is None:
-            return None
-        return max(0.0, self.started - self.created)
+        return self._elapsed("created", "started")
 
     @property
     def run_s(self) -> Optional[float]:
-        if self.started is None or self.finished is None:
-            return None
-        return max(0.0, self.finished - self.started)
+        return self._elapsed("started", "finished")
 
     @property
     def done(self) -> bool:

@@ -156,6 +156,7 @@ class CodesignServer:
         self._paused = False
         self._stopping = False
         self._drain = True
+        #: ``time.monotonic`` at :meth:`start` (uptime is a duration).
         self.started_at: Optional[float] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_task: Optional[asyncio.Task] = None
@@ -170,7 +171,7 @@ class CodesignServer:
             self._handle_conn, self.host, self.port, limit=_MAX_HEAD
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.time()
+        self.started_at = time.monotonic()
         self._worker_task = asyncio.create_task(self._worker_loop())
         return self
 
@@ -253,8 +254,7 @@ class CodesignServer:
             entry = self.cache.get(result_payload(manifest))
             if entry is not None:
                 self._inc("cache_hit")
-                now = time.time()
-                job.started = job.finished = now
+                job.mark("started", "finished")
                 self._finish(job, entry["value"], source="cache")
                 return job, False
         self.queue.push(job)
@@ -270,7 +270,7 @@ class CodesignServer:
         job.source = source
         job.state = "completed"
         if job.finished is None:
-            job.finished = time.time()
+            job.mark("finished")
         job.add_event("completed", source=source, result_hash=job.result_hash)
         self._inc("completed")
         self._record(job)
@@ -278,7 +278,7 @@ class CodesignServer:
     def _fail(self, job: Job, error: str) -> None:
         job.error = error
         job.state = "failed"
-        job.finished = time.time()
+        job.mark("finished")
         job.add_event("failed", error=error, attempts=job.attempts)
         self._inc("failed")
         self._record(job)
@@ -329,7 +329,7 @@ class CodesignServer:
     async def _run_job(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
         job.state = "running"
-        job.started = time.time()
+        job.mark("started")
         job.add_event("started", queue_wait_s=job.queue_wait_s)
         try:
             while True:
@@ -351,7 +351,7 @@ class CodesignServer:
                     self._fail(job, str(exc))
                     break
                 else:
-                    job.finished = time.time()
+                    job.mark("finished")
                     if self.cache is not None:
                         self.cache.put(result_payload(job.manifest), result)
                     self._finish(job, result, source="computed")
@@ -528,9 +528,10 @@ class CodesignServer:
     # ------------------------------------------------------------ status
 
     def healthz(self) -> dict[str, Any]:
+        uptime = 0.0 if self.started_at is None else time.monotonic() - self.started_at
         return {
             "status": "ok",
-            "uptime_s": (time.time() - self.started_at) if self.started_at else 0.0,
+            "uptime_s": uptime,
             "jobs": len(self.jobs_by_id),
             "paused": self._paused,
         }

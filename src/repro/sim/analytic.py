@@ -44,14 +44,21 @@ coverage (see docs/performance.md):
 - ``fastpath.fallback{app,reason}`` -- why points fell back
   (``trace`` / ``monitor`` / ``faults`` / ``node-specs`` /
   ``ambiguous-tie`` / ``unsupported-config`` / ``disabled``).
+
+Steady rate faults fold in: a fault injector whose scenario only scales
+service rates, for the whole run and on every node, hands its factors
+over as :class:`SteadyRates`, and the replays apply them to ``B_n``,
+``F_f`` and ``B_d`` exactly as the DES injector does (see
+docs/performance.md).
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..obs.metrics import REGISTRY
 
@@ -59,12 +66,15 @@ __all__ = [
     "FAST_PATH_ENV_VAR",
     "FAST_PATH_MODES",
     "FastPathUnsupported",
+    "NOMINAL_RATES",
     "Replay",
+    "SteadyRates",
     "fast_path_refusal",
     "fastpath_summary",
     "note_fallback",
     "note_point",
     "resolve_fast_path",
+    "scale_in_order",
     "set_fast_path_mode",
     "try_fast_path",
 ]
@@ -114,6 +124,65 @@ def resolve_fast_path(mode: Optional[str] = None) -> str:
     return raw
 
 
+def scale_in_order(value: float, factors: Iterable[float]) -> float:
+    """``value`` times each factor in turn: ``(value * f1) * f2``.
+
+    Never a precomputed product: float multiplication is not
+    associative, and the DES fault injector and the analytic replays
+    must agree bitwise, so both scale through here.
+    """
+    for factor in factors:
+        value *= factor
+    return value
+
+
+@dataclass(frozen=True)
+class SteadyRates:
+    """Steady rate faults folded into an analytic replay.
+
+    Each field lists one target's factors in the order the fault
+    injector applies them (see :func:`scale_in_order`).
+    """
+
+    link: tuple[float, ...] = ()  # link_slowdown: network bandwidth B_n
+    clock: tuple[float, ...] = ()  # fpga_throttle: design clock F_f
+    dram: tuple[float, ...] = ()  # dram_contention: FPGA<->DRAM channel B_d
+
+    def network_bandwidth(self, b_n: float) -> float:
+        """``B_n`` as every send reads it after the link slowdowns."""
+        return scale_in_order(b_n, self.link)
+
+    def fpga_clock(self, f_f: float) -> float:
+        """The throttled design clock ``F_f`` the FPGA runs cycles at."""
+        return scale_in_order(f_f, self.clock)
+
+    def b_d(self, f_f: float, dram_link: float) -> float:
+        """``B_d`` under DRAM contention.
+
+        The DES fixes the channel at ``min(8 * F_f, dram_link)`` from the
+        *nominal* clock when the FPGAs are configured; contention then
+        scales that channel and a clock throttle leaves it alone.
+        """
+        return scale_in_order(min(8.0 * f_f, dram_link), self.dram)
+
+
+#: No rate faults: every replay's nominal arithmetic.
+NOMINAL_RATES = SteadyRates()
+
+
+def _folded_rates(faults: Optional[object]) -> Optional[SteadyRates]:
+    """The rates a replay runs at under ``faults``; None when it needs the DES.
+
+    No injector means :data:`NOMINAL_RATES`.  Only injectors that offer
+    ``steady_rates()`` can fold; duck-typed stubs with just ``install``
+    always refuse.
+    """
+    if faults is None:
+        return NOMINAL_RATES
+    fold = getattr(faults, "steady_rates", None)
+    return fold() if callable(fold) else None
+
+
 def fast_path_refusal(
     trace: bool = False,
     node_specs: Optional[list] = None,
@@ -122,9 +191,13 @@ def fast_path_refusal(
 ) -> Optional[str]:
     """Why these ``simulate_*`` kwargs force the DES; None when eligible.
 
-    Traces, monitors and fault injectors observe or perturb DES
-    internals the analytic replay does not have; heterogeneous
-    ``node_specs`` change per-node rates the replays assume uniform.
+    Traces and monitors observe DES internals the analytic replay does
+    not have; heterogeneous ``node_specs`` change per-node rates the
+    replays assume uniform.  A fault injector is eligible only when its
+    scenario folds into :class:`SteadyRates` (no stall bursts, every
+    event a rate fault applied at ``t = 0`` on every node for the whole
+    run -- see :meth:`repro.faults.FaultInjector.steady_rates`); any
+    other fault timeline refuses with reason ``faults``.
     """
     if trace:
         return "trace"
@@ -132,7 +205,7 @@ def fast_path_refusal(
         return "node-specs"
     if monitor is not None:
         return "monitor"
-    if faults is not None:
+    if _folded_rates(faults) is None:
         return "faults"
     return None
 
@@ -184,11 +257,16 @@ def try_fast_path(
 ):
     """The shared ``fast_path`` hook for the ``simulate_*`` entry points.
 
-    Resolves ``mode``, checks kwargs eligibility, runs ``solver()`` (a
-    thunk returning the analytic result) and records usage counters.
+    Resolves ``mode``, checks kwargs eligibility, runs ``solver(rates)``
+    (returning the analytic result under the folded :class:`SteadyRates`,
+    :data:`NOMINAL_RATES` without faults) and records usage counters.
     Returns the analytic result, or ``None`` when the caller must run
     the DES.  With ``mode == "on"`` an ineligible or refused run raises
     :class:`FastPathUnsupported` instead of falling back.
+
+    A folded injector is marked installed only once the replay has
+    succeeded (``install_folded``), so a refused replay still hands the
+    DES an unused injector.
     """
     mode = resolve_fast_path(mode)
     if mode == "off":
@@ -197,12 +275,14 @@ def try_fast_path(
         reason = fast_path_refusal(trace, node_specs, monitor, faults)
         if reason is None:
             try:
-                result = solver()
+                result = solver(_folded_rates(faults))
             except FastPathUnsupported as exc:
                 if mode == "on":
                     raise
                 reason = exc.reason
             else:
+                if faults is not None:
+                    faults.install_folded()
                 note_point(app, "analytic")
                 return result
         if mode == "on":

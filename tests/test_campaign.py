@@ -202,6 +202,23 @@ def test_run_campaign_uses_result_cache(tmp_path):
     assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
 
 
+def test_run_campaign_telemetry_splits_replicates_by_engine(tmp_path):
+    jitter = _spec(apps=("lu", "fw"), perturb=PerturbationModel(stall_count=0))
+    for jobs, mode in ((1, "serial"), (2, "parallel")):
+        telemetry: dict = {}
+        run_campaign(jitter, jobs=jobs, cache=False, telemetry=telemetry)
+        assert telemetry["executor"]["mode"] == mode  # worker counters ship back
+        assert telemetry["replicates"] == {"analytic": 6, "des": 0}
+    telemetry = {}
+    run_campaign(_spec(apps=("lu", "fw")), jobs=2, cache=False, telemetry=telemetry)
+    assert telemetry["replicates"] == {"analytic": 0, "des": 6}  # stall bursts
+    cache = str(tmp_path / "cache")
+    run_campaign(jitter, jobs=1, cache=cache)
+    telemetry = {}
+    run_campaign(jitter, jobs=1, cache=cache, telemetry=telemetry)
+    assert telemetry["replicates"] == {"analytic": 0, "des": 0}  # all cache hits
+
+
 def test_throttled_campaign_is_slower():
     base = run_campaign(_spec(replicates=3), jobs=1, cache=False)
     slow = run_campaign(_spec(replicates=3, throttle_fpga=0.8), jobs=1, cache=False)

@@ -128,6 +128,14 @@ def test_campaign_run_prints_worker_footer(tmp_path, capsys):
     assert "mode serial" in out or "mode parallel" in out
 
 
+def test_campaign_run_footer_reports_replicate_split(tmp_path, capsys):
+    # The default model's stall burst needs the DES; jitter alone folds.
+    _run(tmp_path, "stalls.json")
+    assert "replicates: 0 analytic, 4 DES (100% on the DES)" in capsys.readouterr().out
+    _run(tmp_path, "jitter.json", "--stalls", "0")
+    assert "replicates: 4 analytic, 0 DES (0% on the DES)" in capsys.readouterr().out
+
+
 def test_campaign_run_multi_preset_comma_list(tmp_path, capsys):
     out_path = tmp_path / "mp.json"
     rc = main(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.apps.lu import LuDesign
+from repro.apps.lu import LuDesign, simulate_lu
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -162,6 +162,21 @@ def test_injector_is_single_use_and_validates_nodes():
     )
     with pytest.raises(ValueError, match="p=6"):
         design.simulate(faults=FaultInjector(bad))
+
+
+def test_injector_log_is_identical_on_the_analytic_path():
+    design = LuDesign(cray_xd1(), N, B)
+    scenario = degraded_link(0.7) + fpga_clock_throttle(0.9) + FaultScenario(
+        name="dram", events=(FaultEvent(kind="dram_contention", factor=1.1),)
+    )
+    runs = {}
+    for mode in ("on", "off"):  # folded analytic replay vs DES
+        injector = FaultInjector(scenario)
+        result = simulate_lu(design.spec, design.config(), design=design.design,
+                             faults=injector, fast_path=mode)
+        runs[mode] = (result, injector.injected)
+    assert runs["on"] == runs["off"]
+    assert [(e["t"], e["phase"]) for e in runs["on"][1]] == [(0.0, "apply")] * 3
 
 
 def test_node_failure_raises_structured_process_failure():

@@ -98,6 +98,37 @@ def test_rate_limiter_is_per_client_and_optional():
         assert unlimited.allow("anyone") == (True, 0.0)
 
 
+# ------------------------------------------------------------- job clocks
+
+
+def test_job_durations_use_the_monotonic_clock(monkeypatch):
+    import types
+
+    import repro.service.jobs as jobs
+
+    # The wall clock steps back past ``created``, then far forward.
+    wall = iter([500.0, 2000.0])
+    mono = iter([10.0, 10.25, 11.0])
+    fake = types.SimpleNamespace(time=lambda: next(wall), monotonic=lambda: next(mono))
+    monkeypatch.setattr(jobs, "time", fake)
+    job = _job("j")
+    assert job.queue_wait_s is None and job.run_s is None
+    job.mark("started")
+    job.mark("finished")
+    assert (job.started, job.finished) == (500.0, 2000.0)  # reported as-is
+    assert job.started < job.created
+    assert job.queue_wait_s == 0.25
+    assert job.run_s == 0.75
+
+
+def test_cache_hit_job_has_zero_run_time():
+    job = _job("j")
+    job.mark("started", "finished")
+    assert job.started == job.finished
+    assert job.run_s == 0.0
+    assert job.queue_wait_s >= 0.0
+
+
 # -------------------------------------------------------------- manifests
 
 
