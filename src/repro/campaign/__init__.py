@@ -15,8 +15,8 @@ Layers:
   sub-seed derivation (serial == parallel, bitwise);
 * :mod:`repro.campaign.perturb` -- the perturbation model, sampled
   parent-side into :class:`~repro.faults.FaultScenario` draws;
-* :mod:`repro.campaign.runner` -- pluggable per-app replicate runners
-  (the built-in one simulates the LU/FW designs once per replicate);
+* :mod:`repro.campaign.runner` -- the replicate runner (simulates the
+  LU/FW designs once per replicate);
 * :mod:`repro.campaign.core` -- spec, task grid, executor fan-out,
   per-cell aggregation into the campaign manifest;
 * :mod:`repro.campaign.stats` -- Mann-Whitney U comparison and
@@ -53,10 +53,7 @@ from .report import render_check, render_figures, render_manifest, render_timeli
 from .runner import (
     CAMPAIGN_BUCKETS,
     DesignRunner,
-    ReplicateRunner,
     build_design,
-    register_runner,
-    resolve_runner,
     run_replicate,
 )
 from .seeds import SEED_ENV_VAR, derive_seed, resolve_seed
@@ -76,7 +73,6 @@ __all__ = [
     "DesignRunner",
     "MANIFEST_SCHEMA",
     "PerturbationModel",
-    "ReplicateRunner",
     "SEED_ENV_VAR",
     "build_design",
     "campaign_tasks",
@@ -91,13 +87,11 @@ __all__ = [
     "load_manifest",
     "mann_whitney_u",
     "pick_replicate",
-    "register_runner",
     "render_check",
     "render_figures",
     "render_manifest",
     "render_timeline",
     "replicate_task",
-    "resolve_runner",
     "resolve_seed",
     "run_campaign",
     "run_replicate",

@@ -28,7 +28,7 @@ from ..obs.metrics import REGISTRY, Histogram
 from ..parallel import ResultCache, SweepExecutor, cache_from_env
 from ..sim.analytic import fastpath_summary
 from .perturb import PerturbationModel, default_model
-from .runner import resolve_runner, run_replicate
+from .runner import DesignRunner, run_replicate
 from .seeds import derive_seed
 
 __all__ = [
@@ -165,7 +165,10 @@ def campaign_tasks(spec: CampaignSpec) -> list[dict[str, Any]]:
     """
     tasks: list[dict[str, Any]] = []
     for app in spec.apps:
-        resolve_runner(app)  # fail fast on unknown apps
+        if app not in DesignRunner.apps:  # fail fast, before any replicate runs
+            raise ValueError(
+                f"no campaign runner for app {app!r}; available: {DesignRunner.apps}"
+            )
         for preset in spec.effective_presets:
             for scenario in spec.scenarios:
                 base = _with_throttle(scenario, spec.throttle_fpga)

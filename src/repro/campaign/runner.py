@@ -1,23 +1,16 @@
-"""Pluggable replicate runners (the campaign's adapter layer).
+"""The campaign replicate runner.
 
-A campaign cell names an app; a *runner* knows how to evaluate one
+A campaign cell names an app; :class:`DesignRunner` evaluates one
 replicate of it -- build the design, simulate it under the replicate's
-perturbation scenario, and reduce the run to a plain result dict.  The
-indirection keeps the campaign engine app-agnostic: the sparse kernels
-and autotuner planned in the roadmap drop in by registering a runner,
-without touching enumeration, aggregation or the statistics.
-
-Runners must be importable objects and tasks plain data, because
+perturbation scenario, and reduce the run to a plain result dict.
+Tasks are plain data and :func:`run_replicate` is module-level, because
 replicates cross process boundaries through the
-:class:`~repro.parallel.SweepExecutor`.  Custom runners registered via
-:func:`register_runner` are visible to serial runs and to workers that
-import the registering module; the built-in LU/FW design runner is
-always available.
+:class:`~repro.parallel.SweepExecutor`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol
+from typing import Any
 
 from ..faults.adapt import DEFAULT_SIZES
 from ..faults.inject import FaultInjector
@@ -28,38 +21,20 @@ from ..sim import ProcessFailure
 
 __all__ = [
     "CAMPAIGN_BUCKETS",
-    "ReplicateRunner",
     "DesignRunner",
-    "RUNNERS",
     "build_design",
-    "register_runner",
-    "resolve_runner",
     "run_replicate",
 ]
 
 #: Histogram bucket bounds for campaign makespans (simulated seconds,
 #: 10 ms .. ~1 day, ~x3 per step).  Wider than the instrument-latency
 #: :data:`~repro.obs.metrics.DEFAULT_BUCKETS` because FW makespans run
-#: to thousands of simulated seconds.  Shared by every runner so
+#: to thousands of simulated seconds.  Shared by every replicate so
 #: per-replicate histograms merge.
 CAMPAIGN_BUCKETS = (
     1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0, 30.0,
     1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5,
 )
-
-
-class ReplicateRunner(Protocol):
-    """One campaign replicate: task dict in, plain result dict out.
-
-    The result must carry ``makespan`` (simulated seconds),
-    ``overlap_efficiency``, ``predicted_latency`` and ``hist`` (a
-    :meth:`~repro.obs.metrics.Histogram.to_dict` of the makespan on
-    :data:`CAMPAIGN_BUCKETS`), or ``failed``/``failure`` for an aborted
-    replicate.  Everything must be JSON-able: results are cached
-    content-addressed and embedded in ledger manifests verbatim.
-    """
-
-    def run(self, task: dict[str, Any]) -> dict[str, Any]: ...  # pragma: no cover
 
 
 def _makespan_hist(makespan: float) -> dict[str, Any]:
@@ -154,30 +129,16 @@ class DesignRunner:
         }
 
 
-#: App name -> runner.  Extend via :func:`register_runner`.
-RUNNERS: dict[str, ReplicateRunner] = {app: DesignRunner() for app in DesignRunner.apps}
-
-
-def register_runner(app: str, runner: ReplicateRunner) -> None:
-    """Register (or replace) the replicate runner for ``app``.
-
-    Worker processes resolve runners from their own copy of this
-    registry, so a custom runner's module must be imported on the
-    worker side too (e.g. registered at import time of the package that
-    defines it).
-    """
-    RUNNERS[app] = runner
-
-
-def resolve_runner(app: str) -> ReplicateRunner:
-    try:
-        return RUNNERS[app]
-    except KeyError:
-        raise ValueError(
-            f"no campaign runner for app {app!r}; registered: {sorted(RUNNERS)}"
-        ) from None
+_RUNNER = DesignRunner()
 
 
 def run_replicate(task: dict[str, Any]) -> dict[str, Any]:
-    """Evaluate one replicate task (module-level for process pools)."""
-    return resolve_runner(task["app"]).run(task)
+    """Evaluate one replicate task (module-level for process pools).
+
+    The result carries ``makespan`` (simulated seconds),
+    ``overlap_efficiency``, ``predicted_latency`` and ``hist`` (the
+    makespan on :data:`CAMPAIGN_BUCKETS`), or ``failed``/``failure`` for
+    an aborted replicate; all JSON-able, because results are cached and
+    embedded in ledger manifests verbatim.
+    """
+    return _RUNNER.run(task)

@@ -14,6 +14,14 @@ wall-clock spans), ``--metrics-out metrics.jsonl`` (counters, gauges,
 histograms and the overlap-accounting report), and ``--cache DIR``
 (replay the baseline comparison through the shared result cache).
 
+The job commands -- ``lu``, ``fw``, ``faults sweep``, ``campaign run``
+and ``tune run`` -- are front-ends over the service's job layer: each
+turns its flags into job params, normalizes them with
+:func:`repro.service.jobs.normalize_request` (which owns every default)
+and runs the manifest in-process with
+:func:`repro.service.runners.run_manifest`, so a command's result is the
+result a ``repro-xd1 serve`` job with the same params returns.
+
 The observatory commands sit under ``repro-xd1 obs``::
 
     obs summary --metrics m.jsonl      # pretty-print a metrics file
@@ -72,7 +80,7 @@ def _obs_enabled(args: argparse.Namespace) -> bool:
     return bool(getattr(args, "trace_out", None) or getattr(args, "metrics_out", None))
 
 
-def _obs_run(args: argparse.Namespace, app: str, design) -> None:
+def _obs_run(args: argparse.Namespace, app: str, design, params: dict) -> None:
     """The ``--trace-out`` / ``--metrics-out`` tail of an app command.
 
     Runs one *traced* hybrid simulation with a DES monitor attached,
@@ -86,7 +94,7 @@ def _obs_run(args: argparse.Namespace, app: str, design) -> None:
     tracer = get_tracer()
     monitor = SimMonitor()
     t0 = time.perf_counter()
-    with tracer.span(f"{app}.traced_run", category="cli", n=args.n, p=args.p):
+    with tracer.span(f"{app}.traced_run", category="cli", n=params["n"], p=params["p"]):
         result = design.simulate(trace=True, monitor=monitor)
     wall = time.perf_counter() - t0
     report = design.overlap_report(result=result)
@@ -104,8 +112,8 @@ def _obs_run(args: argparse.Namespace, app: str, design) -> None:
         path = write_metrics_jsonl(
             args.metrics_out, REGISTRY, overlap=[report],
             extra={
-                "app": app, "n": args.n, "b": getattr(args, "b", None),
-                "p": args.p, "preset": "xd1",
+                "app": app, "n": params["n"], "b": params["b"],
+                "p": params["p"], "preset": "xd1",
                 "partition": design.partition_params(),
             },
         )
@@ -123,89 +131,113 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _compare_values(args: argparse.Namespace, design, kind: str) -> tuple[dict, str | None]:
-    """The Figure 9 comparison as a plain dict, plus a cache footer.
+def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs", default=None,
+        help="worker processes (int or 'auto'; default: $REPRO_PARALLEL or serial)",
+    )
+    parser.add_argument(
+        "--cache", default=None,
+        help="result-cache directory ('off' disables; default: $REPRO_CACHE or no cache)",
+    )
 
-    Without ``--cache`` the comparison simulates directly.  With it, the
-    run routes through the experiment harness's cached task layer (the
-    same ``lu_compare``/``fw_compare`` tasks the fig9 experiments use),
-    so a warm ``.repro_cache`` replays stored values and the cache
-    counters/footer cover the warm path.
+
+def _run_job(
+    kind: str,
+    params: dict,
+    *,
+    jobs=None,
+    cache=None,
+    telemetry: dict | None = None,
+    env_seed: bool = False,
+) -> tuple[dict, object] | None:
+    """Run a ``kind`` job in-process through the service's job layer.
+
+    Unset flags (None) are left out, so the kind's normalizer supplies
+    every default; with ``env_seed`` an unset ``--seed`` falls back to
+    ``$REPRO_SEED``.  Returns ``(normalized params, result document)``,
+    or None after printing why the request was rejected (exit 2).
     """
-    if getattr(args, "cache", None):
-        from .experiments import _eval_sim_point, active_cache, configured
+    from .campaign import resolve_seed
+    from .parallel import resolve_jobs
+    from .service.jobs import normalize_request
+    from .service.runners import RunnerContext, run_manifest
 
-        task: dict = {"kind": kind, "n": args.n, "b": args.b}
-        if args.p != 6:
-            task["p"] = args.p  # default-p tasks share keys with the fig9 sweeps
-        with configured(cache=args.cache):
-            values = _eval_sim_point(task)
-            cache = active_cache()
-            footer = cache.footer() if cache is not None else None
-        return values, footer
-    cmp = design.compare()
-    return {
-        "hybrid": cmp.hybrid.gflops,
-        "cpu_only": cmp.cpu_only.gflops,
-        "fpga_only": cmp.fpga_only.gflops,
-        "predicted": cmp.predicted_gflops,
-        "speedup_vs_cpu": cmp.speedup_vs_cpu,
-        "speedup_vs_fpga": cmp.speedup_vs_fpga,
-        "fraction_of_sum": cmp.fraction_of_sum,
-        "fraction_of_predicted": cmp.fraction_of_predicted,
-    }, None
+    try:
+        resolve_jobs(jobs)
+        if env_seed:
+            params["seed"] = resolve_seed(params.get("seed"))
+        manifest = normalize_request(
+            kind, {k: v for k, v in params.items() if v is not None}
+        )
+        ctx = RunnerContext(jobs=jobs, cache=cache, telemetry=telemetry)
+        return manifest["params"], run_manifest(manifest, ctx)
+    except ValueError as exc:
+        _p(f"error: {exc}")
+        return None
 
 
-def _cmd_lu(args: argparse.Namespace) -> None:
+#: Per app: chart title and the paper's claims for the four ratios
+#: (speedup vs CPU-only, vs FPGA-only, of baseline sum, of prediction).
+_FIG9 = {
+    "lu": ("LU decomposition", ("1.3x", "2x", "~80%", "~86%")),
+    "fw": ("Floyd-Warshall", ("5.8x", "1.15x", ">95%", "~96%")),
+}
+
+
+def _render_compare(app: str, params: dict, cmp: dict) -> list[str]:
+    """The Figure 9 chart and ratio lines of a ``design`` job result."""
+    title, paper = _FIG9[app]
+    return [
+        bar_chart(
+            ["Hybrid", "Processor-only", "FPGA-only", "Predicted"],
+            [cmp["hybrid"], cmp["cpu_only"], cmp["fpga_only"], cmp["predicted"]],
+            f"{title}, n={params['n']}, b={params['b']}, p={params['p']} (GFLOPS)",
+            unit=" GFLOPS",
+        ),
+        f"speedup vs CPU-only  : {cmp['speedup_vs_cpu']:.2f}x (paper: {paper[0]})",
+        f"speedup vs FPGA-only : {cmp['speedup_vs_fpga']:.2f}x (paper: {paper[1]})",
+        f"of baseline sum      : {percent(cmp['fraction_of_sum'])} (paper: {paper[2]})",
+        f"of model prediction  : {percent(cmp['fraction_of_predicted'])} "
+        f"(paper: {paper[3]})",
+    ]
+
+
+def _cmd_design(args: argparse.Namespace) -> int:
+    """``lu`` / ``fw``: the Figure 9 comparison as a ``design`` job.
+
+    Without ``--cache`` the comparison runs with the cache off; with it,
+    a warm cache replays the stored ``lu_compare``/``fw_compare`` values
+    and the cache footer reports the lookups.
+    """
+    from .parallel import resolve_cache
+
+    app = args.app
     if _obs_enabled(args):
         from .obs import Tracer, set_tracer
 
         set_tracer(Tracer())
-    design = LuDesign(cray_xd1(p=args.p), n=args.n, b=args.b)
+    cache = resolve_cache(args.cache) if args.cache is not None else None
+    got = _run_job("design", {"app": app, "n": args.n, "b": args.b, "p": args.p},
+                   cache=cache)
+    if got is None:
+        return 2
+    params, result = got
+    design_cls = LuDesign if app == "lu" else FwDesign
+    design = design_cls(cray_xd1(p=params["p"]), n=params["n"], b=params["b"])
     plan = design.plan
-    _p(f"plan: b_p={plan.partition.b_p} b_f={plan.partition.b_f} l={plan.balance.l} "
-       f"predicted={plan.prediction.gflops:.2f} GFLOPS")
-    cmp, footer = _compare_values(args, design, "lu_compare")
-    _p(bar_chart(
-        ["Hybrid", "Processor-only", "FPGA-only", "Predicted"],
-        [cmp["hybrid"], cmp["cpu_only"], cmp["fpga_only"], cmp["predicted"]],
-        f"LU decomposition, n={args.n}, b={args.b}, p={args.p} (GFLOPS)",
-        unit=" GFLOPS",
-    ))
-    _p(f"speedup vs CPU-only  : {cmp['speedup_vs_cpu']:.2f}x (paper: 1.3x)")
-    _p(f"speedup vs FPGA-only : {cmp['speedup_vs_fpga']:.2f}x (paper: 2x)")
-    _p(f"of baseline sum      : {percent(cmp['fraction_of_sum'])} (paper: ~80%)")
-    _p(f"of model prediction  : {percent(cmp['fraction_of_predicted'])} (paper: ~86%)")
-    if footer:
-        _p(footer)
+    if app == "lu":
+        split = f"b_p={plan.partition.b_p} b_f={plan.partition.b_f} l={plan.balance.l}"
+    else:
+        split = f"l1={plan.partition.l1} l2={plan.partition.l2}"
+    _p(f"plan: {split} predicted={plan.prediction.gflops:.2f} GFLOPS")
+    for line in _render_compare(app, params, result["compare"]):
+        _p(line)
+    if cache is not None:
+        _p(cache.footer())
     if _obs_enabled(args):
-        _obs_run(args, "lu", design)
-
-
-def _cmd_fw(args: argparse.Namespace) -> None:
-    if _obs_enabled(args):
-        from .obs import Tracer, set_tracer
-
-        set_tracer(Tracer())
-    design = FwDesign(cray_xd1(p=args.p), n=args.n, b=args.b)
-    plan = design.plan
-    _p(f"plan: l1={plan.partition.l1} l2={plan.partition.l2} "
-       f"predicted={plan.prediction.gflops:.2f} GFLOPS")
-    cmp, footer = _compare_values(args, design, "fw_compare")
-    _p(bar_chart(
-        ["Hybrid", "Processor-only", "FPGA-only", "Predicted"],
-        [cmp["hybrid"], cmp["cpu_only"], cmp["fpga_only"], cmp["predicted"]],
-        f"Floyd-Warshall, n={args.n}, b={args.b}, p={args.p} (GFLOPS)",
-        unit=" GFLOPS",
-    ))
-    _p(f"speedup vs CPU-only  : {cmp['speedup_vs_cpu']:.2f}x (paper: 5.8x)")
-    _p(f"speedup vs FPGA-only : {cmp['speedup_vs_fpga']:.2f}x (paper: 1.15x)")
-    _p(f"of baseline sum      : {percent(cmp['fraction_of_sum'])} (paper: >95%)")
-    _p(f"of model prediction  : {percent(cmp['fraction_of_predicted'])} (paper: ~96%)")
-    if footer:
-        _p(footer)
-    if _obs_enabled(args):
-        _obs_run(args, "fw", design)
+        _obs_run(args, app, design, params)
+    return 0
 
 
 def _cmd_plan_lu(args: argparse.Namespace) -> None:
@@ -276,23 +308,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lu = sub.add_parser("lu", help="headline LU comparison (Fig. 9 left)")
-    lu.add_argument("--n", type=int, default=30000)
-    lu.add_argument("--b", type=int, default=3000)
-    lu.add_argument("--p", type=int, default=6)
-    lu.add_argument("--cache", default=None, metavar="DIR",
-                    help="replay the comparison through this result cache")
-    _add_obs_flags(lu)
-    lu.set_defaults(fn=_cmd_lu)
-
-    fw = sub.add_parser("fw", help="headline FW comparison (Fig. 9 right)")
-    fw.add_argument("--n", type=int, default=92160)
-    fw.add_argument("--b", type=int, default=256)
-    fw.add_argument("--p", type=int, default=6)
-    fw.add_argument("--cache", default=None, metavar="DIR",
-                    help="replay the comparison through this result cache")
-    _add_obs_flags(fw)
-    fw.set_defaults(fn=_cmd_fw)
+    for app, n, b, side in (("lu", 30000, 3000, "left"), ("fw", 92160, 256, "right")):
+        cmd = sub.add_parser(app, help=f"headline {app.upper()} comparison "
+                                       f"(Fig. 9 {side})")
+        cmd.add_argument("--n", type=int, default=None, help=f"default {n}")
+        cmd.add_argument("--b", type=int, default=None, help=f"default {b}")
+        cmd.add_argument("--p", type=int, default=None, help="default 6")
+        cmd.add_argument("--cache", default=None, metavar="DIR",
+                         help="replay the comparison through this result cache")
+        _add_obs_flags(cmd)
+        cmd.set_defaults(fn=_cmd_design, app=app)
 
     plu = sub.add_parser("plan-lu", help="LU design-model decisions only")
     plu.add_argument("--n", type=int, default=30000)
@@ -315,18 +340,7 @@ def main(argv: list[str] | None = None) -> int:
 
     exp = sub.add_parser("experiments", help="run the full table/figure harness")
     exp.add_argument("--only", help="comma-separated experiment ids", default=None)
-    exp.add_argument(
-        "--jobs",
-        default=None,
-        help="worker processes for sweep fan-out (int or 'auto'; "
-        "default: $REPRO_PARALLEL or serial)",
-    )
-    exp.add_argument(
-        "--cache",
-        default=None,
-        help="result-cache directory ('off' disables; "
-        "default: $REPRO_CACHE or no cache)",
-    )
+    _add_exec_flags(exp)
     exp.add_argument(
         "--ledger", default=None, metavar="PATH",
         help="append an 'experiments' manifest to this run ledger",
@@ -456,19 +470,19 @@ def main(argv: list[str] | None = None) -> int:
     frun.set_defaults(fn=_cmd_faults_run)
 
     fswp = flt_sub.add_parser("sweep", help="apps x scenarios x policies fault grid")
-    fswp.add_argument("--apps", default="lu,fw", help="comma-separated: lu,fw")
-    fswp.add_argument("--scenarios", default="degraded-link,dram-contention,flaky-dma",
-                      help="comma-separated library scenario names")
-    fswp.add_argument("--policies", default="degrade-static,repartition",
-                      help="comma-separated policy names")
-    fswp.add_argument("--preset", default="xd1")
+    fswp.add_argument("--apps", default=None, help="comma-separated (default lu,fw)")
+    fswp.add_argument("--scenarios", default=None,
+                      help="comma-separated library scenario names "
+                           "(default degraded-link,dram-contention,flaky-dma)")
+    fswp.add_argument("--policies", default=None,
+                      help="comma-separated policy names "
+                           "(default degrade-static,repartition)")
+    fswp.add_argument("--preset", default=None, help="machine preset (default xd1)")
     fswp.add_argument("--factor", type=float, default=None,
                       help="rate factor applied to every rate scenario")
-    fswp.add_argument("--seed", type=int, default=0, help="scenario RNG seed")
-    fswp.add_argument("--jobs", default=None,
-                      help="worker processes (int or 'auto'; default: $REPRO_PARALLEL)")
-    fswp.add_argument("--cache", default=None,
-                      help="result-cache directory ('off' disables; default: $REPRO_CACHE)")
+    fswp.add_argument("--seed", type=int, default=None,
+                      help="scenario RNG seed (default 0)")
+    _add_exec_flags(fswp)
     fswp.add_argument("--ledger", default=None, metavar="PATH",
                       help="append one 'fault_run' manifest per grid point")
     fswp.add_argument("--out", default=None, metavar="PATH",
@@ -488,28 +502,26 @@ def main(argv: list[str] | None = None) -> int:
     crun = cmp_sub.add_parser(
         "run", help="apps x scenarios grid, N seeded replicates per cell"
     )
-    crun.add_argument("--apps", default="lu,fw", help="comma-separated: lu,fw")
-    crun.add_argument("--preset", default="xd1",
+    crun.add_argument("--apps", default=None, help="comma-separated (default lu,fw)")
+    crun.add_argument("--preset", default=None,
                       help="machine preset, or a comma-separated list for a "
-                           "multi-preset grid (e.g. xd1,xt3,rasc)")
-    crun.add_argument("--scenarios", default="nominal",
-                      help="comma-separated library scenario names")
-    crun.add_argument("--replicates", type=int, default=20,
+                           "multi-preset grid (e.g. xd1,xt3,rasc; default xd1)")
+    crun.add_argument("--scenarios", default=None,
+                      help="comma-separated library scenario names (default nominal)")
+    crun.add_argument("--replicates", type=int, default=None,
                       help="replicates per cell (default 20)")
     crun.add_argument("--seed", default=None,
                       help="master seed (default: $REPRO_SEED, else 0)")
-    crun.add_argument("--jitter", type=float, default=0.05,
+    crun.add_argument("--jitter", type=float, default=None,
                       help="bandwidth/DRAM/clock jitter amplitude (default 0.05)")
-    crun.add_argument("--stalls", type=int, default=4,
-                      help="transient DMA stalls per replicate (arrival noise)")
+    crun.add_argument("--stalls", type=int, default=None,
+                      help="transient DMA stalls per replicate (arrival noise; "
+                           "default 4)")
     crun.add_argument("--throttle-fpga", type=float, default=None, metavar="FACTOR",
                       help="persistent FPGA clock factor on every cell (e.g. 0.8)")
     crun.add_argument("--factor", type=float, default=None,
                       help="rate factor for the base scenarios")
-    crun.add_argument("--jobs", default=None,
-                      help="worker processes (int or 'auto'; default: $REPRO_PARALLEL)")
-    crun.add_argument("--cache", default=None,
-                      help="result-cache directory ('off' disables; default: $REPRO_CACHE)")
+    _add_exec_flags(crun)
     crun.add_argument("--out", default=None, metavar="PATH",
                       help="write the campaign manifest as JSON")
     crun.add_argument("--ledger", default=None, metavar="PATH",
@@ -573,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
                            "mm-codesign (exclusive with --kind/--fixed/--axis)")
     trun.add_argument("--kind", default=None, choices=("block_mm", "lu", "fw"),
                       help="workload kind for an ad-hoc space")
-    trun.add_argument("--machine", default="xd1", help="machine preset (default xd1)")
+    trun.add_argument("--machine", default=None, help="machine preset (default xd1)")
     trun.add_argument("--fixed", action="append", metavar="NAME=VALUE",
                       help="pin one parameter (repeatable), e.g. --fixed b=3000")
     trun.add_argument("--axis", action="append", metavar="NAME=LO:HI:STEP",
@@ -581,22 +593,20 @@ def main(argv: list[str] | None = None) -> int:
                            "or name=v1,v2,...")
     trun.add_argument("--seed", default=None,
                       help="master seed (default: $REPRO_SEED, else 0)")
-    trun.add_argument("--eta", type=int, default=4,
+    trun.add_argument("--eta", type=int, default=None,
                       help="keep the top 1/eta of the analytic rung (default 4)")
     trun.add_argument("--budget", type=int, default=None,
                       help="full-fidelity DES evaluation cap "
                            "(default: a quarter of the space)")
-    trun.add_argument("--refine", type=int, default=1,
-                      help="local-refinement neighbourhood radius; 0 disables")
+    trun.add_argument("--refine", type=int, default=None,
+                      help="local-refinement neighbourhood radius; 0 disables "
+                           "(default 1)")
     trun.add_argument("--resilience", default=None, metavar="SCENARIO",
                       help="also score DES survivors under this fault scenario "
                            "(adds the resilience Pareto objective)")
-    trun.add_argument("--resilience-keep", type=int, default=2,
+    trun.add_argument("--resilience-keep", type=int, default=None,
                       help="how many survivors to score under faults (default 2)")
-    trun.add_argument("--jobs", default=None,
-                      help="worker processes (int or 'auto'; default: $REPRO_PARALLEL)")
-    trun.add_argument("--cache", default=None,
-                      help="result-cache directory ('off' disables; default: $REPRO_CACHE)")
+    _add_exec_flags(trun)
     trun.add_argument("--out", default=None, metavar="PATH",
                       help="write the tune manifest as JSON")
     trun.add_argument("--ledger", default=None, metavar="PATH",
@@ -932,31 +942,18 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from .faults import POLICIES, ResilienceReport, build_scenario, fault_sweep
-    from .parallel import resolve_jobs
+    from .faults import ResilienceReport
+    from .parallel import resolve_cache
 
-    apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    unknown = [p for p in policies if p not in POLICIES]
-    if unknown:
-        _p(f"error: unknown policies {unknown}; expected from {POLICIES}")
-        return 2
-    try:
-        scenarios = [
-            build_scenario(name.strip(), factor=args.factor, seed=args.seed)
-            for name in args.scenarios.split(",")
-            if name.strip()
-        ]
-        resolve_jobs(args.jobs)
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return 2
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
-    results = fault_sweep(
-        apps, scenarios, policies, preset=args.preset, jobs=args.jobs, cache=cache
+    got = _run_job(
+        "faults",
+        {"apps": args.apps, "scenarios": args.scenarios, "policies": args.policies,
+         "preset": args.preset, "factor": args.factor, "seed": args.seed},
+        jobs=args.jobs, cache=resolve_cache(args.cache),
     )
+    if got is None:
+        return 2
+    results = got[1]["results"]
     _p(ResilienceReport(results).render_ascii())
     if args.out:
         path = Path(args.out)
@@ -986,62 +983,17 @@ def _cmd_faults_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
+def _emit_manifest(args: argparse.Namespace, manifest: dict, telemetry: dict,
+                   render, write) -> None:
+    """Print a campaign / tune manifest (``--json``, or rendered plus the
+    ``workers:`` telemetry footer) and write it to ``--out``."""
     import json as _json
     from pathlib import Path
 
-    from .campaign import (
-        CampaignSpec,
-        PerturbationModel,
-        render_manifest,
-        resolve_seed,
-        run_campaign,
-    )
-    from .faults import build_scenario
-    from .parallel import resolve_jobs
-
-    apps = tuple(a.strip() for a in args.apps.split(",") if a.strip())
-    presets = tuple(p.strip() for p in args.preset.split(",") if p.strip())
-    try:
-        seed = resolve_seed(args.seed)
-        scenarios = tuple(
-            build_scenario(name.strip(), factor=args.factor, seed=seed)
-            for name in args.scenarios.split(",")
-            if name.strip()
-        )
-        perturb = PerturbationModel(
-            bandwidth_jitter=args.jitter,
-            dram_jitter=args.jitter,
-            clock_jitter=args.jitter,
-            stall_count=args.stalls,
-        )
-        spec = CampaignSpec(
-            apps=apps,
-            preset=presets[0] if presets else "xd1",
-            presets=presets if len(presets) > 1 else (),
-            scenarios=scenarios,
-            replicates=args.replicates,
-            seed=seed,
-            perturb=perturb,
-            throttle_fpga=args.throttle_fpga,
-        )
-        resolve_jobs(args.jobs)
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return 2
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
-    telemetry: dict = {}
-    try:
-        manifest = run_campaign(spec, jobs=args.jobs, cache=cache, telemetry=telemetry)
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return 2
     if args.json:
         _p(_json.dumps(manifest, indent=2, sort_keys=True))
     else:
-        _p(render_manifest(manifest))
+        _p(render(manifest))
         if telemetry.get("executor"):
             from .obs.dashboard import _worker_lines
 
@@ -1049,12 +1001,30 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             for line in _worker_lines(telemetry):
                 _p(f"  {line}")
     if args.out:
-        from .campaign import write_manifest
-
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_manifest(manifest, str(path))
+        write(manifest, str(path))
         _p(f"manifest written to {path}")
+
+
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from .campaign import render_manifest, write_manifest
+    from .parallel import resolve_cache
+
+    telemetry: dict = {}
+    got = _run_job(
+        "campaign",
+        {"apps": args.apps, "preset": args.preset, "scenarios": args.scenarios,
+         "replicates": args.replicates, "seed": args.seed, "jitter": args.jitter,
+         "stalls": args.stalls, "throttle_fpga": args.throttle_fpga,
+         "factor": args.factor},
+        jobs=args.jobs, cache=resolve_cache(args.cache), telemetry=telemetry,
+        env_seed=True,
+    )
+    if got is None:
+        return 2
+    manifest = got[1]
+    _emit_manifest(args, manifest, telemetry, render_manifest, write_manifest)
     if args.ledger:
         from .obs import RunLedger, campaign_entry
 
@@ -1249,7 +1219,7 @@ def _cmd_campaign_figures(args: argparse.Namespace) -> int:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS, active_cache, configured
-    from .parallel import resolve_jobs
+    from .parallel import resolve_cache, resolve_jobs
 
     if args.only:
         wanted = [name.strip() for name in args.only.split(",")]
@@ -1260,9 +1230,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         selected = {name: ALL_EXPERIMENTS[name] for name in wanted}
     else:
         selected = ALL_EXPERIMENTS
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
+    # A disabled cache must stay off: None would consult $REPRO_CACHE again.
+    cache = resolve_cache(args.cache) or False
     try:
         resolve_jobs(args.jobs)
     except ValueError as exc:
@@ -1327,72 +1296,31 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tune_space_from_args(args: argparse.Namespace):
-    """The search space named by ``--space`` or built from ``--kind`` flags."""
-    from .tune import SearchSpace, named_space, parse_axis
-
-    if args.space:
-        if args.kind or args.fixed or args.axis:
-            raise ValueError("--space is exclusive with --kind/--fixed/--axis")
-        return named_space(args.space)
-    if not args.kind:
-        raise ValueError("pass --space NAME, or --kind with --axis (and --fixed)")
-    fixed = {}
-    for item in args.fixed or []:
-        name, values = parse_axis(item)
-        if len(values) != 1:
-            raise ValueError(f"--fixed {item!r} must pin exactly one value")
-        fixed[name] = values[0]
-    axes = dict(parse_axis(item) for item in args.axis or [])
-    if not axes:
-        raise ValueError("at least one --axis is required for an ad-hoc space")
-    return SearchSpace(kind=args.kind, machine=args.machine, fixed=fixed, axes=axes)
-
-
 def _cmd_tune_run(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
+    from .parallel import resolve_cache
+    from .tune import render_tune, write_manifest
 
-    from .campaign import resolve_seed
-    from .tune import TuneSpec, render_tune, run_tune, write_manifest
-
-    try:
-        spec = TuneSpec(
-            space=_tune_space_from_args(args),
-            seed=resolve_seed(args.seed),
-            eta=args.eta,
-            budget=args.budget,
-            refine=args.refine,
-            resilience=args.resilience,
-            resilience_keep=args.resilience_keep,
-        )
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return 2
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
+    space = args.space
+    if args.kind or args.fixed or args.axis:
+        if space:
+            _p("error: --space is exclusive with --kind/--fixed/--axis")
+            return 2
+        adhoc = {"kind": args.kind, "machine": args.machine,
+                 "fixed": args.fixed, "axes": args.axis}
+        space = {k: v for k, v in adhoc.items() if v is not None}
     telemetry: dict = {}
-    try:
-        manifest = run_tune(spec, jobs=args.jobs, cache=cache, telemetry=telemetry)
-    except ValueError as exc:
-        _p(f"error: {exc}")
+    got = _run_job(
+        "tune",
+        {"space": space, "seed": args.seed, "eta": args.eta, "budget": args.budget,
+         "refine": args.refine, "resilience": args.resilience,
+         "resilience_keep": args.resilience_keep},
+        jobs=args.jobs, cache=resolve_cache(args.cache), telemetry=telemetry,
+        env_seed=True,
+    )
+    if got is None:
         return 2
-    if args.json:
-        _p(_json.dumps(manifest, indent=2, sort_keys=True))
-    else:
-        _p(render_tune(manifest))
-        if telemetry.get("executor"):
-            from .obs.dashboard import _worker_lines
-
-            _p("workers:")
-            for line in _worker_lines(telemetry):
-                _p(f"  {line}")
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_manifest(manifest, str(path))
-        _p(f"manifest written to {path}")
+    manifest = got[1]
+    _emit_manifest(args, manifest, telemetry, render_tune, write_manifest)
     if args.ledger:
         from .obs import RunLedger, tune_entry
 
@@ -1440,20 +1368,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from .parallel import resolve_cache
     from .service import CodesignServer
 
-    cache = args.cache
-    if isinstance(cache, str) and cache.strip().lower() in ("off", "0", "none"):
-        cache = None
-    elif cache is None:
-        from .parallel.cache import cache_from_env
-
-        cache = cache_from_env()
     server = CodesignServer(
         args.host,
         args.port,
         jobs=args.jobs,
-        cache=cache,
+        cache=resolve_cache(args.cache),
         ledger=args.ledger,
         rate_capacity=args.rate_capacity,
         rate_refill_per_s=args.rate_refill,

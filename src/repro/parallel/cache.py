@@ -4,8 +4,9 @@ Results are stored as JSON files under ``.repro_cache/`` (or the path in
 the ``REPRO_CACHE`` environment variable), addressed by a sha256 of the
 canonical form of the evaluation payload -- typically a dict of
 (kind, machine-spec parameters, simulation config) -- salted with
-:data:`CODE_SALT`.  Bumping the salt when the model/simulator semantics
-change invalidates every prior entry at once without touching the files.
+:func:`code_salt`, a hash of the package's own source.  Any code change
+therefore moves every key: an entry computed by different model code is
+unreachable, never replayed.
 
 Values must be JSON round-trippable.  Floats survive exactly (``json``
 serialises via ``repr`` and parses back to the identical double), so
@@ -14,6 +15,7 @@ cached sweeps reproduce bit-identical experiment text and checks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -24,17 +26,48 @@ from typing import Any, Callable, Optional
 from ..obs.metrics import REGISTRY
 from .grid import canonical_json
 
-__all__ = ["CODE_SALT", "ResultCache", "cache_from_env"]
+__all__ = [
+    "CODE_SALT", "ResultCache", "cache_from_env", "code_salt", "resolve_cache",
+    "source_salt",
+]
 
-#: Version salt mixed into every cache key.  Bump when simulator or model
-#: semantics change so stale results can never be replayed.
-CODE_SALT = "repro-model-v1"
+
+def source_salt(package: str | Path) -> str:
+    """The sha256 of every ``*.py`` under ``package``: sorted relative
+    paths and file bytes, each length-prefixed so no two trees collide."""
+    root = Path(package)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()):
+        rel = path.relative_to(root).as_posix().encode("utf-8")
+        data = path.read_bytes()
+        digest.update(b"%d:%s%d:" % (len(rel), rel, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_salt() -> str:
+    """The salt mixed into every cache key (also ``CODE_SALT``): the
+    :func:`source_salt` of the ``repro`` package, so a result computed by
+    different code can never be replayed.  Computed on first use, so
+    importing this module reads no files."""
+    return source_salt(Path(__file__).resolve().parent.parent)
+
+
+def __getattr__(name: str) -> Any:
+    if name == "CODE_SALT":
+        return code_salt()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Environment variable overriding the cache location ("off"/"0" disables).
 CACHE_ENV_VAR = "REPRO_CACHE"
+
+#: Spellings of "no cache" for ``--cache`` and :data:`CACHE_ENV_VAR`.
+_OFF = ("", "off", "0", "none", "false")
 
 
 class ResultCache:
@@ -45,21 +78,19 @@ class ResultCache:
     root:
         Directory holding the cache (created lazily on first write).
     salt:
-        Version string mixed into every key; defaults to :data:`CODE_SALT`.
+        Version string mixed into every key; defaults to :func:`code_salt`.
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` (fan-out over 256
     subdirectories keeps directory listings manageable for large sweeps).
-    Caches written by older builds stored entries flat at
-    ``<root>/<key>.json``; those are still readable and are migrated into
-    their shard directory transparently on first hit, so a warm cache
-    survives the layout change without a recompute.
     Writes are atomic (tmp file + rename), so concurrent workers racing
     on the same point at worst both compute it; neither sees a torn file.
     """
 
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR, salt: str = CODE_SALT) -> None:
+    def __init__(
+        self, root: str | Path = DEFAULT_CACHE_DIR, salt: Optional[str] = None
+    ) -> None:
         self.root = Path(root)
-        self.salt = salt
+        self.salt = salt if salt is not None else code_salt()
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -82,31 +113,6 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _flat_path(self, key: str) -> Path:
-        """Where a pre-sharding build would have stored ``key``."""
-        return self.root / f"{key}.json"
-
-    def _migrate_flat(self, key: str) -> Optional[dict[str, Any]]:
-        """Read a flat-layout entry for ``key``, moving it into its shard.
-
-        Returns the entry, or None when no legacy file exists.  Migration
-        uses an atomic rename; a concurrent reader either finds the flat
-        file or the sharded one, never neither.
-        """
-        flat = self._flat_path(key)
-        try:
-            with open(flat, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        dest = self._path(key)
-        try:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, dest)
-        except OSError:
-            pass  # read-only cache dir: serve the entry, retry the move later
-        return entry
-
     # -- store ----------------------------------------------------------
 
     def get(self, payload: Any) -> Optional[dict[str, Any]]:
@@ -118,11 +124,9 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
         except (FileNotFoundError, json.JSONDecodeError):
-            entry = self._migrate_flat(key)
-            if entry is None:
-                self.misses += 1
-                self._m_misses.inc()
-                return None
+            self.misses += 1
+            self._m_misses.inc()
+            return None
         self.hits += 1
         self._m_hits.inc()
         return entry
@@ -170,14 +174,9 @@ class ResultCache:
         removed = 0
         if not self.root.is_dir():
             return 0
-        for sub in self.root.iterdir():
-            if sub.is_dir():
-                for path in sub.glob("*.json"):
-                    path.unlink()
-                    removed += 1
-            elif sub.suffix == ".json":  # legacy flat-layout entry
-                sub.unlink()
-                removed += 1
+        for path in self.root.glob("*/*.json"):
+            path.unlink()
+            removed += 1
         self.evictions += removed
         self._m_evictions.inc(removed)
         return removed
@@ -213,12 +212,20 @@ class ResultCache:
 def cache_from_env(default: Optional[str] = None) -> Optional[ResultCache]:
     """Build a cache from ``REPRO_CACHE`` (or ``default`` when unset).
 
-    Values ``off``, ``0`` and ``none`` disable caching; anything else is
-    the cache directory.  Returns None when disabled/unconfigured.
+    Values ``off``, ``0``, ``none``, ``false`` and empty disable caching;
+    anything else is the cache directory.  Returns None when
+    disabled/unconfigured.
     """
     raw = os.environ.get(CACHE_ENV_VAR, default)
-    if raw is None:
-        return None
-    if raw.strip().lower() in ("", "off", "0", "none", "false"):
+    if raw is None or raw.strip().lower() in _OFF:
         return None
     return ResultCache(raw)
+
+
+def resolve_cache(value: Optional[str]) -> Optional[ResultCache]:
+    """A ``--cache`` argument as a cache: unset (None) defers to
+    :func:`cache_from_env`, an off spelling disables, anything else is
+    the cache directory."""
+    if value is None:
+        return cache_from_env()
+    return None if value.strip().lower() in _OFF else ResultCache(value)

@@ -4,9 +4,9 @@ The service layer turns the batch CLI into a long-running server
 (ROADMAP open item 1): requests are normalized into idempotent job
 manifests (:mod:`~repro.service.jobs`), deduplicated against in-flight
 work and the content-addressed result cache, queued by priority class
-(:mod:`~repro.service.queue`), and executed by per-kind runners that
-wrap the exact CLI entry points (:mod:`~repro.service.runners`) on one
-shared persistent worker pool.  :mod:`~repro.service.server` is the
+(:mod:`~repro.service.queue`), and executed by the one job-kind table
+the CLI's job commands also run through (:mod:`~repro.service.runners`)
+on one shared persistent worker pool.  :mod:`~repro.service.server` is the
 stdlib-only asyncio HTTP server; :mod:`~repro.service.client` the thin
 synchronous client the CLI ``client`` group uses.
 
@@ -21,7 +21,6 @@ from .jobs import (
     JobError,
     job_key,
     normalize_request,
-    register_kind,
     result_payload,
 )
 from .queue import DEFAULT_PRIORITY, PRIORITIES, JobQueue, RateLimiter, TokenBucket
@@ -46,7 +45,6 @@ __all__ = [
     "TokenBucket",
     "job_key",
     "normalize_request",
-    "register_kind",
     "register_runner",
     "result_payload",
     "run_manifest",

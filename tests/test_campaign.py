@@ -11,7 +11,6 @@ from repro.campaign import (
     cell_key,
     default_model,
     derive_seed,
-    resolve_runner,
     resolve_seed,
     run_campaign,
     run_replicate,
@@ -127,9 +126,9 @@ def test_run_replicate_node_failure_reports_failed():
 
 def test_unknown_app_rejected():
     with pytest.raises(ValueError, match="no campaign runner"):
-        resolve_runner("sparse-qr")
-    with pytest.raises(ValueError, match="no campaign runner"):
         campaign_tasks(_spec(apps=("sparse-qr",)))
+    with pytest.raises(ValueError, match="no campaign runner"):
+        run_campaign(_spec(apps=("lu", "sparse-qr")), jobs=1, cache=False)
 
 
 # ------------------------------------------------------------------- core

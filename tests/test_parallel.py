@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.series import sweep
 from repro.parallel import (
-    CODE_SALT,
     ParamGrid,
     ResultCache,
     SweepExecutor,
@@ -20,10 +19,11 @@ from repro.parallel import (
     canonical,
     canonical_json,
     canonical_key,
+    resolve_cache,
     resolve_jobs,
 )
 from repro.parallel.executor import PARALLEL_ENV_VAR
-from repro.parallel.cache import CACHE_ENV_VAR
+from repro.parallel.cache import CACHE_ENV_VAR, CODE_SALT, source_salt
 
 
 def _square(x):
@@ -160,46 +160,6 @@ def test_cache_clear_removes_entries(tmp_path):
     assert cache.get({"p": 1}) is None
 
 
-def test_cache_migrates_flat_layout_entries(tmp_path):
-    """Entries written before sharding (<root>/<key>.json) replay as
-    hits and are renamed into their <key[:2]>/ shard on first touch."""
-    import json as _json
-
-    root = tmp_path / "cache"
-    cache = ResultCache(root)
-    payload = {"kind": "unit", "x": 7}
-    key = cache.key_for(payload)
-    flat = root / f"{key}.json"
-    flat.parent.mkdir(parents=True, exist_ok=True)
-    flat.write_text(
-        _json.dumps({"key": key, "payload": payload, "value": 99}),
-        encoding="utf-8",
-    )
-    entry = cache.get(payload)
-    assert entry is not None and entry["value"] == 99
-    assert cache.stats["hits"] == 1 and cache.stats["misses"] == 0
-    assert not flat.exists()
-    assert (root / key[:2] / f"{key}.json").is_file()
-    # Second lookup comes straight from the sharded location.
-    assert cache.get(payload)["value"] == 99
-
-
-def test_cache_clear_removes_flat_entries_too(tmp_path):
-    import json as _json
-
-    root = tmp_path / "cache"
-    cache = ResultCache(root)
-    cache.put({"p": 1}, 1)
-    key = cache.key_for({"p": 2})
-    (root / f"{key}.json").write_text(
-        _json.dumps({"key": key, "payload": {"p": 2}, "value": 2}),
-        encoding="utf-8",
-    )
-    assert cache.clear() == 2
-    assert cache.get({"p": 1}) is None
-    assert cache.get({"p": 2}) is None
-
-
 def test_cache_from_env(tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     assert cache_from_env() is None
@@ -208,6 +168,44 @@ def test_cache_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "c"))
     cache = cache_from_env()
     assert cache is not None and cache.salt == CODE_SALT
+
+
+def test_resolve_cache_shares_the_off_spellings(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
+    for off in ("", "off", "OFF", "0", "none", "false", " off "):
+        assert resolve_cache(off) is None
+        monkeypatch.setenv(CACHE_ENV_VAR, off)
+        assert cache_from_env() is None
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
+    assert resolve_cache(None).root == tmp_path / "env"  # unset defers to env
+    assert resolve_cache(str(tmp_path / "dir")).root == tmp_path / "dir"
+
+
+def test_code_salt_is_the_package_source_hash(tmp_path):
+    """The salt is the same in a fresh interpreter, equals the hash of
+    the package source, and moves when one byte of that source does."""
+    import shutil
+    import subprocess
+    import sys
+
+    import repro
+
+    package = os.path.dirname(repro.__file__)
+    out = subprocess.run(
+        [sys.executable, "-c", "from repro.parallel.cache import CODE_SALT; print(CODE_SALT)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(package)},
+    )
+    assert out.stdout.strip() == CODE_SALT
+    assert source_salt(package) == CODE_SALT
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert source_salt(copy) == CODE_SALT
+    target = copy / "sim" / "core.py"
+    data = bytearray(target.read_bytes())
+    data[-1] ^= 1
+    target.write_bytes(bytes(data))
+    assert source_salt(copy) != CODE_SALT
 
 
 # -----------------------------------------------------------------------

@@ -165,6 +165,31 @@ def test_normalize_request_rejects_bad_input():
         normalize_request("design", [1, 2])
     with pytest.raises(JobError, match="must name a predefined space"):
         normalize_request("tune", {"space": "nope"})
+    with pytest.raises(JobError, match="bad tune 'space'"):
+        normalize_request("tune", {"space": {"kind": "block_mm", "axes": ["k=2,4"]}})
+
+
+def test_builtin_kinds_cannot_be_replaced():
+    """Re-registering a built-in kind would swap its normalizer for the
+    identity and silently drop its validation, so it is refused."""
+    with pytest.raises(JobError, match="built-in"):
+        register_runner("design", lambda params, ctx: {})
+    with pytest.raises(JobError, match="built-in"):
+        unregister_runner("design")
+    with pytest.raises(JobError, match="positive int"):
+        normalize_request("design", {"app": "lu", "n": -5})
+
+
+def test_tune_adhoc_space_normalizes_to_its_grid():
+    """Spellings of one ad-hoc space share a key; axis order is kept (it
+    is the search order) and a named space stays its bare name."""
+    cli = {"kind": "block_mm", "fixed": ["b=3000"], "axes": ["k=2,4", "b_f=0:400:200"]}
+    first = normalize_request("tune", {"space": cli})
+    space = first["params"]["space"]
+    assert space == {"kind": "block_mm", "machine": "xd1", "fixed": {"b": 3000},
+                     "axes": [["k", [2, 4]], ["b_f", [0, 200, 400]]]}
+    assert normalize_request("tune", {"space": space}) == first
+    assert normalize_request("tune", {"space": "fig5-bf"})["params"]["space"] == "fig5-bf"
 
 
 # ------------------------------------------------- server-level semantics

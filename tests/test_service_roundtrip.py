@@ -179,3 +179,111 @@ def test_job_scoped_executor_telemetry(tmp_path):
         done = client.wait(doc["id"], timeout=120)
     assert done["telemetry"]["scope"] == done["id"]
     assert done["telemetry"]["mode"] in ("serial", "parallel")
+
+
+# ------------------------------------------------- CLI == service, bitwise
+#
+# Each case: CLI argv, the file flag that receives the CLI's document,
+# the job kind and params the service gets, and how to pick the CLI's
+# document out of the job result.  The params are spelled differently
+# from the flags on purpose (lists vs comma strings, parsed vs raw axes):
+# both must normalize to the same manifest.
+
+_ADHOC_AXES = [["k", [2, 4]], ["b_f", "0:3000:600"]]
+
+_CLI_SERVICE_CASES = {
+    "faults": (
+        ["faults", "sweep", "--apps", "lu,fw", "--scenarios", "degraded-link",
+         "--seed", "7", "--cache", "off"],
+        "faults", {"apps": ["lu", "fw"], "scenarios": ["degraded-link"], "seed": 7},
+        lambda result: result["results"],
+    ),
+    # No flags at all: the CLI and a bare job share the normalizer's
+    # defaults (the three-scenario grid), not two copies of them.
+    "faults-defaults": (
+        ["faults", "sweep", "--cache", "off"], "faults", {},
+        lambda result: result["results"],
+    ),
+    "campaign-serial": (
+        ["campaign", "run", "--apps", "lu", "--replicates", "3", "--seed", "7",
+         "--cache", "off"],
+        "campaign", {"apps": ["lu"], "replicates": 3, "seed": 7}, None,
+    ),
+    "campaign-jobs2": (
+        ["campaign", "run", "--apps", "lu", "--replicates", "3", "--seed", "7",
+         "--cache", "off", "--jobs", "2"],
+        "campaign", {"apps": ["lu"], "replicates": 3, "seed": 7}, None,
+    ),
+    "campaign-throttle": (
+        ["campaign", "run", "--apps", "lu,fw", "--replicates", "3", "--seed", "7",
+         "--cache", "off", "--throttle-fpga", "0.8"],
+        "campaign", {"replicates": 3, "seed": 7, "throttle_fpga": 0.8}, None,
+    ),
+    "campaign-presets": (
+        ["campaign", "run", "--apps", "lu", "--preset", "xd1,xt3", "--replicates",
+         "3", "--seed", "7", "--cache", "off"],
+        "campaign", {"apps": "lu", "preset": ["xd1", "xt3"], "replicates": 3,
+                     "seed": 7}, None,
+    ),
+    "tune-named": (
+        ["tune", "run", "--space", "fig5-bf", "--seed", "7", "--cache", "off"],
+        "tune", {"space": "fig5-bf", "seed": 7}, None,
+    ),
+    "tune-adhoc": (
+        ["tune", "run", "--kind", "block_mm", "--fixed", "b=3000", "--axis", "k=2,4",
+         "--axis", "b_f=0:3000:600", "--seed", "7", "--cache", "off"],
+        "tune", {"space": {"kind": "block_mm", "fixed": {"b": 3000},
+                           "axes": _ADHOC_AXES}, "seed": 7}, None,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def cacheless_service():
+    with ServerThread(CodesignServer(jobs=1)) as st:
+        yield ServiceClient(port=st.bound_port)
+
+
+def _served(client, kind, params):
+    doc = client.wait(client.submit(kind, params)["id"], timeout=300)
+    assert doc["state"] == "completed" and doc["source"] == "computed"
+    return doc["result"]
+
+
+def _text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_SERVICE_CASES))
+def test_cli_document_equals_service_result(case, cacheless_service, tmp_path, capsys):
+    argv, kind, params, pick = _CLI_SERVICE_CASES[case]
+    out = tmp_path / "cli.json"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    result = _served(cacheless_service, kind, params)
+    cli_doc = json.loads(out.read_text(encoding="utf-8"))
+    assert _text(cli_doc) == _text(pick(result) if pick else result)
+
+
+@pytest.mark.parametrize("app, argv, params", [
+    ("lu", ["--n", "6000", "--b", "1200"], {"app": "lu", "n": 6000, "b": 1200}),
+    ("fw", ["--n", "9216", "--b", "256", "--p", "3"],
+     {"app": "fw", "n": 9216, "b": 256, "p": 3}),
+])
+def test_cli_design_equals_service_result(app, argv, params, cacheless_service,
+                                          tmp_path, capsys):
+    """``lu``/``fw`` print rather than write a document: the comparison
+    they store in ``--cache`` must be the service's, bitwise, and their
+    chart must be the service result rendered."""
+    from repro.cli import _render_compare
+    from repro.parallel import ResultCache
+
+    cache_dir = tmp_path / "cache"
+    assert cli_main([app, *argv, "--cache", str(cache_dir)]) == 0
+    stdout = capsys.readouterr().out
+    result = _served(cacheless_service, "design", params)
+    stored = ResultCache(cache_dir).get(result["task"])
+    assert stored is not None
+    assert _text(stored["value"]) == _text(result["compare"])
+    full = {"p": 6, **params}
+    assert "\n".join(_render_compare(app, full, result["compare"])) in stdout
