@@ -11,6 +11,7 @@ from typing import Any, Iterable, Optional
 
 from ..analysis.figures import box_plot, line_chart
 from ..analysis.series import Series
+from ..obs.dashboard import SPARK_LEVELS, fmt_opt, fmt_s
 from .core import iter_cells
 
 __all__ = [
@@ -20,8 +21,6 @@ __all__ = [
     "render_timeline",
     "sparkline",
 ]
-
-_SPARK_LEVELS = " .:-=+*#@"
 
 _VERDICT_MARK = {"pass": "ok", "warn": "WARN", "fail": "FAIL"}
 
@@ -33,18 +32,12 @@ def sparkline(counts: list[float]) -> str:
     peak = max(counts)
     if peak <= 0:
         return " " * len(counts)
-    top = len(_SPARK_LEVELS) - 1
+    top = len(SPARK_LEVELS) - 1
     out = []
     for c in counts:
         level = 0 if c <= 0 else max(1, round(c / peak * top))
-        out.append(_SPARK_LEVELS[level])
+        out.append(SPARK_LEVELS[level])
     return "".join(out)
-
-
-def _fmt(value: Optional[float], unit: str = "") -> str:
-    if value is None:
-        return "-"
-    return f"{value:.4g}{unit}"
 
 
 def _trim_spark(hist: Optional[dict[str, Any]]) -> str:
@@ -79,11 +72,11 @@ def render_manifest(manifest: dict[str, Any]) -> str:
         rows.append(
             (
                 key,
-                _fmt(mk.get("median"), "s"),
-                _fmt(mk.get("iqr"), "s"),
-                _fmt(mk.get("p95"), "s"),
-                _fmt(mk.get("p99"), "s"),
-                _fmt(eff.get("median")),
+                fmt_s(mk.get("median")),
+                fmt_s(mk.get("iqr")),
+                fmt_s(mk.get("p95")),
+                fmt_s(mk.get("p99")),
+                fmt_opt(eff.get("median"), ".4g"),
                 f"{cell.get('completed', 0)}/{cell.get('replicates', 0)}",
                 _trim_spark(cell.get("hist")),
             )
@@ -117,17 +110,16 @@ def render_check(comparison: dict[str, Any]) -> str:
         cell = cells[key]
         shift = cell.get("median_shift")
         arrow = "=" if shift is None else ("^" if shift > 0 else "v" if shift < 0 else "=")
-        p = cell.get("p_value")
         lines.append(
             "  [{mark:>4}] {key}  shift={shift} {arrow}  p={p}  "
             "median {base} -> {cur}{note}".format(
                 mark=_VERDICT_MARK.get(cell.get("verdict"), "?"),
                 key=key,
-                shift="-" if shift is None else f"{shift:+.2%}",
+                shift=fmt_opt(shift, "+.2%"),
                 arrow=arrow,
-                p="-" if p is None else f"{p:.4g}",
-                base=_fmt(cell.get("baseline_median"), "s"),
-                cur=_fmt(cell.get("median"), "s"),
+                p=fmt_opt(cell.get("p_value"), ".4g"),
+                base=fmt_s(cell.get("baseline_median")),
+                cur=fmt_s(cell.get("median")),
                 note=f"  ({cell['note']})" if cell.get("note") else "",
             )
         )

@@ -995,11 +995,11 @@ def _emit_manifest(args: argparse.Namespace, manifest: dict, telemetry: dict,
     else:
         _p(render(manifest))
         if telemetry.get("executor"):
-            from .obs.dashboard import _worker_lines
+            from .obs.dashboard import panel_lines, workers_panel
 
             _p("workers:")
-            for line in _worker_lines(telemetry):
-                _p(f"  {line}")
+            for line in panel_lines(workers_panel(telemetry)):
+                _p(line)
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -5,8 +5,8 @@ A :class:`ResilienceReport` normalises fault runs -- either raw
 ledger manifests (``LEDGER_SCHEMA = 3``) -- into one row per
 (app, scenario, policy) and renders the per-scenario makespan inflation,
 overlap-efficiency retention, recovery latency and model-term
-attribution.  ``repro faults report`` and the ``obs dashboard``
-resilience section both consume it.
+attribution.  ``repro faults report`` renders it; like the ``obs
+dashboard`` resilience panel, it keeps the latest run per triple.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from ..obs.ledger import RunLedger
+from ..obs.dashboard import fmt_opt
+from ..obs.ledger import RunLedger, fault_run_key, latest_entries
 
 __all__ = ["ResilienceReport", "resilience_rows"]
 
@@ -115,10 +116,6 @@ def resilience_rows(runs: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     return [_row(run).to_dict() for run in runs]
 
 
-def _fmt(value: Optional[float], pattern: str = "{:.3f}") -> str:
-    return "-" if value is None else pattern.format(value)
-
-
 class ResilienceReport:
     """Per-scenario resilience of the design under a fault campaign."""
 
@@ -133,11 +130,7 @@ class ResilienceReport:
         append-only); schema-2 ledgers simply contain no ``fault_run``
         entries and yield an empty report.
         """
-        latest: dict[tuple, dict[str, Any]] = {}
-        for entry in RunLedger(path).entries(kind="fault_run"):
-            scenario = entry.get("scenario") or {}
-            key = (entry.get("app"), scenario.get("name"), entry.get("policy"))
-            latest[key] = entry
+        latest = latest_entries(RunLedger(path).entries(), "fault_run", fault_run_key)
         return cls(latest.values())
 
     def __len__(self) -> int:
@@ -177,7 +170,7 @@ class ResilienceReport:
             if r.failed and r.failure:
                 attributed = (
                     f"aborted: {r.failure.get('process') or r.failure.get('stage') or '?'}"
-                    f" @ t={_fmt(r.failure.get('time'), '{:.3f}')}"
+                    f" @ t={fmt_opt(r.failure.get('time'), '.3f')}"
                 )
             body.append(
                 (
@@ -185,9 +178,9 @@ class ResilienceReport:
                     r.scenario,
                     r.policy,
                     r.status,
-                    _fmt(r.makespan_inflation, "{:.3f}x"),
-                    _fmt(r.efficiency_retention, "{:.1%}"),
-                    _fmt(r.recovery_latency, "{:.3f}s"),
+                    fmt_opt(r.makespan_inflation, ".3f", "x"),
+                    fmt_opt(r.efficiency_retention, ".1%"),
+                    fmt_opt(r.recovery_latency, ".3f", "s"),
                     attributed,
                 )
             )
@@ -203,7 +196,7 @@ class ResilienceReport:
         lines.append("")
         lines.append(
             f"{s['runs']} run(s), {s['aborted']} aborted; "
-            f"worst retention {_fmt(s['worst_retention'], '{:.1%}')}, "
-            f"worst inflation {_fmt(s['worst_inflation'], '{:.3f}x')}"
+            f"worst retention {fmt_opt(s['worst_retention'], '.1%')}, "
+            f"worst inflation {fmt_opt(s['worst_inflation'], '.3f', 'x')}"
         )
         return "\n".join(lines)

@@ -21,8 +21,10 @@ The instrumentation substrate for the whole reproduction:
 * :mod:`repro.obs.explain` -- paired-trace regression explanation:
   diff two critical paths into a blame-ranked ``explain`` manifest
   (which lane grew, which model term it loads onto);
-* :mod:`repro.obs.dashboard` -- ASCII / self-contained-HTML rendering
-  of fidelity trends and bottleneck attributions;
+* :mod:`repro.obs.dashboard` -- the dashboard panels (fidelity,
+  critical path, resilience, campaigns, checks, explanations, tuning,
+  service, workers), each built once from ledger entries and drawn as
+  ASCII or as a self-contained HTML page;
 * :mod:`repro.obs.console` -- the BrokenPipe-safe CLI writer.
 
 This package imports nothing from the rest of :mod:`repro`, so any

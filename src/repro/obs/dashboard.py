@@ -1,41 +1,45 @@
-"""Dashboard rendering for the model-fidelity observatory.
+"""Dashboard panels for the model-fidelity observatory.
 
-Two renderers over the same ledger content:
+Each panel is built once, by a pure builder over ledger entries, as a
+:class:`Panel` whose values are all formatted.  Two renderers draw any
+panel: :func:`render_ascii` (terminal / CI logs) through the panel
+kind's :class:`AsciiTemplate` of ``str.format`` lines, and
+:func:`render_html`, a self-contained page (inline CSS + SVG, no
+external assets or scripts) whose one generic table writer is the only
+place that escapes ledger values.  Adding a panel takes one builder and
+one ASCII template; the HTML needs no code.
 
-* :func:`render_ascii` -- a terminal/CI-log view: per app x preset
-  fidelity trend (latest / mean / range / drift plus a text sparkline),
-  the latest critical-path attribution per app, the latest resilience
-  outcome per fault scenario (``fault_run`` entries), and the campaign
-  panel: per-cell makespan distributions with drift arrows against the
-  previous campaign plus the latest statistical check verdicts
-  (``campaign`` / ``campaign_check`` entries), the latest regression
-  explanation per cell (``explain`` entries: blame-ranked lane deltas
-  with their model terms), the newest campaign's worker telemetry
-  (per-worker busy bars, queue waits, stragglers, cache hit rate), and
-  the guided-tuning panel: the latest ``tune`` entry per app x preset
-  with its incumbent, DES-eval savings and Pareto front;
-* :func:`render_html` -- a self-contained HTML page (inline CSS + SVG,
-  no external assets or scripts) with the same content: a fidelity
-  table with trend sparklines, per-resource critical-path bars, the
-  resilience table, the campaign distribution / verdict / explain /
-  worker tables, and the guided-tuning Pareto-front tables.
-
-Both are pure functions of the ledger entries so tests can pin them;
-the CLI front-end is ``repro-xd1 obs dashboard``.
+The CLI front-end is ``repro-xd1 obs dashboard``; ``campaign run`` /
+``tune run`` print :func:`workers_panel` as their ``workers:`` footer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass, field
 from html import escape
+from string import Formatter
 from typing import Any, Optional
 
 from .critical_path import MODEL_TERMS
-from .fidelity import DEFAULT_BAND, FidelityStat, fidelity_report
+from .fidelity import DEFAULT_BAND, fidelity_report
+from .ledger import fault_run_key, latest_entries
 
-__all__ = ["render_ascii", "render_html", "text_sparkline"]
+__all__ = [
+    "SPARK_LEVELS",
+    "Panel",
+    "fmt_opt",
+    "fmt_s",
+    "panel_lines",
+    "point_label",
+    "render_ascii",
+    "render_html",
+    "text_sparkline",
+    "workers_panel",
+]
 
 #: Text sparkline levels, low to high (ASCII-safe for CI logs).
-_SPARK_LEVELS = " .:-=+*#@"
+SPARK_LEVELS = " .:-=+*#@"
 
 
 def text_sparkline(values: list[float], width: int = 24) -> str:
@@ -46,408 +50,564 @@ def text_sparkline(values: list[float], width: int = 24) -> str:
     lo, hi = min(tail), max(tail)
     span = hi - lo
     if span <= 0:
-        return _SPARK_LEVELS[len(_SPARK_LEVELS) // 2] * len(tail)
-    top = len(_SPARK_LEVELS) - 1
-    return "".join(_SPARK_LEVELS[round((v - lo) / span * top)] for v in tail)
+        return SPARK_LEVELS[len(SPARK_LEVELS) // 2] * len(tail)
+    top = len(SPARK_LEVELS) - 1
+    return "".join(SPARK_LEVELS[round((v - lo) / span * top)] for v in tail)
 
 
-def _latest_critical_paths(entries: list[dict[str, Any]]) -> dict[tuple[str, str], dict]:
-    """Newest ``critical_path`` summary per (app, preset)."""
-    out: dict[tuple[str, str], dict] = {}
-    for entry in entries:
-        cp = entry.get("critical_path")
-        if entry.get("kind") == "design_run" and cp:
-            out[(str(entry.get("app")), str(entry.get("preset")))] = cp
-    return out
+def fmt_opt(value: Any, spec: str, suffix: str = "") -> str:
+    """``value`` in format ``spec`` plus ``suffix``; ``-`` when absent."""
+    return "-" if value is None else format(value, spec) + suffix
 
 
-def _latest_fault_runs(entries: list[dict[str, Any]]) -> dict[tuple[str, str, str], dict]:
-    """Newest ``fault_run`` manifest per (app, scenario, policy)."""
-    out: dict[tuple[str, str, str], dict] = {}
-    for entry in entries:
-        if entry.get("kind") != "fault_run":
-            continue
-        scenario = entry.get("scenario") or {}
-        key = (
-            str(entry.get("app")),
-            str(scenario.get("name", "?")),
-            str(entry.get("policy")),
-        )
-        out[key] = entry
-    return out
+def fmt_s(value: Optional[float]) -> str:
+    """Seconds to four significant digits, ``-`` when absent."""
+    return fmt_opt(value, ".4g", "s")
 
 
-def _campaign_series(
-    entries: list[dict[str, Any]],
-) -> dict[str, tuple[dict, Optional[dict]]]:
-    """(latest, previous) ``campaign`` entry per preset, in ledger order."""
+def point_label(point: dict[str, Any]) -> str:
+    """A design point as ``key=value`` pairs in key order."""
+    return " ".join(f"{k}={point[k]}" for k in sorted(point))
+
+
+# ------------------------------------------------------------ panel model
+
+
+@dataclass(frozen=True)
+class Status:
+    """A verdict cell; HTML colours it good (``ok``) or critical."""
+
+    text: str
+    ok: Optional[bool] = None
+
+    def __format__(self, spec: str) -> str:
+        return format(self.text, spec)
+
+
+@dataclass(frozen=True)
+class Spark:
+    """A series cell: a text sparkline in ASCII; in HTML an SVG trend
+    with a reference line at ``band`` (nothing when ``band`` is None)."""
+
+    values: list[float]
+    band: Optional[float] = None
+
+    def __format__(self, spec: str) -> str:
+        return format(text_sparkline(self.values), spec)
+
+
+@dataclass(frozen=True)
+class Bar:
+    """A share (0..1) as a bar, ``width`` characters at 1 in ASCII (None: no bar)."""
+
+    share: Optional[float]
+    width: int
+
+    def __format__(self, spec: str) -> str:
+        bar = "" if self.share is None else "#" * max(1, round(self.share * self.width))
+        return format(bar, spec)
+
+
+@dataclass(frozen=True)
+class Column:
+    """A table column: the row field it shows, its header (default: the
+    field) and cell class (``num`` right-aligns, ``lane`` is secondary)."""
+
+    key: str
+    header: str = ""
+    css: str = ""
+
+
+@dataclass
+class Panel:
+    """One dashboard panel, every value formatted.
+
+    ``kind`` selects the ASCII template; the HTML shows ``title``,
+    ``note`` and ``columns`` (or ``empty`` when there are no rows);
+    ``facts`` are the panel-level values of the ASCII head and tail
+    lines; a row's ``details`` are sub-rows drawn under it in ASCII.
+    """
+
+    kind: str
+    title: str
+    note: str
+    columns: list[Column]
+    rows: list[dict[str, Any]]
+    facts: dict[str, Any] = field(default_factory=dict)
+    empty: str = ""
+
+
+@dataclass(frozen=True)
+class AsciiTemplate:
+    """How :func:`render_ascii` draws one panel kind.
+
+    ``heading`` opens the section (once, above all panels of the kind).
+    Each ``head``/``tail`` line is drawn over the panel's facts when
+    none of its fields is None.  Each row, and each of a row's
+    ``details``, is drawn with the first of ``row``/``detail`` whose
+    fields are all set.  ``empty`` is drawn when the panel has no rows;
+    ``last`` keeps only the newest rows.
+    """
+
+    heading: str = ""
+    head: tuple[str, ...] = ()
+    row: tuple[str, ...] = ()
+    detail: tuple[str, ...] = ()
+    tail: tuple[str, ...] = ()
+    empty: tuple[str, ...] = ()
+    last: Optional[int] = None
+
+
+_ASCII = {
+    "fidelity": AsciiTemplate(
+        heading="fidelity (predicted max{T_tp, T_tf} vs simulated makespan):",
+        row=("  [{status:<5}] {app}@{preset:<6} latest {latest}  mean {mean}  "
+             "range {range}  drift {drift}  n={runs}  |{trend}|",),
+        empty=("  ({empty})",),
+    ),
+    "critical_path": AsciiTemplate(
+        heading="critical-path attribution (latest run per app):",
+        head=("  {app}@{preset}: dominant {dominant} ({fraction} of makespan, "
+              "coverage {coverage}) -- {term}",),
+        row=("    {resource:<5} {share:>6}  {bar}",),
+    ),
+    "resilience": AsciiTemplate(
+        heading="resilience (latest fault run per app x scenario x policy):",
+        row=("  [{status:<5}] {app} {scenario} / {policy}: {failure}",
+             "  [{status:<5}] {app} {scenario} / {policy}: retention {retention}  "
+             "inflation {inflation}  attributed to {term}"),
+    ),
+    "campaign": AsciiTemplate(
+        heading="campaigns (per-cell makespan distributions, latest per preset):",
+        head=("  preset {preset}: {replicates} replicates x {cells} cells, "
+              "{failures} failed replicates",),
+        row=("    {cell:<28} median {median}  iqr {iqr}  p95 {p95}  n={replicates}  "
+             "|{distribution}|  drift {drift}",),
+    ),
+    "campaign_check": AsciiTemplate(
+        head=("campaign regression check (latest): verdict {verdict}  alpha {alpha}  "
+              "effect {effect}  flagged {flagged}",),
+        row=("  [{verdict:<4}] {cell}  shift {shift}  p {p}  ({note})",
+             "  [{verdict:<4}] {cell}  shift {shift}  p {p}"),
+    ),
+    "explain": AsciiTemplate(
+        heading="regression explanations (latest explain per cell):",
+        row=("  {cell}: verdict {verdict}  delta {delta} ({relative})  "
+             "replicate {replicate}",),
+        detail=("    blame {resource:<5} {delta} (share {share})  {term}",
+                "    blame {resource:<5} {delta}  {term}"),
+    ),
+    "tune": AsciiTemplate(
+        heading="guided tuning (latest tune run per app x preset):",
+        head=("  {app}@{preset}: incumbent {point} -> {gflops} GFLOPS, "
+              "{slices} slices ({fidelity})",
+              "    DES evals {used}/{budget} (exhaustive {exhaustive}, "
+              "{fraction} of exhaustive)  front {front} points  rungs {rungs}"),
+        row=("    front {point:<28} {gflops:>7} GFLOPS  {slices} slices  "
+             "retention {retention}  [{fidelity}]",
+             "    front {point:<28} {gflops:>7} GFLOPS  {slices} slices  [{fidelity}]"),
+    ),
+    "service": AsciiTemplate(
+        head=("service jobs ({jobs} recorded: {computed} computed, {cache} cache, "
+              "{failed} failed; {deduped} in-flight dedups):",),
+        row=("  [{outcome:<8}] {job} {kind:<9} wait {wait}  run {run}  "
+             "attempts {attempts}  dedup {dedups}  hash {hash}",),
+        last=8,
+    ),
+    "workers": AsciiTemplate(
+        heading="sweep worker telemetry (latest campaign):",
+        head=("  mode {mode}  workers {workers}  tasks {tasks}  chunks {chunks}  "
+              "elapsed {elapsed}",
+              "  queue wait mean {wait_mean}s max {wait_max}s  imbalance {imbalance}x  "
+              "stragglers: {stragglers}"),
+        row=("  {worker} pid {pid}  chunks {chunks}  tasks {tasks}  busy {busy}  |{bar}|",),
+        tail=("  replicates: {analytic} analytic, {des} DES ({des_share} on the DES)",
+              "  cache: {lookups} lookups, {hits} hits, {misses} misses ({hit_rate})"),
+    ),
+}
+
+
+# --------------------------------------------------------------- builders
+
+
+def _app_preset(entry: dict[str, Any]) -> tuple[str, str]:
+    return str(entry.get("app")), str(entry.get("preset"))
+
+
+def _fidelity_panels(entries: list[dict[str, Any]], band: float) -> list[Panel]:
+    rows = []
+    for st in fidelity_report(entries, band=band):
+        ok = st.latest >= band
+        rows.append({
+            "series": f"{st.app}@{st.preset}", "app": st.app, "preset": st.preset,
+            "status": Status("ok" if ok else "BELOW", ok),
+            "latest": f"{st.latest:.4f}", "mean": f"{st.mean:.4f}",
+            "range": f"[{st.minimum:.4f}, {st.maximum:.4f}]",
+            "drift": f"{st.drift:+.4f}", "runs": str(st.count),
+            "trend": Spark(st.efficiencies, band),
+        })
+    columns = [Column("series"), Column("status"), Column("latest", css="num"),
+               Column("mean", css="num"), Column("range", css="num"), Column("drift", css="num"),
+               Column("runs", css="num"), Column("trend", "trend (band line = floor)")]
+    return [Panel("fidelity", "Prediction fidelity by app × preset", "", columns, rows,
+                  empty="no design_run entries yet -- record some runs first")]
+
+
+def _critical_path_panels(entries: list[dict[str, Any]]) -> list[Panel]:
+    latest = latest_entries(entries, "design_run", _app_preset,
+                            keep=lambda e: bool(e.get("critical_path")))
+    columns = [Column("resource"), Column("time", "chain time", "num"), Column("share", css="num"),
+               Column("bar", "share of makespan"), Column("term", "model term", "lane")]
+    panels = []
+    for (app, preset), entry in sorted(latest.items()):
+        cp = entry["critical_path"]
+        makespan = cp.get("makespan") or 0.0
+        rows = []
+        for res, secs in (cp.get("by_resource") or {}).items():
+            share = secs / makespan if makespan > 0 else 0.0
+            rows.append({
+                "resource": res, "time": f"{secs:.4g}s", "share": f"{100 * share:.1f}%",
+                "bar": Bar(share if share > 0 else None, 30), "term": MODEL_TERMS.get(res, ""),
+            })
+        dominant = str(cp.get("dominant", "?"))
+        fraction = f"{100 * cp.get('dominant_fraction', 0.0):.1f}%"
+        coverage = f"{100 * cp.get('coverage', 0.0):.1f}%"
+        note = (f"dominant resource: {dominant} ({fraction} of the makespan; "
+                f"chain coverage {coverage})")
+        facts = {"app": app, "preset": preset, "dominant": dominant, "fraction": fraction,
+                 "coverage": coverage, "term": MODEL_TERMS.get(dominant, "")}
+        panels.append(Panel("critical_path", f"{app}@{preset} critical path", note,
+                            columns, rows, facts))
+    return panels
+
+
+def _resilience_panels(entries: list[dict[str, Any]]) -> list[Panel]:
+    latest = latest_entries(entries, "fault_run", fault_run_key)
+    if not latest:
+        return []
+    rows = []
+    for (app, scenario, policy), entry in sorted(latest.items()):
+        res = entry.get("resilience") or {}
+        attribution = entry.get("attribution") or {}
+        failed = bool(res.get("failed"))
+        failure = res.get("failure") or {}
+        what = str(failure.get("process") or failure.get("stage") or "?")
+        rows.append({
+            "app": app, "scenario": scenario, "policy": policy,
+            "status": Status("ABORT" if failed else "ok", not failed),
+            "inflation": fmt_opt(res.get("makespan_inflation"), ".3f", "x"),
+            "retention": fmt_opt(res.get("efficiency_retention"), ".1%"),
+            "recovery": fmt_opt(res.get("recovery_latency"), ".3f", "s"),
+            "failure": what if failed else None,
+            "term": str(attribution.get("term") or "-"),
+            "gloss": f"aborted: {what}" if failed else str(attribution.get("gloss") or "-"),
+        })
+    columns = [Column("app"), Column("scenario"), Column("policy"), Column("status"),
+               Column("inflation", css="num"), Column("retention", css="num"),
+               Column("recovery", css="num"), Column("gloss", "attributed to", "lane")]
+    note = "latest fault run per app × scenario × policy (docs/robustness.md)"
+    return [Panel("resilience", "Resilience under fault injection", note, columns, rows)]
+
+
+def _drift(cell: dict, prev_cell: Optional[dict]) -> Status:
+    """Relative median shift of a cell vs the previous campaign's cell."""
+    cur = (cell.get("makespan") or {}).get("median")
+    prev = ((prev_cell or {}).get("makespan") or {}).get("median")
+    if cur is None or not prev:
+        return Status("      -")  # right-aligned under the arrows
+    drift = (cur - prev) / prev
+    if drift > 0.001:
+        return Status(f"^{drift:+.1%}", ok=False)
+    if drift < -0.001:
+        return Status(f"v{drift:+.1%}", ok=True)
+    return Status(f"={drift:+.1%}")
+
+
+def _campaign_panels(entries: list[dict[str, Any]]) -> list[Panel]:
     by_preset: dict[str, list[dict]] = {}
     for entry in entries:
         if entry.get("kind") == "campaign" and isinstance(entry.get("cells"), dict):
             by_preset.setdefault(str(entry.get("preset")), []).append(entry)
-    return {
-        preset: (runs[-1], runs[-2] if len(runs) > 1 else None)
-        for preset, runs in by_preset.items()
-    }
+    columns = [Column("cell"), Column("median", css="num"), Column("iqr", "IQR", "num"),
+               Column("p95", css="num"), Column("p99", css="num"), Column("eff", css="num"),
+               Column("replicates", css="num"), Column("distribution"), Column("drift")]
+    panels = []
+    for preset in sorted(by_preset):
+        runs = by_preset[preset]
+        latest, cells = runs[-1], runs[-1]["cells"]
+        prev_cells = (runs[-2].get("cells") or {}) if len(runs) > 1 else {}
+        rows = []
+        for key in sorted(cells):
+            cell = cells[key]
+            mk = cell.get("makespan") or {}
+            rows.append({
+                "cell": key, "median": fmt_s(mk.get("median")), "iqr": fmt_s(mk.get("iqr")),
+                "p95": fmt_s(mk.get("p95")), "p99": fmt_s(mk.get("p99")),
+                "eff": fmt_opt((cell.get("efficiency") or {}).get("median"), ".4f"),
+                "replicates": f"{cell.get('completed', 0)}/{cell.get('replicates', 0)}",
+                "distribution": Spark([float(v) for v in mk.get("samples") or []],
+                                      mk.get("median")),
+                "drift": _drift(cell, prev_cells.get(key)),
+            })
+        replicates = str(latest.get("replicates"))
+        note = (f"{replicates} seeded replicates per cell; drift vs the previous campaign "
+                "on this preset (line = cell median)")
+        facts = {"preset": preset, "replicates": replicates, "cells": str(len(cells)),
+                 "failures": str(latest.get("failures", 0))}
+        panels.append(Panel("campaign", f"Campaign distributions ({preset})", note,
+                            columns, rows, facts))
+    return panels
 
 
-def _latest_campaign_check(entries: list[dict[str, Any]]) -> Optional[dict]:
-    """The newest ``campaign_check`` entry, if any."""
-    latest = None
-    for entry in entries:
-        if entry.get("kind") == "campaign_check":
-            latest = entry
-    return latest
+def _campaign_check_panels(entries: list[dict[str, Any]]) -> list[Panel]:
+    check = latest_entries(entries, "campaign_check").get(None)
+    if not check:
+        return []
+    cells = check.get("cells") or {}
+    rows = []
+    for key in sorted(cells):
+        cell = cells[key]
+        verdict = str(cell.get("verdict", "?"))
+        rows.append({
+            "cell": key,
+            "verdict": Status("FAIL" if verdict == "fail" else verdict, verdict != "fail"),
+            "shift": fmt_opt(cell.get("median_shift"), "+.2%"),
+            "p": fmt_opt(cell.get("p_value"), ".4g"),
+            "note": str(cell["note"]) if cell.get("note") else None,
+        })
+    facts = {"verdict": str(check.get("verdict")), "alpha": str(check.get("alpha")),
+             "effect": str(check.get("effect_threshold")),
+             "flagged": str(len(check.get("flagged") or []))}
+    note = ("latest verdict: {verdict} (alpha {alpha}, effect threshold {effect}, "
+            "{flagged} flagged)".format(**facts))
+    columns = [Column("cell"), Column("verdict"), Column("shift", "median shift", "num"),
+               Column("p", "p-value", "num"), Column("note", css="lane")]
+    return [Panel("campaign_check", "Campaign regression check", note, columns, rows, facts)]
 
 
-def _latest_explains(entries: list[dict[str, Any]]) -> dict[str, dict]:
-    """Newest ``explain`` entry per cell (schema 5), in ledger order."""
-    out: dict[str, dict] = {}
-    for entry in entries:
-        if entry.get("kind") == "explain" and entry.get("cell"):
-            out[str(entry["cell"])] = entry
-    return out
+def _explain_panels(entries: list[dict[str, Any]]) -> list[Panel]:
+    latest = latest_entries(entries, "explain", lambda e: str(e["cell"]),
+                            keep=lambda e: bool(e.get("cell")))
+    if not latest:
+        return []
+    rows = []
+    for key in sorted(latest):
+        entry = latest[key]
+        manifest = entry.get("explain") or {}
+        delta = manifest.get("delta") or {}
+        verdict = str(entry.get("verdict", "?"))
+        blame = [
+            {"resource": str(row.get("resource", "?")),
+             "delta": f"{row.get('delta_s', 0.0):+.4g}s",
+             "share": None if row.get("share") is None else f"{row['share']:.0%}",
+             "term": str(row.get("term", ""))}
+            for row in (manifest.get("blame") or [])[:3]
+        ]
+        top = blame[0] if blame else {}
+        rows.append({
+            "cell": key, "verdict": Status(verdict, verdict != "model"),
+            "delta": fmt_opt(delta.get("makespan_s"), "+.4g", "s"),
+            "relative": fmt_opt(delta.get("relative"), "+.2%"),
+            "replicate": str(manifest.get("replicate", "?")),
+            "top": top.get("resource", "-"), "top_delta": top.get("delta", "-"),
+            "term": str(manifest.get("top_term") or ""), "details": blame,
+        })
+    note = ("latest paired-trace blame diff per cell "
+            "(docs/observability.md “Explaining regressions”)")
+    columns = [Column("cell"), Column("verdict"), Column("delta", "Δ makespan", "num"),
+               Column("relative", css="num"), Column("top", "top blame"),
+               Column("top_delta", "lane Δ", "num"), Column("term", "model term", "lane")]
+    return [Panel("explain", "Regression explanations", note, columns, rows)]
 
 
-def _latest_worker_telemetry(entries: list[dict[str, Any]]) -> Optional[dict]:
-    """The newest ``campaign`` entry's ``workers`` telemetry block."""
-    latest = None
-    for entry in entries:
-        if entry.get("kind") == "campaign" and isinstance(entry.get("workers"), dict):
-            latest = entry["workers"]
-    return latest
+def _tune_panels(entries: list[dict[str, Any]]) -> list[Panel]:
+    latest = latest_entries(entries, "tune", _app_preset,
+                            keep=lambda e: bool(e.get("incumbent")))
+    panels = []
+    for (app, preset), entry in sorted(latest.items()):
+        inc = entry.get("incumbent") or {}
+        obj = inc.get("objectives") or {}
+        budget = entry.get("budget") or {}
+        front = entry.get("front") or []
+        rows = []
+        for row in front:
+            robj = row.get("objectives") or {}
+            res = robj.get("resilience")
+            rows.append({
+                "point": point_label(row.get("point") or {}),
+                "gflops": f"{robj.get('gflops', 0.0):.2f}",
+                "slices": f"{robj.get('slice_utilisation', 0.0):.1%}",
+                "retention": None if res is None else f"{res:.1%}",
+                "freq": f"{robj.get('freq_mhz', 0.0):.0f}",
+                "fidelity": str(row.get("fidelity", "?")),
+            })
+        facts = {
+            "app": app, "preset": preset, "point": point_label(inc.get("point") or {}),
+            "gflops": f"{obj.get('gflops', 0.0):.2f}",
+            "slices": f"{obj.get('slice_utilisation', 0.0):.1%}",
+            "fidelity": str(inc.get("fidelity", "?")),
+            "used": str(budget.get("des_used", "?")), "budget": str(budget.get("des", "?")),
+            "exhaustive": str(entry.get("exhaustive_des", "?")),
+            "fraction": fmt_opt((entry.get("savings") or {}).get("fraction_of_exhaustive"), ".1%"),
+            "front": str(len(front)), "rungs": str(len(entry.get("rungs") or [])),
+        }
+        note = ("incumbent {point} → {gflops} GFLOPS at {slices} slices · DES evals "
+                "{used}/{budget} vs exhaustive {exhaustive} ({fraction} of exhaustive) · "
+                "docs/performance.md “Guided search”".format(**facts))
+        columns = [Column("point", "design point"), Column("gflops", "GFLOPS", "num"),
+                   Column("slices", css="num")]
+        if any(row["retention"] is not None for row in rows):
+            columns.append(Column("retention", css="num"))
+        columns += [Column("freq", "freq MHz", "num"), Column("fidelity")]
+        panels.append(Panel("tune", f"Guided tuning Pareto front ({app}@{preset})", note,
+                            columns, rows, facts))
+    return panels
 
 
-def _latest_tunes(entries: list[dict[str, Any]]) -> dict[tuple[str, str], dict]:
-    """Newest ``tune`` entry per (app, preset) (schema 6), in ledger order."""
-    out: dict[tuple[str, str], dict] = {}
-    for entry in entries:
-        if entry.get("kind") == "tune" and entry.get("incumbent"):
-            out[(str(entry.get("app")), str(entry.get("preset")))] = entry
-    return out
-
-
-def _tune_point_label(point: dict[str, Any]) -> str:
-    return " ".join(f"{k}={point[k]}" for k in sorted(point))
-
-
-def _service_summary(entries: list[dict[str, Any]]) -> Optional[dict[str, Any]]:
-    """The ``service`` entries (schema 7) folded into a panel summary.
-
-    Returns None when the ledger holds no service entries; otherwise a
-    dict with per-outcome counts (computed / cache / failed), per-kind
-    counts, total in-flight dedups, and the most recent jobs in ledger
-    order (newest last).
-    """
+def _service_panels(entries: list[dict[str, Any]]) -> list[Panel]:
     jobs = [e for e in entries if e.get("kind") == "service"]
     if not jobs:
-        return None
-    outcomes = {"computed": 0, "cache": 0, "failed": 0}
-    kinds: dict[str, int] = {}
-    deduped = 0
-    for entry in jobs:
-        outcomes[str(entry.get("outcome"))] = outcomes.get(str(entry.get("outcome")), 0) + 1
-        kind = str(entry.get("job_kind", "?"))
-        kinds[kind] = kinds.get(kind, 0) + 1
-        deduped += int(entry.get("dedup_count") or 0)
-    return {"jobs": jobs, "outcomes": outcomes, "kinds": kinds, "deduped": deduped}
+        return []
+    rows = []
+    for entry in jobs[-20:]:
+        outcome, digest = str(entry.get("outcome", "?")), entry.get("result_hash")
+        rows.append({
+            "job": str(entry.get("job", "?")), "kind": str(entry.get("job_kind", "?")),
+            "outcome": Status(outcome, outcome != "failed"),
+            "wait": fmt_s(entry.get("queue_wait_s")), "run": fmt_s(entry.get("run_s")),
+            "attempts": str(entry.get("attempts", "?")),
+            "dedups": str(entry.get("dedup_count", 0)),
+            "hash": str(digest)[:12] if digest else "-",
+        })
+    outcomes = Counter(str(e.get("outcome")) for e in jobs)
+    facts = {
+        "jobs": str(len(jobs)), "computed": str(outcomes["computed"]),
+        "cache": str(outcomes["cache"]), "failed": str(outcomes["failed"]),
+        "deduped": str(sum(d for e in jobs if isinstance(d := e.get("dedup_count"), int))),
+    }
+    kinds = Counter(str(e.get("job_kind", "?")) for e in jobs)
+    note = " · ".join([
+        "{jobs} jobs recorded · {computed} computed / {cache} from cache / {failed} failed · "
+        "{deduped} in-flight dedups".format(**facts),
+        *(f"{k}: {n}" for k, n in sorted(kinds.items())),
+        "docs/service.md",
+    ])
+    columns = [Column("job"), Column("kind"), Column("outcome"),
+               Column("wait", "queue wait", "num"), Column("run", css="num"),
+               Column("attempts", css="num"), Column("dedups", css="num"),
+               Column("hash", "result hash")]
+    return [Panel("service", "Service jobs", note, columns, rows, facts)]
 
 
-def _cell_drift(cell: dict, prev_cell: Optional[dict]) -> Optional[float]:
-    """Relative median shift of a cell vs the previous campaign's cell."""
-    if not prev_cell:
-        return None
-    cur = (cell.get("makespan") or {}).get("median")
-    prev = (prev_cell.get("makespan") or {}).get("median")
-    if cur is None or not prev:
-        return None
-    return (cur - prev) / prev
+def workers_panel(workers: dict[str, Any]) -> Panel:
+    """The sweep worker telemetry panel of one ``workers`` block: the
+    executor's telemetry (per-worker spans, queue waits, imbalance,
+    stragglers), the analytic-vs-DES replicate split and cache stats."""
+    ex = workers.get("executor") or {}
+    per_worker = ex.get("per_worker") or []
+    busy_max = max((w.get("busy_s", 0.0) for w in per_worker), default=0.0)
+    stragglers = ex.get("stragglers") or []
+    rows = []
+    for w in per_worker:
+        busy = w.get("busy_s", 0.0)
+        straggler = w.get("worker") in stragglers
+        rows.append({
+            "worker": f"w{w.get('worker')}", "pid": str(w.get("pid")),
+            "chunks": str(w.get("chunks")), "tasks": str(w.get("tasks")),
+            "busy": f"{busy:.3f}s", "bar": Bar(busy / busy_max if busy_max > 0 else None, 24),
+            "status": Status("straggler" if straggler else "ok", not straggler),
+        })
+    facts: dict[str, Any] = {}
+    if ex:
+        facts.update(mode=str(ex.get("mode", "?")), workers=str(ex.get("workers", "?")),
+                     tasks=str(ex.get("tasks", "?")), chunks=str(ex.get("chunks", "?")),
+                     elapsed=fmt_opt(ex.get("elapsed_s"), ".3f", "s"))
+    wait = ex.get("queue_wait_s") or {}
+    if wait:
+        facts.update(wait_mean=f"{wait.get('mean', 0.0):.4f}",
+                     wait_max=f"{wait.get('max', 0.0):.4f}",
+                     imbalance=f"{ex.get('imbalance', 1.0):.2f}",
+                     stragglers=", ".join(f"w{i}" for i in stragglers) or "none")
+    split = workers.get("replicates") or {}
+    analytic, des = split.get("analytic", 0), split.get("des", 0)
+    if analytic + des:
+        facts.update(analytic=str(analytic), des=str(des),
+                     des_share=f"{des / (analytic + des):.0%}")
+    cache = workers.get("cache")
+    if cache:
+        rate = workers.get("cache_hit_rate")
+        facts.update(lookups=str(cache.get("lookups", 0)), hits=str(cache.get("hits", 0)),
+                     misses=str(cache.get("misses", 0)),
+                     hit_rate=fmt_opt(rate, ".1%", " hit rate"))
+    # The HTML note is the ASCII fact lines, so the two never disagree.
+    template = _ASCII["workers"]
+    note = " · ".join(line.strip() for line in _draw(template.head + template.tail, facts))
+    columns = [Column("worker"), Column("pid", css="num"), Column("chunks", css="num"),
+               Column("tasks", css="num"), Column("busy", css="num"),
+               Column("bar", "busy share"), Column("status")]
+    return Panel("workers", "Sweep worker telemetry", note, columns, rows, facts,
+                 empty="serial run — no worker pool.")
+
+
+def _workers_panels(entries: list[dict[str, Any]]) -> list[Panel]:
+    latest = latest_entries(entries, "campaign",
+                            keep=lambda e: isinstance(e.get("workers"), dict)).get(None)
+    return [workers_panel(latest["workers"])] if latest and latest["workers"] else []
+
+
+def _panels(entries: list[dict[str, Any]], band: float) -> list[list[Panel]]:
+    """Each panel kind's panels in page order (empty when the ledger has none)."""
+    return [_fidelity_panels(entries, band)] + [build(entries) for build in (
+        _critical_path_panels, _resilience_panels, _campaign_panels, _campaign_check_panels,
+        _explain_panels, _tune_panels, _service_panels, _workers_panels,
+    )]
 
 
 # ------------------------------------------------------------------ ASCII
 
-
-def render_ascii(entries: list[dict[str, Any]], band: float = DEFAULT_BAND) -> str:
-    """The terminal dashboard: fidelity trends + dominant bottlenecks."""
-    stats = fidelity_report(entries, band=band)
-    lines = [
-        "model-fidelity observatory",
-        f"  ledger entries: {len(entries)}  |  band: overlap_efficiency >= {band:.2f}",
-        "",
-        "fidelity (predicted max{T_tp, T_tf} vs simulated makespan):",
-    ]
-    if not stats:
-        lines.append("  (no design_run entries yet -- record some runs first)")
-    for st in stats:
-        status = "ok   " if st.latest >= band else "BELOW"
-        lines.append(
-            f"  [{status}] {st.app}@{st.preset:<6} latest {st.latest:.4f}  "
-            f"mean {st.mean:.4f}  range [{st.minimum:.4f}, {st.maximum:.4f}]  "
-            f"drift {st.drift:+.4f}  n={st.count}  |{text_sparkline(st.efficiencies)}|"
-        )
-    cps = _latest_critical_paths(entries)
-    if cps:
-        lines.append("")
-        lines.append("critical-path attribution (latest run per app):")
-        for (app, preset), cp in sorted(cps.items()):
-            dominant = cp.get("dominant", "?")
-            lines.append(
-                f"  {app}@{preset}: dominant {dominant} "
-                f"({100 * cp.get('dominant_fraction', 0.0):.1f}% of makespan, "
-                f"coverage {100 * cp.get('coverage', 0.0):.1f}%) -- "
-                f"{MODEL_TERMS.get(dominant, '')}"
-            )
-            makespan = cp.get("makespan") or 0.0
-            for res, secs in (cp.get("by_resource") or {}).items():
-                share = secs / makespan if makespan > 0 else 0.0
-                bar = "#" * max(1, round(share * 30)) if share > 0 else ""
-                lines.append(f"    {res:<5} {100 * share:5.1f}%  {bar}")
-    faults = _latest_fault_runs(entries)
-    if faults:
-        lines.append("")
-        lines.append("resilience (latest fault run per app x scenario x policy):")
-        for (app, scenario, policy), entry in sorted(faults.items()):
-            res = entry.get("resilience") or {}
-            if res.get("failed"):
-                failure = res.get("failure") or {}
-                what = failure.get("process") or failure.get("stage") or "?"
-                lines.append(f"  [ABORT] {app} {scenario} / {policy}: {what}")
-                continue
-            retention = res.get("efficiency_retention")
-            inflation = res.get("makespan_inflation")
-            term = (entry.get("attribution") or {}).get("term") or "-"
-            lines.append(
-                f"  [ok   ] {app} {scenario} / {policy}: "
-                f"retention {'-' if retention is None else format(retention, '.1%')}  "
-                f"inflation {'-' if inflation is None else format(inflation, '.3f') + 'x'}  "
-                f"attributed to {term}"
-            )
-    campaigns = _campaign_series(entries)
-    if campaigns:
-        lines.append("")
-        lines.append("campaigns (per-cell makespan distributions, latest per preset):")
-        for preset in sorted(campaigns):
-            latest, previous = campaigns[preset]
-            prev_cells = (previous or {}).get("cells") or {}
-            lines.append(
-                f"  preset {preset}: {latest.get('replicates')} replicates x "
-                f"{len(latest.get('cells') or {})} cells, "
-                f"{latest.get('failures', 0)} failed replicates"
-            )
-            for key in sorted(latest.get("cells") or {}):
-                cell = latest["cells"][key]
-                mk = cell.get("makespan") or {}
-                drift = _cell_drift(cell, prev_cells.get(key))
-                if drift is None:
-                    arrow = "      -"
-                else:
-                    mark = "^" if drift > 0.001 else "v" if drift < -0.001 else "="
-                    arrow = f"{mark}{drift:+.1%}"
-                lines.append(
-                    "    {key:<28} median {median}  iqr {iqr}  p95 {p95}  "
-                    "n={done}/{total}  |{spark}|  drift {arrow}".format(
-                        key=key,
-                        median=_fmt_s(mk.get("median")),
-                        iqr=_fmt_s(mk.get("iqr")),
-                        p95=_fmt_s(mk.get("p95")),
-                        done=cell.get("completed", 0),
-                        total=cell.get("replicates", 0),
-                        spark=text_sparkline([float(v) for v in mk.get("samples") or []]),
-                        arrow=arrow,
-                    )
-                )
-    check = _latest_campaign_check(entries)
-    if check:
-        lines.append("")
-        lines.append(
-            f"campaign regression check (latest): verdict {check.get('verdict')}  "
-            f"alpha {check.get('alpha')}  effect {check.get('effect_threshold')}  "
-            f"flagged {len(check.get('flagged') or [])}"
-        )
-        cells = check.get("cells") or {}
-        for key in sorted(cells):
-            cell = cells[key]
-            verdict = str(cell.get("verdict", "?"))
-            shift = cell.get("median_shift")
-            p = cell.get("p_value")
-            lines.append(
-                "  [{mark:<4}] {key}  shift {shift}  p {p}{note}".format(
-                    mark="FAIL" if verdict == "fail" else verdict,
-                    key=key,
-                    shift="-" if shift is None else f"{shift:+.2%}",
-                    p="-" if p is None else f"{p:.4g}",
-                    note=f"  ({cell['note']})" if cell.get("note") else "",
-                )
-            )
-    explains = _latest_explains(entries)
-    if explains:
-        lines.append("")
-        lines.append("regression explanations (latest explain per cell):")
-        for key in sorted(explains):
-            entry = explains[key]
-            manifest = entry.get("explain") or {}
-            delta = manifest.get("delta") or {}
-            rel = delta.get("relative")
-            lines.append(
-                "  {key}: verdict {verdict}  delta {d} ({rel})  "
-                "replicate {rep}".format(
-                    key=key,
-                    verdict=entry.get("verdict", "?"),
-                    d="-" if delta.get("makespan_s") is None
-                    else f"{delta['makespan_s']:+.4g}s",
-                    rel="-" if rel is None else f"{rel:+.2%}",
-                    rep=manifest.get("replicate", "?"),
-                )
-            )
-            for row in (manifest.get("blame") or [])[:3]:
-                share = row.get("share")
-                lines.append(
-                    "    blame {res:<5} {d:+.4g}s{share}  {term}".format(
-                        res=row.get("resource", "?"),
-                        d=row.get("delta_s", 0.0),
-                        share="" if share is None else f" (share {share:.0%})",
-                        term=row.get("term", ""),
-                    )
-                )
-    tunes = _latest_tunes(entries)
-    if tunes:
-        lines.append("")
-        lines.append("guided tuning (latest tune run per app x preset):")
-        for (app, preset), entry in sorted(tunes.items()):
-            inc = entry.get("incumbent") or {}
-            obj = inc.get("objectives") or {}
-            budget = entry.get("budget") or {}
-            savings = entry.get("savings") or {}
-            frac = savings.get("fraction_of_exhaustive")
-            lines.append(
-                "  {app}@{preset}: incumbent {pt} -> {gf:.2f} GFLOPS, "
-                "{su:.1%} slices ({fid})".format(
-                    app=app,
-                    preset=preset,
-                    pt=_tune_point_label(inc.get("point") or {}),
-                    gf=obj.get("gflops", 0.0),
-                    su=obj.get("slice_utilisation", 0.0),
-                    fid=inc.get("fidelity", "?"),
-                )
-            )
-            lines.append(
-                "    DES evals {used}/{bud} (exhaustive {ex}, "
-                "{frac} of exhaustive)  front {n} points  rungs {r}".format(
-                    used=budget.get("des_used", "?"),
-                    bud=budget.get("des", "?"),
-                    ex=entry.get("exhaustive_des", "?"),
-                    frac="-" if frac is None else f"{frac:.1%}",
-                    n=len(entry.get("front") or []),
-                    r=len(entry.get("rungs") or []),
-                )
-            )
-            for row in entry.get("front") or []:
-                robj = row.get("objectives") or {}
-                res = robj.get("resilience")
-                lines.append(
-                    "    front {pt:<28} {gf:7.2f} GFLOPS  {su:.1%} slices"
-                    "{res}  [{fid}]".format(
-                        pt=_tune_point_label(row.get("point") or {}),
-                        gf=robj.get("gflops", 0.0),
-                        su=robj.get("slice_utilisation", 0.0),
-                        res="" if res is None else f"  retention {res:.1%}",
-                        fid=row.get("fidelity", "?"),
-                    )
-                )
-    service = _service_summary(entries)
-    if service:
-        oc = service["outcomes"]
-        lines.append("")
-        lines.append(
-            "service jobs ({n} recorded: {c} computed, {h} cache, {f} failed; "
-            "{d} in-flight dedups):".format(
-                n=len(service["jobs"]), c=oc.get("computed", 0),
-                h=oc.get("cache", 0), f=oc.get("failed", 0),
-                d=service["deduped"],
-            )
-        )
-        for entry in service["jobs"][-8:]:
-            lines.append(
-                "  [{outcome:<8}] {job} {kind:<9} wait {wait}  run {run}  "
-                "attempts {att}  dedup {dd}  hash {h}".format(
-                    outcome=entry.get("outcome", "?"),
-                    job=entry.get("job", "?"),
-                    kind=entry.get("job_kind", "?"),
-                    wait=_fmt_s(entry.get("queue_wait_s")),
-                    run=_fmt_s(entry.get("run_s")),
-                    att=entry.get("attempts", "?"),
-                    dd=entry.get("dedup_count", 0),
-                    h=(str(entry.get("result_hash"))[:12]
-                       if entry.get("result_hash") else "-"),
-                )
-            )
-    workers = _latest_worker_telemetry(entries)
-    if workers:
-        lines.append("")
-        lines.append("sweep worker telemetry (latest campaign):")
-        lines.extend(f"  {line}" for line in _worker_lines(workers))
-    return "\n".join(lines)
+_FORMATTER = Formatter()
 
 
-def _worker_lines(workers: dict[str, Any]) -> list[str]:
-    """The worker-telemetry block as plain text lines (shared by the
-    ASCII dashboard and the CLI footer)."""
-    ex = workers.get("executor") or {}
-    out: list[str] = []
-    if ex:
-        out.append(
-            "mode {mode}  workers {w}  tasks {t}  chunks {c}  elapsed {e}".format(
-                mode=ex.get("mode", "?"),
-                w=ex.get("workers", "?"),
-                t=ex.get("tasks", "?"),
-                c=ex.get("chunks", "?"),
-                e="-" if ex.get("elapsed_s") is None else f"{ex['elapsed_s']:.3f}s",
-            )
-        )
-    qw = ex.get("queue_wait_s") or {}
-    if qw:
-        stragglers = ex.get("stragglers") or []
-        out.append(
-            "queue wait mean {mean:.4f}s max {mx:.4f}s  imbalance {imb:.2f}x  "
-            "stragglers: {st}".format(
-                mean=qw.get("mean", 0.0),
-                mx=qw.get("max", 0.0),
-                imb=ex.get("imbalance", 1.0),
-                st=", ".join(f"w{i}" for i in stragglers) if stragglers else "none",
-            )
-        )
-    per_worker = ex.get("per_worker") or []
-    busy_max = max((w.get("busy_s", 0.0) for w in per_worker), default=0.0)
-    for w in per_worker:
-        busy = w.get("busy_s", 0.0)
-        bar = "#" * max(1, round(busy / busy_max * 24)) if busy_max > 0 else ""
-        out.append(
-            f"w{w.get('worker')} pid {w.get('pid')}  chunks {w.get('chunks')}  "
-            f"tasks {w.get('tasks')}  busy {busy:.3f}s  |{bar}|"
-        )
-    split = workers.get("replicates") or {}
-    analytic, des = split.get("analytic", 0), split.get("des", 0)
-    if analytic + des:
-        out.append(
-            f"replicates: {analytic} analytic, {des} DES "
-            f"({des / (analytic + des):.0%} on the DES)"
-        )
-    cache = workers.get("cache")
-    if cache:
-        rate = workers.get("cache_hit_rate")
-        out.append(
-            "cache: {lk} lookups, {h} hits, {m} misses ({rate})".format(
-                lk=cache.get("lookups", 0),
-                h=cache.get("hits", 0),
-                m=cache.get("misses", 0),
-                rate="-" if rate is None else f"{rate:.1%} hit rate",
-            )
-        )
+def _draw(templates: tuple[str, ...], values: dict[str, Any], first: bool = False) -> list[str]:
+    """``templates`` whose fields are all set (not None) in ``values``,
+    formatted -- only the first such one when ``first``."""
+    out = []
+    for template in templates:
+        names = [name for _, name, _, _ in _FORMATTER.parse(template) if name]
+        if all(values.get(name) is not None for name in names):
+            out.append(template.format(**values))
+            if first:
+                break
     return out
 
 
-def _fmt_s(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.4g}s"
+def panel_lines(panel: Panel) -> list[str]:
+    """One panel as ASCII lines, without its section heading."""
+    template = _ASCII[panel.kind]
+    lines = _draw(template.head, panel.facts)
+    rows = panel.rows[-template.last:] if template.last else panel.rows
+    for row in rows:
+        lines += _draw(template.row, row, first=True)
+        for detail in row.get("details", ()):
+            lines += _draw(template.detail, detail, first=True)
+    if not panel.rows:
+        lines += _draw(template.empty, {"empty": panel.empty})
+    return lines + _draw(template.tail, panel.facts)
+
+
+def render_ascii(entries: list[dict[str, Any]], band: float = DEFAULT_BAND) -> str:
+    """The terminal dashboard: every panel the ledger has entries for."""
+    lines = [
+        "model-fidelity observatory",
+        f"  ledger entries: {len(entries)}  |  band: overlap_efficiency >= {band:.2f}",
+    ]
+    for panels in _panels(entries, band):
+        if panels:
+            heading = _ASCII[panels[0].kind].heading
+            lines += ["", heading] if heading else [""]
+            for panel in panels:
+                lines += panel_lines(panel)
+    return "\n".join(lines)
 
 
 # ------------------------------------------------------------------- HTML
@@ -485,6 +645,18 @@ svg.spark polyline { fill: none; stroke: var(--series); stroke-width: 2; }
 svg.spark line { stroke: var(--grid); stroke-width: 1; }
 """
 
+#: Panel text is plain Unicode; the page keeps its punctuation as named
+#: entities so the file stays ASCII.
+_ENTITIES = str.maketrans({
+    "×": "&times;", "·": "&middot;", "→": "&rarr;", "—": "&mdash;",
+    "“": "&ldquo;", "”": "&rdquo;", "Δ": "&Delta;",
+})
+
+
+def _text(value: Any) -> str:
+    """A value as escaped HTML text (``-`` when absent)."""
+    return escape("-" if value is None else str(value)).translate(_ENTITIES)
+
 
 def _spark_svg(values: list[float], band: float, width: int = 140, height: int = 32) -> str:
     """Inline SVG sparkline of one efficiency series with the band line."""
@@ -515,364 +687,35 @@ def _spark_svg(values: list[float], band: float, width: int = 140, height: int =
     )
 
 
-def _fidelity_rows(stats: list[FidelityStat], band: float) -> str:
-    rows = []
-    for st in stats:
-        ok = st.latest >= band
-        rows.append(
-            "<tr>"
-            f"<td>{escape(st.app)}@{escape(st.preset)}</td>"
-            f'<td class="status {"ok" if ok else "below"}">{"ok" if ok else "below band"}</td>'
-            f'<td class="num">{st.latest:.4f}</td>'
-            f'<td class="num">{st.mean:.4f}</td>'
-            f'<td class="num">[{st.minimum:.4f}, {st.maximum:.4f}]</td>'
-            f'<td class="num">{st.drift:+.4f}</td>'
-            f'<td class="num">{st.count}</td>'
-            f"<td>{_spark_svg(st.efficiencies, band)}</td>"
-            "</tr>"
-        )
-    return "\n".join(rows)
+def _td(value: Any, css: str) -> str:
+    if isinstance(value, Status):
+        state = {True: " ok", False: " below", None: ""}[value.ok]
+        return f'<td class="status{state}">{_text(value.text)}</td>'
+    if isinstance(value, Bar):
+        bar = ("" if value.share is None else
+               f'<div class="bar" style="width:{max(2, round(value.share * 180))}px"></div>')
+        return f'<td class="bartrack">{bar}</td>'
+    if isinstance(value, Spark):
+        svg = "" if value.band is None else _spark_svg(value.values, value.band)
+        return f"<td>{svg}</td>"
+    return f'<td class="{css}">{_text(value)}</td>' if css else f"<td>{_text(value)}</td>"
 
 
-def _critical_path_tables(entries: list[dict[str, Any]]) -> str:
-    blocks = []
-    for (app, preset), cp in sorted(_latest_critical_paths(entries).items()):
-        makespan = cp.get("makespan") or 0.0
-        dominant = cp.get("dominant", "?")
-        rows = []
-        for res, secs in (cp.get("by_resource") or {}).items():
-            share = secs / makespan if makespan > 0 else 0.0
-            rows.append(
-                "<tr>"
-                f"<td>{escape(res)}</td>"
-                f'<td class="num">{secs:.4g}s</td>'
-                f'<td class="num">{100 * share:.1f}%</td>'
-                f'<td class="bartrack"><div class="bar" style="width:{max(2, round(share * 180))}px"></div></td>'
-                f'<td class="lane">{escape(MODEL_TERMS.get(res, ""))}</td>'
-                "</tr>"
-            )
-        blocks.append(
-            f"<h2>{escape(app)}@{escape(preset)} critical path</h2>"
-            f'<p class="sub">dominant resource: <strong>{escape(dominant)}</strong> '
-            f"({100 * cp.get('dominant_fraction', 0.0):.1f}% of the makespan; "
-            f"chain coverage {100 * cp.get('coverage', 0.0):.1f}%)</p>"
-            "<table><thead><tr><th>resource</th><th class='num'>chain time</th>"
-            "<th class='num'>share</th><th>share of makespan</th><th>model term</th></tr></thead>"
-            f"<tbody>{''.join(rows)}</tbody></table>"
-        )
-    return "\n".join(blocks)
-
-
-def _resilience_table(entries: list[dict[str, Any]]) -> str:
-    faults = _latest_fault_runs(entries)
-    if not faults:
-        return ""
-    rows = []
-    for (app, scenario, policy), entry in sorted(faults.items()):
-        res = entry.get("resilience") or {}
-        failed = bool(res.get("failed"))
-        retention = res.get("efficiency_retention")
-        inflation = res.get("makespan_inflation")
-        recovery = res.get("recovery_latency")
-        gloss = (entry.get("attribution") or {}).get("gloss") or "-"
-        if failed:
-            failure = res.get("failure") or {}
-            gloss = f"aborted: {failure.get('process') or failure.get('stage') or '?'}"
-        rows.append(
-            "<tr>"
-            f"<td>{escape(app)}</td><td>{escape(scenario)}</td><td>{escape(policy)}</td>"
-            f'<td class="status {"below" if failed else "ok"}">'
-            f'{"aborted" if failed else "ok"}</td>'
-            f'<td class="num">{"-" if inflation is None else f"{inflation:.3f}x"}</td>'
-            f'<td class="num">{"-" if retention is None else f"{retention:.1%}"}</td>'
-            f'<td class="num">{"-" if recovery is None else f"{recovery:.3f}s"}</td>'
-            f'<td class="lane">{escape(gloss)}</td>'
-            "</tr>"
-        )
-    return (
-        "<h2>Resilience under fault injection</h2>"
-        '<p class="sub">latest fault run per app &times; scenario &times; policy '
-        "(docs/robustness.md)</p>"
-        "<table><thead><tr><th>app</th><th>scenario</th><th>policy</th><th>status</th>"
-        "<th class='num'>inflation</th><th class='num'>retention</th>"
-        "<th class='num'>recovery</th><th>attributed to</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+def _html_panel(panel: Panel) -> str:
+    out = f"<h2>{_text(panel.title)}</h2>"
+    if panel.note:
+        out += f'<p class="sub">{_text(panel.note)}</p>'
+    if panel.empty and not panel.rows:
+        return out + f'<p class="sub">{_text(panel.empty)}</p>'
+    head = "".join(
+        ("<th class='num'>" if c.css == "num" else "<th>") + f"{_text(c.header or c.key)}</th>"
+        for c in panel.columns
     )
-
-
-def _campaign_tables(entries: list[dict[str, Any]]) -> str:
-    campaigns = _campaign_series(entries)
-    if not campaigns:
-        return ""
-    blocks = []
-    for preset in sorted(campaigns):
-        latest, previous = campaigns[preset]
-        prev_cells = (previous or {}).get("cells") or {}
-        rows = []
-        for key in sorted(latest.get("cells") or {}):
-            cell = latest["cells"][key]
-            mk = cell.get("makespan") or {}
-            eff = cell.get("efficiency") or {}
-            samples = [float(v) for v in mk.get("samples") or []]
-            median = mk.get("median")
-            eff_median = eff.get("median")
-            eff_cell = "-" if eff_median is None else f"{eff_median:.4f}"
-            drift = _cell_drift(cell, prev_cells.get(key))
-            if drift is None:
-                drift_html = '<span class="sub">&ndash;</span>'
-            elif drift > 0.001:
-                drift_html = f'<span class="status below">&#9650; {drift:+.1%}</span>'
-            elif drift < -0.001:
-                drift_html = f'<span class="status ok">&#9660; {drift:+.1%}</span>'
-            else:
-                drift_html = f'<span class="sub">= {drift:+.1%}</span>'
-            spark = (
-                _spark_svg(samples, band=median)
-                if samples and median is not None
-                else ""
-            )
-            rows.append(
-                "<tr>"
-                f"<td>{escape(key)}</td>"
-                f'<td class="num">{_fmt_s(median)}</td>'
-                f'<td class="num">{_fmt_s(mk.get("iqr"))}</td>'
-                f'<td class="num">{_fmt_s(mk.get("p95"))}</td>'
-                f'<td class="num">{_fmt_s(mk.get("p99"))}</td>'
-                f'<td class="num">{eff_cell}</td>'
-                f'<td class="num">{cell.get("completed", 0)}/{cell.get("replicates", 0)}</td>'
-                f"<td>{spark}</td>"
-                f"<td>{drift_html}</td>"
-                "</tr>"
-            )
-        blocks.append(
-            f"<h2>Campaign distributions ({escape(preset)})</h2>"
-            f'<p class="sub">{latest.get("replicates")} seeded replicates per cell; '
-            "drift vs the previous campaign on this preset (line = cell median)</p>"
-            "<table><thead><tr><th>cell</th><th class='num'>median</th>"
-            "<th class='num'>IQR</th><th class='num'>p95</th><th class='num'>p99</th>"
-            "<th class='num'>eff</th><th class='num'>replicates</th>"
-            "<th>distribution</th><th>drift</th></tr></thead>"
-            f"<tbody>{''.join(rows)}</tbody></table>"
-        )
-    return "\n".join(blocks)
-
-
-def _campaign_check_table(entries: list[dict[str, Any]]) -> str:
-    check = _latest_campaign_check(entries)
-    if not check:
-        return ""
-    verdict = str(check.get("verdict", "?"))
-    rows = []
-    cells = check.get("cells") or {}
-    for key in sorted(cells):
-        cell = cells[key]
-        cell_verdict = str(cell.get("verdict", "?"))
-        shift = cell.get("median_shift")
-        p = cell.get("p_value")
-        rows.append(
-            "<tr>"
-            f"<td>{escape(key)}</td>"
-            f'<td class="status {"below" if cell_verdict == "fail" else "ok"}">'
-            f"{escape(cell_verdict)}</td>"
-            f'<td class="num">{"-" if shift is None else f"{shift:+.2%}"}</td>'
-            f'<td class="num">{"-" if p is None else f"{p:.4g}"}</td>'
-            f'<td class="lane">{escape(str(cell.get("note") or ""))}</td>'
-            "</tr>"
-        )
-    return (
-        "<h2>Campaign regression check</h2>"
-        f'<p class="sub">latest verdict: <strong>{escape(verdict)}</strong> '
-        f"(alpha {check.get('alpha')}, effect threshold "
-        f"{check.get('effect_threshold')}, "
-        f"{len(check.get('flagged') or [])} flagged)</p>"
-        "<table><thead><tr><th>cell</th><th>verdict</th>"
-        "<th class='num'>median shift</th><th class='num'>p-value</th>"
-        "<th>note</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+    body = "".join(
+        "<tr>" + "".join(_td(row.get(c.key), c.css) for c in panel.columns) + "</tr>"
+        for row in panel.rows
     )
-
-
-def _explain_table(entries: list[dict[str, Any]]) -> str:
-    explains = _latest_explains(entries)
-    if not explains:
-        return ""
-    rows = []
-    for key in sorted(explains):
-        entry = explains[key]
-        manifest = entry.get("explain") or {}
-        delta = manifest.get("delta") or {}
-        rel = delta.get("relative")
-        top = (manifest.get("blame") or [{}])[0]
-        verdict = str(entry.get("verdict", "?"))
-        d = delta.get("makespan_s")
-        top_d = top.get("delta_s")
-        rows.append(
-            "<tr>"
-            f"<td>{escape(key)}</td>"
-            f'<td class="status {"below" if verdict == "model" else "ok"}">'
-            f"{escape(verdict)}</td>"
-            f'<td class="num">{"-" if d is None else format(d, "+.4g") + "s"}</td>'
-            f'<td class="num">{"-" if rel is None else format(rel, "+.2%")}</td>'
-            f"<td>{escape(str(top.get('resource') or '-'))}</td>"
-            f'<td class="num">{"-" if top_d is None else format(top_d, "+.4g") + "s"}</td>'
-            f'<td class="lane">{escape(str(manifest.get("top_term") or ""))}</td>'
-            "</tr>"
-        )
-    return (
-        "<h2>Regression explanations</h2>"
-        '<p class="sub">latest paired-trace blame diff per cell '
-        "(docs/observability.md &ldquo;Explaining regressions&rdquo;)</p>"
-        "<table><thead><tr><th>cell</th><th>verdict</th>"
-        "<th class='num'>&Delta; makespan</th><th class='num'>relative</th>"
-        "<th>top blame</th><th class='num'>lane &Delta;</th>"
-        "<th>model term</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
-def _tune_tables(entries: list[dict[str, Any]]) -> str:
-    tunes = _latest_tunes(entries)
-    if not tunes:
-        return ""
-    blocks = []
-    for (app, preset), entry in sorted(tunes.items()):
-        inc = entry.get("incumbent") or {}
-        obj = inc.get("objectives") or {}
-        budget = entry.get("budget") or {}
-        savings = entry.get("savings") or {}
-        frac = savings.get("fraction_of_exhaustive")
-        front = entry.get("front") or []
-        has_res = any(
-            (row.get("objectives") or {}).get("resilience") is not None
-            for row in front
-        )
-        rows = []
-        for row in front:
-            robj = row.get("objectives") or {}
-            res = robj.get("resilience")
-            rows.append(
-                "<tr>"
-                f"<td>{escape(_tune_point_label(row.get('point') or {}))}</td>"
-                f'<td class="num">{robj.get("gflops", 0.0):.2f}</td>'
-                f'<td class="num">{robj.get("slice_utilisation", 0.0):.1%}</td>'
-                + (
-                    f'<td class="num">{"-" if res is None else f"{res:.1%}"}</td>'
-                    if has_res
-                    else ""
-                )
-                + f'<td class="num">{robj.get("freq_mhz", 0.0):.0f}</td>'
-                f"<td>{escape(str(row.get('fidelity', '?')))}</td>"
-                "</tr>"
-            )
-        blocks.append(
-            f"<h2>Guided tuning Pareto front ({escape(app)}@{escape(preset)})</h2>"
-            f'<p class="sub">incumbent '
-            f"<strong>{escape(_tune_point_label(inc.get('point') or {}))}</strong> "
-            f"&rarr; {obj.get('gflops', 0.0):.2f} GFLOPS at "
-            f"{obj.get('slice_utilisation', 0.0):.1%} slices &middot; "
-            f"DES evals {budget.get('des_used', '?')}/{budget.get('des', '?')} "
-            f"vs exhaustive {entry.get('exhaustive_des', '?')}"
-            + ("" if frac is None else f" ({frac:.1%} of exhaustive)")
-            + " &middot; docs/performance.md &ldquo;Guided search&rdquo;</p>"
-            "<table><thead><tr><th>design point</th><th class='num'>GFLOPS</th>"
-            "<th class='num'>slices</th>"
-            + ("<th class='num'>retention</th>" if has_res else "")
-            + "<th class='num'>freq MHz</th><th>fidelity</th></tr></thead>"
-            f"<tbody>{''.join(rows)}</tbody></table>"
-        )
-    return "\n".join(blocks)
-
-
-def _service_table(entries: list[dict[str, Any]]) -> str:
-    service = _service_summary(entries)
-    if not service:
-        return ""
-    oc = service["outcomes"]
-    kinds = " &middot; ".join(
-        f"{escape(k)}: {n}" for k, n in sorted(service["kinds"].items())
-    )
-    rows = []
-    for entry in service["jobs"][-20:]:
-        outcome = str(entry.get("outcome", "?"))
-        css = "below" if outcome == "failed" else "ok"
-        h = entry.get("result_hash")
-        rows.append(
-            "<tr>"
-            f"<td>{escape(str(entry.get('job', '?')))}</td>"
-            f"<td>{escape(str(entry.get('job_kind', '?')))}</td>"
-            f'<td class="status {css}">{escape(outcome)}</td>'
-            f"<td class='num'>{_fmt_s(entry.get('queue_wait_s'))}</td>"
-            f"<td class='num'>{_fmt_s(entry.get('run_s'))}</td>"
-            f"<td class='num'>{entry.get('attempts', '?')}</td>"
-            f"<td class='num'>{entry.get('dedup_count', 0)}</td>"
-            f"<td><code>{escape(str(h)[:12]) if h else '-'}</code></td>"
-            "</tr>"
-        )
-    sub = (
-        f"{len(service['jobs'])} jobs recorded &middot; "
-        f"{oc.get('computed', 0)} computed / {oc.get('cache', 0)} from cache / "
-        f"{oc.get('failed', 0)} failed &middot; "
-        f"{service['deduped']} in-flight dedups &middot; {kinds} &middot; "
-        "docs/service.md"
-    )
-    return (
-        "<h2>Service jobs</h2>"
-        f"<p class='sub'>{sub}</p>"
-        "<table><thead><tr><th>job</th><th>kind</th><th>outcome</th>"
-        "<th class='num'>queue wait</th><th class='num'>run</th>"
-        "<th class='num'>attempts</th><th class='num'>dedups</th>"
-        "<th>result hash</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
-def _workers_table(entries: list[dict[str, Any]]) -> str:
-    workers = _latest_worker_telemetry(entries)
-    if not workers:
-        return ""
-    ex = workers.get("executor") or {}
-    per_worker = ex.get("per_worker") or []
-    busy_max = max((w.get("busy_s", 0.0) for w in per_worker), default=0.0)
-    stragglers = set(ex.get("stragglers") or [])
-    rows = []
-    for w in per_worker:
-        busy = w.get("busy_s", 0.0)
-        width = max(2, round(busy / busy_max * 180)) if busy_max > 0 else 2
-        status = "straggler" if w.get("worker") in stragglers else "ok"
-        rows.append(
-            "<tr>"
-            f"<td>w{w.get('worker')}</td>"
-            f"<td class='num'>{w.get('pid')}</td>"
-            f"<td class='num'>{w.get('chunks')}</td>"
-            f"<td class='num'>{w.get('tasks')}</td>"
-            f"<td class='num'>{busy:.3f}s</td>"
-            f'<td class="bartrack"><div class="bar" style="width:{width}px"></div></td>'
-            f'<td class="status {"below" if status == "straggler" else "ok"}">{status}</td>'
-            "</tr>"
-        )
-    qw = ex.get("queue_wait_s") or {}
-    cache = workers.get("cache") or {}
-    rate = workers.get("cache_hit_rate")
-    sub = (
-        f"mode {escape(str(ex.get('mode', '?')))} &middot; "
-        f"{ex.get('tasks', '?')} tasks in {ex.get('chunks', '?')} chunks &middot; "
-        f"queue wait mean {qw.get('mean', 0.0):.4f}s / max {qw.get('max', 0.0):.4f}s "
-        f"&middot; imbalance {ex.get('imbalance', 1.0):.2f}x"
-    )
-    if cache:
-        sub += (
-            f" &middot; cache {cache.get('hits', 0)}/{cache.get('lookups', 0)} hits"
-            + ("" if rate is None else f" ({rate:.1%})")
-        )
-    table = (
-        "<table><thead><tr><th>worker</th><th class='num'>pid</th>"
-        "<th class='num'>chunks</th><th class='num'>tasks</th>"
-        "<th class='num'>busy</th><th>busy share</th><th>status</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-        if rows
-        else '<p class="sub">serial run &mdash; no worker pool.</p>'
-    )
-    return f"<h2>Sweep worker telemetry</h2><p class='sub'>{sub}</p>{table}"
+    return out + f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
 def render_html(
@@ -881,36 +724,21 @@ def render_html(
     title: str = "Model-fidelity observatory",
 ) -> str:
     """The self-contained HTML dashboard page."""
-    stats = fidelity_report(entries, band=band)
-    fidelity_table = (
-        "<table><thead><tr><th>series</th><th>status</th><th class='num'>latest</th>"
-        "<th class='num'>mean</th><th class='num'>range</th><th class='num'>drift</th>"
-        "<th class='num'>runs</th><th>trend (band line = floor)</th></tr></thead>"
-        f"<tbody>{_fidelity_rows(stats, band)}</tbody></table>"
-        if stats
-        else '<p class="sub">No design_run entries recorded yet.</p>'
+    panels = "\n".join(
+        _html_panel(panel) for kind in _panels(entries, band) for panel in kind
     )
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>{escape(title)}</title>
+<title>{_text(title)}</title>
 <style>{_HTML_STYLE}</style>
 </head>
 <body>
-<h1>{escape(title)}</h1>
+<h1>{_text(title)}</h1>
 <p class="sub">{len(entries)} ledger entries &middot; fidelity band: overlap_efficiency &ge; {band:.2f}
 (the paper's Section 4.5 &ldquo;&gt;85% of max{{T_tp, T_tf}}&rdquo; claim)</p>
-<h2>Prediction fidelity by app &times; preset</h2>
-{fidelity_table}
-{_critical_path_tables(entries)}
-{_resilience_table(entries)}
-{_campaign_tables(entries)}
-{_campaign_check_table(entries)}
-{_explain_table(entries)}
-{_tune_tables(entries)}
-{_service_table(entries)}
-{_workers_table(entries)}
+{panels}
 </body>
 </html>
 """

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .critical_path import MODEL_TERMS
+from .dashboard import fmt_opt, fmt_s
 
 __all__ = [
     "EXPLAIN_SCHEMA",
@@ -217,14 +218,9 @@ def build_explain(
     return manifest
 
 
-def _fmt_s(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.4g}s"
-
-
 def render_explain(manifest: dict[str, Any]) -> str:
     """One explain manifest as the CLI / dashboard blame table."""
     delta = manifest.get("delta") or {}
-    rel = delta.get("relative")
     lines = [
         "explain {cell} (replicate {rep}, scenario {scenario}):".format(
             cell=manifest.get("cell"),
@@ -232,31 +228,28 @@ def render_explain(manifest: dict[str, Any]) -> str:
             scenario=manifest.get("scenario_name"),
         ),
         "  makespan {base} -> {cur}  ({rel})  verdict: {verdict}".format(
-            base=_fmt_s((manifest.get("baseline") or {}).get("makespan")),
-            cur=_fmt_s((manifest.get("current") or {}).get("makespan")),
-            rel="-" if rel is None else f"{rel:+.2%}",
+            base=fmt_s((manifest.get("baseline") or {}).get("makespan")),
+            cur=fmt_s((manifest.get("current") or {}).get("makespan")),
+            rel=fmt_opt(delta.get("relative"), "+.2%"),
             verdict=manifest.get("verdict"),
         ),
     ]
     check = manifest.get("check")
     if check:
-        p = check.get("p_value")
-        shift = check.get("median_shift")
         lines.append(
             "  flagged by: {verdict} (p={p}, median shift {shift})".format(
                 verdict=check.get("verdict"),
-                p="-" if p is None else f"{p:.4g}",
-                shift="-" if shift is None else f"{shift:+.2%}",
+                p=fmt_opt(check.get("p_value"), ".4g"),
+                shift=fmt_opt(check.get("median_shift"), "+.2%"),
             )
         )
     lines.append("  blame (critical-path delta per resource lane):")
     for row in manifest.get("blame") or []:
-        share = row.get("share")
         lines.append(
             "    {res:<5} {delta:>+10.4g}s  {share:>5}  {term}".format(
                 res=row.get("resource"),
                 delta=row.get("delta_s", 0.0),
-                share="-" if share is None else f"{share:.0%}",
+                share=fmt_opt(row.get("share"), ".0%"),
                 term=row.get("term", ""),
             )
         )

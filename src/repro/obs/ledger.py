@@ -29,7 +29,7 @@ import os
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -39,6 +39,8 @@ __all__ = [
     "design_run_entry",
     "entries_from_metrics",
     "experiments_entry",
+    "fault_run_key",
+    "latest_entries",
     "bench_entry",
     "fault_run_entry",
     "campaign_entry",
@@ -225,7 +227,47 @@ class RunLedger:
         return len(self.entries())
 
 
+# ------------------------------------------------------------- readers
+
+
+def latest_entries(
+    entries: Iterable[dict[str, Any]],
+    kind: str,
+    key: Callable[[dict[str, Any]], Any] = lambda entry: None,
+    keep: Callable[[dict[str, Any]], bool] = lambda entry: True,
+) -> dict[Any, dict[str, Any]]:
+    """The newest ``kind`` entry per ``key(entry)`` among those ``keep``
+    accepts, keys in first-seen order; the default key keeps the single
+    newest entry, under ``None``."""
+    out: dict[Any, dict[str, Any]] = {}
+    for entry in entries:
+        if entry.get("kind") == kind and keep(entry):
+            out[key(entry)] = entry
+    return out
+
+
+def fault_run_key(entry: dict[str, Any]) -> tuple[str, str, str]:
+    """A ``fault_run`` entry's (app, scenario name, policy) identity."""
+    scenario = entry.get("scenario") or {}
+    return str(entry.get("app")), str(scenario.get("name", "?")), str(entry.get("policy"))
+
+
 # ------------------------------------------------------------- builders
+
+
+def _header(
+    kind: str, app: Any, source: str, git_sha: Optional[str], note: Optional[str]
+) -> dict[str, Any]:
+    """The fields every entry kind starts with (``note`` only when given)."""
+    entry = {
+        "kind": kind,
+        "app": app,
+        "source": source,
+        "git_sha": git_sha if git_sha is not None else current_git_sha(),
+    }
+    if note:
+        entry["note"] = note
+    return entry
 
 
 def design_run_entry(
@@ -264,12 +306,9 @@ def design_run_entry(
     }
     if meta.get("gflops") is not None:
         measured["gflops"] = meta["gflops"]
-    entry: dict[str, Any] = {
-        "kind": "design_run",
-        "app": overlap_record.get("app"),
+    entry = {
+        **_header("design_run", overlap_record.get("app"), source, git_sha, note),
         "preset": preset or "xd1",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
         "params": params,
         "partition": dict(meta.get("partition") or {}),
         "predicted": predicted,
@@ -280,8 +319,6 @@ def design_run_entry(
         entry["des"] = dict(des)
     if critical_path:
         entry["critical_path"] = dict(critical_path)
-    if note:
-        entry["note"] = note
     return entry
 
 
@@ -355,12 +392,9 @@ def experiments_entry(
     produced by :func:`repro.sim.analytic.fastpath_summary`.
     """
     checks = {name: bool(ok) for name, ok in results}
-    entry: dict[str, Any] = {
-        "kind": "experiments",
-        "app": "experiments",
+    entry = {
+        **_header("experiments", "experiments", source, git_sha, note),
         "preset": preset,
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
         "checks": checks,
         "passed": sum(checks.values()),
         "failed": sum(1 for ok in checks.values() if not ok),
@@ -369,8 +403,6 @@ def experiments_entry(
         entry["sim_points"] = sim_points
     if fast_path is not None:
         entry["fast_path"] = fast_path
-    if note:
-        entry["note"] = note
     return entry
 
 
@@ -397,12 +429,9 @@ def fault_run_entry(
     scenario = result["scenario"]
     if not isinstance(scenario, dict) or not scenario.get("name"):
         raise LedgerError("fault-run result's scenario must be a dict with a name")
-    entry: dict[str, Any] = {
-        "kind": "fault_run",
-        "app": result["app"],
+    return {
+        **_header("fault_run", result["app"], source, git_sha, note),
         "preset": preset or result.get("preset") or "xd1",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
         "scenario": dict(scenario),
         "policy": result["policy"],
         "p": result.get("p"),
@@ -426,9 +455,6 @@ def fault_run_entry(
         },
         "attribution": dict(result.get("attribution") or {}),
     }
-    if note:
-        entry["note"] = note
-    return entry
 
 
 def bench_entry(
@@ -445,18 +471,13 @@ def bench_entry(
     "status": "ok" | "regression" | "stale-baseline"}``.
     """
     statuses = {o.get("status") for o in outcomes.values()}
-    entry: dict[str, Any] = {
-        "kind": "bench",
-        "app": "bench",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
+    entry = {
+        **_header("bench", "bench", source, git_sha, note),
         "outcomes": outcomes,
         "ok": "regression" not in statuses,
     }
     if tolerance is not None:
         entry["tolerance"] = tolerance
-    if note:
-        entry["note"] = note
     return entry
 
 
@@ -490,12 +511,9 @@ def campaign_entry(
         if not isinstance(manifest.get(key), dict):
             raise LedgerError(f"campaign manifest is missing {key!r}")
     spec = manifest["spec"]
-    entry: dict[str, Any] = {
-        "kind": "campaign",
-        "app": "campaign",
+    entry = {
+        **_header("campaign", "campaign", source, git_sha, note),
         "preset": spec.get("preset") or "xd1",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
         "manifest_schema": manifest.get("manifest_schema"),
         "spec": dict(spec),
         "cells": dict(manifest["cells"]),
@@ -505,8 +523,6 @@ def campaign_entry(
     }
     if workers:
         entry["workers"] = dict(workers)
-    if note:
-        entry["note"] = note
     return entry
 
 
@@ -531,21 +547,15 @@ def campaign_check_entry(
             )
     if not isinstance(comparison.get("cells"), dict):
         raise LedgerError("campaign comparison is missing 'cells'")
-    entry: dict[str, Any] = {
-        "kind": "campaign_check",
-        "app": "campaign",
+    return {
+        **_header("campaign_check", "campaign", source, git_sha, note),
         "preset": comparison.get("preset") or "xd1",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
         "verdict": comparison.get("verdict"),
         "alpha": comparison.get("alpha"),
         "effect_threshold": comparison.get("effect_threshold"),
         "cells": dict(comparison["cells"]),
         "flagged": list(comparison.get("flagged") or ()),
     }
-    if note:
-        entry["note"] = note
-    return entry
 
 
 def tune_entry(
@@ -575,12 +585,9 @@ def tune_entry(
     for key in ("spec", "incumbent", "front", "rungs"):
         if key not in manifest:
             raise LedgerError(f"tune manifest is missing {key!r}")
-    entry: dict[str, Any] = {
-        "kind": "tune",
-        "app": manifest.get("app"),
+    entry = {
+        **_header("tune", manifest.get("app"), source, git_sha, note),
         "preset": manifest.get("preset") or "xd1",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
         "manifest_schema": manifest.get("manifest_schema"),
         "spec": dict(manifest["spec"]),
         "space": dict(manifest.get("space") or {}),
@@ -597,8 +604,6 @@ def tune_entry(
         entry["scenario"] = dict(manifest["scenario"])
     if workers:
         entry["workers"] = dict(workers)
-    if note:
-        entry["note"] = note
     return entry
 
 
@@ -625,20 +630,14 @@ def explain_entry(
     for key in ("cell", "blame", "verdict"):
         if key not in manifest:
             raise LedgerError(f"explain manifest is missing {key!r}")
-    entry: dict[str, Any] = {
-        "kind": "explain",
-        "app": manifest.get("app"),
+    return {
+        **_header("explain", manifest.get("app"), source, git_sha, note),
         "preset": manifest.get("preset") or "xd1",
         "cell": manifest["cell"],
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
         "verdict": manifest.get("verdict"),
         "top_blame": manifest.get("top_blame"),
         "explain": dict(manifest),
     }
-    if note:
-        entry["note"] = note
-    return entry
 
 
 def service_entry(
@@ -669,11 +668,8 @@ def service_entry(
         raise LedgerError(
             f"service outcome must be computed/cache/failed, got {outcome!r}"
         )
-    entry: dict[str, Any] = {
-        "kind": "service",
-        "app": "service",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
+    entry = {
+        **_header("service", "service", source, git_sha, note),
         "job": record["job"],
         "job_kind": record["job_kind"],
         "outcome": outcome,
@@ -688,6 +684,4 @@ def service_entry(
     }
     if record.get("error"):
         entry["error"] = record["error"]
-    if note:
-        entry["note"] = note
     return entry

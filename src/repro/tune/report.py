@@ -6,12 +6,9 @@ from typing import Any
 
 from ..analysis import pareto_plot, table
 from ..analysis.report import percent
+from ..obs.dashboard import point_label
 
 __all__ = ["render_tune", "front_rows"]
-
-
-def _point_label(point: dict[str, Any]) -> str:
-    return " ".join(f"{k}={point[k]}" for k in sorted(point))
 
 
 def front_rows(manifest: dict[str, Any]) -> list[list[Any]]:
@@ -21,7 +18,7 @@ def front_rows(manifest: dict[str, Any]) -> list[list[Any]]:
     for entry in manifest.get("front", []):
         obj = entry["objectives"]
         row = [
-            _point_label(entry["point"]),
+            point_label(entry["point"]),
             f"{obj['gflops']:.2f}",
             percent(obj["slice_utilisation"]),
             f"{obj.get('freq_mhz', 0):.0f}",
@@ -52,7 +49,7 @@ def render_tune(manifest: dict[str, Any]) -> str:
                 rung.get("fidelity"),
                 rung.get("evaluated"),
                 rung.get("kept"),
-                _point_label(best.get("point", {})),
+                point_label(best.get("point", {})),
                 f"{best.get('gflops', 0):.2f}" if best else "-",
             ]
         )
@@ -66,7 +63,7 @@ def render_tune(manifest: dict[str, Any]) -> str:
     inc = manifest.get("incumbent", {})
     obj = inc.get("objectives", {})
     lines.append(
-        f"incumbent: {_point_label(inc.get('point', {}))} -> "
+        f"incumbent: {point_label(inc.get('point', {}))} -> "
         f"{obj.get('gflops', 0):.2f} GFLOPS, "
         f"{percent(obj.get('slice_utilisation', 0))} slices, "
         f"{obj.get('freq_mhz', 0):.0f} MHz ({inc.get('fidelity')})"
