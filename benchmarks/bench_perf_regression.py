@@ -1,8 +1,9 @@
-"""Performance-regression tracker: DES, sweep, campaign, and tuner.
+"""Performance-regression tracker: DES, sweep, campaign, ledger, tuner.
 
 Times the hot paths this repo optimises -- the discrete-event simulator
-core, the experiment sweep engine, and the replicated campaign harness
--- plus the guided autotuner's search efficiency, and writes the
+core, the experiment sweep engine, the replicated campaign harness and
+the run ledger's append -- plus the guided autotuner's search
+efficiency, and writes the
 numbers to ``BENCH_perf.json`` at the repo root so successive runs can
 be compared (see docs/performance.md for reference numbers and what a
 regression looks like).
@@ -24,7 +25,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -342,6 +345,53 @@ def check_campaign(
 
 
 # -----------------------------------------------------------------------
+# Ledger append: microseconds per RunLedger.append vs ledger length
+# -----------------------------------------------------------------------
+
+#: Prior ledger lengths the append is timed at.  An append that reads
+#: only the file's tail costs the same at each; one that parses the
+#: whole file grows with the length.
+LEDGER_PRIOR_LINES = (1000, 3000)
+
+#: Appends timed per prior length (the median is reported).
+LEDGER_APPENDS = 200
+
+
+def _service_line_record(seq: int) -> dict:
+    return {"job": f"j-{seq:06d}", "job_kind": "design", "outcome": "computed",
+            "key": f"{seq:064x}", "priority": "default", "client": "bench",
+            "queue_wait_s": 0.001, "run_s": 0.05, "attempts": 1,
+            "dedup_count": 0, "result_hash": f"{seq:064x}"}
+
+
+def bench_ledger(appends: int = LEDGER_APPENDS) -> dict:
+    """Median microseconds per ``RunLedger.append`` of a ``service``
+    entry onto a ledger already holding each of LEDGER_PRIOR_LINES
+    service lines, and the growth from the shortest to the longest."""
+    from repro.obs.ledger import LEDGER_SCHEMA, RunLedger, service_entry
+
+    append_us: dict[str, float] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for prior in LEDGER_PRIOR_LINES:
+            path = Path(tmp) / f"ledger-{prior}.jsonl"
+            with open(path, "w", encoding="utf-8") as fh:
+                for seq in range(1, prior + 1):
+                    line = dict(service_entry(_service_line_record(seq), git_sha="0" * 40),
+                                schema=LEDGER_SCHEMA, seq=seq, ts="2026-01-01T00:00:00Z")
+                    fh.write(json.dumps(line, sort_keys=True) + "\n")
+            ledger = RunLedger(path)
+            entry = service_entry(_service_line_record(prior + 1), git_sha="0" * 40)
+            samples = []
+            for _ in range(appends):
+                t0 = time.perf_counter()
+                ledger.append(entry)
+                samples.append(time.perf_counter() - t0)
+            append_us[str(prior)] = statistics.median(samples) * 1e6
+    growth = append_us[str(LEDGER_PRIOR_LINES[-1])] / append_us[str(LEDGER_PRIOR_LINES[0])]
+    return {"appends": appends, "append_us": append_us, "growth": growth}
+
+
+# -----------------------------------------------------------------------
 # Tuner search efficiency: guided vs exhaustive full-fidelity evals
 # -----------------------------------------------------------------------
 
@@ -531,6 +581,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{campaign['elapsed_s']:.2f}s = {campaign['points_per_s']:.1f} points/s"
     )
 
+    ledger = bench_ledger()
+    print("ledger/append " + ", ".join(
+        f"{us:.0f} us at {prior} lines" for prior, us in ledger["append_us"].items()
+    ) + f" (growth {ledger['growth']:.2f}x)")
+
     tune = bench_tune()
     print(
         f"tune/{tune['space']} {tune['des_used']}/{tune['exhaustive_des']} DES evals "
@@ -546,6 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         "des_events_per_s": des,
         "sweeps": sweeps,
         "campaign": campaign,
+        "ledger": ledger,
         "tune": tune,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -24,6 +24,8 @@ rest of :mod:`repro` (stdlib only).
 
 from __future__ import annotations
 
+import fcntl
+import functools
 import json
 import os
 import subprocess
@@ -91,6 +93,11 @@ GIT_SHA_ENV_VAR = "REPRO_GIT_SHA"
 #: field.
 LEDGER_TS_ENV_VAR = "REPRO_LEDGER_TS"
 
+#: First tail window :meth:`RunLedger.append` reads for the last line's
+#: ``seq`` (a service line is ~460 bytes); doubled while it holds no
+#: whole line.
+_TAIL_BYTES = 4096
+
 
 class LedgerError(ValueError):
     """A ledger file or entry violates the schema."""
@@ -99,15 +106,22 @@ class LedgerError(ValueError):
 def current_git_sha(cwd: Optional[str | Path] = None) -> str:
     """The current git commit SHA, or ``"unknown"`` outside a checkout.
 
-    ``REPRO_GIT_SHA`` overrides the lookup entirely (no subprocess).
+    ``REPRO_GIT_SHA`` overrides the lookup entirely (no subprocess) and
+    is checked on every call; otherwise ``git rev-parse HEAD`` runs once
+    per process for each ``cwd``.
     """
     env = os.environ.get(GIT_SHA_ENV_VAR)
     if env:
         return env
+    return _git_sha(str(cwd) if cwd is not None else None)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha(cwd: Optional[str]) -> str:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=10,
@@ -129,9 +143,12 @@ class RunLedger:
     """An append-only JSON-lines ledger of run manifests.
 
     One entry per line; ``append`` assigns the schema version, a
-    monotonically increasing ``seq`` and a UTC timestamp, then appends
-    atomically-enough for a single writer (one ``write`` of one line in
-    append mode).  Existing lines are never rewritten.
+    monotonically increasing ``seq`` and a UTC timestamp, and writes the
+    line with one ``write`` in append mode.  Existing lines are never
+    rewritten.  ``seq`` comes from the file's last line alone, read
+    under an exclusive ``flock`` held until the line is written, so an
+    append costs the same on a long ledger as on a short one and two
+    processes sharing one file never hand out the same ``seq``.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -142,26 +159,63 @@ class RunLedger:
     # -- write ----------------------------------------------------------
 
     def append(self, entry: dict[str, Any]) -> dict[str, Any]:
-        """Append one entry; fills ``schema``/``seq``/``ts``; returns it."""
+        """Append one entry; fills ``schema``/``seq``/``ts``; returns it.
+
+        Raises :class:`LedgerError` naming the byte offset, and writes
+        nothing, when the file's last line is torn (no final newline) or
+        malformed; malformed earlier lines do not block appends.
+        """
         kind = entry.get("kind")
         if kind not in ENTRY_KINDS:
             raise LedgerError(f"unknown ledger entry kind {kind!r}; expected one of {ENTRY_KINDS}")
         entry = dict(entry)
         entry["schema"] = LEDGER_SCHEMA
         entry.setdefault("ts", _utc_now_iso())
-        entry["seq"] = self._next_seq()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self.path, flags, 0o666)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, flags, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released by close
+            entry["seq"] = self._last_seq(fd) + 1
+            line = json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n"
+            while line:
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
         return entry
 
-    def _next_seq(self) -> int:
-        if not self.path.is_file():
-            return 1
-        last = 0
-        for entry in self.entries():
-            last = max(last, int(entry.get("seq", 0)))
-        return last + 1
+    def _last_seq(self, fd: int) -> int:
+        """The ``seq`` of the file's last non-blank line (0 when none),
+        read from a tail window that doubles only while it holds no
+        complete line."""
+        size = os.fstat(fd).st_size
+        if not size:
+            return 0
+        window = _TAIL_BYTES
+        while True:
+            start = max(0, size - window)
+            tail = os.pread(fd, size - start, start)
+            torn = not tail.endswith(b"\n")
+            end = len(tail) if torn else len(tail.rstrip())
+            cut = tail.rfind(b"\n", 0, end)
+            if cut >= 0 or start == 0:
+                break
+            window *= 2
+        offset = start + cut + 1
+        if torn:
+            raise LedgerError(f"{self.path}: byte {offset}: torn last line (no final newline)")
+        if not end:
+            return 0
+        try:
+            seq = json.loads(tail[cut + 1:end])["seq"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise LedgerError(f"{self.path}: byte {offset}: malformed last line ({exc!r})") from exc
+        if not isinstance(seq, int):
+            raise LedgerError(f"{self.path}: byte {offset}: malformed last line (seq {seq!r})")
+        return seq
 
     # -- read -----------------------------------------------------------
 

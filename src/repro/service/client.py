@@ -4,8 +4,8 @@
 :mod:`http.client` calls (stdlib only, like the server), so the CLI's
 ``client`` group -- and any test -- talks to the service exactly the
 way an external curl user would.  It adds no semantics of its own
-beyond :meth:`wait`, which polls ``GET /v1/jobs/{id}`` until the job
-reaches a terminal state.
+beyond :meth:`wait`, which long-polls ``GET /v1/jobs/{id}?wait=<s>``
+until the job reaches a terminal state.
 """
 
 from __future__ import annotations
@@ -50,8 +50,12 @@ class ServiceClient:
     # ------------------------------------------------------------ transport
 
     def _request(self, method: str, path: str,
-                 payload: Optional[dict[str, Any]] = None) -> Any:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+                 payload: Optional[dict[str, Any]] = None, *,
+                 wait_s: float = 0.0) -> Any:
+        """One request; ``wait_s`` extends the socket timeout by the time
+        the server may hold a long-poll."""
+        conn = http.client.HTTPConnection(self.host, self.port,
+                                          timeout=self.timeout + wait_s)
         try:
             body = json.dumps(payload).encode("utf-8") if payload is not None else None
             headers = {"X-Client": self.client_id}
@@ -99,19 +103,25 @@ class ServiceClient:
                                     "not completed")
         return doc.get("result")
 
-    def wait(self, job_id: str, *, timeout: float = 600.0,
-             poll_s: float = 0.05) -> dict[str, Any]:
-        """Poll until the job completes or fails; returns its final status."""
+    def wait(self, job_id: str, *, timeout: float = 600.0) -> dict[str, Any]:
+        """Block until the job completes or fails; returns its final status.
+
+        Each request is a ``?wait=`` long-poll for the time left before
+        ``timeout``; the server answers the moment the job finishes, or
+        with the current status after at most 30 s, and then the next
+        long-poll goes out.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            doc = self.status(job_id)
+            wait_s = max(deadline - time.monotonic(), 0.0)
+            doc = self._request("GET", f"/v1/jobs/{job_id}?wait={wait_s:.3f}",
+                                wait_s=wait_s)
             if doc.get("state") in ("completed", "failed"):
                 return doc
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {doc.get('state')!r} after {timeout}s"
                 )
-            time.sleep(poll_s)
 
     def events(self, job_id: str, *, timeout: float = 600.0) -> Iterator[dict[str, Any]]:
         """Stream the job's NDJSON progress events (terminates when done)."""

@@ -10,6 +10,9 @@ framing) and exposes
   instantly with ``"source": "cache"``, and over-rate clients get a
   ``429`` with ``Retry-After``;
 * ``GET /v1/jobs/{id}`` -- status plus the result manifest once done;
+  with ``?wait=<s>`` a long-poll that answers as soon as the job is done
+  (or after ``min(s, 30)`` seconds, or at shutdown) with the same
+  document;
 * ``GET /v1/jobs/{id}/events`` -- chunked NDJSON progress stream;
 * ``GET /v1/queue`` -- queue depth, per-outcome counters, cache stats;
 * ``GET /v1/healthz`` -- liveness;
@@ -41,7 +44,7 @@ import json
 import threading
 import time
 from typing import Any, Optional
-from urllib.parse import urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
 from ..obs.metrics import REGISTRY
 from ..parallel.cache import ResultCache
@@ -62,6 +65,9 @@ SERVICE_COUNTERS = (
 _MAX_HEAD = 64 * 1024
 _MAX_BODY = 4 * 1024 * 1024
 
+#: Longest a ``GET /v1/jobs/{id}?wait=<s>`` long-poll is held open.
+_MAX_WAIT_S = 30.0
+
 #: Poll interval of the event stream (progress records appear within
 #: one tick; terminal states close the stream).
 _EVENT_POLL_S = 0.02
@@ -81,6 +87,17 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.headers = headers or {}
+
+
+def _wait_seconds(raw: str) -> float:
+    """A ``?wait=`` value in seconds, clamped to ``[0, _MAX_WAIT_S]``."""
+    try:
+        wait_s = float(raw)
+        if wait_s != wait_s:  # NaN
+            raise ValueError(raw)
+    except ValueError:
+        raise _HttpError(400, f"wait must be a number of seconds, got {raw!r}") from None
+    return min(max(wait_s, 0.0), _MAX_WAIT_S)
 
 
 class CodesignServer:
@@ -161,6 +178,9 @@ class CodesignServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
+        #: job id -> completion event, created by the first long-poll on
+        #: a pending job and set (then dropped) when the job finishes.
+        self._done: dict[str, asyncio.Event] = {}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -180,13 +200,18 @@ class CodesignServer:
 
         With ``drain`` (the default, and what the SIGTERM handler uses)
         every queued job still runs to completion -- and therefore lands
-        in the ledger -- before the worker loop exits.
+        in the ledger -- before the worker loop exits.  Either way every
+        pending ``?wait=`` long-poll answers at once with the job's
+        current status, so no open connection holds shutdown.
         """
         self._stopping = True
         self._drain = drain
         self._paused = False
         if self._wake is not None:
             self._wake.set()
+        for event in self._done.values():  # long-polls answer now
+            event.set()
+        self._done.clear()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -274,6 +299,7 @@ class CodesignServer:
         job.add_event("completed", source=source, result_hash=job.result_hash)
         self._inc("completed")
         self._record(job)
+        self._notify(job)
 
     def _fail(self, job: Job, error: str) -> None:
         job.error = error
@@ -282,6 +308,24 @@ class CodesignServer:
         job.add_event("failed", error=error, attempts=job.attempts)
         self._inc("failed")
         self._record(job)
+        self._notify(job)
+
+    def _notify(self, job: Job) -> None:
+        """Answer every long-poll waiting on ``job``."""
+        event = self._done.pop(job.id, None)
+        if event is not None:
+            event.set()
+
+    async def _await_done(self, job: Job, wait_s: float) -> None:
+        """Return once ``job`` is done, ``wait_s`` has passed, or the
+        server stops -- whichever comes first."""
+        if job.done or self._stopping or wait_s <= 0:
+            return
+        event = self._done.setdefault(job.id, asyncio.Event())
+        try:
+            await asyncio.wait_for(event.wait(), wait_s)
+        except asyncio.TimeoutError:
+            pass
 
     def _record(self, job: Job) -> None:
         """Append the job's ``service`` manifest to the run ledger."""
@@ -382,14 +426,14 @@ class CodesignServer:
             except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
                 return
             try:
-                method, path, headers = self._parse_head(head)
+                method, path, query, headers = self._parse_head(head)
                 body = b""
                 length = int(headers.get("content-length", "0") or "0")
                 if length > _MAX_BODY:
                     raise _HttpError(413, "request body too large")
                 if length:
                     body = await reader.readexactly(length)
-                await self._dispatch(method, path, headers, body, writer)
+                await self._dispatch(method, path, query, headers, body, writer)
             except _HttpError as exc:
                 self._write_json(writer, exc.status, {"error": str(exc)},
                                  extra_headers=exc.headers)
@@ -408,7 +452,7 @@ class CodesignServer:
                 pass
 
     @staticmethod
-    def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
+    def _parse_head(head: bytes) -> tuple[str, str, dict[str, str], dict[str, str]]:
         try:
             lines = head.decode("latin-1").split("\r\n")
             method, target, _version = lines[0].split(" ", 2)
@@ -420,12 +464,14 @@ class CodesignServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        return method.upper(), urlsplit(target).path, headers
+        url = urlsplit(target)
+        return method.upper(), url.path, dict(parse_qsl(url.query)), headers
 
     async def _dispatch(
         self,
         method: str,
         path: str,
+        query: dict[str, str],
         headers: dict[str, str],
         body: bytes,
         writer: asyncio.StreamWriter,
@@ -448,6 +494,8 @@ class CodesignServer:
                 job = self._job_or_404(rest[: -len("/events")].rstrip("/"))
                 return await self._stream_events(job, writer)
             job = self._job_or_404(rest)
+            if "wait" in query:
+                await self._await_done(job, _wait_seconds(query["wait"]))
             return self._write_json(writer, 200, job.status())
         raise _HttpError(404, f"no route for {method} {path}")
 

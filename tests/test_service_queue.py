@@ -1,4 +1,11 @@
-"""Queue, rate-limit, manifest and retry semantics of repro.service."""
+"""Queue, rate-limit, manifest, retry and long-poll semantics of
+repro.service."""
+
+import asyncio
+import http.client
+import json
+import threading
+import time
 
 import pytest
 
@@ -325,3 +332,104 @@ def test_priority_classes_drain_in_order(flaky_kind):
     finally:
         unregister_runner("ordered")
     assert order == ["interactive", "default", "batch"]
+
+
+# -------------------------------------------------------------- long-poll
+
+
+def _get(port, path, timeout=60):
+    """``GET path`` over plain http.client; returns (status, document)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode("utf-8"))
+    finally:
+        conn.close()
+
+
+class _CountingServer(CodesignServer):
+    """A server that records every ``GET /v1/jobs/...`` path it serves."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.job_gets = []
+
+    async def _dispatch(self, method, path, query, headers, body, writer):
+        if method == "GET" and path.startswith("/v1/jobs/"):
+            self.job_gets.append(path)
+        return await super()._dispatch(method, path, query, headers, body, writer)
+
+
+def _until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def test_wait_returns_a_done_job_at_once_and_rejects_bad_values(flaky_kind):
+    with ServerThread(_server()) as st:
+        client = ServiceClient(port=st.bound_port)
+        doc = client.submit("flaky", {"case": "quick"})
+        done = client.wait(doc["id"], timeout=30)
+        status, again = _get(st.bound_port, f"/v1/jobs/{doc['id']}?wait=30")
+        bad_status, bad = _get(st.bound_port, f"/v1/jobs/{doc['id']}?wait=soon")
+    assert done["state"] == "completed"
+    assert (status, again) == (200, done)  # same document, no hold
+    assert bad_status == 400 and "wait" in bad["error"]
+
+
+def test_wait_times_out_with_the_current_status(flaky_kind):
+    with ServerThread(_server()) as st:
+        client = ServiceClient(port=st.bound_port)
+        st.pause()
+        doc = client.submit("flaky", {"case": "held"})
+        status, held = _get(st.bound_port, f"/v1/jobs/{doc['id']}?wait=0.05")
+        with pytest.raises(TimeoutError, match="still 'queued'"):
+            client.wait(doc["id"], timeout=0.1)
+        st.resume()
+    assert (status, held["state"]) == (200, "queued")
+
+
+def test_client_wait_needs_one_long_poll_per_job(flaky_kind):
+    """A job that finishes while the client waits costs one ``GET`` (two
+    at most), counted on the server rather than timed."""
+    server = _CountingServer(jobs=1, retry_backoff_s=0.0)
+    with ServerThread(server) as st:
+        client = ServiceClient(port=st.bound_port)
+        st.pause()
+        doc = client.submit("flaky", {"case": "long-poll"})
+        box = {}
+        waiter = threading.Thread(
+            target=lambda: box.update(done=client.wait(doc["id"], timeout=60)))
+        waiter.start()
+        _until(lambda: doc["id"] in server._done)  # the long-poll is open
+        st.resume()
+        waiter.join(timeout=60)
+    assert box["done"]["state"] == "completed"
+    assert 1 <= server.job_gets.count(f"/v1/jobs/{doc['id']}") <= 2
+
+
+def test_stop_releases_pending_long_polls(flaky_kind):
+    """``stop(drain=False)`` on a paused server answers an open
+    ``?wait=`` at once with the job still ``queued``."""
+
+    async def scenario():
+        server = _server()
+        await server.start()
+        server.pause()
+        job, _ = server.submit("flaky", {"case": "stranded"})
+        loop = asyncio.get_running_loop()
+        poll = loop.run_in_executor(
+            None, _get, server.bound_port, f"/v1/jobs/{job.id}?wait=30")
+        while job.id not in server._done:  # the long-poll is open
+            await asyncio.sleep(0.005)
+        t0 = time.monotonic()
+        await server.stop(drain=False)
+        status, doc = await poll
+        return status, doc, time.monotonic() - t0
+
+    status, doc, elapsed = asyncio.run(scenario())
+    assert (status, doc["state"]) == (200, "queued")
+    assert elapsed < 10  # far below the 30 s hold
