@@ -56,6 +56,12 @@ The co-design job server (docs/service.md) under ``serve``/``client``::
     client submit sweep --param experiments=fig5 --wait
     client status JOB | wait JOB | result JOB ; client queue
 
+Exit codes: 0 is success.  1 means a gate failed: ``obs check``, ``obs
+ledger check``, ``campaign check``, ``experiments`` or ``validate``, or a
+failed job under ``client submit --wait`` / ``client wait``.  2 means bad
+input, a ledger error or a service error, printed as one ``error:`` line
+by :func:`main`, the CLI's only error boundary.
+
 Schemas: docs/observability.md; fault scenarios and policies:
 docs/robustness.md; the guided search: docs/performance.md ("Guided
 search").  All output goes through one BrokenPipe-safe writer, so
@@ -65,14 +71,18 @@ search").  All output goes through one BrokenPipe-safe writer, so
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from importlib import import_module
+from pathlib import Path
 
 from .analysis import bar_chart, percent, table
 from .apps.fw import FwDesign
 from .apps.lu import LuDesign
 from .hw import FloydWarshallDesign, MatrixMultiplyDesign
 from .machine import ALL_PRESETS, cray_xd1
+from .obs import LedgerError, RunLedger
 from .obs.console import safe_print as _p
 
 
@@ -142,6 +152,48 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# ------------------------------------------------------------ shared paths
+
+
+def _json_text(doc) -> str:
+    """The CLI's one JSON form: sorted keys, two-space indent."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _emit(as_json: bool, doc, render) -> None:
+    """Print ``doc`` as JSON (``--json``) or as ``render(doc)``."""
+    _p(_json_text(doc) if as_json else render(doc))
+
+
+def _write_out(path: str, text: str, what: str, note: str = "") -> None:
+    """Write ``text`` to ``path`` (parents created) and say so."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    _p(f"{what} written to {path}{note}")
+
+
+def _append(path: str, entries: list[dict], what: str) -> None:
+    """Append ``entries`` to the run ledger at ``path`` and say so."""
+    ledger = RunLedger(path)
+    for entry in entries:
+        ledger.append(entry)
+    _p(f"{what} appended to {ledger.path}")
+
+
+def _load_source(args: argparse.Namespace, kind: str, load) -> dict:
+    """The manifest named by ``--manifest``, else the latest ``kind`` entry
+    of ``--ledger``."""
+    if args.manifest:
+        return load(args.manifest)
+    if not args.ledger:
+        raise ValueError("pass --manifest PATH or --ledger PATH")
+    entries = RunLedger(args.ledger).entries(kind=kind)
+    if not entries:
+        raise LedgerError(f"{args.ledger}: no {kind} entries")
+    return entries[-1]
+
+
 def _run_job(
     kind: str,
     params: dict,
@@ -150,31 +202,25 @@ def _run_job(
     cache=None,
     telemetry: dict | None = None,
     env_seed: bool = False,
-) -> tuple[dict, object] | None:
+) -> tuple[dict, object]:
     """Run a ``kind`` job in-process through the service's job layer.
 
     Unset flags (None) are left out, so the kind's normalizer supplies
     every default; with ``env_seed`` an unset ``--seed`` falls back to
-    ``$REPRO_SEED``.  Returns ``(normalized params, result document)``,
-    or None after printing why the request was rejected (exit 2).
+    ``$REPRO_SEED``.  Returns ``(normalized params, result document)``; a
+    rejected request raises ``ValueError``.
     """
     from .campaign import resolve_seed
     from .parallel import resolve_jobs
     from .service.jobs import normalize_request
     from .service.runners import RunnerContext, run_manifest
 
-    try:
-        resolve_jobs(jobs)
-        if env_seed:
-            params["seed"] = resolve_seed(params.get("seed"))
-        manifest = normalize_request(
-            kind, {k: v for k, v in params.items() if v is not None}
-        )
-        ctx = RunnerContext(jobs=jobs, cache=cache, telemetry=telemetry)
-        return manifest["params"], run_manifest(manifest, ctx)
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return None
+    resolve_jobs(jobs)
+    if env_seed:
+        params["seed"] = resolve_seed(params.get("seed"))
+    manifest = normalize_request(kind, {k: v for k, v in params.items() if v is not None})
+    ctx = RunnerContext(jobs=jobs, cache=cache, telemetry=telemetry)
+    return manifest["params"], run_manifest(manifest, ctx)
 
 
 #: Per app: chart title and the paper's claims for the four ratios
@@ -218,11 +264,9 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
         set_tracer(Tracer())
     cache = resolve_cache(args.cache) if args.cache is not None else None
-    got = _run_job("design", {"app": app, "n": args.n, "b": args.b, "p": args.p},
-                   cache=cache)
-    if got is None:
-        return 2
-    params, result = got
+    params, result = _run_job(
+        "design", {"app": app, "n": args.n, "b": args.b, "p": args.p}, cache=cache
+    )
     design_cls = LuDesign if app == "lu" else FwDesign
     design = design_cls(cray_xd1(p=params["p"]), n=params["n"], b=params["b"])
     plan = design.plan
@@ -298,8 +342,18 @@ def _cmd_machines(args: argparse.Namespace) -> None:
     ))
 
 
+def _service_error() -> type:
+    """The client's ``ServiceError``, imported only once an exception is
+    in flight, so no command pays for the service package up front."""
+    from .service import ServiceError
+
+    return ServiceError
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Entry point for the ``repro-xd1`` console script."""
+    """Entry point for the ``repro-xd1`` console script, and the CLI's one
+    error boundary: see the module docstring's exit codes."""
+    from .campaign import DEFAULT_ALPHA, DEFAULT_EFFECT
     from .obs.ledger import LEDGER_SCHEMA
 
     parser = argparse.ArgumentParser(
@@ -433,9 +487,9 @@ def main(argv: list[str] | None = None) -> int:
     oexp.add_argument("--replicate", type=int, default=None,
                       help="replicate index to re-run (default: the completed "
                            "one nearest the current median)")
-    oexp.add_argument("--alpha", type=float, default=None,
+    oexp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                       help="Mann-Whitney significance level (default 0.05)")
-    oexp.add_argument("--effect", type=float, default=None,
+    oexp.add_argument("--effect", type=float, default=DEFAULT_EFFECT,
                       help="relative median-shift threshold (default 0.02)")
     oexp.add_argument("--ledger", default=None, metavar="PATH",
                       help="append 'explain' entries to this run ledger")
@@ -535,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     crep.add_argument("--ledger", default=None, metavar="PATH",
                       help="read the latest 'campaign' entry from this ledger")
     crep.add_argument("--json", action="store_true", help="emit the manifest as JSON")
-    crep.set_defaults(fn=_cmd_campaign_report)
+    crep.set_defaults(fn=_cmd_report, kind="campaign", render="render_manifest")
 
     cchk = cmp_sub.add_parser(
         "check", help="statistical regression check against a baseline campaign"
@@ -544,9 +598,9 @@ def main(argv: list[str] | None = None) -> int:
                       help="baseline campaign manifest JSON")
     cchk.add_argument("--manifest", required=True, metavar="PATH",
                       help="current campaign manifest JSON")
-    cchk.add_argument("--alpha", type=float, default=None,
+    cchk.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                       help="Mann-Whitney significance level (default 0.05)")
-    cchk.add_argument("--effect", type=float, default=None,
+    cchk.add_argument("--effect", type=float, default=DEFAULT_EFFECT,
                       help="relative median-shift threshold (default 0.02)")
     cchk.add_argument("--ledger", default=None, metavar="PATH",
                       help="append a 'campaign_check' manifest to this run ledger"
@@ -620,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
     trep.add_argument("--ledger", default=None, metavar="PATH",
                       help="read the latest 'tune' entry from this ledger")
     trep.add_argument("--json", action="store_true", help="emit the manifest as JSON")
-    trep.set_defaults(fn=_cmd_tune_report)
+    trep.set_defaults(fn=_cmd_report, kind="tune", render="render_tune")
 
     srv = sub.add_parser(
         "serve", help="run the co-design job server (docs/service.md)"
@@ -672,36 +726,39 @@ def main(argv: list[str] | None = None) -> int:
     csta = cli_sub.add_parser("status", help="one job's status")
     csta.add_argument("job", help="job id (from submit)")
     csta.add_argument("--json", action="store_true")
-    csta.set_defaults(fn=_cmd_client_status)
+    csta.set_defaults(fn=_cmd_client)
 
     cwai = cli_sub.add_parser("wait", help="block until a job finishes")
     cwai.add_argument("job", help="job id (from submit)")
     cwai.add_argument("--timeout", type=float, default=600.0)
     cwai.add_argument("--json", action="store_true")
-    cwai.set_defaults(fn=_cmd_client_wait)
+    cwai.set_defaults(fn=_cmd_client)
 
     cres = cli_sub.add_parser("result", help="a completed job's result document")
     cres.add_argument("job", help="job id (from submit)")
-    cres.set_defaults(fn=_cmd_client_result)
+    cres.set_defaults(fn=_cmd_client)
 
     cque = cli_sub.add_parser("queue", help="queue depth, counters, cache stats")
-    cque.set_defaults(fn=_cmd_client_queue)
+    cque.set_defaults(fn=_cmd_client)
 
     cpau = cli_sub.add_parser("pause", help="hold the server's worker loop (admin)")
-    cpau.set_defaults(fn=_cmd_client_pause)
+    cpau.set_defaults(fn=_cmd_client)
 
     cresu = cli_sub.add_parser("resume", help="release a paused worker loop (admin)")
-    cresu.set_defaults(fn=_cmd_client_resume)
+    cresu.set_defaults(fn=_cmd_client)
 
     args = parser.parse_args(argv)
     _p.reset()
     try:
-        result = args.fn(args)
+        return args.fn(args) or 0
     except BrokenPipeError:
-        # Backstop for writes outside the safe writer (e.g. argparse).
+        # Backstop for writes outside the safe writer (e.g. argparse).  It
+        # must come first: a BrokenPipeError is also an OSError.
         _p._die()
         return 0
-    return int(result) if isinstance(result, int) else 0
+    except (ValueError, OSError, _service_error()) as exc:
+        _p(f"error: {exc}")
+        return 2
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -710,34 +767,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return validate_main()
 
 
-def _cmd_obs_summary(args: argparse.Namespace) -> int:
+def _cmd_obs_summary(args: argparse.Namespace) -> None:
     from .obs import metrics_summary, read_metrics_jsonl
 
-    try:
-        records = read_metrics_jsonl(args.metrics)
-    except (OSError, ValueError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p(metrics_summary(records))
-    return 0
+    _p(metrics_summary(read_metrics_jsonl(args.metrics)))
 
 
 def _cmd_obs_check(args: argparse.Namespace) -> int:
     from .obs import read_metrics_jsonl
 
-    try:
-        records = read_metrics_jsonl(args.metrics)
-    except (OSError, ValueError) as exc:
-        _p(f"error: {exc}")
-        return 2
     reports = [
-        rec for rec in records
+        rec for rec in read_metrics_jsonl(args.metrics)
         if rec.get("kind") == "overlap" and (args.app is None or rec.get("app") == args.app)
     ]
     if not reports:
         which = f" for app {args.app!r}" if args.app else ""
-        _p(f"error: no overlap reports{which} in {args.metrics}")
-        return 2
+        raise ValueError(f"no overlap reports{which} in {args.metrics}")
     failed = 0
     for rec in reports:
         eff = rec["overlap_efficiency"]
@@ -752,59 +797,43 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------- run ledger
 
 
-def _cmd_ledger_record(args: argparse.Namespace) -> int:
-    from .obs import (
-        LedgerError,
-        RunLedger,
-        critical_path,
-        entries_from_metrics,
-        from_chrome_trace,
-        read_metrics_jsonl,
+def _cmd_ledger_record(args: argparse.Namespace) -> None:
+    from .obs import critical_path, entries_from_metrics, from_chrome_trace, read_metrics_jsonl
+
+    records = read_metrics_jsonl(args.metrics)
+    critical_paths = None
+    if args.trace:
+        report = critical_path(from_chrome_trace(args.trace))
+        apps = {r.get("app") for r in records if r.get("kind") == "overlap"}
+        critical_paths = {app: report.to_dict() for app in apps}
+    entries = entries_from_metrics(
+        records,
+        preset=args.preset,
+        source=args.source,
+        git_sha=args.git_sha,
+        critical_paths=critical_paths,
+        note=args.note,
     )
-
-    try:
-        records = read_metrics_jsonl(args.metrics)
-        critical_paths = None
-        if args.trace:
-            report = critical_path(from_chrome_trace(args.trace))
-            apps = {r.get("app") for r in records if r.get("kind") == "overlap"}
-            critical_paths = {app: report.to_dict() for app in apps}
-        entries = entries_from_metrics(
-            records,
-            preset=args.preset,
-            source=args.source,
-            git_sha=args.git_sha,
-            critical_paths=critical_paths,
-            note=args.note,
-        )
-        ledger = RunLedger(args.ledger)
-        for entry in entries:
-            appended = ledger.append(entry)
-            cp = appended.get("critical_path") or {}
-            dominant = f", critical path: {cp['dominant']}" if cp else ""
-            _p(f"recorded seq {appended['seq']}: {appended['app']}@{appended['preset']} "
-               f"overlap_efficiency "
-               f"{appended['measured']['overlap_efficiency']:.4f}{dominant} "
-               f"-> {ledger.path}")
-    except (OSError, LedgerError, ValueError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    return 0
+    ledger = RunLedger(args.ledger)
+    for entry in entries:
+        appended = ledger.append(entry)
+        cp = appended.get("critical_path") or {}
+        dominant = f", critical path: {cp['dominant']}" if cp else ""
+        _p(f"recorded seq {appended['seq']}: {appended['app']}@{appended['preset']} "
+           f"overlap_efficiency "
+           f"{appended['measured']['overlap_efficiency']:.4f}{dominant} "
+           f"-> {ledger.path}")
 
 
-def _cmd_ledger_list(args: argparse.Namespace) -> int:
-    from .obs import LEDGER_SCHEMA, LedgerError, RunLedger
+def _cmd_ledger_list(args: argparse.Namespace) -> None:
+    from .obs import LEDGER_SCHEMA
 
-    try:
-        entries = RunLedger(args.ledger).entries(app=args.app)
-    except LedgerError as exc:
-        _p(f"error: {exc}")
-        return 2
+    entries = RunLedger(args.ledger).entries(app=args.app)
     if args.limit:
         entries = entries[-args.limit:]
     if not entries:
         _p(f"(no entries in {args.ledger})")
-        return 0
+        return
     rows = []
     for e in entries:
         measured = e.get("measured") or {}
@@ -823,40 +852,28 @@ def _cmd_ledger_list(args: argparse.Namespace) -> int:
         rows,
         title=f"run ledger {args.ledger} (schema {LEDGER_SCHEMA})",
     ))
-    return 0
 
 
-def _cmd_ledger_diff(args: argparse.Namespace) -> int:
-    from .obs import LedgerError, RunLedger, render_diff
+def _cmd_ledger_diff(args: argparse.Namespace) -> None:
+    from .obs import render_diff
 
-    try:
-        ledger = RunLedger(args.ledger)
-        a, b = ledger.resolve(args.a), ledger.resolve(args.b)
-    except LedgerError as exc:
-        _p(f"error: {exc}")
-        return 2
+    ledger = RunLedger(args.ledger)
+    a, b = ledger.resolve(args.a), ledger.resolve(args.b)
     _p(render_diff(a, b))
-    return 0
 
 
 def _cmd_ledger_check(args: argparse.Namespace) -> int:
-    from .obs import LedgerError, RunLedger, fidelity_check, fidelity_report
+    from .obs import fidelity_check, fidelity_report
 
-    try:
-        entries = RunLedger(args.ledger).entries()
-    except LedgerError as exc:
-        _p(f"error: {exc}")
-        return 2
+    entries = RunLedger(args.ledger).entries()
     if not entries:
-        _p(f"error: ledger {args.ledger} is empty or missing")
-        return 2
+        raise LedgerError(f"ledger {args.ledger} is empty or missing")
     stats = fidelity_report(entries, band=args.band)
     if args.app is not None:
         stats = [st for st in stats if st.app == args.app]
     if not stats:
         which = f" for app {args.app!r}" if args.app else ""
-        _p(f"error: no design_run series{which} in {args.ledger}")
-        return 2
+        raise ValueError(f"no design_run series{which} in {args.ledger}")
     for st in stats:
         _p(st.summary(band=args.band))
     failures, warnings = fidelity_check(
@@ -872,147 +889,90 @@ def _cmd_ledger_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _cmd_obs_dashboard(args: argparse.Namespace) -> None:
+    from .obs import render_ascii, render_html
 
-    from .obs import LedgerError, RunLedger, render_ascii, render_html
-
-    try:
-        entries = RunLedger(args.ledger).entries()
-    except LedgerError as exc:
-        _p(f"error: {exc}")
-        return 2
+    entries = RunLedger(args.ledger).entries()
     _p(render_ascii(entries, band=args.band))
     if args.html:
-        path = Path(args.html)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_html(entries, band=args.band), encoding="utf-8")
-        _p(f"dashboard written to {path}")
-    return 0
+        _write_out(args.html, render_html(entries, band=args.band), "dashboard")
 
 
-def _scenario_from_args(args: argparse.Namespace):
-    from .faults import build_scenario
-
-    return build_scenario(
-        args.scenario,
-        factor=getattr(args, "factor", None),
-        at=getattr(args, "at", None),
-        duration=getattr(args, "duration", None),
-        node=getattr(args, "node", None),
-        seed=getattr(args, "seed", 0),
-    )
+# ------------------------------------------------------------------ faults
 
 
-def _append_fault_entries(ledger_path: str, results: list[dict], source: str) -> None:
-    from .obs import RunLedger, fault_run_entry
+def _append_fault_entries(ledger: str, results: list[dict]) -> None:
+    from .obs import fault_run_entry
 
-    ledger = RunLedger(ledger_path)
-    for result in results:
-        ledger.append(fault_run_entry(result, source=source))
-    _p(f"{len(results)} fault_run manifest(s) appended to {ledger.path}")
+    _append(ledger, [fault_run_entry(result, source="cli") for result in results],
+            f"{len(results)} fault_run manifest(s)")
 
 
-def _cmd_faults_run(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .faults import POLICIES, ResilienceReport, run_with_faults
+def _cmd_faults_run(args: argparse.Namespace) -> None:
+    from .faults import POLICIES, ResilienceReport, build_scenario, run_with_faults
 
     if args.policy not in POLICIES:
-        _p(f"error: unknown policy {args.policy!r}; expected one of {POLICIES}")
-        return 2
-    try:
-        scenario = _scenario_from_args(args)
-        result = run_with_faults(
-            args.app, scenario, args.policy, preset=args.preset, n=args.n, b=args.b
-        ).to_dict()
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return 2
-    if args.json:
-        _p(_json.dumps(result, indent=2, sort_keys=True))
-    else:
-        _p(ResilienceReport([result]).render_ascii())
+        raise ValueError(f"unknown policy {args.policy!r}; expected one of {POLICIES}")
+    scenario = build_scenario(args.scenario, factor=args.factor, at=args.at,
+                              duration=args.duration, node=args.node, seed=args.seed)
+    result = run_with_faults(
+        args.app, scenario, args.policy, preset=args.preset, n=args.n, b=args.b
+    ).to_dict()
+    _emit(args.json, result, lambda r: ResilienceReport([r]).render_ascii())
     if args.ledger:
-        _append_fault_entries(args.ledger, [result], source="cli")
-    return 0
+        _append_fault_entries(args.ledger, [result])
 
 
-def _cmd_faults_sweep(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
+def _cmd_faults_sweep(args: argparse.Namespace) -> None:
     from .faults import ResilienceReport
     from .parallel import resolve_cache
 
-    got = _run_job(
+    _, doc = _run_job(
         "faults",
         {"apps": args.apps, "scenarios": args.scenarios, "policies": args.policies,
          "preset": args.preset, "factor": args.factor, "seed": args.seed},
         jobs=args.jobs, cache=resolve_cache(args.cache),
     )
-    if got is None:
-        return 2
-    results = got[1]["results"]
+    results = doc["results"]
     _p(ResilienceReport(results).render_ascii())
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
-        _p(f"results written to {path}")
+        _write_out(args.out, _json_text(results), "results")
     if args.ledger:
-        _append_fault_entries(args.ledger, results, source="cli")
-    return 0
+        _append_fault_entries(args.ledger, results)
 
 
-def _cmd_faults_report(args: argparse.Namespace) -> int:
-    import json as _json
-
+def _cmd_faults_report(args: argparse.Namespace) -> None:
     from .faults import ResilienceReport
-    from .obs import LedgerError
 
-    try:
-        report = ResilienceReport.from_ledger(args.ledger)
-    except LedgerError as exc:
-        _p(f"error: {exc}")
-        return 2
-    if args.json:
-        _p(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        _p(report.render_ascii())
-    return 0
+    report = ResilienceReport.from_ledger(args.ledger)
+    _emit(args.json, report.to_dict(), lambda _: report.render_ascii())
+
+
+# ---------------------------------------------------------- campaign / tune
 
 
 def _emit_manifest(args: argparse.Namespace, manifest: dict, telemetry: dict,
-                   render, write) -> None:
+                   render) -> None:
     """Print a campaign / tune manifest (``--json``, or rendered plus the
     ``workers:`` telemetry footer) and write it to ``--out``."""
-    import json as _json
-    from pathlib import Path
+    _emit(args.json, manifest, render)
+    if not args.json and telemetry.get("executor"):
+        from .obs.dashboard import panel_lines, workers_panel
 
-    if args.json:
-        _p(_json.dumps(manifest, indent=2, sort_keys=True))
-    else:
-        _p(render(manifest))
-        if telemetry.get("executor"):
-            from .obs.dashboard import panel_lines, workers_panel
-
-            _p("workers:")
-            for line in panel_lines(workers_panel(telemetry)):
-                _p(line)
+        _p("workers:")
+        for line in panel_lines(workers_panel(telemetry)):
+            _p(line)
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(manifest, str(path))
-        _p(f"manifest written to {path}")
+        _write_out(args.out, _json_text(manifest) + "\n", "manifest")
 
 
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from .campaign import render_manifest, write_manifest
+def _cmd_campaign_run(args: argparse.Namespace) -> None:
+    from .campaign import render_manifest
+    from .obs import campaign_entry
     from .parallel import resolve_cache
 
     telemetry: dict = {}
-    got = _run_job(
+    _, manifest = _run_job(
         "campaign",
         {"apps": args.apps, "preset": args.preset, "scenarios": args.scenarios,
          "replicates": args.replicates, "seed": args.seed, "jitter": args.jitter,
@@ -1021,96 +981,34 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         jobs=args.jobs, cache=resolve_cache(args.cache), telemetry=telemetry,
         env_seed=True,
     )
-    if got is None:
-        return 2
-    manifest = got[1]
-    _emit_manifest(args, manifest, telemetry, render_manifest, write_manifest)
+    _emit_manifest(args, manifest, telemetry, render_manifest)
     if args.ledger:
-        from .obs import RunLedger, campaign_entry
-
-        ledger = RunLedger(args.ledger)
-        ledger.append(campaign_entry(manifest, source="cli", workers=telemetry))
-        _p(f"campaign manifest appended to {ledger.path}")
-    return 0
+        _append(args.ledger, [campaign_entry(manifest, source="cli", workers=telemetry)],
+                "campaign manifest")
 
 
-def _load_campaign_manifest(args: argparse.Namespace) -> dict | None:
-    """The manifest named by ``--manifest`` or the latest ledger entry."""
-    from .campaign import load_manifest
-    from .obs import LedgerError, RunLedger
-
-    if args.manifest:
-        return load_manifest(args.manifest)
-    if args.ledger:
-        entries = RunLedger(args.ledger).entries(kind="campaign")
-        if not entries:
-            raise LedgerError(f"{args.ledger}: no campaign entries")
-        return entries[-1]
-    return None
-
-
-def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .campaign import render_manifest
-    from .obs import LedgerError
-
-    try:
-        manifest = _load_campaign_manifest(args)
-    except (OSError, ValueError, LedgerError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    if manifest is None:
-        _p("error: pass --manifest PATH or --ledger PATH")
-        return 2
-    if args.json:
-        _p(_json.dumps(manifest, indent=2, sort_keys=True))
-    else:
-        _p(render_manifest(manifest))
-    return 0
+def _cmd_report(args: argparse.Namespace) -> None:
+    """``campaign report`` / ``tune report``: a recorded ``args.kind``
+    manifest, as JSON or through the kind module's ``args.render``."""
+    module = import_module(f".{args.kind}", __package__)
+    manifest = _load_source(args, args.kind, module.load_manifest)
+    _emit(args.json, manifest, getattr(module, args.render))
 
 
 def _cmd_campaign_check(args: argparse.Namespace) -> int:
-    import json as _json
+    from .campaign import compare_campaigns, explain_comparison, load_manifest, render_check
+    from .obs import campaign_check_entry
 
-    from .campaign import (
-        DEFAULT_ALPHA,
-        DEFAULT_EFFECT,
-        compare_campaigns,
-        load_manifest,
-        render_check,
-    )
-
-    try:
-        baseline = load_manifest(args.baseline)
-        current = load_manifest(args.manifest)
-    except (OSError, ValueError) as exc:
-        _p(f"error: {exc}")
-        return 2
+    baseline, current = load_manifest(args.baseline), load_manifest(args.manifest)
     comparison = compare_campaigns(
-        baseline,
-        current,
-        alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        effect_threshold=args.effect if args.effect is not None else DEFAULT_EFFECT,
+        baseline, current, alpha=args.alpha, effect_threshold=args.effect
     )
-    if args.json:
-        _p(_json.dumps(comparison, indent=2, sort_keys=True))
-    else:
-        _p(render_check(comparison))
+    _emit(args.json, comparison, render_check)
     if args.ledger:
-        from .obs import RunLedger, campaign_check_entry
-
-        ledger = RunLedger(args.ledger)
-        ledger.append(campaign_check_entry(comparison, source="cli"))
-        _p(f"campaign_check manifest appended to {ledger.path}")
+        _append(args.ledger, [campaign_check_entry(comparison, source="cli")],
+                "campaign_check manifest")
     if args.explain or args.explain_out:
-        from .campaign import explain_comparison
-
-        try:
-            explains = explain_comparison(baseline, current, comparison=comparison)
-        except ValueError as exc:
-            _p(f"error: {exc}")
-            return 2
+        explains = explain_comparison(baseline, current, comparison=comparison)
         _emit_explains(explains, out=args.explain_out,
                        ledger=args.ledger, as_json=args.json)
     return 1 if comparison["verdict"] == "fail" else 0
@@ -1125,96 +1023,53 @@ def _emit_explains(
 ) -> None:
     """Print / persist explain manifests (shared by check --explain and
     obs explain)."""
-    import json as _json
-    from pathlib import Path
+    from .obs import explain_entry, render_explain
 
-    from .obs import render_explain
+    def render(docs: list[dict]) -> str:
+        if not docs:
+            return "nothing to explain (no flagged cells)"
+        return "\n".join(render_explain(doc) for doc in docs)
 
-    if as_json:
-        _p(_json.dumps(explains, indent=2, sort_keys=True))
-    elif not explains:
-        _p("nothing to explain (no flagged cells)")
-    else:
-        for manifest in explains:
-            _p(render_explain(manifest))
+    _emit(as_json, explains, render)
     if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            _json.dump(explains, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _p(f"explain manifests written to {path} ({len(explains)} cells)")
+        _write_out(out, _json_text(explains) + "\n", "explain manifests",
+                   f" ({len(explains)} cells)")
     if ledger and explains:
-        from .obs import RunLedger, explain_entry
-
-        led = RunLedger(ledger)
-        for manifest in explains:
-            led.append(explain_entry(manifest, source="cli"))
-        _p(f"{len(explains)} explain manifests appended to {led.path}")
+        _append(ledger, [explain_entry(doc, source="cli") for doc in explains],
+                f"{len(explains)} explain manifests")
 
 
-def _cmd_obs_explain(args: argparse.Namespace) -> int:
-    from .campaign import DEFAULT_ALPHA, DEFAULT_EFFECT, load_manifest
+def _cmd_obs_explain(args: argparse.Namespace) -> None:
+    from .campaign import load_manifest
     from .campaign.explain import explain_cell, explain_comparison
 
-    try:
-        baseline = load_manifest(args.baseline)
-        current = load_manifest(args.manifest)
-    except (OSError, ValueError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    try:
-        if args.cell:
-            keys = [k.strip() for k in args.cell.split(",") if k.strip()]
-            explains = [
-                explain_cell(baseline, current, key, replicate=args.replicate)
-                for key in keys
-            ]
-        else:
-            explains = explain_comparison(
-                baseline,
-                current,
-                alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-                effect_threshold=(
-                    args.effect if args.effect is not None else DEFAULT_EFFECT
-                ),
-            )
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return 2
+    baseline, current = load_manifest(args.baseline), load_manifest(args.manifest)
+    if args.cell:
+        keys = [k.strip() for k in args.cell.split(",") if k.strip()]
+        explains = [
+            explain_cell(baseline, current, key, replicate=args.replicate)
+            for key in keys
+        ]
+    else:
+        explains = explain_comparison(
+            baseline, current, alpha=args.alpha, effect_threshold=args.effect
+        )
     _emit_explains(explains, out=args.out, ledger=args.ledger, as_json=args.json)
-    return 0
 
 
-def _cmd_campaign_figures(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _cmd_campaign_figures(args: argparse.Namespace) -> None:
+    from .campaign import load_manifest, render_figures, render_timeline
 
-    from .campaign import render_figures, render_timeline
-    from .obs import LedgerError
-
-    try:
-        manifest = _load_campaign_manifest(args)
-    except (OSError, ValueError, LedgerError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    if manifest is None:
-        _p("error: pass --manifest PATH or --ledger PATH")
-        return 2
+    manifest = _load_source(args, "campaign", load_manifest)
     parts = [render_figures(manifest, width=args.width)]
     if args.ledger:
-        from .obs import RunLedger
-
         entries = RunLedger(args.ledger).entries(kind="campaign")
         if len(entries) > 1:
             parts.append(render_timeline(entries))
     text = "\n\n".join(parts)
     _p(text)
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", encoding="utf-8")
-        _p(f"figures written to {path}")
-    return 0
+        _write_out(args.out, text + "\n", "figures")
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -1232,11 +1087,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         selected = ALL_EXPERIMENTS
     # A disabled cache must stay off: None would consult $REPRO_CACHE again.
     cache = resolve_cache(args.cache) or False
-    try:
-        resolve_jobs(args.jobs)
-    except ValueError as exc:
-        _p(f"error: {exc}")
-        return 2
+    resolve_jobs(args.jobs)
     if _obs_enabled(args):
         from .obs import Tracer, set_tracer
 
@@ -1272,7 +1123,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             )
             _p(f"metrics written to {path}")
     if args.ledger:
-        from .obs import REGISTRY, RunLedger, experiments_entry
+        from .obs import REGISTRY, experiments_entry
         from .sim.analytic import fastpath_summary
 
         try:
@@ -1296,20 +1147,20 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune_run(args: argparse.Namespace) -> int:
+def _cmd_tune_run(args: argparse.Namespace) -> None:
+    from .obs import tune_entry
     from .parallel import resolve_cache
-    from .tune import render_tune, write_manifest
+    from .tune import render_tune
 
     space = args.space
     if args.kind or args.fixed or args.axis:
         if space:
-            _p("error: --space is exclusive with --kind/--fixed/--axis")
-            return 2
+            raise ValueError("--space is exclusive with --kind/--fixed/--axis")
         adhoc = {"kind": args.kind, "machine": args.machine,
                  "fixed": args.fixed, "axes": args.axis}
         space = {k: v for k, v in adhoc.items() if v is not None}
     telemetry: dict = {}
-    got = _run_job(
+    _, manifest = _run_job(
         "tune",
         {"space": space, "seed": args.seed, "eta": args.eta, "budget": args.budget,
          "refine": args.refine, "resilience": args.resilience,
@@ -1317,54 +1168,19 @@ def _cmd_tune_run(args: argparse.Namespace) -> int:
         jobs=args.jobs, cache=resolve_cache(args.cache), telemetry=telemetry,
         env_seed=True,
     )
-    if got is None:
-        return 2
-    manifest = got[1]
-    _emit_manifest(args, manifest, telemetry, render_tune, write_manifest)
+    _emit_manifest(args, manifest, telemetry, render_tune)
     if args.ledger:
-        from .obs import RunLedger, tune_entry
-
         ledger = RunLedger(args.ledger)
         entry = ledger.append(
             tune_entry(manifest, source="cli", workers=telemetry or None)
         )
         _p(f"recorded seq {entry['seq']}: tune manifest -> {ledger.path}")
-    return 0
-
-
-def _cmd_tune_report(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .obs import LedgerError
-    from .tune import load_manifest, render_tune
-
-    try:
-        if args.manifest:
-            manifest = load_manifest(args.manifest)
-        elif args.ledger:
-            from .obs import RunLedger
-
-            entries = RunLedger(args.ledger).entries(kind="tune")
-            if not entries:
-                raise LedgerError(f"{args.ledger}: no tune entries")
-            manifest = entries[-1]
-        else:
-            _p("error: pass --manifest PATH or --ledger PATH")
-            return 2
-    except (OSError, ValueError, LedgerError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    if args.json:
-        _p(_json.dumps(manifest, indent=2, sort_keys=True))
-    else:
-        _p(render_tune(manifest))
-    return 0
 
 
 # ------------------------------------------------------------------ service
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> None:
     import asyncio
     import signal
 
@@ -1400,21 +1216,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _p("service stopped cleanly")
 
     asyncio.run(_serve())
-    return 0
 
 
 def _parse_client_params(pairs: list[str] | None) -> dict:
     """``--param name=value`` pairs into a params dict (JSON values OK)."""
-    import json as _json
-
     params: dict = {}
     for pair in pairs or []:
         name, sep, raw = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"bad --param {pair!r}: expected NAME=VALUE")
         try:
-            params[name] = _json.loads(raw)
-        except _json.JSONDecodeError:
+            params[name] = json.loads(raw)
+        except json.JSONDecodeError:
             params[name] = raw
     return params
 
@@ -1428,12 +1241,8 @@ def _client_from_args(args: argparse.Namespace):
     return ServiceClient(host, int(port), client_id=args.client_id)
 
 
-def _print_job_status(doc: dict, as_json: bool) -> None:
-    import json as _json
-
-    if as_json:
-        _p(_json.dumps(doc, indent=2, sort_keys=True))
-        return
+def _job_line(doc: dict) -> str:
+    """A job status document as one ``job ID  kind=...  state=...`` line."""
     line = (f"job {doc.get('id')}  kind={doc.get('kind')}  "
             f"state={doc.get('state')}  source={doc.get('source')}")
     if doc.get("deduped"):
@@ -1442,101 +1251,47 @@ def _print_job_status(doc: dict, as_json: bool) -> None:
         line += f"  result_hash={doc['result_hash'][:16]}"
     if doc.get("error"):
         line += f"  error={doc['error']}"
-    _p(line)
+    return line
 
 
-def _cmd_client_submit(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        client = _client_from_args(args)
-        params = _parse_client_params(args.param)
-        doc = client.submit(args.kind, params, priority=args.priority)
-        if args.wait and doc.get("state") not in ("completed", "failed"):
-            waited = client.wait(doc["id"], timeout=args.timeout)
-            waited["deduped"] = doc.get("deduped", False)
-            doc = waited
-        _print_job_status(doc, args.json)
-        return 1 if doc.get("state") == "failed" else 0
-    except (ServiceError, ValueError, OSError, TimeoutError) as exc:
-        _p(f"error: {exc}")
-        return 2
-
-
-def _cmd_client_status(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        doc = _client_from_args(args).status(args.job)
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _print_job_status(doc, args.json)
-    return 0
-
-
-def _cmd_client_wait(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        doc = _client_from_args(args).wait(args.job, timeout=args.timeout)
-    except (ServiceError, ValueError, OSError, TimeoutError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _print_job_status(doc, args.json)
+def _job_exit(doc: dict) -> int:
+    """1 for a failed job, else 0."""
     return 1 if doc.get("state") == "failed" else 0
 
 
-def _cmd_client_result(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .service import ServiceError
-
-    try:
-        result = _client_from_args(args).result(args.job)
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p(_json.dumps(result, indent=2, sort_keys=True))
-    return 0
+def _cmd_client_submit(args: argparse.Namespace) -> int:
+    client = _client_from_args(args)
+    params = _parse_client_params(args.param)
+    doc = client.submit(args.kind, params, priority=args.priority)
+    if args.wait and doc.get("state") not in ("completed", "failed"):
+        waited = client.wait(doc["id"], timeout=args.timeout)
+        waited["deduped"] = doc.get("deduped", False)
+        doc = waited
+    _emit(args.json, doc, _job_line)
+    return _job_exit(doc)
 
 
-def _cmd_client_queue(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .service import ServiceError
-
-    try:
-        doc = _client_from_args(args).queue()
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p(_json.dumps(doc, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_client_pause(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        _client_from_args(args).pause()
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p("paused")
-    return 0
+#: ``client`` verb -> (render of the answer, None to print it as JSON;
+#: whether a failed job exits 1).  The request is the ``ServiceClient``
+#: method of the same name, given the verb's ``job`` and ``--timeout``.
+_CLIENT_VERBS = {
+    "status": (_job_line, False),
+    "wait": (_job_line, True),
+    "result": (None, False),
+    "queue": (None, False),
+    "pause": (lambda doc: "paused", False),
+    "resume": (lambda doc: "resumed", False),
+}
 
 
-def _cmd_client_resume(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        _client_from_args(args).resume()
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p("resumed")
-    return 0
+def _cmd_client(args: argparse.Namespace) -> int:
+    render, gated = _CLIENT_VERBS[args.client_command]
+    request = getattr(_client_from_args(args), args.client_command)
+    job = [args.job] if "job" in args else []
+    wait = {"timeout": args.timeout} if "timeout" in args else {}
+    doc = request(*job, **wait)
+    _emit(render is None or getattr(args, "json", False), doc, render)
+    return _job_exit(doc) if gated else 0
 
 
 if __name__ == "__main__":  # pragma: no cover
