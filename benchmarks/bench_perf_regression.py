@@ -327,9 +327,10 @@ def check_campaign(
     a fraction of a second, so a single sample is noisy) and fails when
     points/s lands more than ``tolerance`` below the recorded
     ``campaign`` figure.  The
-    default perturbation model puts a stall burst in every replicate,
-    so this gates the untraced DES replicate path plus the harness's own
-    overhead (perturbation sampling, histogram merging, aggregation).
+    default perturbation model puts a stall burst in every replicate:
+    LU folds it into the analytic replay and FW runs the untraced DES,
+    so this gates both replicate paths plus the harness's own overhead
+    (perturbation sampling, histogram merging, aggregation).
     Returns 0 on pass, 1 on regression, 2 when the baseline is missing
     or has no campaign figure.
     """
@@ -479,6 +480,7 @@ def check_tune() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Help strings go through %-formatting: a percent sign is written %%.
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--jobs",
@@ -508,20 +510,20 @@ def main(argv: list[str] | None = None) -> int:
         "--check-sweep",
         action="store_true",
         help="compare serial sweep throughput (points/s) against the "
-        f"recorded baseline; non-zero exit when > {SWEEP_TOLERANCE:.0%} below",
+        f"recorded baseline; non-zero exit when > {SWEEP_TOLERANCE:.0%}% below",
     )
     parser.add_argument(
         "--check-campaign",
         action="store_true",
         help="compare serial campaign throughput (points/s) against the "
-        f"recorded baseline; non-zero exit when > {CAMPAIGN_TOLERANCE:.0%} below",
+        f"recorded baseline; non-zero exit when > {CAMPAIGN_TOLERANCE:.0%}% below",
     )
     parser.add_argument(
         "--check-tune",
         action="store_true",
         help="assert the guided search lands within "
-        f"{TUNE_GAP:.0%} of the exhaustive optimum at <= "
-        f"{TUNE_BUDGET_FRACTION:.0%} of the exhaustive DES evals",
+        f"{TUNE_GAP:.0%}% of the exhaustive optimum at <= "
+        f"{TUNE_BUDGET_FRACTION:.0%}% of the exhaustive DES evals",
     )
     parser.add_argument(
         "--tolerance",

@@ -31,6 +31,8 @@ __all__ = ["analytic_fw", "analytic_fw_batch"]
 
 
 def _fw_params(spec: MachineSpec, config: FwSimConfig, design, rates=NOMINAL_RATES):
+    if rates.stalls:
+        raise FastPathUnsupported("the FW fold has no stall term", reason="faults")
     if design is None:
         design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
     layout = ColumnBlockLayout(config.nb, spec.p)
@@ -63,7 +65,8 @@ def analytic_fw(
 ) -> FwSimResult:
     """Replay the FW schedule without a DES (bitwise exact).
 
-    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``.
+    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``;
+    ``dma_stall`` windows refuse with reason ``faults``.
     """
     design, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = _fw_params(
         spec, config, design, rates

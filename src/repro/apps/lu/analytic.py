@@ -34,7 +34,7 @@ from typing import Optional
 from ...hw.mm_design import MatrixMultiplyDesign
 from ...kernels.flops import getrf_flops, trsm_flops
 from ...machine.system import MachineSpec
-from ...sim.analytic import NOMINAL_RATES, Replay, SteadyRates
+from ...sim.analytic import NOMINAL_RATES, Replay, SteadyRates, fault_nodes
 from .simulate import (
     LuSimConfig,
     LuSimResult,
@@ -51,17 +51,23 @@ def analytic_lu(
     config: LuSimConfig,
     design: Optional[MatrixMultiplyDesign] = None,
     rates: SteadyRates = NOMINAL_RATES,
+    stall_log: Optional[list] = None,
 ) -> LuSimResult:
     """Replay the distributed LU schedule without a DES (bitwise exact).
 
-    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``.
-    Raises :class:`repro.sim.analytic.FastPathUnsupported` when the
-    schedule hits an ambiguous same-time resource tie (then only the
-    DES's micro-ordering can decide the outcome).
+    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``,
+    and each of its ``stalls`` into a hold on the stalled nodes' ``B_d``
+    channel queues.  A finished replay appends the stalls' grant and
+    release marks to ``stall_log`` (see
+    :meth:`repro.faults.FaultInjector.install_folded`).  Raises
+    :class:`repro.sim.analytic.FastPathUnsupported` when the schedule
+    hits an ambiguous same-time resource tie (then only the DES's
+    micro-ordering can decide the outcome).
     """
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
     p = spec.p
+    stalls = [(event, i) for event in rates.stalls for i in fault_nodes(event.node, p)]
     if p < 2:
         raise ValueError("the distributed LU design needs p >= 2 nodes")
     nb, b, b_f, b_p, S = config.nb, config.b, config.b_f, config.b_p, config.superstripes
@@ -180,11 +186,20 @@ def analytic_lu(
             else:
                 yield from worker_iteration(i, t)
 
+    def stall(event, i: int):
+        yield ("stall", i, event.duration, (event, i))
+
+    # Stall processes first and in FaultInjector.install's order, as the
+    # DES spawns them.
+    for event, i in stalls:
+        engine.spawn(stall(event, i), event.at)
     for i in range(p):
         engine.advance(node_main(i), 0.0)
         if config.collect_results:
             engine.advance(ms_sink(i), 0.0)
     elapsed = engine.run()
+    if stall_log is not None:
+        stall_log.extend(engine.marks)
     return LuSimResult(
         elapsed=elapsed,
         useful_flops=(2.0 / 3.0) * float(config.n) ** 3,

@@ -130,11 +130,11 @@ def iteration_jobs(t: int, nb: int) -> list[tuple[int, int]]:
     return out
 
 
-def _analytic_lu(spec, config, design, rates):
+def _analytic_lu(spec, config, design, rates, stall_log):
     # Deferred import: .analytic imports this module's schedule helpers.
     from .analytic import analytic_lu
 
-    return analytic_lu(spec, config, design, rates)
+    return analytic_lu(spec, config, design, rates, stall_log)
 
 
 def _analytic_block_mm(spec, b, b_f, k, design, stripes):
@@ -166,19 +166,21 @@ def simulate_lu(
     ``"auto"`` (bitwise-identical analytic replay when eligible, DES
     otherwise), ``"on"`` (raise if ineligible), ``"off"`` (always DES),
     or None for the process default (``REPRO_FAST_PATH``, else auto).
-    Steady whole-run rate faults fold into the replay; see
-    :func:`repro.sim.analytic.fast_path_refusal`.
+    Steady whole-run rate faults and ``dma_stall`` windows fold into the
+    replay; see :func:`repro.sim.analytic.fast_path_refusal`.
     """
     from ...sim.analytic import try_fast_path
 
+    stall_log: list = []
     fast = try_fast_path(
         "lu",
-        lambda rates: _analytic_lu(spec, config, design, rates),
+        lambda rates: _analytic_lu(spec, config, design, rates, stall_log),
         mode=fast_path,
         trace=trace,
         node_specs=node_specs,
         monitor=monitor,
         faults=faults,
+        stall_log=stall_log,
     )
     if fast is not None:
         return fast

@@ -36,8 +36,11 @@ def analytic_mm(
 ) -> MmSimResult:
     """Replay the ring-MM schedule without a DES (bitwise exact).
 
-    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``.
+    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``;
+    ``dma_stall`` windows refuse with reason ``faults``.
     """
+    if rates.stalls:
+        raise FastPathUnsupported("the MM fold has no stall term", reason="faults")
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
     p = spec.p

@@ -87,10 +87,11 @@ class DesignRunner:
     overlap reconciliation, neither of which needs a trace, and
     :func:`repro.campaign.explain.run_traced` re-runs a replicate with
     tracing when a regression needs explaining.  Untraced, a replicate
-    whose perturbation is steady rate jitter alone (no stall burst)
-    takes the analytic fast path with its factors folded in
-    (:func:`repro.sim.analytic.fast_path_refusal`); stall bursts and
-    other fault timelines still run the DES.
+    whose perturbation is steady rate jitter takes the analytic fast
+    path with its factors folded in
+    (:func:`repro.sim.analytic.fast_path_refusal`).  An LU replicate
+    folds its stall burst too; an FW replicate with a stall burst, and
+    any other fault timeline, still runs the DES.
     """
 
     apps = ("lu", "fw")

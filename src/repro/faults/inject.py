@@ -14,7 +14,8 @@ already re-read on each grant, so the simulator hot path is untouched:
 * ``dram_contention`` -- scales ``BandwidthChannel.bandwidth`` on the
   node's B_d channel (read per transfer);
 * ``dma_stall`` -- holds the B_d channel's grant lock for the stall
-  window, so queued transfers wait exactly as a wedged DMA engine would;
+  window, so queued transfers wait exactly as a wedged DMA engine would
+  (the LU analytic replay folds these as holds on its channel queue);
 * ``node_failure`` -- a fault process raises :class:`NodeFailureError`
   at the failure time; the engine wraps it in a structured
   :class:`~repro.sim.ProcessFailure` carrying process/time/lane context.
@@ -35,10 +36,11 @@ injection log.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+import functools
+from typing import Any, Iterable, Optional
 
 from ..machine.system import ReconfigurableSystem
-from ..sim.analytic import SteadyRates, scale_in_order
+from ..sim.analytic import SteadyRates, fault_nodes, scale_in_order
 from .scenarios import RATE_KINDS, FaultEvent, FaultScenario
 
 __all__ = ["FaultInjector", "NodeFailureError"]
@@ -105,41 +107,57 @@ class FaultInjector:
             raise RuntimeError("FaultInjector already installed; use one per run")
         self._installed = True
 
-    def steady_rates(self) -> Optional[SteadyRates]:
-        """The scenario as rate factors an analytic replay can fold in.
+    @functools.cached_property
+    def timeline(self) -> tuple[FaultEvent, ...]:
+        """The scenario's :meth:`FaultScenario.expand`, expanded once."""
+        return self.scenario.expand()
 
-        Foldable means no stall bursts and every expanded event a steady
-        rate fault (``duration=None``) at ``at <= 0`` on every node
-        (``node=None``): exactly the events :meth:`install` applies
-        synchronously at t=0 to every target.  Factors keep
+    def steady_rates(self) -> Optional[SteadyRates]:
+        """The scenario as faults an analytic replay can fold in.
+
+        Foldable means every expanded event is either a steady rate fault
+        (``duration=None``) at ``at <= 0`` on every node (``node=None``)
+        -- exactly the events :meth:`install` applies synchronously at
+        t=0 to every target -- or a ``dma_stall``.  Factors keep
         :meth:`FaultScenario.expand` order, the order :meth:`_scaled`
-        multiplies them in.  Returns None for any other timeline (the run
-        needs the DES).
+        multiplies them in; stalls keep it too, the order :meth:`install`
+        spawns their processes in.  Returns None for any other timeline
+        (the run needs the DES).  Stall node ids are checked against the
+        machine by the replay (:func:`~repro.sim.analytic.fault_nodes`),
+        with the same error :meth:`install` raises.
         """
-        if self.scenario.bursts:
-            return None
         factors: dict[str, list[float]] = {kind: [] for kind in RATE_KINDS}
-        for event in self.scenario.expand():
-            if not (event.steady and event.at <= 0 and event.node is None):
+        stalls: list[FaultEvent] = []
+        for event in self.timeline:
+            if event.kind == "dma_stall":
+                stalls.append(event)
+            elif event.steady and event.at <= 0 and event.node is None:
+                factors[event.kind].append(event.factor)
+            else:
                 return None
-            factors[event.kind].append(event.factor)
         return SteadyRates(
             link=tuple(factors["link_slowdown"]),
             clock=tuple(factors["fpga_throttle"]),
             dram=tuple(factors["dram_contention"]),
+            stalls=tuple(stalls),
         )
 
-    def install_folded(self) -> "FaultInjector":
+    def install_folded(self, stall_log: Iterable = ()) -> "FaultInjector":
         """Record a run whose :meth:`steady_rates` an analytic replay folded.
 
-        Claims the injector like :meth:`install` and logs the same t=0
-        ``apply`` entry per event, in :meth:`FaultScenario.expand` order.
-        Foldable events target every node, so there is no node id to
-        validate against the machine.
+        Claims the injector like :meth:`install` and logs what the DES
+        run would: first the t=0 ``apply`` entry per rate event, in
+        :meth:`FaultScenario.expand` order, then each stall's ``apply``
+        and ``revert`` at the replay's grant and release times.
+        ``stall_log`` holds those ``((event, node), phase, t)`` marks in
+        replay order (:attr:`repro.sim.analytic.Replay.marks`).
         """
         self._claim()
-        for event in self.scenario.expand():
-            self._log(event, "apply", 0.0)
+        for event in self.timeline:
+            if event.kind != "dma_stall":
+                self._log(event, "apply", 0.0)
+        for (event, node), phase, t in stall_log:
+            self._log(event, phase, t, node=node)
         return self
 
     def install(self, system: ReconfigurableSystem) -> "FaultInjector":
@@ -153,11 +171,8 @@ class FaultInjector:
         self.system = system
         sim = system.sim
         p = system.p
-        for event in self.scenario.expand():
-            if event.node is not None and not 0 <= event.node < p:
-                raise ValueError(
-                    f"fault event targets node {event.node}, but the machine has p={p}"
-                )
+        for event in self.timeline:
+            fault_nodes(event.node, p)  # raises on a node outside the machine
             if event.kind == "node_failure":
                 if self.fail_fast:
                     sim.process(
@@ -222,7 +237,7 @@ class FaultInjector:
     # -- perturbation mechanics -----------------------------------------
 
     def _nodes_of(self, event: FaultEvent) -> range | tuple[int, ...]:
-        return range(self.system.p) if event.node is None else (event.node,)
+        return fault_nodes(event.node, self.system.p)
 
     def _targets(self, event: FaultEvent) -> list[tuple]:
         if event.kind == "link_slowdown":

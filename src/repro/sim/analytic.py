@@ -45,10 +45,13 @@ coverage (see docs/performance.md):
   (``trace`` / ``monitor`` / ``faults`` / ``node-specs`` /
   ``ambiguous-tie`` / ``unsupported-config`` / ``disabled``).
 
-Steady rate faults fold in: a fault injector whose scenario only scales
-service rates, for the whole run and on every node, hands its factors
-over as :class:`SteadyRates`, and the replays apply them to ``B_n``,
-``F_f`` and ``B_d`` exactly as the DES injector does (see
+Faults fold in: a fault injector whose scenario only scales service
+rates for the whole run on every node, plus any number of ``dma_stall``
+windows, hands them over as :class:`SteadyRates`.  The replays apply
+the factors to ``B_n``, ``F_f`` and ``B_d`` exactly as the DES injector
+does; the LU replay also holds its ``B_d`` channel queue for each stall
+window, as the DES injector holds the channel's grant lock, while the
+FW and MM replays refuse stalls with reason ``faults`` (see
 docs/performance.md).
 """
 
@@ -58,7 +61,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..obs.metrics import REGISTRY
 
@@ -71,6 +74,7 @@ __all__ = [
     "SteadyRates",
     "fast_path_refusal",
     "fastpath_summary",
+    "fault_nodes",
     "note_fallback",
     "note_point",
     "resolve_fast_path",
@@ -136,17 +140,38 @@ def scale_in_order(value: float, factors: Iterable[float]) -> float:
     return value
 
 
+def fault_nodes(node: Optional[int], p: int) -> "range | tuple[int, ...]":
+    """The node ids a fault aimed at ``node`` hits on a ``p``-node machine.
+
+    ``None`` means every node.  An id outside the machine raises the
+    :class:`ValueError` both the DES injector and the folded LU replay
+    report.
+    """
+    if node is None:
+        return range(p)
+    if not 0 <= node < p:
+        raise ValueError(f"fault event targets node {node}, but the machine has p={p}")
+    return (node,)
+
+
 @dataclass(frozen=True)
 class SteadyRates:
-    """Steady rate faults folded into an analytic replay.
+    """Faults folded into an analytic replay: steady rates and stall windows.
 
-    Each field lists one target's factors in the order the fault
-    injector applies them (see :func:`scale_in_order`).
+    ``link``, ``clock`` and ``dram`` list one target's factors in the
+    order the fault injector applies them (see :func:`scale_in_order`).
+    ``stalls`` lists the ``dma_stall`` events (anything with ``at``,
+    ``duration`` and ``node``) in :meth:`FaultScenario.expand` order, the
+    order the injector spawns its stall processes in.  Only the LU
+    replay models them, as FIFO holds on its ``B_d`` channel queue; the
+    FW and MM replays refuse a non-empty ``stalls`` with reason
+    ``faults``.
     """
 
     link: tuple[float, ...] = ()  # link_slowdown: network bandwidth B_n
     clock: tuple[float, ...] = ()  # fpga_throttle: design clock F_f
     dram: tuple[float, ...] = ()  # dram_contention: FPGA<->DRAM channel B_d
+    stalls: tuple = ()  # dma_stall: holds on the B_d channel
 
     def network_bandwidth(self, b_n: float) -> float:
         """``B_n`` as every send reads it after the link slowdowns."""
@@ -170,17 +195,30 @@ class SteadyRates:
 NOMINAL_RATES = SteadyRates()
 
 
-def _folded_rates(faults: Optional[object]) -> Optional[SteadyRates]:
-    """The rates a replay runs at under ``faults``; None when it needs the DES.
+def _eligibility(
+    trace: bool,
+    node_specs: Optional[list],
+    monitor: Optional[object],
+    faults: Optional[object],
+) -> tuple[Optional[str], Optional[SteadyRates]]:
+    """``(refusal reason, fold)``: exactly one of the two is None.
 
-    No injector means :data:`NOMINAL_RATES`.  Only injectors that offer
-    ``steady_rates()`` can fold; duck-typed stubs with just ``install``
-    always refuse.
+    No injector folds to :data:`NOMINAL_RATES`.  Only injectors that
+    offer ``steady_rates()`` can fold; duck-typed stubs with just
+    ``install`` always refuse.  The injector is asked only once the
+    other kwargs are eligible.
     """
+    if trace:
+        return "trace", None
+    if node_specs is not None:
+        return "node-specs", None
+    if monitor is not None:
+        return "monitor", None
     if faults is None:
-        return NOMINAL_RATES
-    fold = getattr(faults, "steady_rates", None)
-    return fold() if callable(fold) else None
+        return None, NOMINAL_RATES
+    steady_rates = getattr(faults, "steady_rates", None)
+    fold = steady_rates() if callable(steady_rates) else None
+    return ("faults" if fold is None else None), fold
 
 
 def fast_path_refusal(
@@ -194,20 +232,14 @@ def fast_path_refusal(
     Traces and monitors observe DES internals the analytic replay does
     not have; heterogeneous ``node_specs`` change per-node rates the
     replays assume uniform.  A fault injector is eligible only when its
-    scenario folds into :class:`SteadyRates` (no stall bursts, every
-    event a rate fault applied at ``t = 0`` on every node for the whole
-    run -- see :meth:`repro.faults.FaultInjector.steady_rates`); any
-    other fault timeline refuses with reason ``faults``.
+    scenario folds into :class:`SteadyRates`: every event a rate fault
+    applied at ``t = 0`` on every node for the whole run, or a
+    ``dma_stall`` (see :meth:`repro.faults.FaultInjector.steady_rates`);
+    any other fault timeline refuses with reason ``faults``.  Stalls pass
+    this check; the FW and MM replays then refuse them with reason
+    ``faults``, the LU replay folds them.
     """
-    if trace:
-        return "trace"
-    if node_specs is not None:
-        return "node-specs"
-    if monitor is not None:
-        return "monitor"
-    if _folded_rates(faults) is None:
-        return "faults"
-    return None
+    return _eligibility(trace, node_specs, monitor, faults)[0]
 
 
 def note_point(app: str, path: str) -> None:
@@ -254,6 +286,7 @@ def try_fast_path(
     node_specs: Optional[list] = None,
     monitor: Optional[object] = None,
     faults: Optional[object] = None,
+    stall_log: Sequence = (),
 ):
     """The shared ``fast_path`` hook for the ``simulate_*`` entry points.
 
@@ -262,27 +295,30 @@ def try_fast_path(
     :data:`NOMINAL_RATES` without faults) and records usage counters.
     Returns the analytic result, or ``None`` when the caller must run
     the DES.  With ``mode == "on"`` an ineligible or refused run raises
-    :class:`FastPathUnsupported` instead of falling back.
+    :class:`FastPathUnsupported` instead of falling back.  The fold is
+    evaluated once per call.
 
     A folded injector is marked installed only once the replay has
     succeeded (``install_folded``), so a refused replay still hands the
-    DES an unused injector.
+    DES an unused injector.  ``stall_log`` is the list the solver's
+    replay filled with its stall grant/release marks (the ``stall`` op
+    of :class:`Replay`); it is handed to ``install_folded``.
     """
     mode = resolve_fast_path(mode)
     if mode == "off":
         note_fallback(app, "disabled")
     else:
-        reason = fast_path_refusal(trace, node_specs, monitor, faults)
+        reason, fold = _eligibility(trace, node_specs, monitor, faults)
         if reason is None:
             try:
-                result = solver(_folded_rates(faults))
+                result = solver(fold)
             except FastPathUnsupported as exc:
                 if mode == "on":
                     raise
                 reason = exc.reason
             else:
                 if faults is not None:
-                    faults.install_folded()
+                    faults.install_folded(stall_log)
                 note_point(app, "analytic")
                 return result
         if mode == "on":
@@ -354,6 +390,12 @@ class Replay:
         Block until the named completion events are set.
     ``("set", key)``
         Set a completion event immediately.
+    ``("stall", i, dur, mark)``
+        A ``dma_stall`` window: hold node *i*'s channel for ``dur`` in
+        FIFO order with the schedule's own holds.  Like the DES fault
+        process it is logged one step after its grant (``apply``) and
+        right after its release (``revert``), as ``(mark, phase, t)``
+        entries in :attr:`marks`; the generator is not resumed.
 
     The ambiguity detector lives in :meth:`_acq`: two same-timestamp
     acquisitions of one queue are allowed only if both are granted
@@ -382,6 +424,7 @@ class Replay:
         self.msg_count = 0
         self.events: dict = {}  # key -> completion time
         self.waiters: dict = {}  # key -> [countdown, gen, park_t] cells
+        self.marks: list = []  # (mark, "apply"|"revert", t) per stall, in order
         self.max_t = 0.0
 
     # -- queues ---------------------------------------------------------
@@ -423,9 +466,11 @@ class Replay:
             elif kind == 3:  # fpga waiter
                 i, key, dur = data
                 self._push(t + dur, "f", (i, key, t))
-            else:  # chan waiter
+            elif kind == 4:  # chan waiter
                 i, gen, dur = data
                 self._push(t + dur, "h", (i, gen, t))
+            else:  # stall waiter
+                self._push(t, "s", data)
 
     def _push(self, t: float, kind: str, data) -> None:
         self.seq += 1
@@ -474,6 +519,13 @@ class Replay:
         return None
 
     # -- generator driver ------------------------------------------------
+
+    def spawn(self, gen, at: float) -> None:
+        """Start ``gen`` at time ``at`` (at once when ``at <= 0``)."""
+        if at > 0:
+            self._push(at, "g", gen)
+        else:
+            self.advance(gen, 0.0)
 
     def advance(self, gen, t: float) -> None:
         """Drive ``gen`` from time ``t`` until it blocks or finishes."""
@@ -536,6 +588,14 @@ class Replay:
                     self._push(t + dur, "f", (i, key, t))
                 else:
                     q.q.append((3, (i, key, dur)))
+            elif code == "stall":
+                _, i, dur, mark = op
+                q = self.chan[i]
+                if self._acq(q, t, None):
+                    self._push(t, "s", (i, dur, mark))
+                else:
+                    q.q.append((5, (i, dur, mark)))
+                return
             else:  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown replay op {code!r}")
 
@@ -572,9 +632,17 @@ class Replay:
                 i, gen, start = data
                 self._rel(self.chan[i], t)
                 self.advance(gen, t)
-            else:  # "f": fpga job ends
+            elif kind == "f":  # fpga job ends
                 i, key, start = data
                 self._rel(self.fpga[i], t)
                 self.fpga_busy[i] += t - start
                 self._set(key, t)
+            elif kind == "s":  # stall granted: log it, then hold the channel
+                _, dur, mark = data
+                self.marks.append((mark, "apply", t))
+                self._push(t + dur, "r", data)
+            else:  # "r": stall window ends
+                i, _, mark = data
+                self._rel(self.chan[i], t)
+                self.marks.append((mark, "revert", t))
         return self.max_t

@@ -1,12 +1,14 @@
-"""Differential tests: steady rate faults folded into the analytic replay.
+"""Differential tests: faults folded into the analytic replay.
 
 A fault injector whose scenario only scales ``B_n``, ``F_f`` and ``B_d``
 for the whole run on every node folds into the analytic fast path
-(:class:`repro.sim.analytic.SteadyRates`).  The folded replay must be
-**bitwise** identical to the DES with the injector installed -- every
-``*SimResult`` field compared with ``==`` -- and must leave the same
-injection log.  Every other fault timeline still falls back to the DES
-with reason ``faults``.
+(:class:`repro.sim.analytic.SteadyRates`); LU additionally folds
+``dma_stall`` windows as FIFO holds on the replay's B_d channel queue.
+The folded replay must be **bitwise** identical to the DES with the
+injector installed -- every ``*SimResult`` field compared with ``==`` --
+and must leave the same injection log.  FW and MM with stall bursts, and
+every other fault timeline, still fall back to the DES with reason
+``faults``.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def test_jitter_only_campaign_replicates_match_the_des(seed):
 
 
 # -----------------------------------------------------------------------
-# refusal: anything but a steady whole-run rate fault needs the DES
+# refusal: anything but steady whole-run rate faults needs the DES
+# (LU alone also folds stalls)
 # -----------------------------------------------------------------------
 
 
@@ -180,7 +183,14 @@ def test_unfoldable_scenarios_fall_back_with_reason_faults(app, name):
     spec = ALL_PRESETS["xd1"]()
     simulate, cfg = APPS[app](spec)
     injector = FaultInjector(UNFOLDABLE[name])
-    assert injector.steady_rates() is None
+    if name == "burst":
+        # Stall windows fold; the LU replay models them, FW/MM refuse.
+        assert len(injector.steady_rates().stalls) == 2
+        if app == "lu":
+            assert _lu_stall_outcome(spec, cfg, UNFOLDABLE[name]) == "folded"
+            return
+    else:
+        assert injector.steady_rates() is None
     before = _fallbacks(app, "faults")
     try:
         simulate(spec, cfg, faults=injector, fast_path="auto")
@@ -191,6 +201,187 @@ def test_unfoldable_scenarios_fall_back_with_reason_faults(app, name):
     with pytest.raises(FastPathUnsupported) as exc:
         simulate(spec, cfg, faults=FaultInjector(UNFOLDABLE[name]), fast_path="on")
     assert exc.value.reason == "faults"
+
+
+# -----------------------------------------------------------------------
+# LU folds dma_stall windows into the replay's channel queue
+# -----------------------------------------------------------------------
+
+LU_PRESETS = ("xd1", "xt3", "rasc")
+
+
+def _stall_bursts(p):
+    return st.lists(
+        st.builds(
+            StallBurst,
+            count=st.integers(1, 8),
+            start=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+            window=st.floats(1e-3, 1.0),
+            # Short stalls as in the default model, plus long ones that
+            # reach the critical path and move the makespan.
+            mean_duration=st.one_of(st.floats(1e-5, 1e-2), st.floats(1e-2, 3.0)),
+            node=st.one_of(st.none(), st.integers(0, p - 1)),
+        ),
+        min_size=1,
+        max_size=2,
+    )
+
+
+@st.composite
+def lu_stall_points(draw):
+    preset = draw(st.sampled_from(LU_PRESETS))
+    spec = ALL_PRESETS[preset]()
+    b, k = 3000, 8
+    cfg = LuSimConfig(
+        n=draw(st.sampled_from((6000, 9000))),
+        b=b,
+        k=k,
+        b_f=draw(st.sampled_from((0, 360, 1080, 2000, b))),
+        l=draw(st.integers(0, 3)),
+        superstripes=draw(st.integers(1, 6)),
+        overlap=draw(st.booleans()),
+        collect_results=draw(st.booleans()),
+    )
+    scenario = FaultScenario(
+        name="drawn",
+        events=tuple(draw(st.lists(
+            st.builds(lambda kind, f: FaultEvent(kind=kind, factor=f),
+                      st.sampled_from(RATE_KINDS), factors),
+            max_size=3,
+        ))),
+        bursts=tuple(draw(_stall_bursts(spec.p))),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    return spec, cfg, scenario
+
+
+def _lu_stall_outcome(spec, cfg, scenario):
+    """"folded" after a bitwise match with the DES, or "refused".
+
+    A refusal passes only as an ambiguous tie, and only once the DES
+    has run the point in its place.
+    """
+    injector = FaultInjector(scenario)
+    analytic = _points("lu", "analytic")
+    ties = _fallbacks("lu", "ambiguous-tie")
+    got = simulate_lu(spec, cfg, faults=injector, fast_path="auto")
+    if _points("lu", "analytic") == analytic:
+        assert _fallbacks("lu", "ambiguous-tie") == ties + 1
+        assert injector.system is not None  # the DES ran instead
+        return "refused"
+    assert injector.system is None
+    des = FaultInjector(scenario)
+    ref = simulate_lu(spec, cfg, faults=des, fast_path="off")
+    for name in ("elapsed", "cpu_busy", "fpga_busy", "network_bytes"):
+        assert getattr(got, name) == getattr(ref, name), name
+    assert injector.injected == des.injected
+    return "folded"
+
+
+def test_lu_stall_bursts_match_the_des_bitwise():
+    outcomes = []
+
+    @given(point=lu_stall_points())
+    @settings(max_examples=60, deadline=None, database=None)
+    def check(point):
+        outcomes.append(_lu_stall_outcome(*point))
+
+    check()
+    # The suite must not pass by refusing: most draws fold.
+    assert outcomes.count("folded") >= 0.6 * len(outcomes), outcomes
+
+
+#: Default-model campaign replicates (4-stall burst over every node plus
+#: B_n/B_d/F_f jitter) at fixed seeds.
+CAMPAIGN_SEEDS = tuple(range(8))
+
+
+@pytest.mark.parametrize("preset", ["xd1", "xt3"])
+def test_default_model_lu_replicates_fold_and_match_the_des(preset):
+    spec = CampaignSpec(apps=("lu",), presets=(preset,), replicates=len(CAMPAIGN_SEEDS),
+                        seed=11)
+    tasks = campaign_tasks(spec)
+    runner = DesignRunner()
+    folded = 0
+    for task in tasks:
+        scenario = FaultScenario.from_dict(task["scenario"])
+        assert scenario.bursts  # the default model always stalls
+        before = _points("lu", "analytic")
+        got = runner.run(task)
+        folded += _points("lu", "analytic") - before
+        set_fast_path_mode("off")
+        try:
+            assert runner.run(task) == got
+        finally:
+            set_fast_path_mode(None)
+    assert folded == len(tasks)
+
+
+@pytest.mark.parametrize("at", [0.0, 2.5])
+def test_explicit_stalls_on_one_node_fold(at):
+    # at == 0 holds the channel before any schedule op; at > 0 waits.
+    spec = ALL_PRESETS["xd1"]()
+    _, cfg = _lu(spec)
+    scenario = FaultScenario(
+        name="explicit",
+        events=(
+            FaultEvent(kind="dma_stall", at=at, duration=0.5, node=2),
+            FaultEvent(kind="dma_stall", at=at + 0.25, duration=0.5, node=2),
+            FaultEvent(kind="dram_contention", factor=0.9),
+        ),
+    )
+    assert _lu_stall_outcome(spec, cfg, scenario) == "folded"
+
+
+def test_folded_stall_log_has_grant_and_release_times():
+    spec = ALL_PRESETS["xd1"]()
+    _, cfg = _lu(spec)
+    scenario = FaultScenario(
+        name="queued",
+        events=(
+            FaultEvent(kind="link_slowdown", factor=0.9),
+            FaultEvent(kind="dma_stall", at=1.0, duration=0.5, node=1),
+            FaultEvent(kind="dma_stall", at=1.25, duration=0.5, node=1),
+        ),
+    )
+    injector = FaultInjector(scenario)
+    simulate_lu(spec, cfg, faults=injector, fast_path="on")
+    log = [(e["kind"], e["phase"], e["node"], e["t"]) for e in injector.injected]
+    # The second stall queues behind the first: granted at its release.
+    assert log == [
+        ("link_slowdown", "apply", None, 0.0),
+        ("dma_stall", "apply", 1, 1.0),
+        ("dma_stall", "revert", 1, 1.5),
+        ("dma_stall", "apply", 1, 1.5),
+        ("dma_stall", "revert", 1, 2.0),
+    ]
+
+
+def test_same_instant_stall_marks_keep_the_des_order():
+    # Node 1's stall ends exactly when node 2's starts (1.0 + 0.5 == 1.5).
+    # The DES logs node 1's revert first: node 2's apply waits one event
+    # step for its lock grant, which the replay mirrors.
+    spec = ALL_PRESETS["xd1"]()
+    _, cfg = _lu(spec)
+    scenario = FaultScenario(
+        name="abutting",
+        events=(
+            FaultEvent(kind="dma_stall", at=1.0, duration=0.5, node=1),
+            FaultEvent(kind="dma_stall", at=1.5, duration=0.5, node=2),
+        ),
+    )
+    assert _lu_stall_outcome(spec, cfg, scenario) == "folded"
+
+
+@pytest.mark.parametrize("mode", ["auto", "off"])
+def test_stall_on_a_missing_node_raises_like_install(mode):
+    spec = ALL_PRESETS["xd1"]()
+    _, cfg = _lu(spec)
+    scenario = FaultScenario(
+        name="bad-node", bursts=(StallBurst(count=1, node=spec.p),)
+    )
+    with pytest.raises(ValueError, match=f"targets node {spec.p}, but the machine has p="):
+        simulate_lu(spec, cfg, faults=FaultInjector(scenario), fast_path=mode)
 
 
 def test_steady_rates_keep_expand_order_per_target():
