@@ -25,7 +25,7 @@ from typing import Any, Iterable, Optional
 
 from ..faults.scenarios import FaultEvent, FaultScenario
 from ..obs.metrics import REGISTRY, Histogram
-from ..parallel import ResultCache, SweepExecutor, cache_from_env
+from ..parallel import as_cache, cached_map, executor_for, sweep_telemetry
 from ..sim.analytic import fastpath_summary
 from .perturb import PerturbationModel, default_model
 from .runner import DesignRunner, run_replicate
@@ -290,10 +290,10 @@ def run_campaign(
 ) -> dict[str, Any]:
     """Run the campaign; returns the aggregated manifest.
 
-    ``jobs`` is a worker count, ``"auto"``, or None (consults
-    ``REPRO_PARALLEL``); ``cache`` is a :class:`ResultCache`, a
-    directory path, True (default ``.repro_cache/``), False (off), or
-    None (consults ``REPRO_CACHE``).  Results come back in task order
+    ``jobs`` is a worker count, ``"auto"``, None (consults
+    ``REPRO_PARALLEL``) or an existing :class:`~repro.parallel.
+    SweepExecutor`, reused and left open; ``cache`` is anything
+    :func:`~repro.parallel.as_cache` takes.  Results come back in task order
     regardless of worker scheduling, so the manifest -- and any ledger
     entry written from it -- is bitwise identical across serial and
     parallel runs of the same spec.
@@ -310,41 +310,15 @@ def run_campaign(
     """
     paths_before = _simulated_paths()
     tasks = campaign_tasks(spec)
-    if cache is None:
-        cache = cache_from_env()
-    elif cache is False:
-        cache = None
-    elif cache is True:
-        cache = ResultCache()
-    elif not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
-    executor = SweepExecutor(jobs)
-    if cache is None:
-        results = executor.map(run_replicate, tasks)
-    else:
-        results = [None] * len(tasks)
-        misses: list[int] = []
-        for i, task in enumerate(tasks):
-            entry = cache.get(task)
-            if entry is None:
-                misses.append(i)
-            else:
-                results[i] = entry["value"]
-        if misses:
-            got = executor.map(run_replicate, [tasks[i] for i in misses])
-            for i, value in zip(misses, got):
-                cache.put(tasks[i], value)
-                results[i] = value
-
+    cache = as_cache(cache)
+    with executor_for(jobs) as executor:
+        results = cached_map(tasks, lambda todo: executor.map(run_replicate, todo), cache)
     if telemetry is not None:
-        telemetry["executor"] = dict(executor.last_telemetry)
+        telemetry.update(sweep_telemetry(executor, cache))
         telemetry["replicates"] = {
             path: count - paths_before[path]
             for path, count in _simulated_paths().items()
         }
-        if cache is not None:
-            telemetry["cache"] = dict(cache.stats)
-            telemetry["cache_hit_rate"] = cache.hit_rate
 
     # Fold task-ordered results back into cells (same nesting order as
     # campaign_tasks: app -> preset -> scenario -> replicate).

@@ -211,16 +211,16 @@ def _run_job(
     rejected request raises ``ValueError``.
     """
     from .campaign import resolve_seed
-    from .parallel import resolve_jobs
+    from .parallel import executor_for
     from .service.jobs import normalize_request
     from .service.runners import RunnerContext, run_manifest
 
-    resolve_jobs(jobs)
-    if env_seed:
-        params["seed"] = resolve_seed(params.get("seed"))
-    manifest = normalize_request(kind, {k: v for k, v in params.items() if v is not None})
-    ctx = RunnerContext(jobs=jobs, cache=cache, telemetry=telemetry)
-    return manifest["params"], run_manifest(manifest, ctx)
+    with executor_for(jobs) as executor:
+        if env_seed:
+            params["seed"] = resolve_seed(params.get("seed"))
+        manifest = normalize_request(kind, {k: v for k, v in params.items() if v is not None})
+        ctx = RunnerContext(executor, cache, telemetry=telemetry)
+        return manifest["params"], run_manifest(manifest, ctx)
 
 
 #: Per app: chart title and the paper's claims for the four ratios
@@ -256,14 +256,14 @@ def _cmd_design(args: argparse.Namespace) -> int:
     a warm cache replays the stored ``lu_compare``/``fw_compare`` values
     and the cache footer reports the lookups.
     """
-    from .parallel import resolve_cache
+    from .parallel import as_cache
 
     app = args.app
     if _obs_enabled(args):
         from .obs import Tracer, set_tracer
 
         set_tracer(Tracer())
-    cache = resolve_cache(args.cache) if args.cache is not None else None
+    cache = as_cache(args.cache) if args.cache is not None else None
     params, result = _run_job(
         "design", {"app": app, "n": args.n, "b": args.b, "p": args.p}, cache=cache
     )
@@ -925,13 +925,13 @@ def _cmd_faults_run(args: argparse.Namespace) -> None:
 
 def _cmd_faults_sweep(args: argparse.Namespace) -> None:
     from .faults import ResilienceReport
-    from .parallel import resolve_cache
+    from .parallel import as_cache
 
     _, doc = _run_job(
         "faults",
         {"apps": args.apps, "scenarios": args.scenarios, "policies": args.policies,
          "preset": args.preset, "factor": args.factor, "seed": args.seed},
-        jobs=args.jobs, cache=resolve_cache(args.cache),
+        jobs=args.jobs, cache=as_cache(args.cache),
     )
     results = doc["results"]
     _p(ResilienceReport(results).render_ascii())
@@ -969,7 +969,7 @@ def _emit_manifest(args: argparse.Namespace, manifest: dict, telemetry: dict,
 def _cmd_campaign_run(args: argparse.Namespace) -> None:
     from .campaign import render_manifest
     from .obs import campaign_entry
-    from .parallel import resolve_cache
+    from .parallel import as_cache
 
     telemetry: dict = {}
     _, manifest = _run_job(
@@ -978,7 +978,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> None:
          "replicates": args.replicates, "seed": args.seed, "jitter": args.jitter,
          "stalls": args.stalls, "throttle_fpga": args.throttle_fpga,
          "factor": args.factor},
-        jobs=args.jobs, cache=resolve_cache(args.cache), telemetry=telemetry,
+        jobs=args.jobs, cache=as_cache(args.cache), telemetry=telemetry,
         env_seed=True,
     )
     _emit_manifest(args, manifest, telemetry, render_manifest)
@@ -1074,7 +1074,6 @@ def _cmd_campaign_figures(args: argparse.Namespace) -> None:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS, active_cache, configured
-    from .parallel import resolve_cache, resolve_jobs
 
     if args.only:
         wanted = [name.strip() for name in args.only.split(",")]
@@ -1085,16 +1084,13 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         selected = {name: ALL_EXPERIMENTS[name] for name in wanted}
     else:
         selected = ALL_EXPERIMENTS
-    # A disabled cache must stay off: None would consult $REPRO_CACHE again.
-    cache = resolve_cache(args.cache) or False
-    resolve_jobs(args.jobs)
     if _obs_enabled(args):
         from .obs import Tracer, set_tracer
 
         set_tracer(Tracer())
     failed = []
     outcomes: list[tuple[str, bool]] = []
-    with configured(jobs=args.jobs, cache=cache, fast_path=args.fast_path):
+    with configured(jobs=args.jobs, cache=args.cache, fast_path=args.fast_path):
         for name, fn in selected.items():
             result = fn()
             outcomes.append((name, result.ok))
@@ -1149,7 +1145,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_tune_run(args: argparse.Namespace) -> None:
     from .obs import tune_entry
-    from .parallel import resolve_cache
+    from .parallel import as_cache
     from .tune import render_tune
 
     space = args.space
@@ -1165,7 +1161,7 @@ def _cmd_tune_run(args: argparse.Namespace) -> None:
         {"space": space, "seed": args.seed, "eta": args.eta, "budget": args.budget,
          "refine": args.refine, "resilience": args.resilience,
          "resilience_keep": args.resilience_keep},
-        jobs=args.jobs, cache=resolve_cache(args.cache), telemetry=telemetry,
+        jobs=args.jobs, cache=as_cache(args.cache), telemetry=telemetry,
         env_seed=True,
     )
     _emit_manifest(args, manifest, telemetry, render_tune)
@@ -1184,14 +1180,14 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     import asyncio
     import signal
 
-    from .parallel import resolve_cache
+    from .parallel import as_cache
     from .service import CodesignServer
 
     server = CodesignServer(
         args.host,
         args.port,
         jobs=args.jobs,
-        cache=resolve_cache(args.cache),
+        cache=as_cache(args.cache),
         ledger=args.ledger,
         rate_capacity=args.rate_capacity,
         rate_refill_per_s=args.rate_refill,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .analysis import Series, bar_chart, line_chart, percent, table
@@ -29,7 +28,7 @@ from .hw import FloydWarshallDesign, MatrixMultiplyDesign
 from .kernels.flops import getrf_flops, trsm_flops
 from .machine import ALL_PRESETS, cray_xd1
 from .obs import REGISTRY, get_tracer
-from .parallel import ResultCache, SweepExecutor, cache_from_env
+from .parallel import ResultCache, SweepExecutor, as_cache, cached_map, executor_for
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -75,11 +74,12 @@ class ExperimentResult:
 # ------------------------------------------------ sweep execution context
 #
 # Every simulation an experiment runs is expressed as a JSON-able *task*
-# and evaluated through ``_eval_sim_points``, which consults the active
-# result cache (warm re-runs replay stored values instead of
-# re-simulating) and fans cache misses out across the active executor.
-# Each simulation runs in its own Simulator, so results are identical
-# regardless of worker count or cache state.
+# and evaluated through ``_eval_sim_points``: the active result cache
+# replays stored values (``repro.parallel.cached_map``) and the misses go
+# to ``_run_sim_tasks``, which batch-solves what it can and fans the rest
+# out across the active executor.  Each simulation runs in its own
+# Simulator, so results are identical regardless of worker count or
+# cache state.
 
 _EXECUTOR: Optional[SweepExecutor] = None
 _CACHE: Optional[ResultCache] = None
@@ -91,51 +91,34 @@ _CACHE: Optional[ResultCache] = None
 SIM_CALLS = 0
 
 
-def _coerce_cache(cache: Any) -> Optional[ResultCache]:
-    if cache is None:
-        return cache_from_env()
-    if cache is False:
-        return None
-    if cache is True:
-        return ResultCache()
-    if isinstance(cache, (str, Path)):
-        return ResultCache(cache)
-    return cache
-
-
 @contextmanager
-def configured(jobs: Any = None, cache: Any = None, fast_path: Any = None,
-               executor: Optional[SweepExecutor] = None):
+def configured(jobs: Any = None, cache: Any = None, fast_path: Any = None):
     """Run experiments with a given executor/cache configuration.
 
-    ``jobs``: worker count, ``"auto"``, or None to consult the
-    ``REPRO_PARALLEL`` environment variable.  ``cache``: a directory
-    path, a :class:`ResultCache`, True (default ``.repro_cache/``),
-    False (force off), or None to consult ``REPRO_CACHE``.
+    ``jobs``: worker count, ``"auto"``, None to consult the
+    ``REPRO_PARALLEL`` environment variable, or an existing
+    :class:`SweepExecutor` to reuse (the service shares one pool across
+    jobs); only an executor built here is closed on exit (see
+    :func:`~repro.parallel.executor_for`).  ``cache``: anything
+    :func:`~repro.parallel.as_cache` takes -- a directory path, a
+    :class:`ResultCache`, True (default ``.repro_cache/``), False
+    (force off), or None to consult ``REPRO_CACHE``.
     ``fast_path``: ``"auto"`` / ``"on"`` / ``"off"`` for the analytic
     no-contention fast path, or None to consult ``REPRO_FAST_PATH``
     (default auto); results are bitwise identical either way.
-    ``executor``: an existing :class:`SweepExecutor` to reuse (the
-    service shares one pool across jobs); the block then leaves its
-    lifetime alone -- only executors this function creates are closed.
     """
     global _EXECUTOR, _CACHE
     from .sim.analytic import set_fast_path_mode
 
     prev = (_EXECUTOR, _CACHE)
-    owns = executor is None
-    if executor is None:
-        executor = SweepExecutor(jobs)
-    _EXECUTOR = executor
-    _CACHE = _coerce_cache(cache)
     prev_mode = set_fast_path_mode(fast_path)
     try:
-        yield (_EXECUTOR, _CACHE)
+        with executor_for(jobs) as executor:
+            _EXECUTOR, _CACHE = executor, as_cache(cache)
+            yield (_EXECUTOR, _CACHE)
     finally:
         set_fast_path_mode(prev_mode)
         _EXECUTOR, _CACHE = prev
-        if owns:
-            executor.close()
 
 
 def active_cache() -> Optional[ResultCache]:
@@ -288,31 +271,14 @@ def _run_sim_tasks(tasks: list[dict], executor) -> list[Any]:
 
 def _eval_sim_points(tasks: list[dict]) -> list[Any]:
     """Evaluate tasks through the active cache and executor, in order."""
-    cache = _CACHE
-    executor = _EXECUTOR
     REGISTRY.counter("experiments.sim_points").inc(len(tasks))
-    if cache is None:
-        with get_tracer().span("eval_sim_points", category="sweep", tasks=len(tasks)):
-            return _run_sim_tasks(tasks, executor)
-    values: list[Any] = [None] * len(tasks)
-    misses: list[int] = []
-    with get_tracer().span("cache.lookup_batch", category="cache", tasks=len(tasks)):
-        for i, task in enumerate(tasks):
-            entry = cache.get(task)
-            if entry is None:
-                misses.append(i)
-            else:
-                values[i] = entry["value"]
-    if misses:
-        todo = [tasks[i] for i in misses]
-        with get_tracer().span(
-            "eval_sim_points", category="sweep", tasks=len(todo), cached=len(tasks) - len(todo)
-        ):
-            got = _run_sim_tasks(todo, executor)
-        for i, value in zip(misses, got):
-            cache.put(tasks[i], value)
-            values[i] = value
-    return values
+
+    def compute(todo: list[dict]) -> list[Any]:
+        with get_tracer().span("eval_sim_points", category="sweep", tasks=len(todo),
+                               cached=len(tasks) - len(todo)):
+            return _run_sim_tasks(todo, _EXECUTOR)
+
+    return cached_map(tasks, compute, _CACHE)
 
 
 def _eval_sim_point(task: dict) -> Any:

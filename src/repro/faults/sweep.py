@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from ..parallel import ResultCache, SweepExecutor, cache_from_env
+from ..parallel import as_cache, cached_map, executor_for
 from .adapt import run_with_faults
 from .scenarios import FaultScenario
 
@@ -75,36 +75,15 @@ def fault_sweep(
 ) -> list[dict[str, Any]]:
     """Run the apps x scenarios x policies grid; returns result dicts.
 
-    ``jobs`` is a worker count, ``"auto"``, or None (consults
-    ``REPRO_PARALLEL``); ``cache`` is a :class:`ResultCache`, a
-    directory path, True (default ``.repro_cache/``), False (off), or
-    None (consults ``REPRO_CACHE``).  Results come back in task-grid
-    order regardless of worker scheduling, so a sweep's output -- and
-    any ledger written from it -- is deterministic.
+    ``jobs`` is a worker count, ``"auto"``, None (consults
+    ``REPRO_PARALLEL``) or an existing :class:`~repro.parallel.
+    SweepExecutor`, reused and left open; ``cache`` is anything
+    :func:`~repro.parallel.as_cache` takes.  Results come back in
+    task-grid order regardless of worker scheduling, so a sweep's
+    output -- and any ledger written from it -- is deterministic.
     """
     tasks = fault_tasks(apps, scenarios, policies, preset=preset, sizes=sizes)
-    if cache is None:
-        cache = cache_from_env()
-    elif cache is False:
-        cache = None
-    elif cache is True:
-        cache = ResultCache()
-    elif not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
-    executor = SweepExecutor(jobs)
-    if cache is None:
-        return executor.map(run_fault_task, tasks)
-    values: list[Any] = [None] * len(tasks)
-    misses: list[int] = []
-    for i, task in enumerate(tasks):
-        entry = cache.get(task)
-        if entry is None:
-            misses.append(i)
-        else:
-            values[i] = entry["value"]
-    if misses:
-        got = executor.map(run_fault_task, [tasks[i] for i in misses])
-        for i, value in zip(misses, got):
-            cache.put(tasks[i], value)
-            values[i] = value
-    return values
+    with executor_for(jobs) as executor:
+        return cached_map(
+            tasks, lambda todo: executor.map(run_fault_task, todo), as_cache(cache)
+        )

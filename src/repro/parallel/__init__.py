@@ -1,34 +1,44 @@
 """Sweep execution subsystem: parallel fan-out and content-addressed caching.
 
-Every figure/table reproduction is a sweep over independent design points;
-this package makes those sweeps fast and incremental:
+Every figure/table reproduction, campaign, guided search and fault sweep
+is a sweep over independent tasks, and all of them run through the same
+three pieces:
 
-* :mod:`repro.parallel.grid` -- canonical hashing of design-point
-  parameters (the cache key machinery) and cartesian parameter grids,
-* :mod:`repro.parallel.cache` -- a content-addressed JSON result cache
-  under ``.repro_cache/`` keyed on (params, machine, source-hash salt),
-* :mod:`repro.parallel.executor` -- a process-pool fan-out executor with
-  deterministic result ordering and a serial fallback.
+* :func:`as_cache` -- the one coercion of a ``cache=`` argument (None
+  consults ``REPRO_CACHE``, False or an off spelling disables, True is
+  ``.repro_cache/``, a path is that directory, a :class:`ResultCache`
+  is itself),
+* :func:`cached_map` -- the one loop: look every task up, hand the
+  misses to one ``compute`` call in task order, store what it returns,
+* :func:`executor_for` -- the one ``jobs=`` spelling: a worker count,
+  ``"auto"``, None (consults ``REPRO_PARALLEL``) or an existing
+  :class:`SweepExecutor`, which is reused and left open; one built
+  from a count is closed when the call returns.
 
-Opt-in knobs: the ``REPRO_PARALLEL`` environment variable or ``--jobs``
-CLI flag select worker count; ``REPRO_CACHE`` points the cache somewhere
-other than ``.repro_cache/`` (or disables it with ``off``).
+Underneath, :mod:`repro.parallel.grid` holds the canonical hashing of
+task payloads (the cache key machinery) and parameter grids,
+:mod:`repro.parallel.cache` the content-addressed JSON result cache
+keyed on (payload, source-hash salt), and
+:mod:`repro.parallel.executor` the process-pool executor with
+deterministic result ordering and a serial fallback.
 """
 
-from .cache import ResultCache, cache_from_env, code_salt, resolve_cache
-from .executor import SweepExecutor, resolve_jobs
+from .cache import ResultCache, as_cache, cache_from_env, cached_map, code_salt
+from .executor import SweepExecutor, executor_for, resolve_jobs, sweep_telemetry
 from .grid import ParamGrid, canonical, canonical_json, canonical_key
 
 __all__ = [
     "ResultCache",
+    "as_cache",
     "cache_from_env",
-    "resolve_cache",
+    "cached_map",
     "SweepExecutor",
+    "executor_for",
     "resolve_jobs",
+    "sweep_telemetry",
     "ParamGrid",
     "canonical",
     "canonical_json",
     "canonical_key",
     "code_salt",
 ]
-

@@ -24,10 +24,11 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from ..obs.metrics import REGISTRY
+from ..obs.tracing import get_tracer
 from .grid import canonical_json
 
 __all__ = [
-    "CODE_SALT", "ResultCache", "cache_from_env", "code_salt", "resolve_cache",
+    "CODE_SALT", "ResultCache", "as_cache", "cache_from_env", "cached_map", "code_salt",
     "source_salt",
 ]
 
@@ -151,19 +152,6 @@ class ResultCache:
                 pass
             raise
 
-    def cached_eval(self, payload: Any, compute: Callable[[], Any]) -> Any:
-        """``compute()``'s value for ``payload``, from cache when possible.
-
-        The workhorse call: experiments wrap each simulation in this so a
-        warm re-run replays stored values instead of re-simulating.
-        """
-        entry = self.get(payload)
-        if entry is not None:
-            return entry["value"]
-        value = compute()
-        self.put(payload, value)
-        return value
-
     # -- maintenance ----------------------------------------------------
 
     def clear(self) -> int:
@@ -209,23 +197,55 @@ class ResultCache:
         return f"<ResultCache {self.root} salt={self.salt!r} {self.stats}>"
 
 
-def cache_from_env(default: Optional[str] = None) -> Optional[ResultCache]:
-    """Build a cache from ``REPRO_CACHE`` (or ``default`` when unset).
-
-    Values ``off``, ``0``, ``none``, ``false`` and empty disable caching;
-    anything else is the cache directory.  Returns None when
-    disabled/unconfigured.
-    """
-    raw = os.environ.get(CACHE_ENV_VAR, default)
-    if raw is None or raw.strip().lower() in _OFF:
-        return None
-    return ResultCache(raw)
+def cache_from_env() -> Optional[ResultCache]:
+    """The cache ``REPRO_CACHE`` names, or None when it is unset or one
+    of the off spellings (``off``, ``0``, ``none``, ``false``, empty)."""
+    return as_cache(os.environ.get(CACHE_ENV_VAR, False))
 
 
-def resolve_cache(value: Optional[str]) -> Optional[ResultCache]:
-    """A ``--cache`` argument as a cache: unset (None) defers to
-    :func:`cache_from_env`, an off spelling disables, anything else is
-    the cache directory."""
+def as_cache(value: Any) -> Optional[ResultCache]:
+    """The one cache coercion for every ``cache=`` argument and ``--cache``
+    flag: None defers to :func:`cache_from_env`, False (or an off
+    spelling) disables, True is :data:`DEFAULT_CACHE_DIR`, a
+    :class:`ResultCache` is itself, and any other str/path is the cache
+    directory."""
     if value is None:
         return cache_from_env()
-    return None if value.strip().lower() in _OFF else ResultCache(value)
+    if value is False or (isinstance(value, str) and value.strip().lower() in _OFF):
+        return None
+    if value is True:
+        return ResultCache()
+    return value if isinstance(value, ResultCache) else ResultCache(value)
+
+
+def cached_map(
+    tasks: list[Any],
+    compute: Callable[[list[Any]], list[Any]],
+    cache: Optional[ResultCache],
+) -> list[Any]:
+    """``compute(tasks)``, replaying every task ``cache`` already holds.
+
+    The one cached fan-out of every sweep.  With no cache this is
+    ``compute(tasks)``.  Otherwise each task is looked up once, the
+    misses go to a single ``compute`` call in task order (so a batch
+    solver or an executor sees them together), and each computed value
+    is stored before the results come back in task order.  ``compute``
+    must return one JSON round-trippable value per task it is given.
+    """
+    if cache is None:
+        return compute(tasks)
+    values: list[Any] = [None] * len(tasks)
+    misses: list[int] = []
+    with get_tracer().span("cache.lookup_batch", category="cache", tasks=len(tasks)):
+        for i, task in enumerate(tasks):
+            entry = cache.get(task)
+            if entry is None:
+                misses.append(i)
+            else:
+                values[i] = entry["value"]
+    if misses:
+        got = compute([tasks[i] for i in misses])
+        for i, value in zip(misses, got):
+            cache.put(tasks[i], value)
+            values[i] = value
+    return values

@@ -26,12 +26,13 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import get_tracer
 
-__all__ = ["SweepExecutor", "resolve_jobs"]
+__all__ = ["SweepExecutor", "executor_for", "resolve_jobs", "sweep_telemetry"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -135,10 +136,10 @@ class SweepExecutor:
 
     The worker pool is created lazily on the first parallel :meth:`map`
     and reused across calls, so repeated sweeps (a whole ``configured()``
-    block) pay pool startup once.  Call :meth:`close` (or use the
-    executor via :func:`repro.experiments.configured`, which does) to
-    release the workers; a closed executor transparently re-opens the
-    pool if mapped again.
+    block) pay pool startup once.  Call :meth:`close` (or build the
+    executor through :func:`executor_for`, which does) to release the
+    workers; a closed executor transparently re-opens the pool if mapped
+    again.
     """
 
     def __init__(self, jobs: Optional[int | str] = None) -> None:
@@ -330,3 +331,29 @@ class SweepExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SweepExecutor jobs={self.jobs}>"
+
+
+@contextmanager
+def executor_for(jobs: Any = None) -> Iterator[SweepExecutor]:
+    """The executor a sweep call maps on, from its ``jobs=`` argument.
+
+    An existing :class:`SweepExecutor` (the service's persistent pool) is
+    reused and left open; a worker count, ``"auto"`` or None builds one
+    that is closed when the block exits.
+    """
+    if isinstance(jobs, SweepExecutor):
+        yield jobs
+        return
+    with SweepExecutor(jobs) as executor:
+        yield executor
+
+
+def sweep_telemetry(executor: SweepExecutor, cache: Any) -> dict[str, Any]:
+    """The run-health block a sweep reports beside its manifest: the
+    executor's last-map telemetry and, with a cache, its hit statistics.
+    Wall-clock data -- never part of a deterministic manifest."""
+    block: dict[str, Any] = {"executor": dict(executor.last_telemetry)}
+    if cache is not None:
+        block["cache"] = dict(cache.stats)
+        block["cache_hit_rate"] = cache.hit_rate
+    return block

@@ -34,16 +34,18 @@ __all__ = [
 
 @dataclass
 class RunnerContext:
-    """What a runner may use: the server's shared executor and cache.
+    """What a runner may use: the executor and cache every kind maps on.
 
-    ``executor`` is the server's persistent :class:`~repro.parallel.
-    executor.SweepExecutor` (reused across jobs so the worker pool pays
-    startup once); ``cache`` is a :class:`~repro.parallel.cache.
-    ResultCache` or None (no cache: the environment is never consulted);
-    ``jobs`` is the raw worker-count setting for sub-runners that build
-    their own executors.  ``telemetry``, when a dict, is filled in place
-    with the wall-clock executor/cache data of ``campaign``/``tune``
-    runs -- never part of the result document.
+    ``executor`` is the :class:`~repro.parallel.executor.SweepExecutor`
+    every kind passes on as its ``jobs=`` (the server's persistent pool,
+    reused across jobs so it pays startup once; the CLI's is built per
+    command); None lets each sweep build its own from
+    ``REPRO_PARALLEL``.  ``cache`` is a :class:`~repro.parallel.cache.
+    ResultCache` or None (no cache: the environment is never consulted).
+    ``jobs`` is ignored: nothing reads it, and it stays only because
+    ``perfbench/make_reference.py`` still sets it.  ``telemetry``, when
+    a dict, is filled in place with the wall-clock executor/cache data
+    of ``campaign``/``tune`` runs -- never part of the result document.
     """
 
     executor: Any = None
@@ -135,7 +137,7 @@ def _run_design(params: dict[str, Any], ctx: RunnerContext) -> dict[str, Any]:
     if params["p"] != 6:
         # Default-p tasks share cache keys with the fig9 sweeps.
         task["p"] = params["p"]
-    with configured(executor=ctx.executor, cache=_cache_arg(ctx)):
+    with configured(jobs=ctx.executor, cache=_cache_arg(ctx)):
         compare = _eval_sim_point(task)
     return {"kind": "design", "app": app, "task": task, "compare": compare}
 
@@ -161,7 +163,7 @@ def _run_sweep(params: dict[str, Any], ctx: RunnerContext) -> dict[str, Any]:
     from ..experiments import ALL_EXPERIMENTS, configured
 
     results: dict[str, Any] = {}
-    with configured(executor=ctx.executor, cache=_cache_arg(ctx)):
+    with configured(jobs=ctx.executor, cache=_cache_arg(ctx)):
         for name in params["experiments"]:
             res = ALL_EXPERIMENTS[name]()
             results[name] = {
@@ -208,7 +210,7 @@ def _run_faults(params: dict[str, Any], ctx: RunnerContext) -> dict[str, Any]:
         _scenarios(params),
         params["policies"],
         preset=params["preset"],
-        jobs=ctx.jobs,
+        jobs=ctx.executor,
         cache=_cache_arg(ctx),
     )
     return {"kind": "faults", "results": results}
@@ -258,7 +260,7 @@ def _run_campaign(params: dict[str, Any], ctx: RunnerContext) -> dict[str, Any]:
         throttle_fpga=params["throttle_fpga"],
     )
     return run_campaign(
-        spec, jobs=ctx.jobs, cache=_cache_arg(ctx), telemetry=ctx.telemetry
+        spec, jobs=ctx.executor, cache=_cache_arg(ctx), telemetry=ctx.telemetry
     )
 
 
@@ -341,7 +343,8 @@ def _run_tune(params: dict[str, Any], ctx: RunnerContext) -> dict[str, Any]:
         resilience=params["resilience"],
         resilience_keep=params["resilience_keep"],
     )
-    return run_tune(spec, jobs=ctx.jobs, cache=_cache_arg(ctx), telemetry=ctx.telemetry)
+    return run_tune(spec, jobs=ctx.executor, cache=_cache_arg(ctx),
+                    telemetry=ctx.telemetry)
 
 
 # ------------------------------------------------------------------- table

@@ -47,7 +47,7 @@ from typing import Any, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from ..obs.metrics import REGISTRY
-from ..parallel.cache import ResultCache
+from ..parallel.cache import as_cache
 from ..parallel.executor import SweepExecutor
 from .jobs import Job, JobError, job_key, normalize_request, result_payload
 from .queue import DEFAULT_PRIORITY, PRIORITIES, JobQueue, RateLimiter
@@ -113,8 +113,8 @@ class CodesignServer:
         Worker count for the shared sweep executor (int, ``"auto"`` or
         None for ``REPRO_PARALLEL``).
     cache:
-        Result-cache directory or :class:`ResultCache`; None disables
-        job-level and point-level caching.
+        Result-cache directory or :class:`~repro.parallel.cache.
+        ResultCache`; None disables job-level and point-level caching.
     ledger:
         Run-ledger path; every finished job appends one ``service``
         entry.  None disables ledger recording.
@@ -142,12 +142,8 @@ class CodesignServer:
         self.host = host
         self.port = port
         self.bound_port: Optional[int] = None
-        self.jobs_setting = jobs
         self.executor = SweepExecutor(jobs)
-        if isinstance(cache, ResultCache) or cache is None:
-            self.cache = cache
-        else:
-            self.cache = ResultCache(cache)
+        self.cache = None if cache is None else as_cache(cache)
         if ledger is None:
             self.ledger = None
         else:
@@ -406,11 +402,11 @@ class CodesignServer:
     def _execute(self, job: Job) -> Any:
         """Run the job's runner (called in a thread; blocking is fine)."""
         self.executor.scope = job.id
+        # A job that maps nothing (every point cached) gets no telemetry
+        # rather than the previous job's.
+        self.executor.last_telemetry = {}
         try:
-            ctx = RunnerContext(
-                executor=self.executor, cache=self.cache, jobs=self.jobs_setting
-            )
-            return run_manifest(job.manifest, ctx)
+            return run_manifest(job.manifest, RunnerContext(self.executor, self.cache))
         finally:
             job.telemetry = dict(self.executor.last_telemetry)
             self.executor.scope = None

@@ -36,7 +36,8 @@ from typing import Any, Optional
 from ..campaign.seeds import derive_seed
 from ..faults.scenarios import build_scenario
 from ..obs.metrics import REGISTRY
-from ..parallel import ResultCache, SweepExecutor, cache_from_env
+from ..parallel import (ResultCache, SweepExecutor, as_cache, cached_map, executor_for,
+                        sweep_telemetry)
 from ..parallel.grid import canonical_json
 from .evaluate import objectives_for, point_task, resilience_task, run_tune_task
 from .pareto import DEFAULT_SENSES, pareto_front
@@ -118,51 +119,6 @@ class TuneSpec:
         )
 
 
-def _coerce_cache(cache: Any) -> Optional[ResultCache]:
-    if cache is None:
-        return cache_from_env()
-    if cache is False:
-        return None
-    if cache is True:
-        return ResultCache()
-    if isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
-
-
-class _Evaluator:
-    """Cache-aware batch evaluation with scheduled-eval accounting."""
-
-    def __init__(self, executor: SweepExecutor, cache: Optional[ResultCache]) -> None:
-        self.executor = executor
-        self.cache = cache
-        self.scheduled = {"analytic": 0, "des": 0, "resilience": 0}
-        self.cache_hits = 0
-
-    def __call__(self, tasks: list[dict[str, Any]], fidelity: str) -> list[Any]:
-        self.scheduled[fidelity] += len(tasks)
-        REGISTRY.counter(f"tune.evals.{fidelity}").inc(len(tasks))
-        if self.cache is None:
-            return self.executor.map(run_tune_task, tasks)
-        values: list[Any] = [None] * len(tasks)
-        misses: list[int] = []
-        for i, task in enumerate(tasks):
-            entry = self.cache.get(task)
-            if entry is None:
-                misses.append(i)
-            else:
-                values[i] = entry["value"]
-        hits = len(tasks) - len(misses)
-        self.cache_hits += hits
-        REGISTRY.counter("tune.cache_hits").inc(hits)
-        if misses:
-            got = self.executor.map(run_tune_task, [tasks[i] for i in misses])
-            for i, value in zip(misses, got):
-                self.cache.put(tasks[i], value)
-                values[i] = value
-        return values
-
-
 def _ranked(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Records by descending GFLOPS, canonical point JSON as tiebreak."""
     return sorted(
@@ -193,6 +149,17 @@ def run_tune(
     cache statistics -- kept out of the manifest, which must stay
     bitwise-deterministic across worker counts and cache states.
     """
+    with executor_for(jobs) as executor:
+        return _search(spec, executor, as_cache(cache), telemetry)
+
+
+def _search(
+    spec: TuneSpec,
+    executor: SweepExecutor,
+    cache: Optional[ResultCache],
+    telemetry: Optional[dict[str, Any]],
+) -> dict[str, Any]:
+    """:func:`run_tune` on a resolved executor and cache."""
     space = spec.space
     grid_size = len(space.grid())
     points = space.points()
@@ -200,8 +167,25 @@ def run_tune(
         raise ValueError("search space has no feasible points")
     n0 = len(points)
     budget = spec.effective_budget(n0)
-    executor = SweepExecutor(jobs)
-    evaluate = _Evaluator(executor, _coerce_cache(cache))
+    # Evaluations scheduled per fidelity (not cache misses), so a warm
+    # cache changes wall-clock only, never the manifest's ``evals``.
+    scheduled = {"analytic": 0, "des": 0, "resilience": 0}
+
+    def evaluate(tasks: list[dict[str, Any]], fidelity: str) -> list[Any]:
+        scheduled[fidelity] += len(tasks)
+        REGISTRY.counter(f"tune.evals.{fidelity}").inc(len(tasks))
+        computed = 0
+
+        def compute(todo: list[dict[str, Any]]) -> list[Any]:
+            nonlocal computed
+            computed = len(todo)
+            return executor.map(run_tune_task, todo)
+
+        values = cached_map(tasks, compute, cache)
+        if cache is not None:
+            REGISTRY.counter("tune.cache_hits").inc(len(tasks) - computed)
+        return values
+
     rungs: list[dict[str, Any]] = []
     records: dict[str, dict[str, Any]] = {}
 
@@ -313,10 +297,7 @@ def run_tune(
         )
 
     if telemetry is not None:
-        telemetry["executor"] = dict(executor.last_telemetry)
-        if evaluate.cache is not None:
-            telemetry["cache"] = dict(evaluate.cache.stats)
-            telemetry["cache_hit_rate"] = evaluate.cache.hit_rate
+        telemetry.update(sweep_telemetry(executor, cache))
 
     # -- Pareto front -----------------------------------------------------
     # With a resilience objective the front is over the fully-scored
@@ -344,7 +325,7 @@ def run_tune(
             "axes": {name: len(vals) for name, vals in space.axes.items()},
         },
         "budget": {"des": budget, "des_used": des_used},
-        "evals": dict(evaluate.scheduled),
+        "evals": dict(scheduled),
         "exhaustive_des": n0,
         "savings": {
             "des_evals_saved": n0 - des_used,

@@ -22,6 +22,7 @@ from repro.faults import (
 )
 from repro.machine import cray_xd1
 from repro.machine.system import ReconfigurableSystem
+from repro.parallel import ResultCache
 from repro.sim import ProcessFailure
 
 N, B = 12000, 3000  # small-but-real LU size (nb = 4, Table 1 latencies apply)
@@ -257,7 +258,7 @@ def test_fault_sweep_orders_results_and_caches(tmp_path):
     scenarios = [degraded_link(0.5), node_failure(node=1, at=0.05)]
     cache_dir = tmp_path / "cache"
     results = fault_sweep(
-        ["lu"], scenarios, ["fail-fast", "exclude-node"], cache=str(cache_dir)
+        ["lu"], scenarios, ["fail-fast", "exclude-node"], jobs=1, cache=str(cache_dir)
     )
     assert [(r["scenario"]["name"], r["policy"]) for r in results] == [
         ("degraded-link", "fail-fast"),
@@ -266,10 +267,17 @@ def test_fault_sweep_orders_results_and_caches(tmp_path):
         ("node-failure", "exclude-node"),
     ]
     assert results[2]["failed"] and not results[3]["failed"]
+    fanned = fault_sweep(
+        ["lu"], scenarios, ["fail-fast", "exclude-node"], jobs=2, cache=False
+    )
+    warm_cache = ResultCache(cache_dir)
     warm = fault_sweep(
-        ["lu"], scenarios, ["fail-fast", "exclude-node"], cache=str(cache_dir)
+        ["lu"], scenarios, ["fail-fast", "exclude-node"], jobs=1, cache=warm_cache
     )
     assert warm == results
+    # Cold serial == cold two-worker == warm serial, bitwise.
+    assert json.dumps(results) == json.dumps(fanned) == json.dumps(warm)
+    assert warm_cache.hits == warm_cache.lookups == len(results)
 
 
 # ---------------------------------------------------------------- report

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +16,15 @@ from repro.parallel import (
     ParamGrid,
     ResultCache,
     SweepExecutor,
+    as_cache,
     cache_from_env,
+    cached_map,
     canonical,
     canonical_json,
     canonical_key,
-    resolve_cache,
     resolve_jobs,
 )
+from repro.parallel import executor as executor_module
 from repro.parallel.executor import PARALLEL_ENV_VAR
 from repro.parallel.cache import CACHE_ENV_VAR, CODE_SALT, source_salt
 
@@ -124,17 +127,24 @@ def test_cache_salt_invalidation(tmp_path):
     assert ResultCache(root, salt="v2").get({"x": 1}) is None
 
 
-def test_cached_eval_computes_once(tmp_path):
+def test_cached_map_computes_each_miss_once_in_task_order(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    calls = []
+    batches = []
 
-    def compute():
-        calls.append(1)
-        return 7.25
+    def compute(todo):
+        batches.append(list(todo))
+        return [task["p"] * 7.25 for task in todo]
 
-    assert cache.cached_eval({"p": 1}, compute) == 7.25
-    assert cache.cached_eval({"p": 1}, compute) == 7.25
-    assert len(calls) == 1
+    assert cached_map([{"p": 1}, {"p": 2}], compute, cache) == [7.25, 14.5]
+    # Hits are replayed; the misses reach one compute call, in task order.
+    tasks = [{"p": 3}, {"p": 1}, {"p": 4}]
+    assert cached_map(tasks, compute, cache) == [21.75, 7.25, 29.0]
+    assert cached_map(tasks, compute, cache) == [21.75, 7.25, 29.0]
+    assert batches == [[{"p": 1}, {"p": 2}], [{"p": 3}, {"p": 4}]]
+    assert cache.stats == {"lookups": 8, "hits": 4, "misses": 4, "puts": 4, "evictions": 0}
+    # Without a cache every task goes to compute, in one call.
+    assert cached_map(tasks, compute, None) == [21.75, 7.25, 29.0]
+    assert batches[-1] == tasks
 
 
 def test_cache_round_trips_floats_exactly(tmp_path):
@@ -170,15 +180,20 @@ def test_cache_from_env(tmp_path, monkeypatch):
     assert cache is not None and cache.salt == CODE_SALT
 
 
-def test_resolve_cache_shares_the_off_spellings(tmp_path, monkeypatch):
+def test_as_cache_shares_the_off_spellings(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
     for off in ("", "off", "OFF", "0", "none", "false", " off "):
-        assert resolve_cache(off) is None
+        assert as_cache(off) is None
         monkeypatch.setenv(CACHE_ENV_VAR, off)
         assert cache_from_env() is None
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
-    assert resolve_cache(None).root == tmp_path / "env"  # unset defers to env
-    assert resolve_cache(str(tmp_path / "dir")).root == tmp_path / "dir"
+    assert as_cache(None).root == tmp_path / "env"  # unset defers to env
+    assert as_cache(False) is None
+    assert as_cache(True).root == Path(".repro_cache")
+    assert as_cache(str(tmp_path / "dir")).root == tmp_path / "dir"
+    assert as_cache(tmp_path / "dir").root == tmp_path / "dir"
+    own = ResultCache(tmp_path / "own")
+    assert as_cache(own) is own
 
 
 def test_code_salt_is_the_package_source_hash(tmp_path):
@@ -310,6 +325,69 @@ def test_sweep_with_executor_is_identical():
     plain = sweep("curve", values, _square)
     fanned = sweep("curve", values, _square, executor=SweepExecutor(jobs=2))
     assert plain.xs == fanned.xs and plain.ys == fanned.ys
+
+
+# -----------------------------------------------------------------------
+# one executor spelling: jobs= is a count or an existing executor
+# -----------------------------------------------------------------------
+
+
+def _map_in_configured(jobs):
+    from repro import experiments as E
+
+    with E.configured(jobs=jobs, cache=False) as (executor, _):
+        executor.map(_square, list(range(24)))
+
+
+def _small_campaign(jobs):
+    from repro.campaign import CampaignSpec, run_campaign
+
+    run_campaign(CampaignSpec(apps=("lu",), replicates=4, seed=1), jobs=jobs, cache=False)
+
+
+def _small_tune(jobs):
+    from repro.tune import SearchSpace, TuneSpec, run_tune
+
+    space = SearchSpace(kind="block_mm", machine="xd1", fixed={"b": 240, "k": 8},
+                        axes={"b_f": (0, 80, 160, 240)})
+    run_tune(TuneSpec(space=space, refine=0), jobs=jobs, cache=False)
+
+
+def _small_fault_sweep(jobs):
+    from repro.faults import degraded_link, fault_sweep
+
+    fault_sweep(["lu"], [degraded_link(0.5)],
+                ["degrade-static", "repartition", "fail-fast", "exclude-node"],
+                jobs=jobs, cache=False)
+
+
+@pytest.mark.parametrize(
+    "run", [_map_in_configured, _small_campaign, _small_tune, _small_fault_sweep],
+    ids=["configured", "campaign", "tune", "faults"],
+)
+def test_sweeps_close_the_pool_they_build_and_leave_a_passed_one_open(run, monkeypatch):
+    pools = []
+
+    class RecordingPool(executor_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shut = False
+            pools.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shut = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+    # Only an explicit close counts, not the garbage-collection safety net.
+    monkeypatch.setattr(SweepExecutor, "__del__", lambda self: None)
+    run(2)
+    assert len(pools) == 1 and pools[0].shut
+    with SweepExecutor(jobs=2) as shared:
+        run(shared)
+        assert shared._pool is pools[1] and not pools[1].shut
+        assert shared.map(_square, list(range(24))) == [_square(v) for v in range(24)]
+    assert len(pools) == 2 and pools[1].shut
 
 
 # -----------------------------------------------------------------------

@@ -171,14 +171,50 @@ def test_failed_design_job_reports_model_error(tmp_path):
     assert entries[0]["error"] == done["error"]
 
 
-def test_job_scoped_executor_telemetry(tmp_path):
-    """The shared executor tags each job's telemetry with the job id."""
+#: kind -> (params, the job's own task count read from its result).
+_TELEMETRY_JOBS = {
+    "design": ({"app": "fw", "n": 7680, "b": 256}, lambda result: 1),
+    "campaign": ({"apps": ["lu"], "replicates": 3, "seed": 7},
+                 lambda result: result["points"]),
+    "faults": ({"apps": ["lu"], "scenarios": ["degraded-link"],
+                "policies": ["degrade-static"], "seed": 7},
+               lambda result: len(result["results"])),
+    # The last rung is the last map the search made.
+    "tune": ({"space": {"kind": "block_mm", "machine": "xd1",
+                        "fixed": {"b": 240, "k": 8}, "axes": ["b_f=0,80,160,240"]}},
+             lambda result: result["rungs"][-1]["evaluated"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TELEMETRY_JOBS))
+def test_job_scoped_executor_telemetry(tmp_path, kind):
+    """Every kind maps on the server's shared executor, so a job's
+    telemetry is its own -- tagged with its id, counting its own tasks --
+    even right after another job ran."""
+    params, own_tasks = _TELEMETRY_JOBS[kind]
     with _server_thread(tmp_path) as st:
         client = ServiceClient(port=st.bound_port)
-        doc = client.submit("design", {"app": "lu", "n": 6000, "b": 1200})
-        done = client.wait(doc["id"], timeout=120)
-    assert done["telemetry"]["scope"] == done["id"]
+        first = client.submit("design", {"app": "lu", "n": 6000, "b": 1200})
+        client.wait(first["id"], timeout=120)
+        doc = client.submit(kind, params)
+        done = client.wait(doc["id"], timeout=300)
+    assert done["state"] == "completed"
+    assert done["telemetry"]["scope"] == done["id"] != first["id"]
     assert done["telemetry"]["mode"] in ("serial", "parallel")
+    assert done["telemetry"]["tasks"] == own_tasks(done["result"])
+
+
+def test_job_that_maps_nothing_has_no_telemetry(tmp_path):
+    """fig5 is solved in one vectorised batch, so its sweep job never
+    maps; it must not carry the previous job's telemetry."""
+    with _server_thread(tmp_path) as st:
+        client = ServiceClient(port=st.bound_port)
+        first = client.submit("design", {"app": "lu", "n": 6000, "b": 1200})
+        assert "telemetry" in client.wait(first["id"], timeout=120)
+        doc = client.submit("sweep", {"experiments": ["fig5"]})
+        done = client.wait(doc["id"], timeout=120)
+    assert done["state"] == "completed"
+    assert "telemetry" not in done
 
 
 # ------------------------------------------------- CLI == service, bitwise
