@@ -1,8 +1,8 @@
 """Golden CLI transcripts: stdout and exit code of ``repro-xd1``, byte for byte.
 
 Each case runs :func:`repro.cli.main` in a work directory that holds a
-copy of the dashboard fixture ledger (``ledger.jsonl``) and a seeded
-campaign manifest (``campaign.json``), so every path a command prints is
+copy of the dashboard fixture ledger (``ledger.jsonl``) and two seeded
+campaign manifests (``campaign.json``, ``campaign-lufw.json``), so every path a command prints is
 relative and stable.  The expected stdout of case ``NAME`` is
 ``tests/golden/cli/NAME.txt``; every ``--help`` runs with ``COLUMNS=80``.
 
@@ -49,6 +49,11 @@ _RUNS = [
     ("campaign-report-manifest", ["campaign", "report", *_MANIFEST], 0),
     ("campaign-report-manifest-json", ["campaign", "report", *_MANIFEST, "--json"], 0),
     ("campaign-figures-manifest", ["campaign", "figures", *_MANIFEST], 0),
+    ("campaign-run-lu-fw-json", ["campaign", "run", "--apps", "lu,fw", "--replicates", "3",
+                                 "--seed", "7", "--cache", "off", "--json"], 0),
+    ("obs-explain-lu-fw-json", ["obs", "explain", "--baseline", "campaign-lufw.json",
+                                "--manifest", "campaign-lufw.json",
+                                "--cell", "lu@xd1/nominal,fw@xd1/nominal", "--json"], 0),
     # exit-2 input errors
     ("campaign-report-no-source", ["campaign", "report"], 2),
     ("campaign-figures-no-source", ["campaign", "figures"], 2),
@@ -91,13 +96,18 @@ def _transcript(argv: list[str]) -> tuple[int, str]:
 
 
 def _prepare(workdir: Path) -> None:
-    """The fixture ledger and a seeded two-replicate LU campaign manifest."""
+    """The fixture ledger, a seeded two-replicate LU campaign manifest and
+    a seeded three-replicate LU+FW one (the explain re-runs need both apps)."""
     shutil.copy(_GOLDEN / "dashboard_ledger.jsonl", workdir / "ledger.jsonl")
-    rc, _ = _transcript([
-        "campaign", "run", "--apps", "lu", "--replicates", "2", "--stalls", "0",
-        "--seed", "7", "--cache", "off", "--out", str(workdir / "campaign.json"),
-    ])
-    assert rc == 0
+    for out, argv in (
+        ("campaign.json", ["--apps", "lu", "--replicates", "2", "--stalls", "0"]),
+        ("campaign-lufw.json", ["--apps", "lu,fw", "--replicates", "3"]),
+    ):
+        rc, _ = _transcript([
+            "campaign", "run", *argv, "--seed", "7", "--cache", "off",
+            "--out", str(workdir / out),
+        ])
+        assert rc == 0
 
 
 @contextlib.contextmanager

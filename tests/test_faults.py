@@ -1,11 +1,13 @@
 """Tests for the fault-injection & graceful-degradation subsystem (repro.faults)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.apps.lu import LuDesign, simulate_lu
 from repro.faults import (
+    POLICIES,
     FaultEvent,
     FaultInjector,
     FaultScenario,
@@ -374,3 +376,35 @@ def test_cli_faults_sweep_rejects_unknown_policy(capsys):
     from repro.cli import main
 
     assert main(["faults", "sweep", "--policies", "pray"]) == 2
+
+
+# ---------------------------------------------------------------- golden
+
+_FAULT_GOLDEN = Path(__file__).parent / "golden" / "fault_runs.json"
+
+
+def _golden_fault_runs() -> list[dict]:
+    """Both apps x every policy x a rate fault and a node failure."""
+    return [
+        run_with_faults(app, scenario, policy).to_dict()
+        for app in ("lu", "fw")
+        for scenario in (degraded_link(0.5), node_failure(node=1, at=0.05))
+        for policy in POLICIES
+    ]
+
+
+def test_fault_runs_match_golden():
+    """Every policy path of both apps, byte for byte as sorted-key JSON.
+
+    Regenerate (only when a result change is intended) with
+    ``PYTHONPATH=src python tests/test_faults.py``.
+    """
+    current = json.dumps(_golden_fault_runs(), sort_keys=True, indent=1)
+    assert current + "\n" == _FAULT_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _FAULT_GOLDEN.write_text(
+        json.dumps(_golden_fault_runs(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {_FAULT_GOLDEN}")
