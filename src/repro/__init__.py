@@ -22,9 +22,9 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from .apps.fw import FwComparison, FwDesign, FwSimConfig, distributed_blocked_fw, simulate_fw
+from .apps import Comparison
+from .apps.fw import FwDesign, FwSimConfig, distributed_blocked_fw, simulate_fw
 from .apps.lu import (
-    LuComparison,
     LuDesign,
     LuSimConfig,
     distributed_block_lu,
@@ -58,15 +58,14 @@ from .machine import (
 __version__ = "1.0.0"
 
 __all__ = [
+    "Comparison",
     "CoordinationGuard",
     "DesignModel",
     "FloydWarshallDesign",
-    "FwComparison",
     "FwDesign",
     "FwPartition",
     "FwPlan",
     "FwSimConfig",
-    "LuComparison",
     "LuDesign",
     "LuPlan",
     "LuSimConfig",

@@ -1,6 +1,6 @@
 """Hybrid blocked Floyd-Warshall design (Section 5.2)."""
 
-from .design import FwComparison, FwDesign
+from .design import FwDesign
 from .functional import FunctionalFwResult, distributed_blocked_fw
 from .layout import ColumnBlockLayout
 from .simulate import FwSimConfig, FwSimResult, simulate_fw
@@ -8,7 +8,6 @@ from .simulate import FwSimConfig, FwSimResult, simulate_fw
 __all__ = [
     "ColumnBlockLayout",
     "FunctionalFwResult",
-    "FwComparison",
     "FwDesign",
     "FwSimConfig",
     "FwSimResult",

@@ -2,44 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
 from ...core.model import DesignModel, FwPlan
+from ...core.parameters import SystemParameters
+from ...core.partition import fw_op_times
+from ...core.prediction import predict_fw
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
+from ..hybrid import HybridDesign
 from .simulate import FwSimConfig, FwSimResult, simulate_fw
 
-__all__ = ["FwDesign", "FwComparison"]
+__all__ = ["FwDesign"]
 
 
-@dataclass
-class FwComparison:
-    """Hybrid vs the two baselines (the Figure 9 content for FW)."""
-
-    hybrid: FwSimResult
-    cpu_only: FwSimResult
-    fpga_only: FwSimResult
-    predicted_gflops: float
-
-    @property
-    def speedup_vs_cpu(self) -> float:
-        return self.hybrid.gflops / self.cpu_only.gflops
-
-    @property
-    def speedup_vs_fpga(self) -> float:
-        return self.hybrid.gflops / self.fpga_only.gflops
-
-    @property
-    def fraction_of_sum(self) -> float:
-        return self.hybrid.gflops / (self.cpu_only.gflops + self.fpga_only.gflops)
-
-    @property
-    def fraction_of_predicted(self) -> float:
-        return self.hybrid.gflops / self.predicted_gflops
-
-
-class FwDesign:
+class FwDesign(HybridDesign):
     """The hybrid Floyd-Warshall design on a given machine."""
 
     def __init__(self, spec: MachineSpec, n: int, b: int, k: Optional[int] = None) -> None:
@@ -68,6 +46,24 @@ class FwDesign:
             "l2": self.plan.partition.l2,
             "k": self.k,
         }
+
+    def replan(self, params: SystemParameters) -> "FwDesign":
+        """This design with Eq. (6) re-solved on other parameters (a
+        fault policy's perturbed machine)."""
+        return self._planned(params, DesignModel(params).plan_fw(self.n, self.b, self.k))
+
+    def repredict(self, params: SystemParameters) -> "FwDesign":
+        """This design's ``(l1, l2)`` kept, its per-op times and its
+        prediction re-evaluated on other parameters."""
+        t_p, t_f, t_comm, t_mem = fw_op_times(self.b, self.k, params)
+        part = replace(self.plan.partition, t_p=t_p, t_f=t_f, t_comm=t_comm, t_mem=t_mem)
+        prediction = predict_fw(self.n, self.b, part, params)
+        return self._planned(params, replace(self.plan, partition=part, prediction=prediction))
+
+    def makespan(self, result: FwSimResult) -> float:
+        """:attr:`FwSimResult.total_elapsed`: FW simulates ``iterations``
+        iterations and extrapolates to the whole run."""
+        return result.total_elapsed
 
     def config(self, l1: Optional[int] = None, **over) -> FwSimConfig:
         """A simulation config; defaults to the plan's l1/l2 split."""
@@ -106,9 +102,8 @@ class FwDesign:
     def overlap_report(self, result: Optional[FwSimResult] = None, registry=None, **over):
         """Reconcile a simulated run against the plan's max{T_tp, T_tf}.
 
-        FW simulates ``iterations`` iterations and extrapolates, so the
-        reconciled makespan is :attr:`FwSimResult.total_elapsed`; the
-        trace only covers the simulated window, which is passed as
+        The reconciled makespan is the extrapolated :meth:`makespan`;
+        the trace only covers the simulated window, which is passed as
         ``window`` so per-resource utilisation stays meaningful.
         """
         from ...obs import reconcile
@@ -117,7 +112,7 @@ class FwDesign:
             result = self.simulate(trace=True, **over)
         return reconcile(
             "fw",
-            result.total_elapsed,
+            self.makespan(result),
             self.plan.prediction,
             trace=result.trace,
             window=result.elapsed,
@@ -128,13 +123,4 @@ class FwDesign:
             iterations_run=result.iterations_run,
             gflops=result.gflops,
             partition=self.partition_params(),
-        )
-
-    def compare(self, **over) -> FwComparison:
-        """Hybrid vs both baselines plus the model prediction (Figure 9)."""
-        return FwComparison(
-            hybrid=self.simulate(**over),
-            cpu_only=self.simulate_cpu_only(**over),
-            fpga_only=self.simulate_fpga_only(**over),
-            predicted_gflops=self.plan.prediction.gflops,
         )

@@ -1,6 +1,6 @@
 """Hybrid block-LU decomposition design (Section 5.1)."""
 
-from .design import LuComparison, LuDesign, TABLE1_LATENCIES
+from .design import LuDesign, TABLE1_LATENCIES
 from .functional import FunctionalLuResult, distributed_block_lu
 from .layout import BlockCyclicLayout
 from .simulate import LuSimConfig, LuSimResult, simulate_block_mm, simulate_lu
@@ -9,7 +9,6 @@ from .taskgraph import build_lu_taskgraph, lu_op_counts
 __all__ = [
     "BlockCyclicLayout",
     "FunctionalLuResult",
-    "LuComparison",
     "LuDesign",
     "LuSimConfig",
     "LuSimResult",

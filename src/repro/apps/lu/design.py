@@ -7,47 +7,25 @@ baselines for comparison -- the API the examples and benchmarks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
 from ...core.model import DesignModel, LuPlan
+from ...core.parameters import SystemParameters
+from ...core.partition import lu_stripe_times
+from ...core.prediction import predict_lu
 from ...hw.mm_design import MatrixMultiplyDesign
 from ...machine.system import MachineSpec
+from ..hybrid import HybridDesign
 from .simulate import LuSimConfig, LuSimResult, simulate_lu
 
-__all__ = ["LuDesign", "LuComparison"]
+__all__ = ["LuDesign"]
 
 #: The measured panel-routine latencies of Table 1 (b = 3000).
 TABLE1_LATENCIES = {"t_lu": 4.9, "t_opl": 7.1, "t_opu": 7.1}
 
 
-@dataclass
-class LuComparison:
-    """Hybrid vs the two baselines (the Figure 9 content for LU)."""
-
-    hybrid: LuSimResult
-    cpu_only: LuSimResult
-    fpga_only: LuSimResult
-    predicted_gflops: float
-
-    @property
-    def speedup_vs_cpu(self) -> float:
-        return self.hybrid.gflops / self.cpu_only.gflops
-
-    @property
-    def speedup_vs_fpga(self) -> float:
-        return self.hybrid.gflops / self.fpga_only.gflops
-
-    @property
-    def fraction_of_sum(self) -> float:
-        return self.hybrid.gflops / (self.cpu_only.gflops + self.fpga_only.gflops)
-
-    @property
-    def fraction_of_predicted(self) -> float:
-        return self.hybrid.gflops / self.predicted_gflops
-
-
-class LuDesign:
+class LuDesign(HybridDesign):
     """The hybrid LU design on a given machine."""
 
     def __init__(
@@ -81,6 +59,26 @@ class LuDesign:
             "l": self.plan.balance.l,
             "k": self.k,
         }
+
+    def replan(self, params: SystemParameters) -> "LuDesign":
+        """This design with Eqs. (4)/(5) re-solved on other parameters
+        (a fault policy's perturbed machine), same panel latencies."""
+        plan = DesignModel(params).plan_lu(self.n, self.b, self.k, *self._panel_times)
+        return self._planned(params, plan)
+
+    def repredict(self, params: SystemParameters) -> "LuDesign":
+        """This design's split kept, its Eq. (4) terms and its prediction
+        re-evaluated on other parameters."""
+        part = self.plan.partition
+        t_p, t_f, t_comm, t_mem = lu_stripe_times(self.b, part.b_f, self.k, params)
+        part = replace(part, t_p=t_p, t_f=t_f, t_comm=t_comm, t_mem=t_mem)
+        prediction = predict_lu(self.n, self.b, part, *self._panel_times, params)
+        return self._planned(params, replace(self.plan, partition=part, prediction=prediction))
+
+    @property
+    def _panel_times(self) -> tuple[float, float, float]:
+        """The plan's ``(t_lu, t_opl, t_opu)``: Table 1 or the estimates."""
+        return self.plan.prediction.detail["panel_times"]
 
     # -- simulation -----------------------------------------------------------
 
@@ -134,7 +132,7 @@ class LuDesign:
             result = self.simulate(trace=True, **over)
         return reconcile(
             "lu",
-            result.elapsed,
+            self.makespan(result),
             self.plan.prediction,
             trace=result.trace,
             registry=registry,
@@ -143,13 +141,4 @@ class LuDesign:
             p=self.spec.p,
             gflops=result.gflops,
             partition=self.partition_params(),
-        )
-
-    def compare(self, **over) -> LuComparison:
-        """Hybrid vs both baselines plus the model prediction (Figure 9)."""
-        return LuComparison(
-            hybrid=self.simulate(**over),
-            cpu_only=self.simulate_cpu_only(**over),
-            fpga_only=self.simulate_fpga_only(**over),
-            predicted_gflops=self.plan.prediction.gflops,
         )

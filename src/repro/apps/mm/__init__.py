@@ -6,7 +6,7 @@ C = A x B of the authors' earlier ICPADS 2006 paper [22], exercising
 Equation (2) (the network-aware flop split) directly.
 """
 
-from .design import MmComparison, MmDesign
+from .design import MmDesign
 from .functional import FunctionalMmResult, distributed_ring_mm
 from .partition import COL_TILE, MmPartition, mm_row_partition
 from .simulate import MmSimConfig, MmSimResult, simulate_mm
@@ -14,7 +14,6 @@ from .simulate import MmSimConfig, MmSimResult, simulate_mm
 __all__ = [
     "COL_TILE",
     "FunctionalMmResult",
-    "MmComparison",
     "MmDesign",
     "MmPartition",
     "MmSimConfig",

@@ -2,44 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ...hw.mm_design import MatrixMultiplyDesign
 from ...machine.system import MachineSpec
+from ..hybrid import HybridDesign
 from .partition import MmPartition, mm_row_partition
 from .simulate import MmSimConfig, MmSimResult, simulate_mm
 
-__all__ = ["MmDesign", "MmComparison"]
+__all__ = ["MmDesign"]
 
 
-@dataclass
-class MmComparison:
-    """Hybrid vs the two baselines for the ring multiplication."""
-
-    hybrid: MmSimResult
-    cpu_only: MmSimResult
-    fpga_only: MmSimResult
-    predicted_gflops: float
-
-    @property
-    def speedup_vs_cpu(self) -> float:
-        return self.hybrid.gflops / self.cpu_only.gflops
-
-    @property
-    def speedup_vs_fpga(self) -> float:
-        return self.hybrid.gflops / self.fpga_only.gflops
-
-    @property
-    def fraction_of_sum(self) -> float:
-        return self.hybrid.gflops / (self.cpu_only.gflops + self.fpga_only.gflops)
-
-    @property
-    def fraction_of_predicted(self) -> float:
-        return self.hybrid.gflops / self.predicted_gflops
-
-
-class MmDesign:
+class MmDesign(HybridDesign):
     """The hybrid ring matrix multiplication on a given machine."""
 
     def __init__(self, spec: MachineSpec, n: int, k: Optional[int] = None) -> None:
@@ -97,7 +71,7 @@ class MmDesign:
         )
         return reconcile(
             "mm",
-            result.elapsed,
+            self.makespan(result),
             prediction,
             trace=result.trace,
             registry=registry,
@@ -113,12 +87,4 @@ class MmDesign:
     def simulate_fpga_only(self, trace: bool = False, **over) -> MmSimResult:
         return simulate_mm(
             self.spec, self.config(m_f=self.plan.r, **over), design=self.design, trace=trace
-        )
-
-    def compare(self, **over) -> MmComparison:
-        return MmComparison(
-            hybrid=self.simulate(**over),
-            cpu_only=self.simulate_cpu_only(**over),
-            fpga_only=self.simulate_fpga_only(**over),
-            predicted_gflops=self.predicted_gflops,
         )

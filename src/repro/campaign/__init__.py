@@ -50,12 +50,7 @@ from .explain import (
 )
 from .perturb import PerturbationModel, default_model
 from .report import render_check, render_figures, render_manifest, render_timeline
-from .runner import (
-    CAMPAIGN_BUCKETS,
-    DesignRunner,
-    build_design,
-    run_replicate,
-)
+from .runner import CAMPAIGN_BUCKETS, run_replicate
 from .seeds import SEED_ENV_VAR, derive_seed, resolve_seed
 from .stats import (
     DEFAULT_ALPHA,
@@ -70,11 +65,9 @@ __all__ = [
     "CampaignSpec",
     "DEFAULT_ALPHA",
     "DEFAULT_EFFECT",
-    "DesignRunner",
     "MANIFEST_SCHEMA",
     "PerturbationModel",
     "SEED_ENV_VAR",
-    "build_design",
     "campaign_tasks",
     "cell_key",
     "compare_campaigns",

@@ -23,12 +23,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
+from ..apps import check_names
 from ..faults.scenarios import FaultEvent, FaultScenario
 from ..obs.metrics import REGISTRY, Histogram
 from ..parallel import as_cache, cached_map, executor_for, sweep_telemetry
 from ..sim.analytic import fastpath_summary
 from .perturb import PerturbationModel, default_model
-from .runner import DesignRunner, run_replicate
+from .runner import run_replicate
 from .seeds import derive_seed
 
 __all__ = [
@@ -163,12 +164,9 @@ def campaign_tasks(spec: CampaignSpec) -> list[dict[str, Any]]:
     sub-seeds; the drawn scenario rides inside the task so the result
     cache keys each replicate by the exact perturbation it simulated.
     """
+    check_names(spec.apps, spec.effective_presets)  # fail fast, before any replicate runs
     tasks: list[dict[str, Any]] = []
     for app in spec.apps:
-        if app not in DesignRunner.apps:  # fail fast, before any replicate runs
-            raise ValueError(
-                f"no campaign runner for app {app!r}; available: {DesignRunner.apps}"
-            )
         for preset in spec.effective_presets:
             for scenario in spec.scenarios:
                 base = _with_throttle(scenario, spec.throttle_fpga)

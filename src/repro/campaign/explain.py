@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
+from ..apps import build_design
 from ..faults.inject import FaultInjector
 from ..faults.scenarios import FaultScenario
 from ..obs.critical_path import classify_label, critical_path
 from ..obs.explain import build_explain
 from .perturb import PerturbationModel
-from .runner import build_design
 from .seeds import derive_seed
 from .stats import DEFAULT_ALPHA, DEFAULT_EFFECT, compare_campaigns
 
@@ -116,7 +116,7 @@ def replicate_task(
 def run_traced(task: dict[str, Any]) -> dict[str, Any]:
     """One replicate under full tracing, reduced for the blame diff.
 
-    Unlike :class:`~repro.campaign.runner.DesignRunner` (which keeps
+    Unlike :func:`~repro.campaign.runner.run_replicate` (which keeps
     only the makespan), this keeps the whole trace and reduces it to
     the three views :func:`repro.obs.explain.build_explain` diffs:
     critical path, per-lane busy time, per-activity busy time.
@@ -127,10 +127,9 @@ def run_traced(task: dict[str, Any]) -> dict[str, Any]:
     scenario = FaultScenario.from_dict(task["scenario"])
     injector = FaultInjector(scenario) if scenario.has_faults else None
     result = design.simulate(trace=True, faults=injector)
-    makespan = result.total_elapsed if task["app"] == "fw" else result.elapsed
     trace = result.trace
     return {
-        "makespan": float(makespan),
+        "makespan": float(design.makespan(result)),
         "critical_path": critical_path(trace).to_dict(),
         "lanes": {lane: trace.busy_time(lane) for lane in trace.lanes()},
         "activity": trace.busy_by_class(classify_label),

@@ -1,9 +1,10 @@
 """The campaign replicate runner.
 
-A campaign cell names an app; :class:`DesignRunner` evaluates one
-replicate of it -- build the design, simulate it under the replicate's
-perturbation scenario, and reduce the run to a plain result dict.
-Tasks are plain data and :func:`run_replicate` is module-level, because
+A campaign cell names an app; :func:`run_replicate` evaluates one
+replicate of it -- build the design (:func:`repro.apps.build_design`),
+simulate it under the replicate's perturbation scenario, and reduce the
+run to a plain result dict, asking the design for its makespan.  Tasks
+are plain data and :func:`run_replicate` is module-level, because
 replicates cross process boundaries through the
 :class:`~repro.parallel.SweepExecutor`.
 """
@@ -12,19 +13,13 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..faults.adapt import DEFAULT_SIZES
+from ..apps import build_design
 from ..faults.inject import FaultInjector
 from ..faults.scenarios import FaultScenario
-from ..machine.presets import ALL_PRESETS
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..sim import ProcessFailure
 
-__all__ = [
-    "CAMPAIGN_BUCKETS",
-    "DesignRunner",
-    "build_design",
-    "run_replicate",
-]
+__all__ = ["CAMPAIGN_BUCKETS", "run_replicate"]
 
 #: Histogram bucket bounds for campaign makespans (simulated seconds,
 #: 10 ms .. ~1 day, ~x3 per step).  Wider than the instrument-latency
@@ -43,39 +38,8 @@ def _makespan_hist(makespan: float) -> dict[str, Any]:
     return hist.to_dict()
 
 
-def build_design(
-    app: str, preset: str = "xd1", n: Any = None, b: Any = None
-):
-    """The app's design object on a machine preset (sizes defaulted).
-
-    The shared construction path of :class:`DesignRunner` and the
-    traced re-runs in :mod:`repro.campaign.explain`, so an explanation
-    re-simulates exactly the design the campaign replicate ran.
-    """
-    try:
-        spec = ALL_PRESETS[preset]()
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {preset!r}; available: {sorted(ALL_PRESETS)}"
-        ) from None
-    if app not in DEFAULT_SIZES:
-        raise ValueError(f"no design builder for app {app!r}")
-    default_n, default_b = DEFAULT_SIZES[app]
-    n = int(n or default_n)
-    b = int(b or default_b)
-    if app == "lu":
-        from ..apps.lu.design import LuDesign
-
-        return LuDesign(spec, n, b)
-    if app == "fw":
-        from ..apps.fw.design import FwDesign
-
-        return FwDesign(spec, n, b)
-    raise ValueError(f"no design builder for app {app!r}")
-
-
-class DesignRunner:
-    """The built-in runner for the paper's LU and FW designs.
+def run_replicate(task: dict[str, Any]) -> dict[str, Any]:
+    """Evaluate one replicate task (module-level for process pools).
 
     Simulates the app's *nominal* plan under the replicate's fault
     scenario (the campaign measures how the chosen design behaves under
@@ -92,49 +56,6 @@ class DesignRunner:
     (:func:`repro.sim.analytic.fast_path_refusal`).  An LU replicate
     folds its stall burst too; an FW replicate with a stall burst, and
     any other fault timeline, still runs the DES.
-    """
-
-    apps = ("lu", "fw")
-
-    def run(self, task: dict[str, Any]) -> dict[str, Any]:
-        app = task["app"]
-        design = build_design(
-            app, task.get("preset", "xd1"), task.get("n"), task.get("b")
-        )
-        scenario = FaultScenario.from_dict(task["scenario"])
-        injector = FaultInjector(scenario) if scenario.has_faults else None
-        registry = MetricsRegistry()  # keep replicate gauges off the global registry
-        try:
-            result = design.simulate(faults=injector)
-        except ProcessFailure as exc:
-            return {
-                "replicate": task.get("replicate"),
-                "seed": task.get("seed"),
-                "failed": True,
-                "failure": {
-                    "error": str(exc),
-                    "process": getattr(exc, "process_name", None),
-                    "time": getattr(exc, "sim_time", None),
-                },
-            }
-        makespan = result.total_elapsed if app == "fw" else result.elapsed
-        report = design.overlap_report(result=result, registry=registry)
-        return {
-            "replicate": task.get("replicate"),
-            "seed": task.get("seed"),
-            "failed": False,
-            "makespan": makespan,
-            "overlap_efficiency": report.overlap_efficiency,
-            "predicted_latency": report.predicted_latency,
-            "hist": _makespan_hist(makespan),
-        }
-
-
-_RUNNER = DesignRunner()
-
-
-def run_replicate(task: dict[str, Any]) -> dict[str, Any]:
-    """Evaluate one replicate task (module-level for process pools).
 
     The result carries ``makespan`` (simulated seconds),
     ``overlap_efficiency``, ``predicted_latency`` and ``hist`` (the
@@ -142,4 +63,31 @@ def run_replicate(task: dict[str, Any]) -> dict[str, Any]:
     an aborted replicate; all JSON-able, because results are cached and
     embedded in ledger manifests verbatim.
     """
-    return _RUNNER.run(task)
+    design = build_design(task["app"], task.get("preset", "xd1"), task.get("n"), task.get("b"))
+    scenario = FaultScenario.from_dict(task["scenario"])
+    injector = FaultInjector(scenario) if scenario.has_faults else None
+    registry = MetricsRegistry()  # keep replicate gauges off the global registry
+    try:
+        result = design.simulate(faults=injector)
+    except ProcessFailure as exc:
+        return {
+            "replicate": task.get("replicate"),
+            "seed": task.get("seed"),
+            "failed": True,
+            "failure": {
+                "error": str(exc),
+                "process": getattr(exc, "process_name", None),
+                "time": getattr(exc, "sim_time", None),
+            },
+        }
+    makespan = design.makespan(result)
+    report = design.overlap_report(result=result, registry=registry)
+    return {
+        "replicate": task.get("replicate"),
+        "seed": task.get("seed"),
+        "failed": False,
+        "makespan": makespan,
+        "overlap_efficiency": report.overlap_efficiency,
+        "predicted_latency": report.predicted_latency,
+        "hist": _makespan_hist(makespan),
+    }

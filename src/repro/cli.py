@@ -78,6 +78,7 @@ from importlib import import_module
 from pathlib import Path
 
 from .analysis import bar_chart, percent, table
+from .apps import build_design
 from .apps.fw import FwDesign
 from .apps.lu import LuDesign
 from .hw import FloydWarshallDesign, MatrixMultiplyDesign
@@ -267,14 +268,11 @@ def _cmd_design(args: argparse.Namespace) -> int:
     params, result = _run_job(
         "design", {"app": app, "n": args.n, "b": args.b, "p": args.p}, cache=cache
     )
-    design_cls = LuDesign if app == "lu" else FwDesign
-    design = design_cls(cray_xd1(p=params["p"]), n=params["n"], b=params["b"])
-    plan = design.plan
-    if app == "lu":
-        split = f"b_p={plan.partition.b_p} b_f={plan.partition.b_f} l={plan.balance.l}"
-    else:
-        split = f"l1={plan.partition.l1} l2={plan.partition.l2}"
-    _p(f"plan: {split} predicted={plan.prediction.gflops:.2f} GFLOPS")
+    design = build_design(app, n=params["n"], b=params["b"], p=params["p"])
+    split = " ".join(
+        f"{name}={value}" for name, value in design.partition_params().items() if name != "k"
+    )
+    _p(f"plan: {split} predicted={design.predicted_gflops:.2f} GFLOPS")
     for line in _render_compare(app, params, result["compare"]):
         _p(line)
     if cache is not None:
@@ -909,10 +907,8 @@ def _append_fault_entries(ledger: str, results: list[dict]) -> None:
 
 
 def _cmd_faults_run(args: argparse.Namespace) -> None:
-    from .faults import POLICIES, ResilienceReport, build_scenario, run_with_faults
+    from .faults import ResilienceReport, build_scenario, run_with_faults
 
-    if args.policy not in POLICIES:
-        raise ValueError(f"unknown policy {args.policy!r}; expected one of {POLICIES}")
     scenario = build_scenario(args.scenario, factor=args.factor, at=args.at,
                               duration=args.duration, node=args.node, seed=args.seed)
     result = run_with_faults(

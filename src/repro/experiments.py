@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .analysis import Series, bar_chart, line_chart, percent, table
-from .apps.fw import FwDesign, FwSimConfig, simulate_fw
-from .apps.lu import LuDesign, LuSimConfig, simulate_block_mm, simulate_lu
+from .apps import build_design
+from .apps.fw import FwSimConfig, simulate_fw
+from .apps.lu import LuSimConfig, simulate_block_mm, simulate_lu
 from .core import DesignModel, balance_flops, lu_stripe_partition
 from .hw import FloydWarshallDesign, MatrixMultiplyDesign
 from .kernels.flops import getrf_flops, trsm_flops
@@ -155,31 +156,31 @@ def _point_sim(task: dict) -> Any:
     if kind == "fw":
         res = simulate_fw(_spec_for(task["machine"]), task["cfg"])
         return {"elapsed": res.elapsed, "gflops": res.gflops}
-    if kind == "lu_compare":
-        cmp = LuDesign(cray_xd1(p=task.get("p", 6)), n=task["n"], b=task["b"]).compare()
-    elif kind == "fw_compare":
-        cmp = FwDesign(cray_xd1(p=task.get("p", 6)), n=task["n"], b=task["b"]).compare()
-    elif kind == "mm_compare":
-        from .apps.mm import MmDesign
-
-        cmp = MmDesign(cray_xd1(p=task.get("p", 6)), n=task["n"]).compare()
-    elif kind == "fw_weak":
+    if kind == "fw_weak":
         from .analysis import fw_weak_scaling
 
         (pt,) = fw_weak_scaling(ps=(task["p"],), cols_per_node=task["cols_per_node"])
         return {"p": pt.p, "gflops": pt.gflops, "predicted": pt.predicted,
                 "efficiency_of_prediction": pt.efficiency_of_prediction}
-    elif kind == "lu_strong":
+    if kind == "lu_strong":
         from .analysis import lu_strong_scaling
 
         (pt,) = lu_strong_scaling(ps=(task["p"],), n=task["n"], b=task["b"])
         return {"p": pt.p, "gflops": pt.gflops, "predicted": pt.predicted,
                 "efficiency_of_prediction": pt.efficiency_of_prediction}
-    else:
+    if not kind.endswith("_compare"):
         raise ValueError(f"unknown simulation task kind {kind!r}")
-    # The three *_compare kinds fall through to here: extract every float
-    # the experiments print or check, so cached values reproduce the
+    # lu_compare / fw_compare / mm_compare: extract every float the
+    # experiments print or check, so cached values reproduce the
     # rendered text bit-for-bit.
+    app, p = kind[: -len("_compare")], task.get("p", 6)
+    if app == "mm":
+        from .apps.mm import MmDesign
+
+        design = MmDesign(cray_xd1(p=p), n=task["n"])
+    else:
+        design = build_design(app, n=task["n"], b=task["b"], p=p)
+    cmp = design.compare()
     return {
         "hybrid": cmp.hybrid.gflops,
         "cpu_only": cmp.cpu_only.gflops,

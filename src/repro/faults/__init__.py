@@ -21,7 +21,8 @@ partition equations against the degraded parameters:
 Documentation lives in ``docs/robustness.md``.
 """
 
-from .adapt import DEFAULT_SIZES, POLICIES, TERM_GLOSS, FaultRunResult, run_with_faults
+from ..apps import DEFAULT_SIZES
+from .adapt import POLICIES, TERM_GLOSS, FaultRunResult, run_with_faults
 from .inject import FaultInjector, NodeFailureError
 from .report import ResilienceReport, resilience_rows
 from .scenarios import (

@@ -44,6 +44,9 @@ _KIND_PARAMS = {
     "fw": ("n", "b", "k", "l1", "l2"),
 }
 
+#: The FPGA kernel each kind synthesises (LU's opMM is the block multiply).
+_KIND_KERNEL = {"block_mm": MM_DESIGN_SPEC, "lu": MM_DESIGN_SPEC, "fw": FW_DESIGN_SPEC}
+
 
 def parse_axis(text: str) -> tuple[str, tuple[Any, ...]]:
     """Parse one ``--axis`` argument: ``name=lo:hi:step`` or ``name=a,b,c``.
@@ -204,8 +207,7 @@ class SearchSpace:
         The FPGA-resource objective of the Pareto front; raises
         :class:`~repro.hw.synthesis.SynthesisError` when k does not fit.
         """
-        design = FW_DESIGN_SPEC if self.kind == "fw" else MM_DESIGN_SPEC
-        return synthesize(design, self.spec().node.fpga.device, k)
+        return synthesize(_KIND_KERNEL[self.kind], self.spec().node.fpga.device, k)
 
     # -- serialisation --------------------------------------------------
 

@@ -125,9 +125,9 @@ def test_run_replicate_node_failure_reports_failed():
 
 
 def test_unknown_app_rejected():
-    with pytest.raises(ValueError, match="no campaign runner"):
+    with pytest.raises(ValueError, match="unknown app"):
         campaign_tasks(_spec(apps=("sparse-qr",)))
-    with pytest.raises(ValueError, match="no campaign runner"):
+    with pytest.raises(ValueError, match="unknown app"):
         run_campaign(_spec(apps=("lu", "sparse-qr")), jobs=1, cache=False)
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.apps import build_design
 from repro.campaign import (
     CampaignSpec,
     compare_campaigns,
@@ -16,7 +17,6 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.explain import run_traced
-from repro.campaign.runner import build_design
 
 #: Small problem sizes so a replicate is a few milliseconds.
 SIZES = {"lu": (6000, 3000), "fw": (9216, 256)}
@@ -175,5 +175,5 @@ def test_multi_preset_explain_rebuilds_the_right_machine():
 def test_build_design_validates_inputs():
     with pytest.raises(ValueError, match="unknown preset"):
         build_design("lu", "vax")
-    with pytest.raises(ValueError, match="no design builder"):
+    with pytest.raises(ValueError, match="unknown app"):
         build_design("sort", "xd1")

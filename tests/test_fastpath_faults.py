@@ -24,7 +24,7 @@ from repro.apps.lu import LuSimConfig, simulate_lu
 from repro.apps.mm.simulate import MmSimConfig, simulate_mm
 from repro.campaign import CampaignSpec, PerturbationModel
 from repro.campaign.core import campaign_tasks
-from repro.campaign.runner import DesignRunner
+from repro.campaign.runner import run_replicate
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -131,14 +131,13 @@ def test_stacked_throttle_and_clock_jitter_apply_in_sequence(app, throttle, jitt
 def test_jitter_only_campaign_replicates_match_the_des(seed):
     spec = CampaignSpec(apps=("lu", "fw"), replicates=3, seed=seed,
                         perturb=PerturbationModel(stall_count=0), throttle_fpga=0.8)
-    runner = DesignRunner()
     for task in campaign_tasks(spec):
         before = _points(task["app"], "analytic")
-        folded = runner.run(task)
+        folded = run_replicate(task)
         assert _points(task["app"], "analytic") == before + 1
         set_fast_path_mode("off")
         try:
-            assert runner.run(task) == folded
+            assert run_replicate(task) == folded
         finally:
             set_fast_path_mode(None)
 
@@ -301,17 +300,16 @@ def test_default_model_lu_replicates_fold_and_match_the_des(preset):
     spec = CampaignSpec(apps=("lu",), presets=(preset,), replicates=len(CAMPAIGN_SEEDS),
                         seed=11)
     tasks = campaign_tasks(spec)
-    runner = DesignRunner()
     folded = 0
     for task in tasks:
         scenario = FaultScenario.from_dict(task["scenario"])
         assert scenario.bursts  # the default model always stalls
         before = _points("lu", "analytic")
-        got = runner.run(task)
+        got = run_replicate(task)
         folded += _points("lu", "analytic") - before
         set_fast_path_mode("off")
         try:
-            assert runner.run(task) == got
+            assert run_replicate(task) == got
         finally:
             set_fast_path_mode(None)
     assert folded == len(tasks)

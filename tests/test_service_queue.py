@@ -174,6 +174,16 @@ def test_normalize_request_rejects_bad_input():
         normalize_request("tune", {"space": "nope"})
     with pytest.raises(JobError, match="bad tune 'space'"):
         normalize_request("tune", {"space": {"kind": "block_mm", "axes": ["k=2,4"]}})
+    # Unknown apps, presets and scenarios fail at submit, not when the job runs.
+    for kind in ("faults", "campaign"):
+        with pytest.raises(JobError, match="unknown app 'mm'"):
+            normalize_request(kind, {"apps": ["lu", "mm"]})
+        with pytest.raises(JobError, match="unknown scenarios"):
+            normalize_request(kind, {"scenarios": ["nope"]})
+    with pytest.raises(JobError, match="unknown preset 'vax'"):
+        normalize_request("faults", {"preset": "vax"})
+    with pytest.raises(JobError, match="unknown preset 'vax'"):
+        normalize_request("campaign", {"preset": ["vax"]})
 
 
 def test_builtin_kinds_cannot_be_replaced():
