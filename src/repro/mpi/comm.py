@@ -1,8 +1,10 @@
 """A message-passing layer over the simulated interconnect.
 
 The paper's implementations communicate with MPI; this module provides
-the same communication patterns (blocking send/recv, bcast, scatter,
-gather, barrier) as *simulation process generators* with correct timing:
+its blocking point-to-point send/recv as *simulation process
+generators* with correct timing (the designs build their broadcasts and
+gathers from concurrent sends and receives, see
+:mod:`repro.sim.interpret`):
 
 * wire time comes from the :class:`~repro.machine.interconnect.
   Interconnect` (latency + bytes / B_n, link contention included);
@@ -17,10 +19,8 @@ gather, barrier) as *simulation process generators* with correct timing:
 
 Usage from a per-node process::
 
-    me = comm.view(rank)
-    yield from me.send(dst, data, nbytes=...)
-    data = yield from me.recv(src)
-    block = yield from me.bcast(root, block_if_root)
+    yield from comm.send(rank, dst, data, nbytes=...)
+    data = yield from comm.recv(rank, src)
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Any, Optional
 from ..sim import Simulator, Store
 from .message import Message, payload_bytes
 
-__all__ = ["Communicator", "RankView"]
+__all__ = ["Communicator"]
 
 
 class Communicator:
@@ -49,9 +49,6 @@ class Communicator:
         self.network = system.network
         self.size = system.p
         self._mailboxes: dict[tuple[int, int, Any], Store] = {}
-        self._barrier_gen = 0
-        self._barrier_count = 0
-        self._barrier_event = None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -66,11 +63,6 @@ class Communicator:
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range for communicator of size {self.size}")
-
-    def view(self, rank: int) -> "RankView":
-        """The communicator as seen from ``rank``."""
-        self._check_rank(rank)
-        return RankView(self, rank)
 
     # -- point-to-point --------------------------------------------------------
 
@@ -114,207 +106,3 @@ class Communicator:
                 f"mpi{dst}", f"mpi:recv<-{src}", posted, self.sim.now, nbytes=msg.nbytes, wait=True
             )
         return msg.data
-
-    # -- collectives -----------------------------------------------------------
-
-    def bcast(self, rank: int, root: int, data: Any = None, nbytes: Optional[int] = None, tag: Any = "bcast"):
-        """Process generator: broadcast from root; every rank calls this.
-
-        The root's sends to the p-1 destinations are issued concurrently
-        and ride the available egress links.  Returns the payload on
-        every rank.
-        """
-        self._check_rank(rank)
-        self._check_rank(root)
-        if rank == root:
-            sends = [
-                self.sim.process(self.send(root, dst, data, nbytes=nbytes, tag=tag))
-                for dst in range(self.size)
-                if dst != root
-            ]
-            if sends:
-                yield self.sim.all_of(sends)
-            return data
-        return (yield from self.recv(rank, root, tag=tag))
-
-    def scatter(self, rank: int, root: int, chunks: Optional[list] = None, nbytes: Optional[int] = None, tag: Any = "scatter"):
-        """Process generator: root deals ``chunks[i]`` to rank i.
-
-        ``chunks`` must have length p on the root and is ignored elsewhere.
-        Returns this rank's chunk.
-        """
-        self._check_rank(rank)
-        self._check_rank(root)
-        if rank == root:
-            if chunks is None or len(chunks) != self.size:
-                raise ValueError(f"root must supply {self.size} chunks")
-            sends = [
-                self.sim.process(
-                    self.send(root, dst, chunks[dst], nbytes=nbytes, tag=tag)
-                )
-                for dst in range(self.size)
-                if dst != root
-            ]
-            if sends:
-                yield self.sim.all_of(sends)
-            return chunks[root]
-        return (yield from self.recv(rank, root, tag=tag))
-
-    def gather(self, rank: int, root: int, data: Any = None, nbytes: Optional[int] = None, tag: Any = "gather"):
-        """Process generator: root collects one item per rank.
-
-        Returns the list (rank order) on root, ``None`` elsewhere.
-        """
-        self._check_rank(rank)
-        self._check_rank(root)
-        if rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = data
-            recvs = [
-                self.sim.process(self.recv(root, src, tag=tag))
-                for src in range(self.size)
-                if src != root
-            ]
-            results = yield self.sim.all_of(recvs)
-            srcs = [s for s in range(self.size) if s != root]
-            for src, proc in zip(srcs, recvs):
-                out[src] = results[proc]
-            return out
-        yield from self.send(rank, root, data, nbytes=nbytes, tag=tag)
-        return None
-
-    def reduce(self, rank: int, root: int, data: Any, op=None, nbytes: Optional[int] = None, tag: Any = "reduce"):
-        """Process generator: combine one item per rank at the root.
-
-        ``op`` combines two payloads (default: addition).  Returns the
-        reduction on root, ``None`` elsewhere.  Wire pattern: a flat
-        gather (each rank one message to root), matching how the paper's
-        programs would call MPI_Reduce at these message sizes.
-        """
-        gathered = yield from self.gather(rank, root, data, nbytes=nbytes, tag=tag)
-        if rank != root:
-            return None
-        combine = op if op is not None else (lambda a, b: a + b)
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = combine(acc, item)
-        return acc
-
-    def allreduce(self, rank: int, data: Any, op=None, nbytes: Optional[int] = None, tag: Any = "allreduce"):
-        """Process generator: reduce at rank 0, then broadcast the result."""
-        reduced = yield from self.reduce(rank, 0, data, op=op, nbytes=nbytes, tag=(tag, "r"))
-        return (yield from self.bcast(rank, 0, reduced, nbytes=nbytes, tag=(tag, "b")))
-
-    def allgather(self, rank: int, data: Any, nbytes: Optional[int] = None, tag: Any = "allgather"):
-        """Process generator: every rank ends with the full rank-ordered list.
-
-        Implemented as a ring pass (p-1 steps), the bandwidth-optimal
-        pattern the ring-MM application also uses.
-        """
-        out: list[Any] = [None] * self.size
-        out[rank] = data
-        right = (rank + 1) % self.size
-        left = (rank - 1) % self.size
-        carried = (rank, data)
-        for step in range(self.size - 1):
-            send_proc = self.sim.process(
-                self.send(rank, right, carried, nbytes=nbytes, tag=(tag, step))
-            )
-            received = yield from self.recv(rank, left, tag=(tag, step))
-            yield send_proc
-            src, payload = received
-            out[src] = payload
-            carried = received
-        return out
-
-    def alltoall(self, rank: int, chunks: list, nbytes: Optional[int] = None, tag: Any = "alltoall"):
-        """Process generator: personalised exchange; returns this rank's
-        column of the (conceptual) p x p chunk matrix."""
-        if chunks is None or len(chunks) != self.size:
-            raise ValueError(f"each rank must supply {self.size} chunks")
-        sends = [
-            self.sim.process(self.send(rank, dst, chunks[dst], nbytes=nbytes, tag=(tag, rank)))
-            for dst in range(self.size)
-            if dst != rank
-        ]
-        out: list[Any] = [None] * self.size
-        out[rank] = chunks[rank]
-        for src in range(self.size):
-            if src != rank:
-                out[src] = yield from self.recv(rank, src, tag=(tag, src))
-        if sends:
-            yield self.sim.all_of(sends)
-        return out
-
-    def barrier(self, rank: int):
-        """Process generator: block until all p ranks have arrived."""
-        self._check_rank(rank)
-        if self._barrier_event is None or self._barrier_event.processed:
-            self._barrier_event = self.sim.event(name=f"barrier{self._barrier_gen}")
-            self._barrier_gen += 1
-            self._barrier_count = 0
-        event = self._barrier_event
-        self._barrier_count += 1
-        if self._barrier_count == self.size:
-            event.succeed(self.sim.now)
-        yield event
-
-
-class RankView:
-    """The communicator bound to one rank -- the mpi4py-style interface.
-
-    All methods are process generators; use ``yield from`` inside the
-    rank's CPU process.
-    """
-
-    def __init__(self, comm: Communicator, rank: int) -> None:
-        self.comm = comm
-        self.rank = rank
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    @property
-    def sim(self) -> Simulator:
-        return self.comm.sim
-
-    def send(self, dst: int, data: Any = None, nbytes: Optional[int] = None, tag: Any = 0):
-        """Blocking send to ``dst``; see :meth:`Communicator.send`."""
-        return self.comm.send(self.rank, dst, data, nbytes=nbytes, tag=tag)
-
-    def recv(self, src: int, tag: Any = 0):
-        """Blocking receive from ``src``; see :meth:`Communicator.recv`."""
-        return self.comm.recv(self.rank, src, tag=tag)
-
-    def bcast(self, root: int, data: Any = None, nbytes: Optional[int] = None, tag: Any = "bcast"):
-        """Broadcast from ``root``; returns the payload on every rank."""
-        return self.comm.bcast(self.rank, root, data, nbytes=nbytes, tag=tag)
-
-    def scatter(self, root: int, chunks: Optional[list] = None, nbytes: Optional[int] = None, tag: Any = "scatter"):
-        """Scatter from ``root``; returns this rank's chunk."""
-        return self.comm.scatter(self.rank, root, chunks, nbytes=nbytes, tag=tag)
-
-    def gather(self, root: int, data: Any = None, nbytes: Optional[int] = None, tag: Any = "gather"):
-        """Gather to ``root``; returns the list on root, None elsewhere."""
-        return self.comm.gather(self.rank, root, data, nbytes=nbytes, tag=tag)
-
-    def reduce(self, root: int, data: Any, op=None, nbytes: Optional[int] = None, tag: Any = "reduce"):
-        """Reduce to ``root``; returns the combined value there."""
-        return self.comm.reduce(self.rank, root, data, op=op, nbytes=nbytes, tag=tag)
-
-    def allreduce(self, data: Any, op=None, nbytes: Optional[int] = None, tag: Any = "allreduce"):
-        """Reduce everywhere; every rank returns the combined value."""
-        return self.comm.allreduce(self.rank, data, op=op, nbytes=nbytes, tag=tag)
-
-    def allgather(self, data: Any, nbytes: Optional[int] = None, tag: Any = "allgather"):
-        """Ring allgather; every rank returns the rank-ordered list."""
-        return self.comm.allgather(self.rank, data, nbytes=nbytes, tag=tag)
-
-    def alltoall(self, chunks: list, nbytes: Optional[int] = None, tag: Any = "alltoall"):
-        """Personalised all-to-all exchange."""
-        return self.comm.alltoall(self.rank, chunks, nbytes=nbytes, tag=tag)
-
-    def barrier(self):
-        """Block until all ranks arrive."""
-        return self.comm.barrier(self.rank)

@@ -71,6 +71,7 @@ __all__ = [
     "FastPathUnsupported",
     "NOMINAL_RATES",
     "Replay",
+    "ReplayCosts",
     "SteadyRates",
     "fast_path_refusal",
     "fastpath_summary",
@@ -193,6 +194,43 @@ class SteadyRates:
 
 #: No rate faults: every replay's nominal arithmetic.
 NOMINAL_RATES = SteadyRates()
+
+
+class ReplayCosts:
+    """Physical work priced as :class:`Replay` op costs for one run.
+
+    Each method evaluates the float arithmetic the DES machine models
+    evaluate at request time (``kernel_time``, ``BandwidthChannel``,
+    ``FpgaFabric.run_cycles``, ``Interconnect.transfer_time``), on
+    ``spec``'s uniform nodes with ``rates`` folded in, so a schedule
+    priced here replays bitwise.  ``freq_hz`` is the configured design's
+    nominal clock.
+    """
+
+    def __init__(self, spec, freq_hz: float, rates: SteadyRates = NOMINAL_RATES) -> None:
+        net = spec.network
+        self.processor = spec.node.processor
+        self.latency = net.latency
+        self.b_n = rates.network_bandwidth(net.bandwidth)
+        self.freq = rates.fpga_clock(freq_hz)
+        self.b_d = rates.b_d(freq_hz, spec.node.fpga.dram_link_bandwidth)
+
+    def cpu(self, work: tuple) -> float:
+        """``(kernel, flops)`` -> seconds on the CPU lane."""
+        return self.processor.kernel_time(*work)
+
+    def chan(self, nbytes: float) -> float:
+        """Bytes -> seconds on the ``B_d`` channel (latency 0.0)."""
+        return 0.0 + nbytes / self.b_d
+
+    def fpga(self, work: tuple) -> float:
+        """``(cycles, flops)`` -> seconds of FPGA time."""
+        return work[0] / self.freq
+
+    def msg(self, nbytes: float) -> tuple:
+        """Bytes -> ``(svc, size)``; ``comm.send`` coerces sizes to int."""
+        size = int(nbytes)
+        return (self.latency + size / self.b_n, size)
 
 
 def _eligibility(
@@ -370,20 +408,25 @@ class Replay:
 
     Schedules are plain generators yielding *ops* (tuples); the engine
     drives each generator with :meth:`advance` and orders everything on
-    one ``(time, seq)`` heap.  Supported ops:
+    one ``(time, seq)`` heap.  The same schedules run on the DES through
+    :class:`repro.sim.interpret.DesInterpreter`, which documents the
+    key and label conventions; here each op's cost slot holds what
+    :class:`ReplayCosts` made of its physical work, and labels are
+    ignored.  Supported ops:
 
-    ``("cpu", i, dur)``
+    ``("cpu", i, dur, label)``
         Hold node *i*'s CPU lane for ``dur``; busy time accrues as
         ``end - start`` exactly like ``Node.cpu_occupy``.
-    ``("chan", i, dur)``
+    ``("chan", i, dur, label)``
         Hold node *i*'s DRAM-to-FPGA channel for ``dur``.
-    ``("fpga_spawn", i, dur, key)``
+    ``("fpga_spawn", i, dur, key, label)``
         Non-blocking FPGA job; sets ``key`` when it completes.
-    ``("send", src, dst, svc, size, key, tie)``
-        One network transfer; the generator resumes at completion
-        (mirrors a blocking ``comm.send``).  ``tie`` tags the
-        transfer's tie class (see below).
-    ``("send_batch", src, dsts, svc, size, keys)``
+    ``("send", key, (svc, size), tie)``
+        One network transfer from ``key[0]`` to ``key[1]`` that sets
+        ``key`` on completion; the generator resumes then (mirrors a
+        blocking ``comm.send``).  ``tie`` tags the transfer's tie class
+        (see below).
+    ``("send_batch", keys, (svc, size))``
         A burst of concurrent transfers spawned at one instant; the
         generator resumes when all complete (``all_of`` over sends).
     ``("wait", key)`` / ``("wait_all", keys)``
@@ -421,7 +464,6 @@ class Replay:
         self.cpu_busy = [0.0] * p
         self.fpga_busy = [0.0] * p
         self.net_bytes = 0.0
-        self.msg_count = 0
         self.events: dict = {}  # key -> completion time
         self.waiters: dict = {}  # key -> [countdown, gen, park_t] cells
         self.marks: list = []  # (mark, "apply"|"revert", t) per stall, in order
@@ -539,7 +581,7 @@ class Replay:
                 return
             code = op[0]
             if code == "cpu":
-                _, i, dur = op
+                i, dur = op[1], op[2]
                 q = self.lane[i]
                 if self._acq(q, t, None):
                     self._push(t + dur, "c", (i, gen, t))
@@ -563,7 +605,7 @@ class Replay:
             elif code == "set":
                 self._set(op[1], t)
             elif code == "chan":
-                _, i, dur = op
+                i, dur = op[1], op[2]
                 q = self.chan[i]
                 if self._acq(q, t, None):
                     self._push(t + dur, "h", (i, gen, t))
@@ -571,18 +613,18 @@ class Replay:
                     q.q.append((4, (i, gen, dur)))
                 return
             elif code == "send":
-                _, src, dst, svc, size, key, tie = op
-                self._start_transfer(_Tok(src, dst, svc, size, key, tie, None, gen), t)
+                _, key, (svc, size), tie = op
+                self._start_transfer(_Tok(key[0], key[1], svc, size, key, tie, None, gen), t)
                 return
             elif code == "send_batch":
-                _, src, dsts, svc, size, keys = op
+                _, keys, (svc, size) = op
                 burst = object()
-                group = [len(dsts), gen]
-                for dst, key in zip(dsts, keys):
-                    self._start_transfer(_Tok(src, dst, svc, size, key, burst, group, None), t)
+                group = [len(keys), gen]
+                for key in keys:
+                    self._start_transfer(_Tok(key[0], key[1], svc, size, key, burst, group, None), t)
                 return
             elif code == "fpga_spawn":
-                _, i, dur, key = op
+                i, dur, key = op[1], op[2], op[3]
                 q = self.fpga[i]
                 if self._acq(q, t, None):
                     self._push(t + dur, "f", (i, key, t))
@@ -616,9 +658,7 @@ class Replay:
                 self._rel(self.ingress[tok.dst], t)
                 self._rel(self.egress[tok.src], t)
                 self.net_bytes += tok.size
-                self.msg_count += 1
-                if tok.key is not None:
-                    self._set(tok.key, t)
+                self._set(tok.key, t)
                 if tok.gen is not None:
                     self.advance(tok.gen, t)
                 else:

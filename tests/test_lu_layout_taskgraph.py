@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.lu import BlockCyclicLayout, build_lu_taskgraph, lu_op_counts
-from repro.apps.lu.simulate import iteration_jobs, released_after_opl, released_after_opu
+from repro.apps.lu.schedule import iteration_jobs, released_after_opl, released_after_opu
 
 
 # ------------------------------------------------------------------ layout

@@ -10,7 +10,6 @@ from repro.apps.lu import LuDesign
 from repro.core import FlopSplit, Prediction, SystemParameters
 from repro.hw import MatrixMultiplyDesign
 from repro.machine import MemoryBank, MemorySpec, ReconfigurableSystem, cray_xd1
-from repro.mpi import Communicator
 from repro.sim import Simulator, Store, Trace
 
 
@@ -93,17 +92,6 @@ def test_cpu_occupy_negative_rejected():
     system = ReconfigurableSystem(cray_xd1())
     with pytest.raises(ValueError):
         list(system.nodes[0].cpu_occupy(-1.0))
-
-
-# ------------------------------------------------------------------- mpi
-
-
-def test_rankview_properties():
-    comm = Communicator(ReconfigurableSystem(cray_xd1(p=3)))
-    view = comm.view(1)
-    assert view.size == 3
-    assert view.rank == 1
-    assert view.sim is comm.sim
 
 
 # ------------------------------------------------------------------ core

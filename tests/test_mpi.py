@@ -18,12 +18,12 @@ def comm(system):
 
 
 def run_ranks(comm, fn):
-    """Spawn fn(view) as one process per rank; run; return {rank: result}."""
+    """Spawn fn(rank) as one process per rank; run; return {rank: result}."""
     results = {}
 
     def wrap(rank):
         def proc():
-            value = yield from fn(comm.view(rank))
+            value = yield from fn(rank)
             results[rank] = value
 
         return proc()
@@ -49,13 +49,13 @@ def test_payload_bytes_variants():
 
 
 def test_send_recv_payload_and_timing(comm):
-    def fn(me):
-        if me.rank == 0:
-            yield from me.send(1, data="hello", nbytes=2e9)  # 1 s at B_n = 2 GB/s
+    def fn(rank):
+        if rank == 0:
+            yield from comm.send(0, 1, data="hello", nbytes=2e9)  # 1 s at B_n = 2 GB/s
             return None
-        if me.rank == 1:
-            data = yield from me.recv(0)
-            return (data, me.sim.now)
+        if rank == 1:
+            data = yield from comm.recv(1, 0)
+            return (data, comm.sim.now)
         return None
         yield  # pragma: no cover
 
@@ -68,14 +68,14 @@ def test_send_recv_payload_and_timing(comm):
 def test_messages_do_not_overtake(comm):
     """Two sends on the same (src, dst, tag) arrive in order."""
 
-    def fn(me):
-        if me.rank == 0:
-            yield from me.send(1, data="first", nbytes=8)
-            yield from me.send(1, data="second", nbytes=8)
+    def fn(rank):
+        if rank == 0:
+            yield from comm.send(0, 1, data="first", nbytes=8)
+            yield from comm.send(0, 1, data="second", nbytes=8)
             return None
-        if me.rank == 1:
-            a = yield from me.recv(0)
-            b = yield from me.recv(0)
+        if rank == 1:
+            a = yield from comm.recv(1, 0)
+            b = yield from comm.recv(1, 0)
             return (a, b)
         return None
         yield  # pragma: no cover
@@ -84,14 +84,14 @@ def test_messages_do_not_overtake(comm):
 
 
 def test_tags_demultiplex(comm):
-    def fn(me):
-        if me.rank == 0:
-            yield from me.send(1, data="red", nbytes=8, tag="a")
-            yield from me.send(1, data="blue", nbytes=8, tag="b")
+    def fn(rank):
+        if rank == 0:
+            yield from comm.send(0, 1, data="red", nbytes=8, tag="a")
+            yield from comm.send(0, 1, data="blue", nbytes=8, tag="b")
             return None
-        if me.rank == 1:
-            blue = yield from me.recv(0, tag="b")
-            red = yield from me.recv(0, tag="a")
+        if rank == 1:
+            blue = yield from comm.recv(1, 0, tag="b")
+            red = yield from comm.recv(1, 0, tag="a")
             return (red, blue)
         return None
         yield  # pragma: no cover
@@ -100,13 +100,13 @@ def test_tags_demultiplex(comm):
 
 
 def test_recv_blocks_until_message(comm):
-    def fn(me):
-        if me.rank == 1:
-            data = yield from me.recv(0)
-            return (data, me.sim.now)
-        if me.rank == 0:
-            yield me.sim.timeout(5.0)
-            yield from me.send(1, data=42, nbytes=8)
+    def fn(rank):
+        if rank == 1:
+            data = yield from comm.recv(1, 0)
+            return (data, comm.sim.now)
+        if rank == 0:
+            yield comm.sim.timeout(5.0)
+            yield from comm.send(0, 1, data=42, nbytes=8)
         return None
 
     _, t = run_ranks(comm, fn)[1]
@@ -120,70 +120,7 @@ def test_self_send_rejected(comm):
 
 def test_bad_rank_rejected(comm):
     with pytest.raises(ValueError, match="out of range"):
-        comm.view(7)
-
-
-# ----------------------------------------------------------------- collectives
-
-
-def test_bcast_delivers_to_all(comm):
-    def fn(me):
-        data = "block" if me.rank == 2 else None
-        got = yield from me.bcast(2, data, nbytes=1e6)
-        return got
-
-    results = run_ranks(comm, fn)
-    assert all(v == "block" for v in results.values())
-
-
-def test_scatter_deals_chunks(comm):
-    def fn(me):
-        chunks = [f"c{i}" for i in range(me.size)] if me.rank == 0 else None
-        got = yield from me.scatter(0, chunks, nbytes=8)
-        return got
-
-    results = run_ranks(comm, fn)
-    assert results == {0: "c0", 1: "c1", 2: "c2", 3: "c3"}
-
-
-def test_scatter_requires_p_chunks(comm):
-    with pytest.raises(ValueError, match="chunks"):
-        list(comm.scatter(0, 0, chunks=["only-one"]))
-
-
-def test_gather_collects_in_rank_order(comm):
-    def fn(me):
-        got = yield from me.gather(3, data=me.rank * 10, nbytes=8)
-        return got
-
-    results = run_ranks(comm, fn)
-    assert results[3] == [0, 10, 20, 30]
-    assert results[0] is None
-
-
-def test_barrier_synchronises(comm):
-    def fn(me):
-        yield me.sim.timeout(float(me.rank))  # stagger arrivals 0..3
-        yield from me.barrier()
-        return me.sim.now
-
-    results = run_ranks(comm, fn)
-    assert all(t == pytest.approx(3.0) for t in results.values())
-
-
-def test_barrier_reusable(comm):
-    def fn(me):
-        yield me.sim.timeout(float(me.rank))
-        yield from me.barrier()
-        first = me.sim.now
-        yield me.sim.timeout(float(me.size - me.rank))
-        yield from me.barrier()
-        return (first, me.sim.now)
-
-    results = run_ranks(comm, fn)
-    for first, second in results.values():
-        assert first == pytest.approx(3.0)
-        assert second == pytest.approx(7.0)
+        list(comm.recv(7, 0))
 
 
 def test_comm_time_recorded_on_mpi_lane(comm):
@@ -192,11 +129,11 @@ def test_comm_time_recorded_on_mpi_lane(comm):
     the exclusive cpu compute lanes, because concurrent sends may ride
     the node's two links)."""
 
-    def fn(me):
-        if me.rank == 0:
-            yield from me.send(1, data=None, nbytes=2e9)
-        elif me.rank == 1:
-            yield from me.recv(0)
+    def fn(rank):
+        if rank == 0:
+            yield from comm.send(0, 1, data=None, nbytes=2e9)
+        elif rank == 1:
+            yield from comm.recv(1, 0)
         return None
 
     run_ranks(comm, fn)
@@ -210,12 +147,12 @@ def test_comm_time_recorded_on_mpi_lane(comm):
 def test_wire_time_uses_network_bandwidth(comm):
     """4 GB at 2 GB/s = 2 s."""
 
-    def fn(me):
-        if me.rank == 0:
-            yield from me.send(3, data=None, nbytes=4e9)
-        elif me.rank == 3:
-            yield from me.recv(0)
-            return me.sim.now
+    def fn(rank):
+        if rank == 0:
+            yield from comm.send(0, 3, data=None, nbytes=4e9)
+        elif rank == 3:
+            yield from comm.recv(3, 0)
+            return comm.sim.now
         return None
 
     assert run_ranks(comm, fn)[3] == pytest.approx(2.0, rel=1e-3)

@@ -5,7 +5,10 @@
 printed status lines are what is asserted: compute then cache hit with
 the same ``result_hash``, an in-flight duplicate collapsing onto the
 paused original, the queue counters of that ladder, and a clean SIGTERM
-drain with one ledger line per finished job.
+drain with one ledger line per finished job.  A campaign job fetched over
+HTTP must equal ``campaign run --json`` byte for byte, and the dashboard
+must render the service panel from the server's ledger as a
+self-contained page.
 """
 
 from __future__ import annotations
@@ -24,6 +27,15 @@ from repro.cli import main
 from repro.obs import RunLedger
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Pinned so service ledger entries are reproducible.
+PINNED_ENV = {"REPRO_GIT_SHA": "0" * 40, "REPRO_LEDGER_TS": "1970-01-01T00:00:00Z"}
+
+
+@pytest.fixture
+def pinned_env(monkeypatch):
+    for name, value in PINNED_ENV.items():
+        monkeypatch.setenv(name, value)
 
 
 @pytest.fixture
@@ -121,3 +133,25 @@ def test_serve_and_client_text_paths(server, capsys):
     assert "service stopped cleanly" in tail
     jobs = [e["job"] for e in RunLedger(ledger).entries(kind="service")]
     assert sorted(jobs) == sorted({_job_id(o) for o in (first, cached, sweep, queued)})
+
+
+def test_campaign_job_over_http_equals_campaign_run(pinned_env, server, capsys, tmp_path):
+    addr, _proc, ledger = server
+    rc, out = _client(addr, capsys, "submit", "campaign", "--param", 'apps=["lu"]',
+                      "--param", "replicates=3", "--param", "seed=7", "--wait")
+    assert rc == 0
+    assert "state=completed" in out
+    job = next(line.split()[1] for line in out.splitlines() if line.split()[:1] == ["job"])
+    rc, served = _client(addr, capsys, "result", job)
+    assert rc == 0
+    assert main(["campaign", "run", "--apps", "lu", "--replicates", "3", "--seed", "7",
+                 "--cache", "off", "--json"]) == 0
+    assert served == capsys.readouterr().out  # bitwise, as `cmp` would check
+
+    # The dashboard renders the service panel from the server's ledger.
+    html = tmp_path / "dashboard.html"
+    assert main(["obs", "dashboard", "--ledger", str(ledger), "--html", str(html)]) == 0
+    assert "service jobs" in capsys.readouterr().out
+    page = html.read_text(encoding="utf-8")
+    assert "Service jobs" in page
+    assert not re.search(r"<script|https?://", page), "dashboard is not self-contained"
