@@ -1,0 +1,85 @@
+"""Run an app's op schedule on either engine.
+
+LU and FW write their schedules once, as op generators (see
+:class:`repro.sim.analytic.Replay` for the vocabulary), built by a
+``processes(price)`` callable that returns ``(name, ops)`` per process
+in spawn order.  :func:`replay_schedule` runs them on the analytic
+:class:`~repro.sim.analytic.Replay`, :func:`des_schedule` on a live
+machine through :class:`~repro.sim.interpret.DesInterpreter`.  Both
+return the fields every ``*SimResult`` shares -- ``elapsed``,
+``trace``, ``cpu_busy``, ``fpga_busy`` and ``network_bytes`` -- and the
+two agree bitwise wherever the replay does not refuse.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator
+
+from ..machine.system import MachineSpec, ReconfigurableSystem
+from ..mpi import Communicator
+from ..sim.analytic import Replay, ReplayCosts, SteadyRates, fault_nodes
+from ..sim.interpret import DesInterpreter, Physical
+
+__all__ = ["des_schedule", "replay_schedule"]
+
+Processes = Callable[[object], list[tuple[str, Iterator]]]
+
+
+def _stall(event, i: int):
+    yield ("stall", i, event.duration, (event, i))
+
+
+def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
+                    processes: Processes, stall_log: list) -> dict:
+    """The schedule on :class:`Replay`, with ``rates`` folded in.
+
+    ``freq_hz`` is the configured design's nominal clock.  Each
+    ``dma_stall`` in ``rates.stalls`` becomes a ``stall`` op spawned
+    before the schedule, in :meth:`FaultInjector.install`'s order, as
+    the DES spawns its stall processes; the replay's stall marks are
+    appended to ``stall_log`` once the run completes.
+    """
+    p = spec.p
+    engine = Replay(p, spec.network.links_per_node)
+    for event in rates.stalls:
+        for i in fault_nodes(event.node, p):
+            engine.spawn(_stall(event, i), event.at)
+    for _, ops in processes(ReplayCosts(spec, freq_hz, rates)):
+        engine.advance(ops, 0.0)
+    elapsed = engine.run()
+    stall_log.extend(engine.marks)
+    return dict(
+        elapsed=elapsed,
+        trace=None,
+        cpu_busy=engine.cpu_busy,
+        fpga_busy=engine.fpga_busy,
+        network_bytes=engine.net_bytes,
+    )
+
+
+def des_schedule(spec: MachineSpec, design, processes: Processes, trace: bool = False,
+                 node_specs=None, monitor=None, faults=None) -> dict:
+    """The schedule on a live machine with ``design`` on every FPGA.
+
+    ``monitor`` attaches to the simulator; ``faults`` is installed
+    after the FPGAs are configured and before the schedule spawns.
+    """
+    system = ReconfigurableSystem(spec, trace=trace, node_specs=node_specs)
+    if not trace:
+        system.sim.trace = None
+    if monitor is not None:
+        system.sim.attach_monitor(monitor)
+    system.configure_fpgas(lambda: design)
+    if faults is not None:
+        faults.install(system)
+    des = DesInterpreter(system, Communicator(system))
+    for name, ops in processes(Physical):
+        des.spawn(name, ops)
+    elapsed = system.run()
+    return dict(
+        elapsed=elapsed,
+        trace=system.trace,
+        cpu_busy=[nd.cpu_busy_time for nd in system.nodes],
+        fpga_busy=[nd.fpga.busy_time for nd in system.nodes],
+        network_bytes=system.network.bytes_moved,
+    )

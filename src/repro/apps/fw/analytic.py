@@ -1,6 +1,6 @@
-"""Analytic (DES-free) replay of the distributed-FW simulation.
+"""Closed forms of the distributed-FW simulation, for stall-free runs.
 
-The FW schedule of :func:`repro.apps.fw.simulate.simulate_fw` is
+Without DMA stalls the FW schedule of :mod:`repro.apps.fw.schedule` is
 *structurally* conflict-free: each phase's broadcast serialises on the
 owner's egress links in spawn-order waves, every other resource (CPU
 lane, DMA channel, FPGA) is used serially by its own node's process,
@@ -9,7 +9,12 @@ for a strictly positive time between broadcasts.  The makespan is
 therefore a pure fold over phases, and :func:`analytic_fw` evaluates
 exactly the float arithmetic the DES would -- same operations, same
 order, including the ``end - start`` busy-time accounting -- so every
-field of the returned :class:`FwSimResult` is bitwise identical.
+field of the returned :class:`FwSimResult` is bitwise identical.  It
+takes about a fifteenth of the time of running the schedule on
+:class:`~repro.sim.analytic.Replay`, which is why it stays: a stall
+window breaks the fold (it queues on one node's channel), so
+:func:`~repro.apps.fw.simulate.simulate_fw` replays the schedule for
+runs with stalls instead.
 
 :func:`analytic_fw_batch` vectorises the fold over a whole
 ``(l1, l2)`` split grid (the Figure 7 sweep) in one NumPy pass with
@@ -24,7 +29,6 @@ from typing import Optional, Sequence
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
 from ...sim.analytic import NOMINAL_RATES, FastPathUnsupported, SteadyRates
-from .layout import ColumnBlockLayout
 from .simulate import FwSimConfig, FwSimResult
 
 __all__ = ["analytic_fw", "analytic_fw_batch"]
@@ -32,15 +36,10 @@ __all__ = ["analytic_fw", "analytic_fw_batch"]
 
 def _fw_params(spec: MachineSpec, config: FwSimConfig, design, rates=NOMINAL_RATES):
     if rates.stalls:
-        raise FastPathUnsupported("the FW fold has no stall term", reason="faults")
+        raise ValueError("the FW closed form has no stall term; simulate_fw replays stalls")
     if design is None:
         design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
-    layout = ColumnBlockLayout(config.nb, spec.p)
-    if config.ops_per_phase != layout.cols_per_node:
-        raise ValueError(
-            f"l1 + l2 = {config.ops_per_phase} must equal the per-node "
-            f"per-phase operation count n/(bp) = {layout.cols_per_node}"
-        )
+    layout = config.layout(spec.p)
     net = spec.network
     block_bytes = config.b * config.b * 8
     svc = net.latency + block_bytes / rates.network_bandwidth(net.bandwidth)
@@ -63,10 +62,11 @@ def analytic_fw(
     design: Optional[FloydWarshallDesign] = None,
     rates: SteadyRates = NOMINAL_RATES,
 ) -> FwSimResult:
-    """Replay the FW schedule without a DES (bitwise exact).
+    """The FW schedule's closed form, without an engine (bitwise exact).
 
     ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``;
-    ``dma_stall`` windows refuse with reason ``faults``.
+    it must carry no ``dma_stall`` windows (:func:`simulate_fw` runs
+    those on the schedule's replay).
     """
     design, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = _fw_params(
         spec, config, design, rates
@@ -76,7 +76,7 @@ def analytic_fw(
     stage_bytes = 2 * block_bytes
     stage_svc = 0.0 + stage_bytes / b_d
     L = spec.network.links_per_node
-    n_iters = nb if config.iterations is None else min(config.iterations, nb)
+    n_iters = config.iterations_run
 
     t = [0.0] * p
     cpu_busy = [0.0] * p
@@ -201,7 +201,7 @@ def analytic_fw_batch(
     stage_bytes = 2 * block_bytes
     stage_svc = 0.0 + stage_bytes / b_d
     L = spec.network.links_per_node
-    n_iters = nb if base.iterations is None else min(base.iterations, nb)
+    n_iters = base.iterations_run
     npts = len(configs)
     l1a = np.asarray([c.l1 for c in configs], dtype=np.int64)
     l2a = np.asarray([c.l2 for c in configs], dtype=np.int64)

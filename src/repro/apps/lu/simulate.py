@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...hw.mm_design import MatrixMultiplyDesign
-from ...machine.system import MachineSpec, ReconfigurableSystem
-from ...mpi import Communicator
+from ...machine.system import MachineSpec
 from ...sim import Trace
-from ...sim.analytic import Replay, ReplayCosts, fault_nodes, try_fast_path
-from ...sim.interpret import DesInterpreter, Physical
+from ...sim.analytic import try_fast_path
+from ..engines import des_schedule, replay_schedule
 from .analytic import analytic_block_mm
 from .schedule import block_mm_processes, lu_processes
 
@@ -92,49 +91,6 @@ class LuSimResult:
         return sum(self.fpga_busy) / (len(self.fpga_busy) * self.elapsed) if self.elapsed else 0.0
 
 
-def _des_system(spec: MachineSpec, design, trace: bool, node_specs=None, monitor=None,
-                faults=None) -> tuple[ReconfigurableSystem, DesInterpreter]:
-    """A live system with ``design`` on every FPGA, and its interpreter."""
-    system = ReconfigurableSystem(spec, trace=trace, node_specs=node_specs)
-    if not trace:
-        system.sim.trace = None
-    if monitor is not None:
-        system.sim.attach_monitor(monitor)
-    system.configure_fpgas(lambda: design)
-    if faults is not None:
-        faults.install(system)
-    return system, DesInterpreter(system, Communicator(system))
-
-
-def _replay_lu(spec, config, design, rates, stall_log: list) -> LuSimResult:
-    """The schedule on :class:`Replay`, with ``rates`` folded in."""
-    p = spec.p
-    engine = Replay(p, spec.network.links_per_node)
-
-    def stall(event, i: int):
-        yield ("stall", i, event.duration, (event, i))
-
-    # Stall processes first and in FaultInjector.install's order, as the
-    # DES spawns them.
-    for event in rates.stalls:
-        for i in fault_nodes(event.node, p):
-            engine.spawn(stall(event, i), event.at)
-    costs = ReplayCosts(spec, design.freq_hz, rates)
-    for _, ops in lu_processes(config, p, spec.network.links_per_node, costs):
-        engine.advance(ops, 0.0)
-    elapsed = engine.run()
-    stall_log.extend(engine.marks)
-    return LuSimResult(
-        elapsed=elapsed,
-        useful_flops=(2.0 / 3.0) * float(config.n) ** 3,
-        config=config,
-        trace=None,
-        cpu_busy=engine.cpu_busy,
-        fpga_busy=engine.fpga_busy,
-        network_bytes=engine.net_bytes,
-    )
-
-
 def simulate_lu(
     spec: MachineSpec,
     config: LuSimConfig,
@@ -163,10 +119,20 @@ def simulate_lu(
     """
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
+
+    def processes(price):
+        return lu_processes(config, spec.p, spec.network.links_per_node, price)
+
+    def result(fields: dict) -> LuSimResult:
+        return LuSimResult(useful_flops=(2.0 / 3.0) * float(config.n) ** 3, config=config,
+                           **fields)
+
     stall_log: list = []
     fast = try_fast_path(
         "lu",
-        lambda rates: _replay_lu(spec, config, design, rates, stall_log),
+        lambda rates: result(
+            replay_schedule(spec, design.freq_hz, rates, processes, stall_log)
+        ),
         mode=fast_path,
         trace=trace,
         node_specs=node_specs,
@@ -176,19 +142,7 @@ def simulate_lu(
     )
     if fast is not None:
         return fast
-    system, des = _des_system(spec, design, trace, node_specs, monitor, faults)
-    for name, ops in lu_processes(config, spec.p, spec.network.links_per_node, Physical):
-        des.spawn(name, ops)
-    elapsed = system.run()
-    return LuSimResult(
-        elapsed=elapsed,
-        useful_flops=(2.0 / 3.0) * float(config.n) ** 3,
-        config=config,
-        trace=system.trace,
-        cpu_busy=[nd.cpu_busy_time for nd in system.nodes],
-        fpga_busy=[nd.fpga.busy_time for nd in system.nodes],
-        network_bytes=system.network.bytes_moved,
-    )
+    return result(des_schedule(spec, design, processes, trace, node_specs, monitor, faults))
 
 
 def simulate_block_mm(
@@ -215,7 +169,6 @@ def simulate_block_mm(
     if b % k:
         raise ValueError(f"b={b} must be a multiple of k={k}")
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=k)
-    system, des = _des_system(spec, design, trace=False)
-    for name, ops in block_mm_processes(spec.p, b, b_f, k):
-        des.spawn(name, ops)
-    return system.run()
+    return des_schedule(
+        spec, design, lambda _price: block_mm_processes(spec.p, b, b_f, k)
+    )["elapsed"]

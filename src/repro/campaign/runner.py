@@ -53,9 +53,10 @@ def run_replicate(task: dict[str, Any]) -> dict[str, Any]:
     tracing when a regression needs explaining.  Untraced, a replicate
     whose perturbation is steady rate jitter takes the analytic fast
     path with its factors folded in
-    (:func:`repro.sim.analytic.fast_path_refusal`).  An LU replicate
-    folds its stall burst too; an FW replicate with a stall burst, and
-    any other fault timeline, still runs the DES.
+    (:func:`repro.sim.analytic.fast_path_refusal`).  A stall burst folds
+    too, for LU and FW alike: the app's op schedule runs on the analytic
+    replay with the stalls as channel holds.  Any other fault timeline
+    still runs the DES.
 
     The result carries ``makespan`` (simulated seconds),
     ``overlap_efficiency``, ``predicted_latency`` and ``hist`` (the

@@ -12,8 +12,9 @@ the fast path accepts, at a fraction of the cost.
 Two layers live here:
 
 * :class:`Replay` -- a chronological replay engine for schedules that do
-  queue on resources (the LU pipeline).  It keeps per-resource FIFO
-  queues and a single time-ordered heap, but no event/process objects.
+  queue on resources (the LU pipeline, and FW under DMA stalls).  It
+  keeps per-resource FIFO queues and a single time-ordered heap, but no
+  event/process objects.
   A built-in *ambiguity detector* refuses (raises
   :class:`FastPathUnsupported`) whenever two same-timestamp acquisitions
   from different spawn bursts hit the same FIFO queue and at least one
@@ -49,10 +50,10 @@ Faults fold in: a fault injector whose scenario only scales service
 rates for the whole run on every node, plus any number of ``dma_stall``
 windows, hands them over as :class:`SteadyRates`.  The replays apply
 the factors to ``B_n``, ``F_f`` and ``B_d`` exactly as the DES injector
-does; the LU replay also holds its ``B_d`` channel queue for each stall
-window, as the DES injector holds the channel's grant lock, while the
-FW and MM replays refuse stalls with reason ``faults`` (see
-docs/performance.md).
+does.  The LU and FW schedule replays also hold their ``B_d`` channel
+queue for each stall window, as the DES injector holds the channel's
+grant lock (:func:`repro.apps.engines.replay_schedule`); the MM fold
+refuses stalls with reason ``faults`` (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -163,10 +164,11 @@ class SteadyRates:
     order the fault injector applies them (see :func:`scale_in_order`).
     ``stalls`` lists the ``dma_stall`` events (anything with ``at``,
     ``duration`` and ``node``) in :meth:`FaultScenario.expand` order, the
-    order the injector spawns its stall processes in.  Only the LU
-    replay models them, as FIFO holds on its ``B_d`` channel queue; the
-    FW and MM replays refuse a non-empty ``stalls`` with reason
-    ``faults``.
+    order the injector spawns its stall processes in.  The LU and FW
+    schedule replays model them, as FIFO holds on the ``B_d`` channel
+    queue; the FW closed forms take none (:func:`repro.apps.fw.simulate_fw`
+    replays a run that has them), and the MM fold refuses a non-empty
+    ``stalls`` with reason ``faults``.
     """
 
     link: tuple[float, ...] = ()  # link_slowdown: network bandwidth B_n
@@ -224,7 +226,16 @@ class ReplayCosts:
         return 0.0 + nbytes / self.b_d
 
     def fpga(self, work: tuple) -> float:
-        """``(cycles, flops)`` -> seconds of FPGA time."""
+        """``(cycles, flops)`` -> seconds of FPGA time.
+
+        A job of several back-to-back runs, ``(cycles, flops, runs)``,
+        refuses with reason ``unsupported-config``: the replay holds the
+        FPGA once per job.
+        """
+        if len(work) > 2:
+            raise FastPathUnsupported(
+                "multi-run FPGA jobs are DES-only", reason="unsupported-config"
+            )
         return work[0] / self.freq
 
     def msg(self, nbytes: float) -> tuple:
@@ -274,8 +285,8 @@ def fast_path_refusal(
     applied at ``t = 0`` on every node for the whole run, or a
     ``dma_stall`` (see :meth:`repro.faults.FaultInjector.steady_rates`);
     any other fault timeline refuses with reason ``faults``.  Stalls pass
-    this check; the FW and MM replays then refuse them with reason
-    ``faults``, the LU replay folds them.
+    this check; the LU and FW replays fold them, the MM fold then
+    refuses them with reason ``faults``.
     """
     return _eligibility(trace, node_specs, monitor, faults)[0]
 
@@ -618,6 +629,9 @@ class Replay:
                 return
             elif code == "send_batch":
                 _, keys, (svc, size) = op
+                if not keys:  # all_of([]) fires at once: resume one step later
+                    self._push(t, "g", gen)
+                    return
                 burst = object()
                 group = [len(keys), gen]
                 for key in keys:

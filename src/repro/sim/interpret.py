@@ -7,7 +7,9 @@ replay's :class:`~repro.sim.analytic.ReplayCosts` turns it into
 durations, :class:`Physical` leaves it physical -- ``(kernel, flops)``,
 bytes, ``(cycles, flops)`` -- for :class:`DesInterpreter`, whose machine
 prices each op at request time from that node's own processor and the
-live (possibly fault-scaled) link, clock and ``B_d``.
+live (possibly fault-scaled) link, clock and ``B_d``.  FPGA work may
+carry a run count, ``(cycles, flops, runs)``: one job of ``runs``
+back-to-back runs, which only the DES runs.
 
 The interpreter makes the calls a hand-written DES process would make:
 ``cpu`` -> ``node.cpu_run``; ``chan`` -> ``node.dram_to_fpga``;
@@ -48,9 +50,14 @@ class Physical:
 
 
 def fpga_job(node, work, label: str, done):
-    """Process generator: one FPGA job, then its completion event."""
-    cycles, flops = work
-    yield from node.fpga_run_cycles(cycles, label=label, flops=flops)
+    """Process generator: one FPGA job, then its completion event.
+
+    ``work`` is ``(cycles, flops)``, or ``(cycles, flops, runs)`` for
+    ``runs`` back-to-back runs of that size.
+    """
+    cycles, flops, *runs = work
+    for _ in range(runs[0] if runs else 1):
+        yield from node.fpga_run_cycles(cycles, label=label, flops=flops)
     done.succeed()
 
 

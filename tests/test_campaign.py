@@ -210,8 +210,8 @@ def test_run_campaign_telemetry_splits_replicates_by_engine(tmp_path):
         assert telemetry["replicates"] == {"analytic": 6, "des": 0}
     telemetry = {}
     run_campaign(_spec(apps=("lu", "fw")), jobs=2, cache=False, telemetry=telemetry)
-    # Stall bursts: LU folds them into its replay, FW runs the DES.
-    assert telemetry["replicates"] == {"analytic": 3, "des": 3}
+    # Stall bursts: LU and FW both fold them into their schedule's replay.
+    assert telemetry["replicates"] == {"analytic": 6, "des": 0}
     cache = str(tmp_path / "cache")
     run_campaign(jitter, jobs=1, cache=cache)
     telemetry = {}

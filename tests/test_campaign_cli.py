@@ -129,13 +129,13 @@ def test_campaign_run_prints_worker_footer(tmp_path, capsys):
 
 
 def test_campaign_run_footer_reports_replicate_split(tmp_path, capsys):
-    # LU folds the default model's stall burst; FW's needs the DES.
+    # LU and FW both fold the default model's stall burst.
     _run(tmp_path, "stalls.json")
     assert "replicates: 4 analytic, 0 DES (0% on the DES)" in capsys.readouterr().out
     _run(tmp_path, "jitter.json", "--stalls", "0")
     assert "replicates: 4 analytic, 0 DES (0% on the DES)" in capsys.readouterr().out
     _run(tmp_path, "fw.json", "--apps", "fw")
-    assert "replicates: 0 analytic, 4 DES (100% on the DES)" in capsys.readouterr().out
+    assert "replicates: 4 analytic, 0 DES (0% on the DES)" in capsys.readouterr().out
 
 
 def test_campaign_run_multi_preset_comma_list(tmp_path, capsys):

@@ -82,8 +82,8 @@ def test_non_xd1_preset_cells(capsys):
     [
         # Jitter alone folds for both apps.
         (("--stalls", "0"), "replicates: 6 analytic, 0 DES"),
-        # The default model's stall burst folds for LU; FW runs the DES.
-        ((), "replicates: 3 analytic, 3 DES"),
+        # The default model's stall burst folds for LU and FW too.
+        ((), "replicates: 6 analytic, 0 DES"),
     ],
 )
 def test_replicate_split_between_replay_and_des(capsys, extra, split):

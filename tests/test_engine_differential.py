@@ -2,7 +2,7 @@
 
 Hypothesis draws small random op schedules (``p`` from 2 to 4; CPU,
 channel, FPGA spawn + wait, send and send-batch ops with matching
-receives) and runs each through :class:`repro.sim.analytic.Replay` and
+receives; a send batch may be empty) and runs each through :class:`repro.sim.analytic.Replay` and
 through :class:`repro.sim.interpret.DesInterpreter` on a live machine.
 Wherever the replay does not refuse, makespan, per-node CPU and FPGA
 busy time and network bytes must be bitwise equal.  Work comes from a
@@ -48,7 +48,7 @@ def schedules(draw):
     for j, i in enumerate(nodes):
         prog = programs[j]
         peers = [r for r in range(j + 1, len(nodes)) if nodes[r] != i]
-        kinds = ["cpu", "chan", "fpga"] + (["send", "send_batch"] if peers else [])
+        kinds = ["cpu", "chan", "fpga", "send_batch"] + (["send"] if peers else [])
         for n, kind in enumerate(draw(st.lists(st.sampled_from(kinds), max_size=6))):
             w = draw(st.integers(0, 1))
             label = (kind, j, n)
@@ -66,7 +66,7 @@ def schedules(draw):
                 prog.append(("send", key, w, None))
                 receives[r].append((0, key))
             else:
-                rs = draw(st.lists(st.sampled_from(peers), min_size=1, unique=True))
+                rs = draw(st.lists(st.sampled_from(peers), unique=True)) if peers else []
                 keys = [(i, nodes[r], ("b", j, n, r)) for r in rs]
                 prog.append(("send_batch", keys, w))
                 for r, key in zip(rs, keys):
@@ -129,3 +129,15 @@ def test_replay_matches_des_bitwise_unless_it_refuses(schedule):
         assert exc.reason == "ambiguous-tie"
         return
     assert replayed == _des(spec, design, programs)
+
+
+def test_an_empty_send_batch_resumes_its_process():
+    # all_of([]) fires at once on the DES; the replay must not park the
+    # process forever (the single-node FW broadcast is such a batch).
+    spec = cray_xd1(p=2)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    programs = [[("send_batch", [], 0), ("cpu", 0, 1, ("cpu", 0, 1))],
+                [("cpu", 1, 0, ("cpu", 1, 0))]]
+    replayed = _replay(spec, design, programs)
+    assert replayed == _des(spec, design, programs)
+    assert replayed[1][0] > 0.0  # node 0 ran its op after the batch

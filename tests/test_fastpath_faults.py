@@ -2,13 +2,13 @@
 
 A fault injector whose scenario only scales ``B_n``, ``F_f`` and ``B_d``
 for the whole run on every node folds into the analytic fast path
-(:class:`repro.sim.analytic.SteadyRates`); LU additionally folds
-``dma_stall`` windows as FIFO holds on the replay's B_d channel queue.
-The folded replay must be **bitwise** identical to the DES with the
-injector installed -- every ``*SimResult`` field compared with ``==`` --
-and must leave the same injection log.  FW and MM with stall bursts, and
-every other fault timeline, still fall back to the DES with reason
-``faults``.
+(:class:`repro.sim.analytic.SteadyRates`); LU and FW additionally fold
+``dma_stall`` windows as FIFO holds on their schedule replay's B_d
+channel queue.  The folded replay must be **bitwise** identical to the
+DES with the injector installed -- every ``*SimResult`` field compared
+with ``==`` -- and must leave the same injection log.  MM with stall
+bursts, and every other fault timeline, still fall back to the DES with
+reason ``faults``.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def test_jitter_only_campaign_replicates_match_the_des(seed):
 
 # -----------------------------------------------------------------------
 # refusal: anything but steady whole-run rate faults needs the DES
-# (LU alone also folds stalls)
+# (LU and FW also fold stalls)
 # -----------------------------------------------------------------------
 
 
@@ -183,10 +183,10 @@ def test_unfoldable_scenarios_fall_back_with_reason_faults(app, name):
     simulate, cfg = APPS[app](spec)
     injector = FaultInjector(UNFOLDABLE[name])
     if name == "burst":
-        # Stall windows fold; the LU replay models them, FW/MM refuse.
+        # Stall windows fold; the LU and FW replays model them, MM refuses.
         assert len(injector.steady_rates().stalls) == 2
-        if app == "lu":
-            assert _lu_stall_outcome(spec, cfg, UNFOLDABLE[name]) == "folded"
+        if app in ("lu", "fw"):
+            assert _stall_outcome(app, spec, cfg, UNFOLDABLE[name]) == "folded"
             return
     else:
         assert injector.steady_rates() is None
@@ -203,22 +203,24 @@ def test_unfoldable_scenarios_fall_back_with_reason_faults(app, name):
 
 
 # -----------------------------------------------------------------------
-# LU folds dma_stall windows into the replay's channel queue
+# LU and FW fold dma_stall windows into the replay's channel queue
 # -----------------------------------------------------------------------
 
 LU_PRESETS = ("xd1", "xt3", "rasc")
+FW_PRESETS = ("xd1", "xt3", "rasc", "src")
 
 
-def _stall_bursts(p):
+def _stall_bursts(p, horizon=20.0, longest=3.0):
+    """Bursts starting in ``[0, horizon]``, long stalls up to ``longest``."""
     return st.lists(
         st.builds(
             StallBurst,
             count=st.integers(1, 8),
-            start=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+            start=st.one_of(st.just(0.0), st.floats(0.0, horizon)),
             window=st.floats(1e-3, 1.0),
             # Short stalls as in the default model, plus long ones that
             # reach the critical path and move the makespan.
-            mean_duration=st.one_of(st.floats(1e-5, 1e-2), st.floats(1e-2, 3.0)),
+            mean_duration=st.one_of(st.floats(1e-5, 1e-2), st.floats(1e-2, longest)),
             node=st.one_of(st.none(), st.integers(0, p - 1)),
         ),
         min_size=1,
@@ -241,38 +243,60 @@ def lu_stall_points(draw):
         overlap=draw(st.booleans()),
         collect_results=draw(st.booleans()),
     )
-    scenario = FaultScenario(
+    return spec, cfg, _drawn_scenario(draw, _stall_bursts(spec.p))
+
+
+def _drawn_scenario(draw, bursts):
+    return FaultScenario(
         name="drawn",
         events=tuple(draw(st.lists(
             st.builds(lambda kind, f: FaultEvent(kind=kind, factor=f),
                       st.sampled_from(RATE_KINDS), factors),
             max_size=3,
         ))),
-        bursts=tuple(draw(_stall_bursts(spec.p))),
+        bursts=tuple(draw(bursts)),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
-    return spec, cfg, scenario
 
 
-def _lu_stall_outcome(spec, cfg, scenario):
+@st.composite
+def fw_stall_points(draw):
+    preset = draw(st.sampled_from(FW_PRESETS))
+    spec = ALL_PRESETS[preset]()
+    cols = draw(st.integers(1, 4))  # n/(bp): ops per node per phase
+    l1 = draw(st.integers(0, cols))
+    cfg = FwSimConfig(
+        n=128 * cols * spec.p,
+        b=128,
+        k=8,
+        l1=l1,
+        l2=cols - l1,
+        overlap=draw(st.booleans()),
+        iterations=draw(st.sampled_from((1, None))),
+    )
+    # FW runs here last ~0.1-2 s of simulated time.
+    return spec, cfg, _drawn_scenario(draw, _stall_bursts(spec.p, horizon=1.0, longest=0.2))
+
+
+def _stall_outcome(app, spec, cfg, scenario):
     """"folded" after a bitwise match with the DES, or "refused".
 
     A refusal passes only as an ambiguous tie, and only once the DES
     has run the point in its place.
     """
+    simulate = APPS[app](spec)[0]
     injector = FaultInjector(scenario)
-    analytic = _points("lu", "analytic")
-    ties = _fallbacks("lu", "ambiguous-tie")
-    got = simulate_lu(spec, cfg, faults=injector, fast_path="auto")
-    if _points("lu", "analytic") == analytic:
-        assert _fallbacks("lu", "ambiguous-tie") == ties + 1
+    analytic = _points(app, "analytic")
+    ties = _fallbacks(app, "ambiguous-tie")
+    got = simulate(spec, cfg, faults=injector, fast_path="auto")
+    if _points(app, "analytic") == analytic:
+        assert _fallbacks(app, "ambiguous-tie") == ties + 1
         assert injector.system is not None  # the DES ran instead
         return "refused"
     assert injector.system is None
     des = FaultInjector(scenario)
-    ref = simulate_lu(spec, cfg, faults=des, fast_path="off")
-    for name in ("elapsed", "cpu_busy", "fpga_busy", "network_bytes"):
-        assert getattr(got, name) == getattr(ref, name), name
+    ref = simulate(spec, cfg, faults=des, fast_path="off")
+    _assert_bitwise(got, ref)
     assert injector.injected == des.injected
     return "folded"
 
@@ -283,7 +307,20 @@ def test_lu_stall_bursts_match_the_des_bitwise():
     @given(point=lu_stall_points())
     @settings(max_examples=60, deadline=None, database=None)
     def check(point):
-        outcomes.append(_lu_stall_outcome(*point))
+        outcomes.append(_stall_outcome("lu", *point))
+
+    check()
+    # The suite must not pass by refusing: most draws fold.
+    assert outcomes.count("folded") >= 0.6 * len(outcomes), outcomes
+
+
+def test_fw_stall_bursts_match_the_des_bitwise():
+    outcomes = []
+
+    @given(point=fw_stall_points())
+    @settings(max_examples=60, deadline=None, database=None)
+    def check(point):
+        outcomes.append(_stall_outcome("fw", *point))
 
     check()
     # The suite must not pass by refusing: most draws fold.
@@ -295,24 +332,37 @@ def test_lu_stall_bursts_match_the_des_bitwise():
 CAMPAIGN_SEEDS = tuple(range(8))
 
 
-@pytest.mark.parametrize("preset", ["xd1", "xt3"])
-def test_default_model_lu_replicates_fold_and_match_the_des(preset):
-    spec = CampaignSpec(apps=("lu",), presets=(preset,), replicates=len(CAMPAIGN_SEEDS),
-                        seed=11)
+def _default_model_replicates_fold_and_match_the_des(app, preset, sizes=None):
+    spec = CampaignSpec(apps=(app,), presets=(preset,), replicates=len(CAMPAIGN_SEEDS),
+                        seed=11, sizes=sizes)
     tasks = campaign_tasks(spec)
     folded = 0
     for task in tasks:
         scenario = FaultScenario.from_dict(task["scenario"])
         assert scenario.bursts  # the default model always stalls
-        before = _points("lu", "analytic")
+        before = _points(app, "analytic")
         got = run_replicate(task)
-        folded += _points("lu", "analytic") - before
+        folded += _points(app, "analytic") - before
         set_fast_path_mode("off")
         try:
             assert run_replicate(task) == got
         finally:
             set_fast_path_mode(None)
     assert folded == len(tasks)
+
+
+@pytest.mark.parametrize("preset", ["xd1", "xt3"])
+def test_default_model_lu_replicates_fold_and_match_the_des(preset):
+    _default_model_replicates_fold_and_match_the_des("lu", preset)
+
+
+#: FW's default b = 256 is no multiple of the XT3 design's k = 33.
+FW_SIZES = {"xd1": None, "xt3": {"fw": (12672, 264)}}
+
+
+@pytest.mark.parametrize("preset", ["xd1", "xt3"])
+def test_default_model_fw_replicates_fold_and_match_the_des(preset):
+    _default_model_replicates_fold_and_match_the_des("fw", preset, FW_SIZES[preset])
 
 
 @pytest.mark.parametrize("at", [0.0, 2.5])
@@ -328,7 +378,7 @@ def test_explicit_stalls_on_one_node_fold(at):
             FaultEvent(kind="dram_contention", factor=0.9),
         ),
     )
-    assert _lu_stall_outcome(spec, cfg, scenario) == "folded"
+    assert _stall_outcome("lu", spec, cfg, scenario) == "folded"
 
 
 def test_folded_stall_log_has_grant_and_release_times():
@@ -368,7 +418,7 @@ def test_same_instant_stall_marks_keep_the_des_order():
             FaultEvent(kind="dma_stall", at=1.5, duration=0.5, node=2),
         ),
     )
-    assert _lu_stall_outcome(spec, cfg, scenario) == "folded"
+    assert _stall_outcome("lu", spec, cfg, scenario) == "folded"
 
 
 @pytest.mark.parametrize("mode", ["auto", "off"])
