@@ -1,6 +1,6 @@
 """Run an app's op schedule on either engine.
 
-LU and FW write their schedules once, as op generators (see
+LU, FW and MM write their schedules once, as op generators (see
 :class:`repro.sim.analytic.Replay` for the vocabulary), built by a
 ``processes(price)`` callable that returns ``(name, ops)`` per process
 in spawn order.  :func:`replay_schedule` runs them on the analytic
@@ -9,18 +9,20 @@ machine through :class:`~repro.sim.interpret.DesInterpreter`.  Both
 return the fields every ``*SimResult`` shares -- ``elapsed``,
 ``trace``, ``cpu_busy``, ``fpga_busy`` and ``network_bytes`` -- and the
 two agree bitwise wherever the replay does not refuse.
+:func:`run_schedule` is the one driver every ``simulate_*`` entry point
+hands its schedule to: the fast path first, the DES otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from ..machine.system import MachineSpec, ReconfigurableSystem
 from ..mpi import Communicator
-from ..sim.analytic import Replay, ReplayCosts, SteadyRates, fault_nodes
+from ..sim.analytic import Replay, ReplayCosts, SteadyRates, fault_nodes, try_fast_path
 from ..sim.interpret import DesInterpreter, Physical
 
-__all__ = ["des_schedule", "replay_schedule"]
+__all__ = ["des_schedule", "replay_schedule", "run_schedule"]
 
 Processes = Callable[[object], list[tuple[str, Iterator]]]
 
@@ -83,3 +85,30 @@ def des_schedule(spec: MachineSpec, design, processes: Processes, trace: bool = 
         fpga_busy=[nd.fpga.busy_time for nd in system.nodes],
         network_bytes=system.network.bytes_moved,
     )
+
+
+def run_schedule(app: str, spec: MachineSpec, design, processes: Processes,
+                 result: Callable[[dict], object],
+                 closed_form: Optional[Callable[[SteadyRates], object]] = None,
+                 fast_path: Optional[str] = None, trace: bool = False, node_specs=None,
+                 monitor=None, faults=None):
+    """One ``simulate_*`` run: the fast path when it accepts, else the DES.
+
+    ``result`` builds the app's result from the shared fields.  The fast
+    path (:func:`~repro.sim.analytic.try_fast_path`) replays the schedule
+    with the folded rates; ``closed_form(rates)``, when given, stands in
+    for the replay on stall-free rates (it has no channel queue to hold).
+    The DES runs the same schedule with every kwarg.
+    """
+    stall_log: list = []
+
+    def solve(rates: SteadyRates):
+        if closed_form is not None and not rates.stalls:
+            return closed_form(rates)
+        return result(replay_schedule(spec, design.freq_hz, rates, processes, stall_log))
+
+    fast = try_fast_path(app, solve, mode=fast_path, trace=trace, node_specs=node_specs,
+                         monitor=monitor, faults=faults, stall_log=stall_log)
+    if fast is not None:
+        return fast
+    return result(des_schedule(spec, design, processes, trace, node_specs, monitor, faults))

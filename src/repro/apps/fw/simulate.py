@@ -28,8 +28,7 @@ from typing import Optional
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
 from ...sim import Trace
-from ...sim.analytic import try_fast_path
-from ..engines import des_schedule, replay_schedule
+from ..engines import run_schedule
 from .layout import ColumnBlockLayout
 from .schedule import fw_processes
 
@@ -147,22 +146,9 @@ def simulate_fw(
     def result(fields: dict) -> FwSimResult:
         return FwSimResult(iterations_run=config.iterations_run, config=config, **fields)
 
-    def solve(rates):
-        if not rates.stalls:
-            return analytic_fw(spec, config, design, rates)
-        return result(replay_schedule(spec, design.freq_hz, rates, processes, stall_log))
-
-    stall_log: list = []
-    fast = try_fast_path(
-        "fw",
-        solve,
-        mode=fast_path,
-        trace=trace,
-        node_specs=node_specs,
-        monitor=monitor,
+    return run_schedule(
+        "fw", spec, design, processes, result,
+        closed_form=lambda rates: analytic_fw(spec, config, design, rates),
+        fast_path=fast_path, trace=trace, node_specs=node_specs, monitor=monitor,
         faults=faults,
-        stall_log=stall_log,
     )
-    if fast is not None:
-        return fast
-    return result(des_schedule(spec, design, processes, trace, node_specs, monitor, faults))

@@ -20,7 +20,7 @@ from ...hw.mm_design import MatrixMultiplyDesign
 from ...machine.system import MachineSpec
 from ...sim import Trace
 from ...sim.analytic import try_fast_path
-from ..engines import des_schedule, replay_schedule
+from ..engines import des_schedule, run_schedule
 from .analytic import analytic_block_mm
 from .schedule import block_mm_processes, lu_processes
 
@@ -127,22 +127,8 @@ def simulate_lu(
         return LuSimResult(useful_flops=(2.0 / 3.0) * float(config.n) ** 3, config=config,
                            **fields)
 
-    stall_log: list = []
-    fast = try_fast_path(
-        "lu",
-        lambda rates: result(
-            replay_schedule(spec, design.freq_hz, rates, processes, stall_log)
-        ),
-        mode=fast_path,
-        trace=trace,
-        node_specs=node_specs,
-        monitor=monitor,
-        faults=faults,
-        stall_log=stall_log,
-    )
-    if fast is not None:
-        return fast
-    return result(des_schedule(spec, design, processes, trace, node_specs, monitor, faults))
+    return run_schedule("lu", spec, design, processes, result, fast_path=fast_path,
+                        trace=trace, node_specs=node_specs, monitor=monitor, faults=faults)
 
 
 def simulate_block_mm(

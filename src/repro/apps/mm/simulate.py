@@ -1,16 +1,14 @@
-"""Discrete-event simulation of the ring-allgather matrix multiplication.
+"""Run the ring-allgather matrix multiplication on either engine.
 
-Each node holds row panels of A, B and C.  In ring step ``s`` the node
-multiplies one ``r x r`` block of A with the B panel currently resident
-(its own at s = 0), while forwarding the panel around the ring:
+:func:`simulate_mm` runs the one ring schedule of
+:mod:`repro.apps.mm.schedule` on the analytic
+:class:`~repro.sim.analytic.Replay` when the fast path accepts the run,
+and on the discrete-event simulator through
+:class:`~repro.sim.interpret.DesInterpreter` otherwise; both produce the
+same :class:`MmSimResult` bitwise wherever the replay does not refuse.
 
-    recv panel (except step 0)  -> stage FPGA share -> CPU gemm share
-                                 \\-> FPGA gemm share (overlapped)
-    send the panel onward (overlapped with the next step's compute
-    only via the network links; CPU time is charged, per Section 4.3)
-
-Baselines: ``m_f = 0`` is the Processor-only design, ``m_f = r`` the
-FPGA-only design.
+Baselines use the same schedule: ``m_f = 0`` is the Processor-only
+design, ``m_f = r`` the FPGA-only design.
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...hw.mm_design import MatrixMultiplyDesign
-from ...machine.system import MachineSpec, ReconfigurableSystem
-from ...mpi import Communicator
+from ...machine.system import MachineSpec
 from ...sim import Trace
-from .partition import MmPartition
+from ..engines import run_schedule
+from .schedule import mm_processes
 
 __all__ = ["MmSimConfig", "MmSimResult", "simulate_mm"]
 
@@ -74,13 +72,6 @@ class MmSimResult:
         return self.useful_flops / self.elapsed / 1e9 if self.elapsed > 0 else 0.0
 
 
-def _analytic_mm(spec, config, design, rates):
-    # Deferred import: .analytic imports this module's config/result types.
-    from .analytic import analytic_mm
-
-    return analytic_mm(spec, config, design, rates)
-
-
 def simulate_mm(
     spec: MachineSpec,
     config: MmSimConfig,
@@ -101,84 +92,18 @@ def simulate_mm(
 
     ``fast_path`` selects the analytic no-contention fast path
     (``"auto"`` / ``"on"`` / ``"off"``; None = process default); see
-    :mod:`repro.sim.analytic`.  Analytic results are bitwise identical,
-    steady whole-run rate faults included.
+    :mod:`repro.sim.analytic`.  Analytic results are bitwise identical:
+    steady whole-run rate faults and ``dma_stall`` windows fold into the
+    schedule's replay.
     """
-    from ...sim.analytic import try_fast_path
-
-    fast = try_fast_path(
-        "mm",
-        lambda rates: _analytic_mm(spec, config, design, rates),
-        mode=fast_path,
-        trace=trace,
-        node_specs=node_specs,
-        monitor=monitor,
-        faults=faults,
-    )
-    if fast is not None:
-        return fast
-    system = ReconfigurableSystem(spec, trace=trace, node_specs=node_specs)
-    if not trace:
-        system.sim.trace = None
-    if monitor is not None:
-        system.sim.attach_monitor(monitor)
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
-    system.configure_fpgas(lambda: design)
-    if faults is not None:
-        faults.install(system)
-    comm = Communicator(system)
-    sim = system.sim
-    p = spec.p
-    r = config.validate_for(p)
-    n, k, m_f = config.n, config.k, config.m_f
-    m_p = r - m_f
-    bw = 8
-    panel_bytes = float(r) * n * bw
-    stage_bytes = (m_f * r) * bw + panel_bytes if m_f else 0.0
-    fpga_cycles = m_f * n * r / k  # (m_f x r) @ (r x n) on the array
-    cpu_flops = 2.0 * m_p * r * n
-    fpga_flops = 2.0 * m_f * r * n
 
-    def fpga_step(node, done, s):
-        yield from node.fpga_run_cycles(fpga_cycles, label=f"mm[{s}]", flops=fpga_flops)
-        done.succeed()
+    def processes(price):
+        return mm_processes(config, spec.p, price)
 
-    def node_main(i: int):
-        node = system.nodes[i]
-        right = (i + 1) % p
-        left = (i - 1) % p
-        for s in range(p):
-            if s > 0:
-                yield from comm.recv(i, left, tag=("ring", s))
-            fpga_done = sim.event(name=f"fpga[{i},{s}]")
-            if m_f > 0:
-                if config.overlap:
-                    # Stage a pipeline-fill fraction, launch, stream the rest.
-                    fill = stage_bytes / max(r // k, 1)
-                    yield from node.dram_to_fpga(fill, label=f"stage[{s}]")
-                    sim.process(fpga_step(node, fpga_done, s))
-                    yield from node.dram_to_fpga(stage_bytes - fill, label=f"stage[{s}]")
-                else:
-                    yield from node.dram_to_fpga(stage_bytes, label=f"stage[{s}]")
-                    sim.process(fpga_step(node, fpga_done, s))
-            else:
-                fpga_done.succeed()
-            if m_p > 0:
-                yield from node.cpu_run(config.cpu_kernel, cpu_flops, label=f"gemm[{s}]")
-            if s < p - 1:
-                # Forward the panel for the next step (CPU time, Sec. 4.3).
-                yield from comm.send(i, right, nbytes=panel_bytes, tag=("ring", s + 1))
-            yield fpga_done
+    def result(fields: dict) -> MmSimResult:
+        return MmSimResult(config=config, **fields)
 
-    for i in range(p):
-        sim.process(node_main(i), name=f"node{i}")
-    elapsed = system.run()
-    return MmSimResult(
-        elapsed=elapsed,
-        config=config,
-        trace=system.trace,
-        cpu_busy=[nd.cpu_busy_time for nd in system.nodes],
-        fpga_busy=[nd.fpga.busy_time for nd in system.nodes],
-        network_bytes=system.network.bytes_moved,
-    )
+    return run_schedule("mm", spec, design, processes, result, fast_path=fast_path,
+                        trace=trace, node_specs=node_specs, monitor=monitor, faults=faults)

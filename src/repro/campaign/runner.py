@@ -54,7 +54,7 @@ def run_replicate(task: dict[str, Any]) -> dict[str, Any]:
     whose perturbation is steady rate jitter takes the analytic fast
     path with its factors folded in
     (:func:`repro.sim.analytic.fast_path_refusal`).  A stall burst folds
-    too, for LU and FW alike: the app's op schedule runs on the analytic
+    too, for every app: the app's op schedule runs on the analytic
     replay with the stalls as channel holds.  Any other fault timeline
     still runs the DES.
 

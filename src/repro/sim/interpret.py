@@ -18,7 +18,8 @@ setting its event; ``send`` -> a blocking ``comm.send``; ``send_batch``
 -> one ``comm.send`` process per message, then ``all_of``; ``set`` ->
 succeed an event; ``wait``/``wait_all`` -> yield on events, with a
 ``comm.recv`` (inline, or as a process under ``all_of``) for each
-message key.
+message key; ``step`` -> nothing (the replay's stand-in for a step the
+DES takes inside ``comm.send``).
 
 Keys name completions.  An *event key* starts with a name,
 ``("ms", t, u, v)``, and its event is created on first use named
@@ -123,5 +124,7 @@ class DesInterpreter:
                 ])
             elif code == "set":
                 self._event(op[1]).succeed()
+            elif code == "step":
+                continue
             else:  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown op {code!r}")

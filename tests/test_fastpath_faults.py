@@ -2,13 +2,12 @@
 
 A fault injector whose scenario only scales ``B_n``, ``F_f`` and ``B_d``
 for the whole run on every node folds into the analytic fast path
-(:class:`repro.sim.analytic.SteadyRates`); LU and FW additionally fold
-``dma_stall`` windows as FIFO holds on their schedule replay's B_d
+(:class:`repro.sim.analytic.SteadyRates`); LU, FW and MM additionally
+fold ``dma_stall`` windows as FIFO holds on their schedule replay's B_d
 channel queue.  The folded replay must be **bitwise** identical to the
 DES with the injector installed -- every ``*SimResult`` field compared
-with ``==`` -- and must leave the same injection log.  MM with stall
-bursts, and every other fault timeline, still fall back to the DES with
-reason ``faults``.
+with ``==`` -- and must leave the same injection log.  Every other fault
+timeline still falls back to the DES with reason ``faults``.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 from repro.apps.fw import FwSimConfig, simulate_fw
 from repro.apps.lu import LuSimConfig, simulate_lu
 from repro.apps.mm.simulate import MmSimConfig, simulate_mm
+from repro.hw.mm_design import MatrixMultiplyDesign
 from repro.campaign import CampaignSpec, PerturbationModel
 from repro.campaign.core import campaign_tasks
 from repro.campaign.runner import run_replicate
@@ -144,7 +144,7 @@ def test_jitter_only_campaign_replicates_match_the_des(seed):
 
 # -----------------------------------------------------------------------
 # refusal: anything but steady whole-run rate faults needs the DES
-# (LU and FW also fold stalls)
+# (stalls fold)
 # -----------------------------------------------------------------------
 
 
@@ -183,11 +183,10 @@ def test_unfoldable_scenarios_fall_back_with_reason_faults(app, name):
     simulate, cfg = APPS[app](spec)
     injector = FaultInjector(UNFOLDABLE[name])
     if name == "burst":
-        # Stall windows fold; the LU and FW replays model them, MM refuses.
+        # Stall windows fold: every app's schedule replay models them.
         assert len(injector.steady_rates().stalls) == 2
-        if app in ("lu", "fw"):
-            assert _stall_outcome(app, spec, cfg, UNFOLDABLE[name]) == "folded"
-            return
+        assert _stall_outcome(app, spec, cfg, UNFOLDABLE[name]) == "folded"
+        return
     else:
         assert injector.steady_rates() is None
     before = _fallbacks(app, "faults")
@@ -203,11 +202,12 @@ def test_unfoldable_scenarios_fall_back_with_reason_faults(app, name):
 
 
 # -----------------------------------------------------------------------
-# LU and FW fold dma_stall windows into the replay's channel queue
+# LU, FW and MM fold dma_stall windows into the replay's channel queue
 # -----------------------------------------------------------------------
 
 LU_PRESETS = ("xd1", "xt3", "rasc")
 FW_PRESETS = ("xd1", "xt3", "rasc", "src")
+MM_PRESETS = ("xd1", "xt3", "rasc", "src")
 
 
 def _stall_bursts(p, horizon=20.0, longest=3.0):
@@ -278,6 +278,23 @@ def fw_stall_points(draw):
     return spec, cfg, _drawn_scenario(draw, _stall_bursts(spec.p, horizon=1.0, longest=0.2))
 
 
+@st.composite
+def mm_stall_points(draw):
+    preset = draw(st.sampled_from(MM_PRESETS))
+    spec = ALL_PRESETS[preset]()
+    k = MatrixMultiplyDesign.for_device(spec.node.fpga.device).k
+    r = draw(st.sampled_from((240, 480)))  # panel rows: multiples of every k
+    steps = r // k  # FPGA row blocks per panel; both baselines drawn often
+    cfg = MmSimConfig(
+        n=r * spec.p,
+        k=k,
+        m_f=k * draw(st.one_of(st.sampled_from((0, steps)), st.integers(0, steps))),
+        overlap=draw(st.booleans()),
+    )
+    # MM runs here last ~0.004-1.5 s of simulated time.
+    return spec, cfg, _drawn_scenario(draw, _stall_bursts(spec.p, horizon=1.0, longest=0.2))
+
+
 def _stall_outcome(app, spec, cfg, scenario):
     """"folded" after a bitwise match with the DES, or "refused".
 
@@ -325,6 +342,34 @@ def test_fw_stall_bursts_match_the_des_bitwise():
     check()
     # The suite must not pass by refusing: most draws fold.
     assert outcomes.count("folded") >= 0.6 * len(outcomes), outcomes
+
+
+def test_mm_stall_bursts_match_the_des_bitwise():
+    outcomes = []
+
+    @given(point=mm_stall_points())
+    @settings(max_examples=60, deadline=None, database=None)
+    def check(point):
+        outcomes.append(_stall_outcome("mm", *point))
+
+    check()
+    # The suite must not pass by refusing: most draws fold.
+    assert outcomes.count("folded") >= 0.6 * len(outcomes), outcomes
+
+
+def test_mm_same_instant_stall_grants_keep_the_des_order():
+    # Every node's stall queues behind its step-1 staging hold, and the
+    # six holds end at one instant: the grants are logged in the order
+    # the holds started, which follows the ring's blocking sends.
+    spec = ALL_PRESETS["xd1"]()
+    cfg = MmSimConfig(n=1440, k=8, m_f=8, overlap=False)
+    scenario = FaultScenario(
+        name="queued",
+        events=(FaultEvent(kind="dram_contention", factor=0.5),) * 2,
+        bursts=(StallBurst(count=1, window=0.8125, mean_duration=0.0078125),),
+        seed=1,
+    )
+    assert _stall_outcome("mm", spec, cfg, scenario) == "folded"
 
 
 #: Default-model campaign replicates (4-stall burst over every node plus
