@@ -127,12 +127,6 @@ class ComputeNode:
             raise RuntimeError(f"node {self.index}: FPGA not configured")
         yield from self.fpga_dram.transfer(nbytes, label=label)
 
-    def fpga_to_dram(self, nbytes: float, label: str = "fpga->dram"):
-        """Process generator: stream results back (overlappable, Sec. 4.2)."""
-        if self.fpga_dram is None:
-            raise RuntimeError(f"node {self.index}: FPGA not configured")
-        yield from self.fpga_dram.transfer(nbytes, label=label)
-
     def fpga_to_sram(self, nbytes: float, label: str = "fpga->sram"):
         """Process generator: move intermediates to on-board SRAM."""
         yield from self.sram.transfer(nbytes, label=label)

@@ -831,9 +831,3 @@ class Simulator:
             del buckets[when]
         self._now = when
         return event
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._dq:
-            return self._now
-        return self._times[0] if self._times else float("inf")

@@ -183,17 +183,6 @@ class Trace:
             for iv in self.intervals
         ]
 
-    @classmethod
-    def from_records(cls, records: Iterable[dict]) -> "Trace":
-        """Rebuild a trace from :meth:`as_records` output."""
-        trace = cls()
-        for rec in records:
-            trace.record(
-                rec["category"], rec.get("label", ""), rec["start"], rec["end"],
-                **(rec.get("meta") or {}),
-            )
-        return trace
-
     def busy_by_class(self, classifier: Any) -> dict[str, float]:
         """Busy lane-seconds per ``classifier(label)`` class, descending.
 
@@ -225,15 +214,6 @@ class Trace:
                 busy += cur_end - cur_start
             totals[cls] = totals.get(cls, 0.0) + busy
         return dict(sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])))
-
-    def utilisation_by_prefix(self, prefix: str) -> dict[str, float]:
-        """Utilisation of every lane whose category starts with ``prefix``."""
-        horizon = self.makespan()
-        out = {}
-        for cat in self.lanes():
-            if cat.startswith(prefix):
-                out[cat] = self.busy_time(cat) / horizon if horizon > 0 else 0.0
-        return out
 
 
 def merge(traces: Iterable[Trace]) -> Trace:

@@ -1,7 +1,5 @@
 """Coverage for smaller public API surfaces across the package."""
 
-import math
-
 import pytest
 
 from repro import __version__
@@ -42,10 +40,6 @@ def test_gantt_respects_lane_order():
     lines = text.splitlines()
     assert lines[0].startswith("zeta")
     assert lines[1].startswith("alpha")
-
-
-def test_simulator_peek_empty():
-    assert Simulator().peek() == math.inf
 
 
 # --------------------------------------------------------------- machine

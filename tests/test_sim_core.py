@@ -168,7 +168,7 @@ def test_run_until_stops_early():
 
     sim.process(proc(sim))
     assert sim.run(until=10.0) == 10.0
-    assert sim.peek() == 100.0
+    assert sim.run() == 100.0
 
 
 def test_same_time_events_fire_in_schedule_order():

@@ -94,16 +94,6 @@ def test_merge_combines():
     assert m.makespan() == 2.0
 
 
-def test_utilisation_by_prefix():
-    tr = Trace()
-    tr.record("cpu0", "a", 0.0, 5.0)
-    tr.record("cpu1", "a", 0.0, 10.0)
-    tr.record("net", "x", 0.0, 10.0)
-    u = tr.utilisation_by_prefix("cpu")
-    assert set(u) == {"cpu0", "cpu1"}
-    assert u["cpu0"] == pytest.approx(0.5)
-
-
 # ---------------------------------------------------- utilisation edge cases
 
 
@@ -135,19 +125,3 @@ def test_utilisation_zero_duration_intervals_are_zero_not_error():
     assert tr.makespan() == 0.0
     assert tr.utilisation("cpu0") == 0.0
     assert tr.utilisation() == {"cpu0": 0.0, "net0->": 0.0}
-
-
-def test_as_records_from_records_roundtrip():
-    """Records feed the critical-path walker and must rebuild losslessly."""
-    tr = Trace()
-    tr.record("cpu0", "dgetrf", 0.0, 2.0, panel=3)
-    tr.record("fpga0", "gemm", 2.0, 5.0)
-    records = tr.as_records()
-    assert records[0] == {
-        "category": "cpu0", "label": "dgetrf",
-        "start": 0.0, "end": 2.0, "meta": {"panel": 3},
-    }
-    assert "meta" not in records[1]  # empty meta is omitted
-    rebuilt = Trace.from_records(records)
-    assert rebuilt.intervals == tr.intervals
-    assert rebuilt.makespan() == tr.makespan()
