@@ -2,8 +2,11 @@
 
 Hypothesis draws small random op schedules (``p`` from 2 to 4; CPU,
 channel, FPGA spawn + wait, send and send-batch ops with matching
-receives; a send batch may be empty) and runs each through :class:`repro.sim.analytic.Replay` and
-through :class:`repro.sim.interpret.DesInterpreter` on a live machine.
+receives, and event ``set`` ops with matching waits; a send batch may
+be empty, and a send may be followed by the ``step`` the DES takes
+inside ``comm.send``) and runs each through
+:class:`repro.sim.analytic.Replay` and through
+:class:`repro.sim.interpret.DesInterpreter` on a live machine.
 Wherever the replay does not refuse, makespan, per-node CPU and FPGA
 busy time and network bytes must be bitwise equal.  Work comes from a
 small set of sizes so that same-time ties are common and the
@@ -11,8 +14,9 @@ small set of sizes so that same-time ties are common and the
 
 Several processes may share a node, so CPU lanes, channels and FPGAs
 see same-time contention between processes, as the LU owner and opMS
-sink do.  Messages only flow from lower to higher process ids and sends
-never wait on their receiver, so every drawn schedule is deadlock-free.
+sink do.  Messages and events only flow from lower to higher process
+ids and sends never wait on their receiver, so every drawn schedule is
+deadlock-free.
 """
 
 from __future__ import annotations
@@ -43,32 +47,40 @@ def schedules(draw):
     node ``nodes[j]``; work slots hold table indices."""
     p = draw(st.integers(2, 4))
     nodes = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=5))
-    programs: list[list[tuple]] = [[] for _ in nodes]
+    # Each program is a list of units (lists of ops) until the receives
+    # are placed, so no wait lands between a send and its step.
+    programs: list[list[list[tuple]]] = [[] for _ in nodes]
     receives: list[list[tuple]] = [[] for _ in nodes]
     for j, i in enumerate(nodes):
         prog = programs[j]
-        peers = [r for r in range(j + 1, len(nodes)) if nodes[r] != i]
-        kinds = ["cpu", "chan", "fpga", "send_batch"] + (["send"] if peers else [])
+        later = range(j + 1, len(nodes))
+        peers = [r for r in later if nodes[r] != i]
+        kinds = ["cpu", "chan", "fpga", "send_batch", "set"] + (["send"] if peers else [])
         for n, kind in enumerate(draw(st.lists(st.sampled_from(kinds), max_size=6))):
             w = draw(st.integers(0, 1))
             label = (kind, j, n)
             if kind == "cpu":
-                prog.append(("cpu", i, w, label))
+                prog.append([("cpu", i, w, label)])
             elif kind == "chan":
-                prog.append(("chan", i, w, label))
+                prog.append([("chan", i, w, label)])
             elif kind == "fpga":
                 key = ("fpga", j, n)
-                prog.append(("fpga_spawn", i, w, key, label))
+                prog.append([("fpga_spawn", i, w, key, label)])
                 receives[j].append((len(prog), key))  # wait after the spawn
             elif kind == "send":
                 r = draw(st.sampled_from(peers))
                 key = (i, nodes[r], ("m", j, n))
-                prog.append(("send", key, w, None))
+                prog.append([("send", key, w, None)] + [("step",)] * draw(st.integers(0, 1)))
                 receives[r].append((0, key))
+            elif kind == "set":
+                key = ("ev", j, n)
+                prog.append([("set", key)])
+                for r in draw(st.lists(st.sampled_from(later), unique=True)) if later else []:
+                    receives[r].append((0, key))
             else:
                 rs = draw(st.lists(st.sampled_from(peers), unique=True)) if peers else []
                 keys = [(i, nodes[r], ("b", j, n, r)) for r in rs]
-                prog.append(("send_batch", keys, w))
+                prog.append([("send_batch", keys, w)])
                 for r, key in zip(rs, keys):
                     receives[r].append((0, key))
     # Insert every receive at a drawn position (never before its spawn),
@@ -79,10 +91,10 @@ def schedules(draw):
             if draw(st.booleans()):
                 gathered.append(key)
             else:
-                prog.insert(draw(st.integers(earliest, len(prog))), ("wait", key))
+                prog.insert(draw(st.integers(earliest, len(prog))), [("wait", key)])
         if gathered:
-            prog.append(("wait_all", gathered))
-    return p, nodes, programs
+            prog.append([("wait_all", gathered)])
+    return p, nodes, [[op for unit in prog for op in unit] for prog in programs]
 
 
 def _priced(programs, price):

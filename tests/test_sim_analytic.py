@@ -25,6 +25,7 @@ from repro.sim import SimMonitor
 from repro.sim.analytic import (
     FAST_PATH_ENV_VAR,
     FastPathUnsupported,
+    Replay,
     fast_path_refusal,
     fastpath_summary,
     resolve_fast_path,
@@ -138,6 +139,95 @@ def test_other_presets_match_bitwise():
         cfg = FwSimConfig(n=128 * 2 * spec.p, b=128, k=8, l1=1, l2=1)
         _same(simulate_fw(spec, cfg, fast_path="off"),
               simulate_fw(spec, cfg, fast_path="on"))
+
+
+# -----------------------------------------------------------------------
+# the ambiguity detector, driven directly
+# -----------------------------------------------------------------------
+
+
+def _ops(*ops):
+    yield from ops
+
+
+#: Two processes' first ops, spawned at one instant on a 3-node,
+#: one-link replay: each pair contends for the named queue and nothing
+#: else, so the one that comes second must wait.
+CONTENDED = {
+    "lane[1]": [("cpu", 1, 1.0, None), ("cpu", 1, 2.0, None)],
+    "chan[1]": [("chan", 1, 1.0, None), ("chan", 1, 2.0, None)],
+    "fpga[1]": [("fpga_spawn", 1, 1.0, ("fpga", 0), None),
+                ("fpga_spawn", 1, 2.0, ("fpga", 1), None)],
+    "egress[0]": [("send", (0, 1, "a"), (1.0, 8), None), ("send", (0, 2, "b"), (1.0, 8), None)],
+    "ingress[2]": [("send", (0, 2, "a"), (1.0, 8), None), ("send", (1, 2, "b"), (1.0, 8), None)],
+}
+
+
+@pytest.mark.parametrize("queue", sorted(CONTENDED))
+@pytest.mark.parametrize("at", [0.0, 2.5])
+def test_same_instant_contention_between_processes_refuses(queue, at):
+    # at == 0 acquires inside spawn, at > 0 inside run; either way the
+    # first acquisition is granted at a new instant and the second one,
+    # queued behind it at that instant, must reach the detector.
+    engine = Replay(3, 1)
+    with pytest.raises(FastPathUnsupported) as exc:
+        for op in CONTENDED[queue]:
+            engine.spawn(_ops(op), at)
+        engine.run()
+    assert exc.value.reason == "ambiguous-tie"
+    assert str(exc.value) == f"ambiguous same-time contention on {queue} at t={at!r}"
+
+
+#: Per queue: a holder's ops, then a second process's ops.  The second
+#: process, spawned first at t = 1.0, waits for the holder's slot, holds
+#: it for no time and acquires the queue again at 1.0.  The queue is
+#: free then, but its previous acquisition at this instant waited, so
+#: the detector must still fire.
+REACQUIRED = {
+    "lane[1]": ([("cpu", 1, 1.0, None)], [("cpu", 1, 0.0, None), ("cpu", 1, 1.0, None)]),
+    "chan[1]": ([("chan", 1, 1.0, None)], [("chan", 1, 0.0, None), ("chan", 1, 1.0, None)]),
+    "fpga[1]": ([("fpga_spawn", 1, 1.0, ("fpga", 0), None)],
+                [("fpga_spawn", 1, 0.0, ("fpga", 1), None), ("wait", ("fpga", 1)),
+                 ("fpga_spawn", 1, 1.0, ("fpga", 2), None)]),
+    "egress[0]": ([("send", (0, 1, "a"), (1.0, 8), None)],
+                  [("send", (0, 2, "b"), (0.0, 8), None), ("send", (0, 1, "c"), (1.0, 8), None)]),
+    "ingress[2]": ([("send", (1, 2, "a"), (1.0, 8), None)],
+                   [("send", (0, 2, "b"), (0.0, 8), None), ("send", (1, 2, "c"), (1.0, 8), None)]),
+}
+
+
+@pytest.mark.parametrize("queue", sorted(REACQUIRED))
+def test_a_free_queue_still_refuses_at_an_instant_where_it_was_contended(queue):
+    holder, second = REACQUIRED[queue]
+    engine = Replay(3, 1)
+    engine.spawn(_ops(*second), 1.0)
+    engine.spawn(_ops(*holder), 0.0)
+    with pytest.raises(FastPathUnsupported) as exc:
+        engine.run()
+    assert str(exc.value) == f"ambiguous same-time contention on {queue} at t=1.0"
+
+
+@pytest.mark.parametrize("sends", [
+    [("send_batch", [(0, 1, "a"), (0, 2, "b")], (1.0, 8))],
+    [("send", (0, 1, "a"), (1.0, 8), "twins"), ("send", (0, 2, "b"), (1.0, 8), "twins")],
+], ids=["one-burst", "one-tie-tag"])
+def test_same_instant_contention_within_one_tie_class_is_served_fifo(sends):
+    # The same egress contention as above, but both transfers share a
+    # tie class: the second waits its turn instead of refusing.
+    engine = Replay(3, 1)
+    for op in sends:
+        engine.spawn(_ops(op), 2.5)
+    assert engine.run() == 4.5
+    assert engine.events == {(0, 1, "a"): 3.5, (0, 2, "b"): 4.5}
+    assert engine.net_bytes == 16
+
+
+def test_contention_at_distinct_instants_queues_without_refusing():
+    engine = Replay(2, 1)
+    engine.spawn(_ops(("cpu", 0, 2.0, None)), 1.0)
+    engine.spawn(_ops(("cpu", 0, 1.0, None)), 2.0)  # lane busy until 3.0
+    assert engine.run() == 4.0
+    assert engine.cpu_busy == [3.0, 0.0]
 
 
 # -----------------------------------------------------------------------
