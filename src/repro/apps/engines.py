@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from ..machine.system import MachineSpec, ReconfigurableSystem
-from ..mpi import Communicator
 from ..sim.analytic import Replay, ReplayCosts, SteadyRates, fault_nodes, try_fast_path
 from ..sim.interpret import DesInterpreter, Physical
 
@@ -67,14 +66,12 @@ def des_schedule(spec: MachineSpec, design, processes: Processes, trace: bool = 
     after the FPGAs are configured and before the schedule spawns.
     """
     system = ReconfigurableSystem(spec, trace=trace, node_specs=node_specs)
-    if not trace:
-        system.sim.trace = None
     if monitor is not None:
         system.sim.attach_monitor(monitor)
     system.configure_fpgas(lambda: design)
     if faults is not None:
         faults.install(system)
-    des = DesInterpreter(system, Communicator(system))
+    des = DesInterpreter(system)
     for name, ops in processes(Physical):
         des.spawn(name, ops)
     elapsed = system.run()

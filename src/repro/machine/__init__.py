@@ -8,7 +8,7 @@ presets in :mod:`repro.machine.presets`.
 
 from .fpga import FpgaFabric, FpgaSpec, NotConfiguredError
 from .interconnect import Interconnect, NetworkSpec
-from .memory import AllocationError, MemoryBank, MemorySpec
+from .memory import MemorySpec
 from .node import ComputeNode, NodeSpec
 from .presets import ALL_PRESETS, cray_xd1, cray_xt3_drc, sgi_rasc, src_map_station
 from .processor import OPTERON_2_2GHZ, CalibrationError, ProcessorSpec
@@ -24,14 +24,12 @@ from .system import MachineSpec, ReconfigurableSystem
 
 __all__ = [
     "ALL_PRESETS",
-    "AllocationError",
     "CalibrationError",
     "ComputeNode",
     "FpgaFabric",
     "FpgaSpec",
     "Interconnect",
     "MachineSpec",
-    "MemoryBank",
     "MemorySpec",
     "NetworkSpec",
     "NodeSpec",

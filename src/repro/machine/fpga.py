@@ -48,7 +48,6 @@ class FpgaFabric:
         self.lane = Resource(sim, capacity=1, name=f"{name}.lane")
         self.design: Optional[Any] = None
         self.busy_time = 0.0
-        self.cycles_executed = 0
 
     # -- configuration -----------------------------------------------------
 
@@ -105,17 +104,5 @@ class FpgaFabric:
         finally:
             self.lane.release()
         self.busy_time += self.sim.now - start
-        self.cycles_executed += cycles
         if self.sim.trace is not None:
             self.sim.trace.record(self.trace_category, label, start, self.sim.now, cycles=cycles)
-
-    def run_seconds(self, seconds: float, label: str = "fpga"):
-        """Process generator: occupy the fabric for a precomputed duration."""
-        if self.design is None:
-            raise NotConfiguredError(f"{self.name}: no design configured")
-        return self.run_cycles(seconds * self.freq_hz, label=label)
-
-    def utilisation(self, horizon: Optional[float] = None) -> float:
-        """Busy fraction over ``horizon`` (default: now)."""
-        horizon = self.sim.now if horizon is None else horizon
-        return 0.0 if horizon <= 0 else min(1.0, self.busy_time / horizon)

@@ -12,7 +12,6 @@ Section 3 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..sim import Resource, Simulator
 
@@ -52,7 +51,6 @@ class Interconnect:
             Resource(sim, capacity=spec.links_per_node, name=f"net{i}.in") for i in range(p)
         ]
         self.bytes_moved = 0.0
-        self.message_count = 0
 
     def transfer_time(self, nbytes: float) -> float:
         """Uncontended wire time for one message."""
@@ -86,24 +84,8 @@ class Interconnect:
         finally:
             self._egress[src].release()
         self.bytes_moved += nbytes
-        self.message_count += 1
         if self.sim.trace is not None:
             self.sim.trace.record(
                 f"net{src}->", label or f"to{dst}", start, self.sim.now, nbytes=nbytes, dst=dst
             )
         return service
-
-    def broadcast(self, src: int, nbytes: float, label: str = "", dests: Optional[list[int]] = None):
-        """Process generator: send the same message to every other node.
-
-        Transfers are issued concurrently and ride the available egress
-        links (two on XD1), finishing when the last destination has the
-        data.  Returns when all sends complete.
-        """
-        if dests is None:
-            dests = [i for i in range(self.p) if i != src]
-        sends = [
-            self.sim.process(self.send(src, dst, nbytes, label=label or f"bcast{src}"))
-            for dst in dests
-        ]
-        yield self.sim.all_of(sends)

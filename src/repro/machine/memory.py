@@ -1,26 +1,15 @@
-"""Memory models: DRAM, on-board SRAM and on-chip BRAM.
+"""Memory descriptions: DRAM, on-board SRAM and on-chip BRAM.
 
-Each live :class:`MemoryBank` pairs a capacity ledger (allocate/free with
-overflow checking -- how the designs validate the paper's "8 MB of SRAM
-is allocated" constraints) with a :class:`~repro.sim.resources.
-BandwidthChannel` modelling its port.  Per the paper's model, access
-*latency* is ignored for streamed transfers ("the memory access latency
-is only incurred once", Section 4.1), so channels default to zero latency
-and pure bandwidth cost.
+A :class:`MemorySpec` is declarative: a node's SRAM capacity feeds the
+paper's Section 4.1 parameters (the "8 MB of SRAM" constraint), and the
+live FPGA<->DRAM path is the node's B_d channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..sim import BandwidthChannel, Simulator
-
-__all__ = ["MemorySpec", "MemoryBank", "AllocationError"]
-
-
-class AllocationError(MemoryError):
-    """A reservation exceeded the bank's capacity."""
+__all__ = ["MemorySpec"]
 
 
 @dataclass(frozen=True)
@@ -38,71 +27,3 @@ class MemorySpec:
             raise ValueError(f"capacity must be positive, got {self.capacity_bytes}")
         if self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-
-
-class MemoryBank:
-    """A live memory bank in a simulation.
-
-    Combines capacity accounting with a serialising port channel.  The
-    ``trace_category`` (e.g. ``"dram0"``) is used for Gantt lanes.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: MemorySpec,
-        name: str,
-        trace_category: Optional[str] = None,
-        bandwidth_override: Optional[float] = None,
-    ) -> None:
-        self.sim = sim
-        self.spec = spec
-        self.name = name
-        bandwidth = bandwidth_override if bandwidth_override is not None else spec.bandwidth
-        self.port = BandwidthChannel(
-            sim, bandwidth=bandwidth, name=f"{name}.port", trace_category=trace_category
-        )
-        self._allocated = 0
-
-    # -- capacity ledger -----------------------------------------------------
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.spec.capacity_bytes
-
-    @property
-    def allocated_bytes(self) -> int:
-        return self._allocated
-
-    @property
-    def free_bytes(self) -> int:
-        return self.spec.capacity_bytes - self._allocated
-
-    def allocate(self, nbytes: int) -> None:
-        """Reserve ``nbytes``; raises :class:`AllocationError` on overflow."""
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
-        if self._allocated + nbytes > self.spec.capacity_bytes:
-            raise AllocationError(
-                f"{self.name}: allocating {nbytes} B exceeds capacity "
-                f"({self._allocated}/{self.spec.capacity_bytes} B in use)"
-            )
-        self._allocated += nbytes
-
-    def free(self, nbytes: int) -> None:
-        """Release a prior reservation."""
-        if nbytes < 0 or nbytes > self._allocated:
-            raise AllocationError(
-                f"{self.name}: freeing {nbytes} B but only {self._allocated} B allocated"
-            )
-        self._allocated -= nbytes
-
-    # -- port ------------------------------------------------------------------
-
-    def transfer(self, nbytes: float, label: str = ""):
-        """Process generator: move ``nbytes`` through the port."""
-        return self.port.transfer(nbytes, label=label or self.name)
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Uncontended port time for ``nbytes``."""
-        return self.port.transfer_time(nbytes)

@@ -71,13 +71,12 @@ class ReconfigurableSystem:
     def __init__(
         self,
         spec: MachineSpec,
-        sim: Optional[Simulator] = None,
         trace: bool = True,
         node_specs: Optional[list[NodeSpec]] = None,
     ) -> None:
         self.spec = spec
-        self.sim = sim if sim is not None else Simulator()
-        if trace and self.sim.trace is None:
+        self.sim = Simulator()
+        if trace:
             self.sim.trace = Trace()
         if node_specs is not None and len(node_specs) != spec.p:
             raise ValueError(
@@ -100,22 +99,6 @@ class ReconfigurableSystem:
         for node in self.nodes:
             node.configure_fpga(design_factory())
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Advance the simulation; returns the final time."""
-        return self.sim.run(until=until)
-
-    # -- accounting -----------------------------------------------------------
-
-    def total_cpu_flops(self) -> float:
-        return sum(n.cpu_flops_done for n in self.nodes)
-
-    def total_fpga_flops(self) -> float:
-        return sum(n.fpga_flops_done for n in self.nodes)
-
-    def total_flops(self) -> float:
-        return self.total_cpu_flops() + self.total_fpga_flops()
-
-    def gflops(self, elapsed: Optional[float] = None) -> float:
-        """Sustained GFLOPS over ``elapsed`` (default: current sim time)."""
-        elapsed = self.sim.now if elapsed is None else elapsed
-        return 0.0 if elapsed <= 0 else self.total_flops() / elapsed / 1e9
+    def run(self) -> float:
+        """Run the simulation to completion; returns the final time."""
+        return self.sim.run()

@@ -1,9 +1,11 @@
 """Discrete-event simulation substrate.
 
-This package is the timing backbone of the reproduction: the machine
-models in :mod:`repro.machine`, the MPI layer in :mod:`repro.mpi` and the
-application schedules in :mod:`repro.apps` all execute as cooperative
-processes on this engine.
+This package is the timing backbone of the reproduction: the
+application schedules in :mod:`repro.apps` run either on the analytic
+:class:`~repro.sim.analytic.Replay` or, through
+:class:`~repro.sim.interpret.DesInterpreter` (which also carries their
+MPI messages), as cooperative processes on this engine over the machine
+models in :mod:`repro.machine`.
 """
 
 from .analytic import (
@@ -15,7 +17,6 @@ from .analytic import (
 )
 from .core import (
     AllOf,
-    AnyOf,
     Event,
     Process,
     ProcessFailure,
@@ -29,7 +30,6 @@ from .trace import CausalityViolation, Interval, Trace, merge
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthChannel",
     "CausalityViolation",
     "Event",

@@ -239,7 +239,7 @@ class ReplayCosts:
         return work[0] / self.freq
 
     def msg(self, nbytes: float) -> tuple:
-        """Bytes -> ``(svc, size)``; ``comm.send`` coerces sizes to int."""
+        """Bytes -> ``(svc, size)``; a DES send coerces sizes to int."""
         size = int(nbytes)
         return (self.latency + size / self.b_n, size)
 
@@ -418,7 +418,7 @@ class Replay:
 
     ``("cpu", i, dur, label)``
         Hold node *i*'s CPU lane for ``dur``; busy time accrues as
-        ``end - start`` exactly like ``Node.cpu_occupy``.
+        ``end - start`` exactly like ``ComputeNode.cpu_run``.
     ``("chan", i, dur, label)``
         Hold node *i*'s DRAM-to-FPGA channel for ``dur``.
     ``("fpga_spawn", i, dur, key, label)``
@@ -426,7 +426,7 @@ class Replay:
     ``("send", key, (svc, size), tie)``
         One network transfer from ``key[0]`` to ``key[1]`` that sets
         ``key`` on completion; the generator resumes then (mirrors a
-        blocking ``comm.send``).  ``tie`` tags the transfer's tie class
+        blocking DES send).  ``tie`` tags the transfer's tie class
         (see below).
     ``("send_batch", keys, (svc, size))``
         A burst of concurrent transfers spawned at one instant; the
@@ -437,8 +437,8 @@ class Replay:
         Set a completion event immediately.
     ``("step",)``
         Resume at the same time one step later, behind every event
-        already queued for this instant.  A blocking ``comm.send`` takes
-        this step inside the DES (its sender resumes on the mailbox put,
+        already queued for this instant.  A blocking send takes this
+        step inside the DES (its sender resumes on the mailbox put,
         queued behind the other same-instant deliveries), so the
         interpreter runs nothing for it; a schedule yields it after a
         send whose sender's next ops race other nodes' same-instant

@@ -8,7 +8,7 @@ engine provides:
 * :class:`Event` -- one-shot triggers carrying a value,
 * :class:`Process` -- generator-based cooperative processes,
 * :class:`Timeout` -- events that fire after a simulated delay,
-* :class:`AllOf` / :class:`AnyOf` -- event combinators.
+* :class:`AllOf` -- the fan-in combinator.
 
 Processes are plain Python generators that ``yield`` events.  When an event
 fires, the process resumes and receives the event's value as the result of
@@ -35,7 +35,7 @@ Sweeps run millions of events, so the hot path is tuned:
 
 * The first callback of an event lives in a dedicated ``_cb`` slot and the
   overflow list ``callbacks`` is created lazily -- the common one-waiter
-  case (a process yielding a timeout) allocates no list and ``_step``
+  case (a process yielding a timeout) allocates no list and the loop
   dispatches it inline without swapping lists.
 * :meth:`Simulator.timeout` recycles :class:`Timeout` instances from a
   small free pool.  Recycling is only done for timeouts that nothing else
@@ -78,7 +78,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Simulator",
     "SimulationError",
     "ProcessFailure",
@@ -281,11 +280,6 @@ class Process(Event):
         init.callbacks = None
         sim._post(init)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's value."""
         try:
@@ -344,14 +338,18 @@ class Process(Event):
                 cbs.append(resume)
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf combinators."""
+class AllOf(Event):
+    """Fires when *all* constituent events have fired.
+
+    Value: dict mapping each event to its value.  Fails fast if any
+    constituent fails.
+    """
 
     __slots__ = ("events", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        # Inlined Event.__init__; the class name (``all_of`` / ``any_of``)
-        # comes lazily from the subclass ``__getattr__``.
+        # Inlined Event.__init__; the name ``all_of`` comes lazily from
+        # ``__getattr__``.
         self.sim = sim
         self._value: Any = None
         self._ok = True
@@ -383,26 +381,13 @@ class _Condition(Event):
                 else:
                     cbs.append(check)
 
-    def _collect(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev._processed and ev._ok}
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when *all* constituent events have fired.
-
-    Value: dict mapping each event to its value.  Fails fast if any
-    constituent fails.
-    """
-
-    __slots__ = ()
-
     def __getattr__(self, attr: str) -> Any:
         if attr == "name":
             return "all_of"
         raise AttributeError(attr)
+
+    def _collect(self) -> dict[Event, Any]:
+        return {ev: ev._value for ev in self.events if ev._processed and ev._ok}
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -413,28 +398,6 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires when *any* constituent event has fired.
-
-    Value: dict of the events that have fired so far (at least one).
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, attr: str) -> Any:
-        if attr == "name":
-            return "any_of"
-        raise AttributeError(attr)
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
 
 
 class Simulator:
@@ -557,10 +520,6 @@ class Simulator:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- scheduling -------------------------------------------------------
 
     def _post(self, event: Event, delay: float = 0.0) -> None:
@@ -612,75 +571,20 @@ class Simulator:
         failure.lane = lane
         return failure
 
-    def _pop_bucket(self) -> Event:
-        """Take the next calendar event at ``self._times[0]``, advancing the
-        clock; retires the time once its bucket drains."""
-        when = self._times[0]
-        buckets = self._buckets
-        b = buckets[when]
-        if type(b) is deque:
-            event = b.popleft()
-            if not b:
-                heappop(self._times)
-                del buckets[when]
-        else:
-            event = b
-            heappop(self._times)
-            del buckets[when]
-        self._now = when
-        return event
+    def run(self) -> float:
+        """Run until the event queue drains; returns the final time.
 
-    def _pop_next(self) -> Optional[Event]:
-        """The next event in schedule order, advancing the clock.
-
-        Calendar entries scheduled at the current time predate everything
-        in the same-time deque, so they win ties.
+        If any process raised an exception that no other process
+        consumed, a :class:`ProcessFailure` chaining the first such
+        exception is raised.
         """
-        if self._dq:
-            if self._times and self._times[0] <= self._now:
-                return self._pop_bucket()
-            return self._dq.popleft()
-        if self._times:
-            return self._pop_bucket()
-        return None
-
-    def _step(self) -> None:
-        event = self._pop_next()
-        if event is None:  # pragma: no cover - defensive
-            raise SimulationError("step() on an empty schedule")
-        event._processed = True
-        # Inline dispatch of the dedicated first-callback slot; the
-        # overflow list only exists for events with multiple waiters.
-        cb = event._cb
-        if cb is not None:
-            event._cb = None
-            cb(event)
-        cbs = event.callbacks
-        if cbs:
-            event.callbacks = None
-            for fn in cbs:
-                fn(event)
-        # Recycle the timeout if provably unreferenced: the only remaining
-        # references are our local and getrefcount's argument.
-        if type(event) is Timeout and getrefcount(event) == 2:
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_CAP:
-                pool.append(event)
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the event queue drains or ``until`` is reached.
-
-        Returns the final simulation time.  If any process raised an
-        exception that no other process consumed, a :class:`ProcessFailure`
-        chaining the first such exception is raised.
-        """
-        # The `_step` body is inlined here with hoisted locals; at sweep
-        # event rates the per-event method call and attribute loads are
-        # measurable.  Keep semantic changes mirrored in `_step` and in
-        # `_run_monitored` (the counting twin used when a monitor is
-        # attached -- this one check is the entire disabled-path cost).
+        # The loop body is inlined with hoisted locals; at sweep event
+        # rates a per-event method call and attribute loads are
+        # measurable.  Keep semantic changes mirrored in `_run_monitored`
+        # (the counting twin used when a monitor is attached -- this one
+        # check is the entire disabled-path cost).
         if self.monitor is not None:
-            return self._run_monitored(until)
+            return self._run_monitored()
         times = self._times
         buckets = self._buckets
         dq = self._dq
@@ -690,33 +594,13 @@ class Simulator:
         pop = heappop
         popleft = dq.popleft
         dq_deque = deque
-        horizon = float("inf") if until is None else until
         while True:
-            # Same selection rule as _pop_next, with `until` applied when
-            # the next event would come off the calendar (deque events
-            # always run at the already-reached current time).
-            if dq:
-                if times and times[0] <= self._now:
-                    when = times[0]
-                    b = buckets[when]
-                    if type(b) is dq_deque:
-                        event = b.popleft()
-                        if not b:
-                            pop(times)
-                            del buckets[when]
-                    else:
-                        event = b
-                        b = None  # drop the extra ref before recycling
-                        pop(times)
-                        del buckets[when]
-                    self._now = when
-                else:
-                    event = popleft()
+            # Calendar entries scheduled at the current time predate
+            # everything in the same-time deque, so they win ties.
+            if dq and not (times and times[0] <= self._now):
+                event = popleft()
             elif times:
                 when = times[0]
-                if when > horizon:
-                    self._now = until
-                    break
                 b = buckets[when]
                 if type(b) is dq_deque:
                     event = b.popleft()
@@ -741,6 +625,8 @@ class Simulator:
                 event.callbacks = None
                 for fn in cbs:
                     fn(event)
+            # Recycle the timeout only if provably unreferenced: the only
+            # remaining references are `event` and getrefcount's argument.
             if type(event) is Timeout and refcount(event) == 2 and len(pool) < _TIMEOUT_POOL_CAP:
                 pool.append(event)
             if crashed:
@@ -750,7 +636,7 @@ class Simulator:
                 raise self._process_failure(proc, exc) from exc
         return self._now
 
-    def _run_monitored(self, until: Optional[float] = None) -> float:
+    def _run_monitored(self) -> float:
         """The counting twin of :meth:`run` (same schedule semantics).
 
         Updates the attached monitor per event: dispatch counts by event
@@ -760,35 +646,22 @@ class Simulator:
         mon = self.monitor
         mon.run_calls += 1
         times = self._times
-        buckets = self._buckets
         dq = self._dq
         crashed = self._crashed
         pool = self._timeout_pool
         by_type = mon.fired_by_type
-        horizon = float("inf") if until is None else until
         while True:
             if len(times) > mon.max_heap_len:
                 mon.max_heap_len = len(times)
-            from_calendar = False
-            if dq:
-                if times and times[0] <= self._now:
-                    event = self._pop_bucket_monitored(mon)
-                    from_calendar = True
-                else:
-                    event = dq.popleft()
+            if dq and not (times and times[0] <= self._now):
+                event = dq.popleft()
+                mon.zero_delay_events += 1
             elif times:
-                if times[0] > horizon:
-                    self._now = until
-                    break
                 event = self._pop_bucket_monitored(mon)
-                from_calendar = True
+                mon.calendar_events += 1
             else:
                 break
             mon.events_fired += 1
-            if from_calendar:
-                mon.calendar_events += 1
-            else:
-                mon.zero_delay_events += 1
             cls = type(event).__name__
             by_type[cls] = by_type.get(cls, 0) + 1
             event._processed = True
@@ -812,7 +685,8 @@ class Simulator:
         return self._now
 
     def _pop_bucket_monitored(self, mon: Any) -> Event:
-        """:meth:`_pop_bucket`, recording the bucket depth at pop time."""
+        """Take the next calendar event, advancing the clock and
+        recording the bucket depth at pop time."""
         when = self._times[0]
         buckets = self._buckets
         b = buckets[when]

@@ -13,24 +13,39 @@ back-to-back runs, which only the DES runs.
 
 The interpreter makes the calls a hand-written DES process would make:
 ``cpu`` -> ``node.cpu_run``; ``chan`` -> ``node.dram_to_fpga``;
-``fpga_spawn`` -> a process running ``node.fpga_run_cycles`` and then
-setting its event; ``send`` -> a blocking ``comm.send``; ``send_batch``
--> one ``comm.send`` process per message, then ``all_of``; ``set`` ->
-succeed an event; ``wait``/``wait_all`` -> yield on events, with a
-``comm.recv`` (inline, or as a process under ``all_of``) for each
-message key; ``step`` -> nothing (the replay's stand-in for a step the
-DES takes inside ``comm.send``).
+``fpga_spawn`` -> a process running ``node.fpga.run_cycles`` and then
+setting its event; ``send`` -> a blocking send; ``send_batch`` -> one
+send process per message, then ``all_of``; ``set`` -> succeed an
+event; ``wait``/``wait_all`` -> yield on events, with a blocking
+receive (inline, or as a process under ``all_of``) for each message
+key; ``step`` -> nothing (the replay's stand-in for the mailbox put a
+DES send ends with).
+
+Messages model the paper's blocking point-to-point MPI over the
+interconnect.  A send moves its bytes through ``system.network`` (one
+egress link at the source, one ingress link at the destination,
+``latency + bytes / B_n``), then puts them on the mailbox -- a
+:class:`~repro.sim.resources.Store` -- of its message key; a receive
+gets from that mailbox, so messages on one key never overtake each
+other.  Per Section 4.3 communication is processor time: the nodes
+"communicate through the processors", so a send or receive blocks the
+schedule that issued it.  Traced runs record it on a per-node ``mpi{i}``
+lane (``mpi:send->d`` / ``mpi:recv<-s``), apart from the exclusive
+``cpu{i}`` compute lane because concurrent sends may ride the node's
+several links.
 
 Keys name completions.  An *event key* starts with a name,
 ``("ms", t, u, v)``, and its event is created on first use named
-``ms[t,u,v]``.  A *message key* is the communicator's mailbox key
-``(src, dst, tag)``.  Labels are tuples like event keys, formatted only
-when the run is traced.
+``ms[t,u,v]``.  A *message key* is the mailbox key ``(src, dst, tag)``.
+Labels are tuples like event keys, formatted only when the run is
+traced.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+from .resources import Store
 
 __all__ = ["DesInterpreter", "Physical", "op_name"]
 
@@ -56,9 +71,9 @@ def fpga_job(node, work, label: str, done):
     ``work`` is ``(cycles, flops)``, or ``(cycles, flops, runs)`` for
     ``runs`` back-to-back runs of that size.
     """
-    cycles, flops, *runs = work
+    cycles, _flops, *runs = work
     for _ in range(runs[0] if runs else 1):
-        yield from node.fpga_run_cycles(cycles, label=label, flops=flops)
+        yield from node.fpga.run_cycles(cycles, label=label)
     done.succeed()
 
 
@@ -66,15 +81,16 @@ class DesInterpreter:
     """Turns op schedules into processes on one live system.
 
     ``system`` is a :class:`~repro.machine.system.ReconfigurableSystem`
-    with configured FPGAs; ``comm`` a :class:`~repro.mpi.Communicator`
-    over it.  Event keys are shared by every schedule spawned here.
+    with configured FPGAs.  Event keys and mailboxes are shared by every
+    schedule spawned here.
     """
 
-    def __init__(self, system, comm) -> None:
+    def __init__(self, system) -> None:
         self.sim = system.sim
         self.nodes = system.nodes
-        self.comm = comm
+        self.network = system.network
         self.events: dict = {}
+        self.mailboxes: dict = {}
 
     def spawn(self, name: str, ops: Iterable[tuple]) -> None:
         """Start one schedule as the process ``name``."""
@@ -86,8 +102,37 @@ class DesInterpreter:
             ev = self.events[key] = self.sim.event(name=op_name(key))
         return ev
 
+    def _mailbox(self, key: tuple) -> Store:
+        box = self.mailboxes.get(key)
+        if box is None:
+            box = self.mailboxes[key] = Store(self.sim)
+        return box
+
+    def _send(self, key: tuple, nbytes) -> Iterator:
+        """Process generator: blocking send of ``nbytes`` on message ``key``;
+        returns once the message is on the destination's mailbox."""
+        src, dst, _tag = key
+        sim = self.sim
+        size = int(nbytes)
+        sent_at = sim.now
+        traced = sim.trace is not None
+        yield from self.network.send(src, dst, size, label=f"mpi:{src}->{dst}" if traced else "")
+        yield self._mailbox(key).put(size)
+        if traced:
+            sim.trace.record(f"mpi{src}", f"mpi:send->{dst}", sent_at, sim.now, nbytes=size)
+
+    def _recv(self, key: tuple) -> Iterator:
+        """Process generator: blocking receive of message ``key``."""
+        src, dst, _tag = key
+        sim = self.sim
+        posted = sim.now
+        size = yield self._mailbox(key).get()
+        if sim.trace is not None:
+            sim.trace.record(f"mpi{dst}", f"mpi:recv<-{src}", posted, sim.now,
+                             nbytes=size, wait=True)
+
     def _run(self, ops: Iterable[tuple]) -> Iterator:
-        sim, nodes, comm = self.sim, self.nodes, self.comm
+        sim, nodes = self.sim, self.nodes
         traced = sim.trace is not None
         for op in ops:
             code = op[0]
@@ -99,7 +144,7 @@ class DesInterpreter:
                 if type(key[0]) is str:
                     yield self._event(key)
                 else:
-                    yield from comm.recv(key[1], key[0], tag=key[2])
+                    yield from self._recv(key)
             elif code == "chan":
                 _, i, nbytes, label = op
                 yield from nodes[i].dram_to_fpga(nbytes, op_name(label) if traced else "")
@@ -109,17 +154,13 @@ class DesInterpreter:
                 sim.process(fpga_job(nodes[i], work, label, self._event(key)))
             elif code == "send":
                 _, key, nbytes, _tie = op
-                yield from comm.send(key[0], key[1], nbytes=nbytes, tag=key[2])
+                yield from self._send(key, nbytes)
             elif code == "send_batch":
                 _, keys, nbytes = op
-                yield sim.all_of([
-                    sim.process(comm.send(key[0], key[1], nbytes=nbytes, tag=key[2]))
-                    for key in keys
-                ])
+                yield sim.all_of([sim.process(self._send(key, nbytes)) for key in keys])
             elif code == "wait_all":
                 yield sim.all_of([
-                    self._event(key) if type(key[0]) is str
-                    else sim.process(comm.recv(key[1], key[0], tag=key[2]))
+                    self._event(key) if type(key[0]) is str else sim.process(self._recv(key))
                     for key in op[1]
                 ])
             elif code == "set":

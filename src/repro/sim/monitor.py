@@ -35,7 +35,7 @@ class SimMonitor:
         off the time heap) and ``zero_delay_events`` (same-time deque).
     fired_by_type:
         Dispatch counts per event class name (``Timeout``, ``Event``,
-        ``Process``, ``AllOf``, ``AnyOf``, ...).
+        ``Process``, ``AllOf``, ``Request``).
     timeouts_recycled:
         Timeouts returned to the free pool (vs left to the GC).
     max_bucket_depth:

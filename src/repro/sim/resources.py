@@ -4,10 +4,10 @@ Three primitives cover everything the machine models need:
 
 * :class:`Resource` -- a counted resource with FIFO queuing (a processor
   core, an FPGA fabric, a DMA engine, a NIC port),
-* :class:`Store` -- an unbounded or bounded FIFO of items (mailboxes,
-  message queues between simulated processes),
+* :class:`Store` -- an unbounded FIFO of items (the message mailboxes
+  of :class:`~repro.sim.interpret.DesInterpreter`),
 * :class:`BandwidthChannel` -- a serialising pipe that turns byte counts
-  into occupancy time (DRAM ports, SRAM ports, network links).
+  into occupancy time (the FPGA<->DRAM path).
 
 All blocking operations return :class:`~repro.sim.core.Event` objects to be
 ``yield``-ed from processes.
@@ -24,14 +24,9 @@ __all__ = ["Request", "Resource", "Store", "BandwidthChannel"]
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource`; fires when granted."""
+    """A pending claim on one unit of a :class:`Resource`; fires when granted."""
 
-    __slots__ = ("resource", "amount")
-
-    def __init__(self, resource: "Resource", amount: int) -> None:
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.amount = amount
+    __slots__ = ("resource",)
 
     def __getattr__(self, attr: str):
         if attr == "name":
@@ -44,10 +39,9 @@ class Request(Event):
 class Resource:
     """A counted, FIFO-granted resource.
 
-    ``capacity`` units exist; a request for ``amount`` units blocks until
-    that many are free *and* all earlier requests have been granted (strict
-    FIFO, no overtaking -- keeps traces deterministic and prevents
-    starvation of large requests).
+    ``capacity`` units exist; each request claims one and blocks until a
+    unit is free *and* all earlier requests have been granted (strict
+    FIFO, no overtaking -- keeps traces deterministic).
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
@@ -64,20 +58,8 @@ class Resource:
         """Units currently held."""
         return self._in_use
 
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting."""
-        return len(self._queue)
-
-    def request(self, amount: int = 1) -> Request:
-        """Claim ``amount`` units; yield the returned event to block."""
-        if amount < 1 or amount > self.capacity:
-            raise ValueError(f"cannot request {amount} of {self.capacity} units of {self.name!r}")
+    def request(self) -> Request:
+        """Claim one unit; yield the returned event to block."""
         # Slim factory (mirrors Simulator.event): skips Event.__init__ and
         # leaves ``name`` unset so the lazy __getattr__ debug name applies.
         # One request per simulated kernel call / channel transfer makes
@@ -91,96 +73,66 @@ class Resource:
         req._cb = None
         req.callbacks = None
         req.resource = self
-        req.amount = amount
         self._queue.append(req)
         self._grant()
         return req
 
-    def release(self, amount: int = 1) -> None:
-        """Return ``amount`` units previously granted."""
-        if amount < 1 or amount > self._in_use:
-            raise SimulationError(
-                f"release({amount}) on {self.name!r} with only {self._in_use} in use"
-            )
-        self._in_use -= amount
+    def release(self) -> None:
+        """Return one unit previously granted."""
+        if self._in_use < 1:
+            raise SimulationError(f"release() on {self.name!r} with no unit in use")
+        self._in_use -= 1
         self._grant()
 
     def _grant(self) -> None:
-        while self._queue and self._queue[0].amount <= self.capacity - self._in_use:
+        while self._queue and self._in_use < self.capacity:
             req = self._queue.popleft()
-            self._in_use += req.amount
+            self._in_use += 1
             req.succeed(req)
 
 
 class Store:
-    """A FIFO buffer of Python objects with blocking get/put.
+    """An unbounded FIFO buffer of Python objects; :meth:`get` blocks
+    while it is empty.  The DES interpreter's message mailboxes."""
 
-    With a finite ``capacity``, :meth:`put` blocks while full; :meth:`get`
-    blocks while empty.  Used as the mailbox under the simulated MPI layer.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = "store") -> None:
-        if capacity < 1:
-            raise ValueError("store capacity must be >= 1")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
-        self.capacity = capacity
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple[Any, ...]:
-        """A read-only snapshot of buffered items (oldest first)."""
-        return tuple(self._items)
 
     def put(self, item: Any) -> Event:
-        """Deposit ``item``; yield the event to block until accepted."""
+        """Deposit ``item``; the returned event is already triggered.
+
+        Yielding it resumes the caller one step later, behind the events
+        already queued for this instant -- the step a DES send ends with.
+        """
         # Unnamed via the slim factory: one event per message, and the
         # f-string debug name dominated put()/get() in profiles.
         ev = self.sim.event()
-        self._putters.append((ev, item))
-        self._dispatch()
+        ev.succeed(item)
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
         return ev
 
     def get(self) -> Event:
         """Withdraw the oldest item; the event's value is the item."""
         ev = self.sim.event()
-        self._getters.append(ev)
-        self._dispatch()
+        if self._items:
+            ev.succeed(self._items.popleft())
+        else:
+            self._getters.append(ev)
         return ev
-
-    def _dispatch(self) -> None:
-        moved = True
-        while moved:
-            moved = False
-            # Admit puts while there is room.
-            while self._putters and len(self._items) < self.capacity:
-                ev, item = self._putters.popleft()
-                self._items.append(item)
-                ev.succeed(item)
-                moved = True
-            # Serve gets while items exist.
-            while self._getters and self._items:
-                ev = self._getters.popleft()
-                ev.succeed(self._items.popleft())
-                moved = True
 
 
 class BandwidthChannel:
     """A serialising data pipe: moving ``nbytes`` occupies it ``nbytes/bw`` s.
 
-    Models a DRAM port, an SRAM port, or one direction of a network link.
-    Transfers are granted FIFO; an optional fixed per-transfer ``latency``
-    is paid before the bandwidth term (used for network links; the paper's
-    model omits memory latency because data are streamed, so memory
-    channels use ``latency=0``).
-
-    The channel accumulates ``busy_time`` and ``bytes_moved`` for
-    utilisation reporting.
+    Models the FPGA<->DRAM path (B_d).  Transfers are granted FIFO; an
+    optional fixed per-transfer ``latency`` is paid before the bandwidth
+    term (the paper's model omits memory latency because data are
+    streamed, so memory channels use ``latency=0``).
     """
 
     def __init__(
@@ -201,9 +153,6 @@ class BandwidthChannel:
         self.latency = latency
         self.trace_category = trace_category
         self._lock = Resource(sim, capacity=1, name=f"{name}.lock")
-        self.busy_time = 0.0
-        self.bytes_moved = 0.0
-        self.transfer_count = 0
 
     def transfer_time(self, nbytes: float) -> float:
         """Pure service time for ``nbytes`` (no queuing)."""
@@ -232,16 +181,8 @@ class BandwidthChannel:
             yield self.sim.timeout(service)
         finally:
             self._lock.release()
-        self.busy_time += self.sim.now - start
-        self.bytes_moved += nbytes
-        self.transfer_count += 1
         if self.sim.trace is not None and self.trace_category is not None:
             self.sim.trace.record(
                 self.trace_category, label or self.name, start, self.sim.now, nbytes=nbytes
             )
         return service
-
-    def utilisation(self, horizon: Optional[float] = None) -> float:
-        """Fraction of time busy over ``horizon`` (default: now)."""
-        horizon = self.sim.now if horizon is None else horizon
-        return 0.0 if horizon <= 0 else min(1.0, self.busy_time / horizon)

@@ -4,7 +4,7 @@ Hypothesis draws small random op schedules (``p`` from 2 to 4; CPU,
 channel, FPGA spawn + wait, send and send-batch ops with matching
 receives, and event ``set`` ops with matching waits; a send batch may
 be empty, and a send may be followed by the ``step`` the DES takes
-inside ``comm.send``) and runs each through
+inside its blocking send) and runs each through
 :class:`repro.sim.analytic.Replay` and through
 :class:`repro.sim.interpret.DesInterpreter` on a live machine.
 Wherever the replay does not refuse, makespan, per-node CPU and FPGA
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.hw.mm_design import MatrixMultiplyDesign
 from repro.machine import ReconfigurableSystem, cray_xd1
-from repro.mpi import Communicator
 from repro.sim.analytic import FastPathUnsupported, Replay, ReplayCosts
 from repro.sim.interpret import DesInterpreter, Physical
 
@@ -117,7 +116,7 @@ def _replay(spec, design, programs):
 def _des(spec, design, programs):
     system = ReconfigurableSystem(spec, trace=False)
     system.configure_fpgas(lambda: design)
-    des = DesInterpreter(system, Communicator(system))
+    des = DesInterpreter(system)
     for j, ops in enumerate(_priced(programs, Physical)):
         des.spawn(f"proc{j}", iter(ops))
     elapsed = system.run()

@@ -146,12 +146,18 @@ def test_windowed_fault_restores_base_value_bitwise():
         ).MatrixMultiplyDesign.for_device(spec.node.fpga.device)
     )
     FaultInjector(sc).install(system)
-    system.sim.run(until=0.005)
-    assert system.network.spec.bandwidth == base
-    system.sim.run(until=0.02)
-    assert system.network.spec.bandwidth == base * 0.5
-    system.sim.run(until=0.05)
-    assert system.network.spec.bandwidth.hex() == base.hex()  # exact restore
+    seen = []
+
+    def probe(sim):
+        for t in (0.005, 0.02, 0.05):
+            yield sim.timeout(t - sim.now)
+            seen.append(system.network.spec.bandwidth)
+
+    system.sim.process(probe(system.sim))
+    system.sim.run()
+    assert seen[0] == base
+    assert seen[1] == base * 0.5
+    assert seen[2].hex() == base.hex()  # exact restore
 
 
 def test_injector_is_single_use_and_validates_nodes():

@@ -1,16 +1,14 @@
-"""Tests for the machine models: processor, memory, FPGA fabric, node, system."""
+"""Tests for the machine models: processor, memory spec, FPGA fabric, node, system."""
 
 import pytest
 
 from repro.hw import FloydWarshallDesign, MatrixMultiplyDesign, get_device
 from repro.machine import (
     OPTERON_2_2GHZ,
-    AllocationError,
     CalibrationError,
     ComputeNode,
     FpgaSpec,
     MachineSpec,
-    MemoryBank,
     MemorySpec,
     NetworkSpec,
     NodeSpec,
@@ -67,19 +65,6 @@ def test_processor_validation():
 # ----------------------------------------------------------------- memory
 
 
-def test_memory_allocation_ledger():
-    sim = Simulator()
-    bank = MemoryBank(sim, MemorySpec("sram", 1000, 1e9), "sram0")
-    bank.allocate(600)
-    assert bank.free_bytes == 400
-    with pytest.raises(AllocationError):
-        bank.allocate(500)
-    bank.free(600)
-    assert bank.allocated_bytes == 0
-    with pytest.raises(AllocationError):
-        bank.free(1)
-
-
 def test_memory_spec_validation():
     with pytest.raises(ValueError, match="unknown memory kind"):
         MemorySpec("flash", 10, 1e9)
@@ -87,17 +72,6 @@ def test_memory_spec_validation():
         MemorySpec("dram", 0, 1e9)
     with pytest.raises(ValueError):
         MemorySpec("dram", 10, 0)
-
-
-def test_memory_transfer_uses_bandwidth():
-    sim = Simulator()
-    bank = MemoryBank(sim, MemorySpec("dram", 10**9, 100.0), "dram0")
-
-    def proc(sim):
-        yield from bank.transfer(250)
-
-    sim.process(proc(sim))
-    assert sim.run() == pytest.approx(2.5)
 
 
 # ---------------------------------------------------------------- FPGA
@@ -142,13 +116,14 @@ def test_fpga_run_cycles_time_and_trace():
     node.configure_fpga(MatrixMultiplyDesign.for_device())
 
     def proc(sim):
-        yield from node.fpga_run_cycles(130e6, label="stripe", flops=42.0)
+        yield from node.fpga.run_cycles(130e6, label="stripe")
 
     sim.process(proc(sim))
     assert sim.run() == pytest.approx(1.0)  # 130e6 cycles at 130 MHz
-    assert node.fpga_flops_done == 42.0
+    assert node.fpga.busy_time == pytest.approx(1.0)
     (iv,) = sim.trace.by_category("fpga0")
     assert iv.label == "stripe"
+    assert iv.meta["cycles"] == 130e6
 
 
 def test_fpga_serialises_work():
@@ -158,7 +133,7 @@ def test_fpga_serialises_work():
     ends = []
 
     def job(sim, cycles):
-        yield from node.fpga_run_cycles(cycles)
+        yield from node.fpga.run_cycles(cycles)
         ends.append(sim.now)
 
     sim.process(job(sim, 130e6))
@@ -172,6 +147,7 @@ def test_fpga_serialises_work():
 
 def test_cpu_run_uses_sustained_rate():
     sim = Simulator()
+    sim.trace = Trace()
     node = make_node(sim)
 
     def proc(sim):
@@ -179,8 +155,10 @@ def test_cpu_run_uses_sustained_rate():
 
     sim.process(proc(sim))
     assert sim.run() == pytest.approx(1.0)
-    assert node.cpu_flops_done == pytest.approx(3.9e9)
     assert node.cpu_busy_time == pytest.approx(1.0)
+    (iv,) = sim.trace.by_category("cpu0")
+    assert iv.label == "gemm"
+    assert iv.meta["flops"] == 3.9e9
 
 
 def test_cpu_lane_is_exclusive():
@@ -189,13 +167,13 @@ def test_cpu_lane_is_exclusive():
     ends = []
 
     def job(sim):
-        yield from node.cpu_occupy(1.0)
+        yield from node.cpu_run("dgemm", 3.9e9)  # 1 s
         ends.append(sim.now)
 
     sim.process(job(sim))
     sim.process(job(sim))
     sim.run()
-    assert ends == [1.0, 2.0]
+    assert ends == [pytest.approx(1.0), pytest.approx(2.0)]
 
 
 def test_dram_to_fpga_is_bd_limited():
@@ -241,27 +219,6 @@ def test_system_builds_nodes_and_network():
     assert len(sysm.nodes) == 6
     assert sysm.network.p == 6
     assert sysm.trace is not None
-
-
-def test_system_flops_accounting():
-    sysm = ReconfigurableSystem(cray_xd1())
-    sysm.configure_fpgas(MatrixMultiplyDesign.for_device)
-
-    def cpu_work(sim, node):
-        yield from node.cpu_run("dgemm", 3.9e9)
-
-    def fpga_work(sim, node):
-        yield from node.fpga_run_cycles(130e6, flops=2.08e9)
-
-    for node in sysm.nodes:
-        sysm.sim.process(cpu_work(sysm.sim, node))
-        sysm.sim.process(fpga_work(sysm.sim, node))
-    elapsed = sysm.run()
-    assert elapsed == pytest.approx(1.0)
-    assert sysm.total_cpu_flops() == pytest.approx(6 * 3.9e9)
-    assert sysm.total_fpga_flops() == pytest.approx(6 * 2.08e9)
-    # 6 nodes working in parallel: (3.9 + 2.08) * 6 = 35.88 GFLOPS
-    assert sysm.gflops() == pytest.approx(35.88, rel=1e-6)
 
 
 def test_machine_spec_validation():

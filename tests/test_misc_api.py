@@ -7,8 +7,8 @@ from repro.apps.fw import FwDesign
 from repro.apps.lu import LuDesign
 from repro.core import FlopSplit, Prediction, SystemParameters
 from repro.hw import MatrixMultiplyDesign
-from repro.machine import MemoryBank, MemorySpec, ReconfigurableSystem, cray_xd1
-from repro.sim import Simulator, Store, Trace
+from repro.machine import ReconfigurableSystem, cray_xd1
+from repro.sim import Trace
 
 
 def test_version_string():
@@ -16,20 +16,6 @@ def test_version_string():
 
 
 # ------------------------------------------------------------------- sim
-
-
-def test_store_items_snapshot_is_immutable_copy():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer(sim):
-        yield store.put("a")
-
-    sim.process(producer(sim))
-    sim.run()
-    snapshot = store.items
-    assert snapshot == ("a",)
-    assert isinstance(snapshot, tuple)
 
 
 def test_gantt_respects_lane_order():
@@ -45,35 +31,6 @@ def test_gantt_respects_lane_order():
 # --------------------------------------------------------------- machine
 
 
-def test_fpga_run_seconds():
-    system = ReconfigurableSystem(cray_xd1())
-    node = system.nodes[0]
-    node.configure_fpga(MatrixMultiplyDesign.for_device())
-
-    def proc(sim):
-        yield from node.fpga.run_seconds(2.0, label="warm")
-
-    system.sim.process(proc(system.sim))
-    assert system.run() == pytest.approx(2.0)
-    assert node.fpga.utilisation() == pytest.approx(1.0)
-
-
-def test_fpga_to_sram_uses_sram_port():
-    system = ReconfigurableSystem(cray_xd1())
-    node = system.nodes[0]
-
-    def proc(sim):
-        yield from node.fpga_to_sram(12.8e9)  # 1 s at 12.8 GB/s
-
-    system.sim.process(proc(system.sim))
-    assert system.run() == pytest.approx(1.0)
-
-
-def test_memory_transfer_time():
-    bank = MemoryBank(Simulator(), MemorySpec("sram", 10**9, 1e9), "s")
-    assert bank.transfer_time(5e8) == pytest.approx(0.5)
-
-
 def test_fpga_run_negative_cycles_rejected():
     system = ReconfigurableSystem(cray_xd1())
     node = system.nodes[0]
@@ -82,10 +39,10 @@ def test_fpga_run_negative_cycles_rejected():
         list(node.fpga.run_cycles(-1))
 
 
-def test_cpu_occupy_negative_rejected():
+def test_cpu_run_negative_flops_rejected():
     system = ReconfigurableSystem(cray_xd1())
-    with pytest.raises(ValueError):
-        list(system.nodes[0].cpu_occupy(-1.0))
+    with pytest.raises(ValueError, match="negative"):
+        list(system.nodes[0].cpu_run("dgemm", -1.0))
 
 
 # ------------------------------------------------------------------ core

@@ -79,7 +79,8 @@ def test_channel_serialisation_conserves_time(sizes, bandwidth):
     """A serialising channel finishes all transfers in exactly
     sum(size)/bandwidth when saturated from t=0."""
     sim = Simulator()
-    ch = BandwidthChannel(sim, bandwidth=bandwidth)
+    sim.trace = Trace()
+    ch = BandwidthChannel(sim, bandwidth=bandwidth, trace_category="ch")
 
     def mover(sim, nbytes):
         yield from ch.transfer(nbytes)
@@ -88,8 +89,9 @@ def test_channel_serialisation_conserves_time(sizes, bandwidth):
         sim.process(mover(sim, nbytes))
     makespan = sim.run()
     assert makespan == pytest.approx(sum(sizes) / bandwidth, rel=1e-9)
-    assert ch.bytes_moved == pytest.approx(sum(sizes))
-    assert ch.transfer_count == len(sizes)
+    moved = sim.trace.by_category("ch")
+    assert [iv.meta["nbytes"] for iv in moved] == sizes
+    assert all(a.end == b.start for a, b in zip(moved, moved[1:]))
 
 
 @given(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
     ProcessFailure,
     SimulationError,
@@ -160,17 +159,6 @@ def test_cross_simulator_event_rejected():
         sim1.run()
 
 
-def test_run_until_stops_early():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(100.0)
-
-    sim.process(proc(sim))
-    assert sim.run(until=10.0) == 10.0
-    assert sim.run() == 100.0
-
-
 def test_same_time_events_fire_in_schedule_order():
     sim = Simulator()
     order = []
@@ -204,24 +192,6 @@ def test_all_of_waits_for_slowest():
     assert times == [5.0]
 
 
-def test_any_of_fires_on_fastest():
-    sim = Simulator()
-    times = []
-
-    def proc(sim):
-        t1 = sim.timeout(1.0, value="x")
-        t2 = sim.timeout(5.0, value="y")
-        result = yield sim.any_of([t1, t2])
-        times.append(sim.now)
-        assert list(result.values()) == ["x"]
-
-    sim.process(proc(sim))
-    sim.run()
-    assert times == [1.0]
-    sim.run()  # drain the remaining timeout
-    assert sim.now == 5.0
-
-
 def test_all_of_empty_fires_immediately():
     sim = Simulator()
     fired = []
@@ -249,18 +219,6 @@ def test_yield_already_processed_event():
     sim.process(proc(sim))
     sim.run()
     assert trail == [(1.0, "done")]
-
-
-def test_process_is_alive_lifecycle():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-
-    p = sim.process(proc(sim))
-    assert p.is_alive
-    sim.run()
-    assert not p.is_alive
 
 
 def test_deep_process_chain():

@@ -54,21 +54,6 @@ def test_monitor_counts_event_types_and_recycling():
     assert mon.max_bucket_depth >= 1
 
 
-def test_monitor_until_horizon():
-    mon = SimMonitor()
-    sim = Simulator()
-
-    def proc():
-        while True:
-            yield sim.timeout(1.0)
-
-    sim.process(proc())
-    sim.attach_monitor(mon)
-    sim.run(until=5.5)
-    assert sim.now == 5.5
-    assert mon.events_fired >= 5
-
-
 def test_monitor_accumulates_across_runs():
     mon = SimMonitor()
     for _ in range(2):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import BandwidthChannel, Resource, SimulationError, Simulator, Store, Trace
+from repro.sim import BandwidthChannel, Resource, Simulator, Store, Trace
 
 
 # ---------------------------------------------------------------- Resource
@@ -21,7 +21,6 @@ def test_resource_grants_immediately_when_free():
     sim.run()
     assert done == [0.0]
     assert res.in_use == 1
-    assert res.available == 1
 
 
 def test_resource_serialises_contenders():
@@ -43,70 +42,34 @@ def test_resource_serialises_contenders():
 
 
 def test_resource_fifo_no_overtaking():
-    """A large request at the head must not be overtaken by smaller ones."""
+    """A waiting request is granted before every later one."""
     sim = Simulator()
     res = Resource(sim, capacity=2)
     order = []
 
     def holder(sim):
-        yield res.request(2)
+        yield res.request()
+        yield res.request()
         yield sim.timeout(5.0)
-        res.release(2)
+        res.release()
+        res.release()
 
-    def big(sim):
-        yield sim.timeout(1.0)
-        yield res.request(2)
-        order.append(("big", sim.now))
-        res.release(2)
-
-    def small(sim):
-        yield sim.timeout(2.0)
-        yield res.request(1)
-        order.append(("small", sim.now))
-        res.release(1)
+    def waiter(sim, tag, arrive):
+        yield sim.timeout(arrive)
+        yield res.request()
+        order.append((tag, sim.now))
+        res.release()
 
     sim.process(holder(sim))
-    sim.process(big(sim))
-    sim.process(small(sim))
+    sim.process(waiter(sim, "first", 1.0))
+    sim.process(waiter(sim, "second", 2.0))
     sim.run()
-    assert order == [("big", 5.0), ("small", 5.0)]
-
-
-def test_resource_invalid_amounts():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    with pytest.raises(ValueError):
-        res.request(0)
-    with pytest.raises(ValueError):
-        res.request(3)
-    with pytest.raises(SimulationError):
-        res.release(1)  # nothing held
+    assert order == [("first", 5.0), ("second", 5.0)]
 
 
 def test_resource_bad_capacity():
     with pytest.raises(ValueError):
         Resource(Simulator(), capacity=0)
-
-
-def test_resource_queue_length():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder(sim):
-        yield res.request()
-        yield sim.timeout(10.0)
-        res.release()
-
-    def waiter(sim):
-        yield res.request()
-        res.release()
-
-    sim.process(holder(sim))
-    sim.process(waiter(sim))
-    sim.run(until=1.0)
-    assert res.queue_length == 1
-    sim.run()
-    assert res.queue_length == 0
 
 
 # ---------------------------------------------------------------- Store
@@ -151,46 +114,6 @@ def test_store_get_blocks_until_put():
     assert times == [(7.0, "msg")]
 
 
-def test_store_bounded_put_blocks():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    trail = []
-
-    def producer(sim):
-        yield store.put("a")
-        trail.append(("put-a", sim.now))
-        yield store.put("b")  # blocks until 'a' is consumed
-        trail.append(("put-b", sim.now))
-
-    def consumer(sim):
-        yield sim.timeout(4.0)
-        yield store.get()
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert trail == [("put-a", 0.0), ("put-b", 4.0)]
-
-
-def test_store_snapshot_and_len():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer(sim):
-        yield store.put(1)
-        yield store.put(2)
-
-    sim.process(producer(sim))
-    sim.run()
-    assert len(store) == 2
-    assert store.items == (1, 2)
-
-
-def test_store_bad_capacity():
-    with pytest.raises(ValueError):
-        Store(Simulator(), capacity=0)
-
-
 # ---------------------------------------------------------------- BandwidthChannel
 
 
@@ -205,7 +128,8 @@ def test_channel_transfer_time_formula():
 
 def test_channel_serialises_transfers():
     sim = Simulator()
-    ch = BandwidthChannel(sim, bandwidth=100.0)  # 100 B/s
+    sim.trace = Trace()
+    ch = BandwidthChannel(sim, bandwidth=100.0, trace_category="ch")  # 100 B/s
     ends = []
 
     def mover(sim, nbytes):
@@ -216,10 +140,9 @@ def test_channel_serialises_transfers():
     sim.process(mover(sim, 200))  # 2 s, queued behind
     sim.run()
     assert ends == [pytest.approx(1.0), pytest.approx(3.0)]
-    assert ch.bytes_moved == 300
-    assert ch.transfer_count == 2
-    assert ch.busy_time == pytest.approx(3.0)
-    assert ch.utilisation() == pytest.approx(1.0)
+    assert [(iv.start, iv.meta["nbytes"]) for iv in sim.trace.by_category("ch")] == [
+        (0.0, 100), (pytest.approx(1.0), 200)
+    ]
 
 
 def test_channel_latency_paid_per_transfer():

@@ -6,13 +6,12 @@ mailbox mismatch) that targeted unit tests can miss.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import ReconfigurableSystem, cray_xd1
-from repro.mpi import Communicator
 from repro.sim import Resource, Simulator, Trace
+from repro.sim.interpret import DesInterpreter
 
 
 @given(
@@ -66,63 +65,53 @@ def test_random_fork_join_graphs_complete(seed, n_procs, capacity):
         assert level <= capacity
 
 
+def _recv_sizes(system, dst, src):
+    """Byte counts received on ``dst`` from ``src``, in delivery order."""
+    return [iv.meta["nbytes"] for iv in system.trace.by_category(f"mpi{dst}")
+            if iv.label == f"mpi:recv<-{src}"]
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     n_msgs=st.integers(min_value=1, max_value=30),
 )
 @settings(max_examples=30, deadline=None)
 def test_random_message_storms_deliver_exactly_once(seed, n_msgs):
-    """Random (src, dst, size, delay) message storms over the simulated
-    MPI layer: every message arrives exactly once, in per-channel order,
-    and total bytes are conserved."""
+    """Random (src, dst, size, delay) message storms through the DES
+    interpreter's blocking sends: every message arrives exactly once, in
+    per-channel order, and total bytes are conserved."""
     rng = np.random.default_rng(seed)
     p = 4
-    comm = Communicator(ReconfigurableSystem(cray_xd1(p=p)))
+    system = ReconfigurableSystem(cray_xd1(p=p))
+    rate = system.nodes[0].spec.processor.sustained_flops("dgemm")
     plan = []
     for m in range(n_msgs):
         src = int(rng.integers(0, p))
         dst = int(rng.integers(0, p - 1))
         dst = dst if dst < src else dst + 1  # dst != src
-        # Integer sizes: the MPI layer truncates nbytes to whole bytes.
-        plan.append((src, dst, int(rng.integers(8, 10**6)), float(rng.uniform(0, 1)), m))
-    received: dict[int, list[int]] = {i: [] for i in range(p)}
-
-    def sender(rank):
-        my_msgs = [msg for msg in plan if msg[0] == rank]
-
-        def proc():
-            for _src, dst, size, delay, mid in my_msgs:
-                yield comm.sim.timeout(delay)
-                yield from comm.send(rank, dst, data=mid, nbytes=size, tag="storm")
-
-        return proc()
-
-    def receiver(rank):
-        expect = {}
-        for src, dst, *_ in plan:
-            if dst == rank:
-                expect[src] = expect.get(src, 0) + 1
-
-        def proc():
-            recvs = []
-            for src, count in expect.items():
-                for _ in range(count):
-                    recvs.append(comm.sim.process(comm.recv(rank, src, tag="storm")))
-            if recvs:
-                results = yield comm.sim.all_of(recvs)
-                for proc_ev in recvs:
-                    received[rank].append(results[proc_ev])
-
-        return proc()
-
+        # Integer sizes: a send truncates nbytes to whole bytes.  The
+        # message id makes every size distinct.
+        size = int(rng.integers(8, 10**6)) * 64 + m
+        plan.append((src, dst, size, float(rng.uniform(0, 1))))
+    des = DesInterpreter(system)
     for rank in range(p):
-        comm.sim.process(sender(rank))
-        comm.sim.process(receiver(rank))
-    comm.sim.run()
-    got = sorted(mid for msgs in received.values() for mid in msgs)
-    assert got == list(range(n_msgs))
-    assert comm.network.message_count == n_msgs
-    assert comm.network.bytes_moved == pytest.approx(sum(m[2] for m in plan))
+        # Each sender idles on its CPU for the delay, then sends.
+        des.spawn(f"send{rank}", [
+            op
+            for m, (src, dst, size, delay) in enumerate(plan) if src == rank
+            for op in (("cpu", rank, ("dgemm", delay * rate), ("delay", m)),
+                       ("send", (rank, dst, "storm"), size, None))
+        ])
+        keys = [(src, rank, "storm") for src, dst, *_ in plan if dst == rank]
+        des.spawn(f"recv{rank}", [("wait_all", keys)] if keys else [])
+    system.run()
+    for src in range(p):
+        for dst in range(p):
+            sent = [size for s, d, size, _ in plan if (s, d) == (src, dst)]
+            assert _recv_sizes(system, dst, src) == sent
+    wire = [iv for iv in system.trace.intervals if iv.category.startswith("net")]
+    assert len(wire) == n_msgs
+    assert system.network.bytes_moved == sum(m[2] for m in plan)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -131,24 +120,16 @@ def test_per_channel_fifo_under_storm(seed):
     """Messages on one (src, dst, tag) channel arrive in send order even
     under cross-traffic."""
     rng = np.random.default_rng(seed)
-    comm = Communicator(ReconfigurableSystem(cray_xd1(p=3)))
+    system = ReconfigurableSystem(cray_xd1(p=3))
     n = int(rng.integers(2, 10))
-    got = []
-
-    def sender():
-        for i in range(n):
-            yield from comm.send(0, 1, data=i, nbytes=float(rng.uniform(8, 1e5)), tag="fifo")
-
-    def noise():
-        for _ in range(5):
-            yield from comm.send(2, 1, data=None, nbytes=5e5, tag="noise")
-
-    def receiver():
-        for _ in range(n):
-            got.append((yield from comm.recv(1, 0, tag="fifo")))
-
-    comm.sim.process(sender())
-    comm.sim.process(noise())
-    comm.sim.process(receiver())
-    comm.sim.run()
-    assert got == list(range(n))
+    sizes = [float(rng.uniform(8, 1e5)) for _ in range(n)]
+    des = DesInterpreter(system)
+    des.spawn("sender", [("send", (0, 1, "fifo"), size, None) for size in sizes])
+    des.spawn("noise", [("send", (2, 1, "noise"), 5e5, None)] * 5)
+    # The receiver starts after a random delay, so some messages wait
+    # on the mailbox before it asks for them.
+    rate = system.nodes[1].spec.processor.sustained_flops("dgemm")
+    delay = ("cpu", 1, ("dgemm", float(rng.uniform(0, 2e-4)) * rate), ("delay", 1))
+    des.spawn("receiver", [delay] + [("wait", (0, 1, "fifo"))] * n)
+    system.run()
+    assert _recv_sizes(system, 1, 0) == [int(size) for size in sizes]
