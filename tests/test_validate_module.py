@@ -46,3 +46,28 @@ def test_deterministic_given_seed():
     a = run_validation(seed=1)
     b = run_validation(seed=1)
     assert [r.error for r in a] == [r.error for r in b]
+
+
+#: ``(app, config, messages, guard_clean, ok)`` for every
+#: ``run_validation(seed=2007)`` row.  ``error`` is left out: its last
+#: digits depend on the BLAS build.
+GOLDEN_ROWS = [
+    ("LU", "n=24 b=6 p=2 b_f=0", 32, True, True),
+    ("LU", "n=24 b=6 p=2 b_f=6", 32, True, True),
+    ("LU", "n=24 b=6 p=4 b_f=4 hw", 112, True, True),
+    ("LU", "n=48 b=12 p=3 b_f=8 hw", 71, True, True),
+    ("LU", "n=60 b=10 p=5 b_f=6", 606, True, True),
+    ("FW", "n=16 b=4 p=2 l1=2", 16, True, True),
+    ("FW", "n=16 b=4 p=2 l1=0 hw", 16, True, True),
+    ("FW", "n=24 b=4 p=3 l1=1", 72, True, True),
+    ("FW", "n=32 b=8 p=4 l1=1 hw", 48, True, True),
+    ("FW", "n=36 b=6 p=6 l1=0", 180, True, True),
+    ("MM", "n=24 p=2 m_f=0", 2, True, True),
+    ("MM", "n=24 p=4 m_f=6", 12, True, True),
+    ("MM", "n=32 p=4 m_f=4 hw", 12, True, True),
+    ("MM", "n=48 p=6 m_f=8 hw", 30, True, True),
+]
+
+
+def test_rows_match_golden(rows):
+    assert [(r.app, r.config, r.messages, r.guard_clean, r.ok) for r in rows] == GOLDEN_ROWS
