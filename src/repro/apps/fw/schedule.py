@@ -18,8 +18,11 @@ same way:
   (``l2 x T_mem``: two ``b x b`` blocks per FPGA op), launching the
   FPGA's ``l2`` ops once the first op's operands land (``overlap``) or
   once everything is staged (the ablation);
-* it then runs its own ``l1`` ops on the processor (``l1 x T_p``; the
-  owner's op22 is the first of them) and waits for the FPGA batch.
+* it then runs its own ``l1`` ops on the processor (``l1 x T_p``) and
+  waits for the FPGA batch.  The owner's op22 (on the column-``t``
+  block whose pivot it sends next phase) leads its list of ops: it is
+  the first processor op when ``l1 > 0``, and rides in the FPGA batch
+  at ``l1 = 0``.
 
 The FPGA overlaps everything after its first operands land -- the
 paper's overlap story, emerging from the engines' resources.

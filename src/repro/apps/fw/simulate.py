@@ -18,6 +18,9 @@ Because every phase is structurally identical, benchmark runs simulate
 ``iterations`` (default 1) full iterations and extrapolate linearly to
 all ``n/b`` -- the extrapolation is validated against full simulations
 at small n in the test suite.
+
+:func:`distributed_blocked_fw` runs the same schedule on real blocks,
+through the numerics interpreter of :mod:`repro.apps.numerics`.
 """
 
 from __future__ import annotations
@@ -25,14 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from ...core.coordination import CoordinationGuard
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
 from ...sim import Trace
+from ...sim.interpret import Physical
 from ..engines import run_schedule
+from ..numerics import FunctionalResult, FwBlocks
 from .layout import ColumnBlockLayout
 from .schedule import fw_processes
 
-__all__ = ["FwSimConfig", "FwSimResult", "simulate_fw"]
+__all__ = ["FwSimConfig", "FwSimResult", "distributed_blocked_fw", "simulate_fw"]
 
 
 @dataclass(frozen=True)
@@ -152,3 +160,33 @@ def simulate_fw(
         fast_path=fast_path, trace=trace, node_specs=node_specs, monitor=monitor,
         faults=faults,
     )
+
+
+def distributed_blocked_fw(d: np.ndarray, b: int, p: int, l1: Optional[int] = None,
+                           use_hw_model: bool = False, hw_k: int = 2,
+                           guard: Optional[CoordinationGuard] = None) -> FunctionalResult:
+    """All-pairs shortest paths of ``d`` (``.dist``) with the schedule
+    :func:`simulate_fw` times, over every iteration.
+
+    ``l1`` of each node's per-phase operations (default half) run on the
+    "CPU", the rest on the "FPGA" (the cycle-level array with
+    ``use_hw_model``): ``l1=0`` is the FPGA-only baseline, ``l1=n/(bp)``
+    the Processor-only one.  ``guard`` checks every cross-device access.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    n = d.shape[0]
+    if d.shape != (n, n):
+        raise ValueError(f"matrix must be square, got {d.shape}")
+    if n % b:
+        raise ValueError(f"b={b} must divide n={n}")
+    per_phase = ColumnBlockLayout(n // b, p).cols_per_node
+    if l1 is None:
+        l1 = per_phase // 2
+    if not 0 <= l1 <= per_phase:
+        raise ValueError(f"l1={l1} outside [0, {per_phase}]")
+    design = FloydWarshallDesign(k=hw_k, freq_hz=1e6, device=None) if use_hw_model else None
+    if design is not None and b % hw_k:
+        raise ValueError(f"use_hw_model requires b={b} to be a multiple of k={hw_k}")
+    config = FwSimConfig(n=n, b=b, k=hw_k if design else 1, l1=l1, l2=per_phase - l1,
+                         iterations=None)
+    return FwBlocks(d, config, p, guard, design).run(fw_processes(config, p, 1, Physical))

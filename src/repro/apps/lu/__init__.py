@@ -1,14 +1,13 @@
 """Hybrid block-LU decomposition design (Section 5.1)."""
 
 from .design import LuDesign, TABLE1_LATENCIES
-from .functional import FunctionalLuResult, distributed_block_lu
 from .layout import BlockCyclicLayout
-from .simulate import LuSimConfig, LuSimResult, simulate_block_mm, simulate_lu
+from .simulate import (LuSimConfig, LuSimResult, distributed_block_lu, simulate_block_mm,
+                       simulate_lu)
 from .taskgraph import build_lu_taskgraph, lu_op_counts
 
 __all__ = [
     "BlockCyclicLayout",
-    "FunctionalLuResult",
     "LuDesign",
     "LuSimConfig",
     "LuSimResult",

@@ -6,6 +6,8 @@
 and on the discrete-event simulator through
 :class:`~repro.sim.interpret.DesInterpreter` otherwise; both produce the
 same :class:`LuSimResult` bitwise wherever the replay does not refuse.
+:func:`distributed_block_lu` runs the same schedule on real blocks,
+through the numerics interpreter of :mod:`repro.apps.numerics`.
 :func:`simulate_block_mm` is one cooperative block multiply (Figure 5):
 its closed forms live in :mod:`repro.apps.lu.analytic`, its DES run is
 :func:`~repro.apps.lu.schedule.block_mm_processes` on the interpreter.
@@ -16,15 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from ...core.coordination import CoordinationGuard
 from ...hw.mm_design import MatrixMultiplyDesign
+from ...hw.pe_array import LinearPEArray
 from ...machine.system import MachineSpec
 from ...sim import Trace
 from ...sim.analytic import try_fast_path
+from ...sim.interpret import Physical
 from ..engines import des_schedule, run_schedule
+from ..numerics import FunctionalResult, LuBlocks
 from .analytic import analytic_block_mm
+from .layout import BlockCyclicLayout
 from .schedule import block_mm_processes, lu_processes
 
-__all__ = ["LuSimConfig", "LuSimResult", "simulate_lu", "simulate_block_mm"]
+__all__ = ["LuSimConfig", "LuSimResult", "distributed_block_lu", "simulate_block_mm",
+           "simulate_lu"]
 
 
 @dataclass(frozen=True)
@@ -158,3 +168,31 @@ def simulate_block_mm(
     return des_schedule(
         spec, design, lambda _price: block_mm_processes(spec.p, b, b_f, k)
     )["elapsed"]
+
+
+def distributed_block_lu(a: np.ndarray, b: int, p: int, b_f: Optional[int] = None, k: int = 2,
+                         use_hw_model: bool = False,
+                         guard: Optional[CoordinationGuard] = None) -> FunctionalResult:
+    """Factorise ``a`` (no pivoting; ``.lu`` packs the factors) with the
+    schedule :func:`simulate_lu` times (``l = 1``, two superstripes).
+
+    ``b_f`` rows of each block product run on the "FPGA" (default b//2
+    rounded to k; 0 = Processor-only, b = FPGA-only), on the cycle-level
+    PE array with ``use_hw_model`` (b, b_f, b/(p-1) multiples of k).
+    ``guard`` checks every cross-device access (Section 4.4).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"matrix must be square, got {a.shape}")
+    if p < 2:
+        raise ValueError("the distributed design needs p >= 2 nodes")
+    if b_f is None:
+        b_f = (b // 2 // k) * k
+    array = LinearPEArray(k) if use_hw_model and b_f > 0 else None
+    if array is not None and (b_f % k or b % k or (b % (p - 1) == 0 and (b // (p - 1)) % k)):
+        raise ValueError("use_hw_model requires b, b_f and b/(p-1) to be multiples of k")
+    stripe = k if array is not None else 1  # (LuSimConfig checks b | n and 0 <= b_f <= b)
+    config = LuSimConfig(n=n, b=b, k=stripe, b_f=b_f, l=1, superstripes=min(2, b // stripe))
+    blocks = LuBlocks(a, config, BlockCyclicLayout(config.nb, p), guard, array)
+    return blocks.run(lu_processes(config, p, 1, Physical))

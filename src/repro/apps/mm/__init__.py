@@ -7,13 +7,11 @@ Equation (2) (the network-aware flop split) directly.
 """
 
 from .design import MmDesign
-from .functional import FunctionalMmResult, distributed_ring_mm
 from .partition import COL_TILE, MmPartition, mm_row_partition
-from .simulate import MmSimConfig, MmSimResult, simulate_mm
+from .simulate import MmSimConfig, MmSimResult, distributed_ring_mm, simulate_mm
 
 __all__ = [
     "COL_TILE",
-    "FunctionalMmResult",
     "MmDesign",
     "MmPartition",
     "MmSimConfig",

@@ -8,7 +8,9 @@ and on the discrete-event simulator through
 same :class:`MmSimResult` bitwise wherever the replay does not refuse.
 
 Baselines use the same schedule: ``m_f = 0`` is the Processor-only
-design, ``m_f = r`` the FPGA-only design.
+design, ``m_f = r`` the FPGA-only design.  :func:`distributed_ring_mm`
+runs the same schedule on real panels, through the numerics interpreter
+of :mod:`repro.apps.numerics`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from ...core.coordination import CoordinationGuard
 from ...hw.mm_design import MatrixMultiplyDesign
+from ...hw.pe_array import LinearPEArray
 from ...machine.system import MachineSpec
 from ...sim import Trace
+from ...sim.interpret import Physical
 from ..engines import run_schedule
+from ..numerics import FunctionalResult, MmBlocks
 from .schedule import mm_processes
 
-__all__ = ["MmSimConfig", "MmSimResult", "simulate_mm"]
+__all__ = ["MmSimConfig", "MmSimResult", "distributed_ring_mm", "simulate_mm"]
 
 
 @dataclass(frozen=True)
@@ -107,3 +115,31 @@ def simulate_mm(
 
     return run_schedule("mm", spec, design, processes, result, fast_path=fast_path,
                         trace=trace, node_specs=node_specs, monitor=monitor, faults=faults)
+
+
+def distributed_ring_mm(a: np.ndarray, b: np.ndarray, p: int, m_f: Optional[int] = None,
+                        k: int = 2, use_hw_model: bool = False,
+                        guard: Optional[CoordinationGuard] = None) -> FunctionalResult:
+    """``A @ B`` (``.product``) with the ring schedule :func:`simulate_mm` times.
+
+    ``m_f`` rows of each node's per-step product (default half the panel,
+    rounded to k) run on the "FPGA", the cycle-level PE array with
+    ``use_hw_model``.  ``guard`` checks every cross-device access.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise ValueError(f"A and B must be square and equal-sized, got {a.shape}, {b.shape}")
+    if p < 1 or n % p:
+        raise ValueError(f"p={p} must divide n={n}")
+    r = n // p
+    if m_f is None:
+        m_f = (r // 2 // k) * k
+    if not 0 <= m_f <= r:
+        raise ValueError(f"m_f={m_f} outside [0, {r}]")
+    array = LinearPEArray(k) if use_hw_model and m_f > 0 else None
+    if array is not None and (r % k or m_f % k or n % k):
+        raise ValueError("use_hw_model requires n/p, m_f and n to be multiples of k")
+    config = MmSimConfig(n=n, k=k if array is not None else 1, m_f=m_f)
+    return MmBlocks(a, b, config, p, guard, array).run(mm_processes(config, p, Physical))

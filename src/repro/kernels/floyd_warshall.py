@@ -8,8 +8,9 @@ via the generalised kernel
 
     FWI(D, A, B):  for kk:  D[i,j] = min(D[i,j], A[i,kk] + B[kk,j]).
 
-These are the sequential functional references that the distributed
-schedules in :mod:`repro.apps.fw` are validated against.
+These are the sequential functional references that the FW schedule of
+:mod:`repro.apps.fw`, run on real blocks by the numerics interpreter
+(:func:`~repro.apps.fw.distributed_blocked_fw`), is validated against.
 """
 
 from __future__ import annotations

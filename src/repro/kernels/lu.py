@@ -6,10 +6,11 @@ schedules: in iteration ``t`` the panel is factorised (opLU), the block
 row/column are solved (opL / opU), and the trailing submatrix receives a
 rank-b update (opMM + opMS).
 
-These functions are the *sequential functional reference*: the
-distributed schedules in :mod:`repro.apps.lu` must produce bitwise the
-same task outputs, and the tests verify small-n runs of both against
-``L @ U == A``.
+These functions are the *sequential functional reference*: the LU
+schedule of :mod:`repro.apps.lu`, run on real blocks by the numerics
+interpreter (:func:`~repro.apps.lu.distributed_block_lu`), must produce
+the same factors to round-off, and the tests check small-n runs of both
+against ``L @ U == A``.
 """
 
 from __future__ import annotations
