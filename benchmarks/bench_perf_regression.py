@@ -327,9 +327,9 @@ def check_campaign(
     a fraction of a second, so a single sample is noisy) and fails when
     points/s lands more than ``tolerance`` below the recorded
     ``campaign`` figure.  The
-    default perturbation model puts a stall burst in every replicate,
-    and LU and FW both fold it into the analytic replay, so no
-    replicate runs the DES: this gates the replay plus the harness's
+    default perturbation model puts a stall burst in every replicate;
+    LU folds it into the analytic replay and FW into its closed form, so
+    no replicate runs the DES: this gates those two plus the harness's
     own overhead (perturbation sampling, histogram merging, aggregation).
     Returns 0 on pass, 1 on regression, 2 when the baseline is missing
     or has no campaign figure.

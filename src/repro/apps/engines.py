@@ -86,22 +86,22 @@ def des_schedule(spec: MachineSpec, design, processes: Processes, trace: bool = 
 
 def run_schedule(app: str, spec: MachineSpec, design, processes: Processes,
                  result: Callable[[dict], object],
-                 closed_form: Optional[Callable[[SteadyRates], object]] = None,
+                 closed_form: Optional[Callable[[SteadyRates, list], object]] = None,
                  fast_path: Optional[str] = None, trace: bool = False, node_specs=None,
                  monitor=None, faults=None):
     """One ``simulate_*`` run: the fast path when it accepts, else the DES.
 
     ``result`` builds the app's result from the shared fields.  The fast
     path (:func:`~repro.sim.analytic.try_fast_path`) replays the schedule
-    with the folded rates; ``closed_form(rates)``, when given, stands in
-    for the replay on stall-free rates (it has no channel queue to hold).
-    The DES runs the same schedule with every kwarg.
+    with the folded rates; ``closed_form(rates, stall_log)``, when given,
+    stands in for the replay and appends the stall marks the replay would
+    have logged.  The DES runs the same schedule with every kwarg.
     """
     stall_log: list = []
 
     def solve(rates: SteadyRates):
-        if closed_form is not None and not rates.stalls:
-            return closed_form(rates)
+        if closed_form is not None:
+            return closed_form(rates, stall_log)
         return result(replay_schedule(spec, design.freq_hz, rates, processes, stall_log))
 
     fast = try_fast_path(app, solve, mode=fast_path, trace=trace, node_specs=node_specs,

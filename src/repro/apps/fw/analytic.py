@@ -1,4 +1,4 @@
-"""Closed forms of the distributed-FW simulation, for stall-free runs.
+"""Closed forms of the distributed-FW simulation.
 
 Without DMA stalls the FW schedule of :mod:`repro.apps.fw.schedule` is
 *structurally* conflict-free: each phase's broadcast serialises on the
@@ -11,10 +11,15 @@ exactly the float arithmetic the DES would -- same operations, same
 order, including the ``end - start`` busy-time accounting -- so every
 field of the returned :class:`FwSimResult` is bitwise identical.  It
 takes about a fifteenth of the time of running the schedule on
-:class:`~repro.sim.analytic.Replay`, which is why it stays: a stall
-window breaks the fold (it queues on one node's channel), so
-:func:`~repro.apps.fw.simulate.simulate_fw` replays the schedule for
-runs with stalls instead.
+:class:`~repro.sim.analytic.Replay`.
+
+A ``dma_stall`` window delays only its own node: it queues FIFO on that
+node's ``B_d`` channel with the node's staging holds, and the rest of
+the run follows through the node's times.  The fold keeps its phases
+and runs each channel as that queue (:func:`_fold_stalls`), about a
+seventh of the replay's time on the campaign's default design; the
+runs it cannot settle without the replay's event order go to the
+replay.
 
 :func:`analytic_fw_batch` vectorises the fold over a whole
 ``(l1, l2)`` split grid (the Figure 7 sweep) in one NumPy pass with
@@ -24,19 +29,22 @@ to the scalar replay and hence to the DES.
 
 from __future__ import annotations
 
+from math import inf
+from operator import itemgetter, le
 from typing import Optional, Sequence
 
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
-from ...sim.analytic import NOMINAL_RATES, FastPathUnsupported, SteadyRates
+from ...obs.metrics import REGISTRY
+from ...sim.analytic import NOMINAL_RATES, FastPathUnsupported, SteadyRates, fault_nodes
+from ..engines import replay_schedule
+from .schedule import fw_processes
 from .simulate import FwSimConfig, FwSimResult
 
 __all__ = ["analytic_fw", "analytic_fw_batch"]
 
 
 def _fw_params(spec: MachineSpec, config: FwSimConfig, design, rates=NOMINAL_RATES):
-    if rates.stalls:
-        raise ValueError("the FW closed form has no stall term; simulate_fw replays stalls")
     if design is None:
         design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
     layout = config.layout(spec.p)
@@ -61,32 +69,55 @@ def analytic_fw(
     config: FwSimConfig,
     design: Optional[FloydWarshallDesign] = None,
     rates: SteadyRates = NOMINAL_RATES,
+    stall_log: Optional[list] = None,
 ) -> FwSimResult:
     """The FW schedule's closed form, without an engine (bitwise exact).
 
-    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``;
-    it must carry no ``dma_stall`` windows (:func:`simulate_fw` runs
-    those on the schedule's replay).
+    ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``,
+    and its ``dma_stall`` windows into FIFO holds on each node's ``B_d``
+    channel (see :func:`_fold_stalls`); their ``apply``/``revert`` marks
+    are appended to ``stall_log`` in the replay's order.
     """
-    design, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = _fw_params(
-        spec, config, design, rates
+    if design is None:
+        design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
+    if rates.stalls:
+        return _with_stalls(spec, config, design, rates, [] if stall_log is None else stall_log)
+    params = _fw_params(spec, config, design, rates)
+    p = spec.p
+    t = [0.0] * p
+    cpu_busy = [0.0] * p
+    fpga_busy = [0.0] * p
+    net_bytes = _phases(spec, config, params, t, cpu_busy, fpga_busy)
+    return FwSimResult(
+        elapsed=max(t),
+        iterations_run=config.iterations_run,
+        config=config,
+        trace=None,
+        cpu_busy=cpu_busy,
+        fpga_busy=fpga_busy,
+        network_bytes=net_bytes,
     )
+
+
+def _phases(spec, config, params, t, cpu_busy, fpga_busy, start=(0, 0)) -> float:
+    """Fold the stall-free phases from ``start`` = ``(iteration, phase)`` on.
+
+    Advances the per-node times ``t`` and busy sums in place from their
+    state at ``start`` and returns the bytes the broadcasts moved.
+    """
+    _, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = params
     p = spec.p
     nb, l1, l2 = config.nb, config.l1, config.l2
     stage_bytes = 2 * block_bytes
     stage_svc = 0.0 + stage_bytes / b_d
     L = spec.network.links_per_node
-    n_iters = config.iterations_run
-
-    t = [0.0] * p
-    cpu_busy = [0.0] * p
-    fpga_busy = [0.0] * p
     net_bytes = 0.0
     m = p - 1
 
-    for it in range(n_iters):
+    for it in range(start[0], config.iterations_run):
         owner = layout.iteration_owner(it)
-        for phase in range(nb):
+        dests = [w for w in range(p) if w != owner]
+        for phase in range(start[1] if it == start[0] else 0, nb):
             if phase == 0:
                 # op1 on the diagonal block (owner's processor).
                 t0 = t[owner]
@@ -95,7 +126,6 @@ def analytic_fw(
             if m > 0:
                 # Broadcast: link-limited waves in spawn order; the owner
                 # resumes at the last completion (all_of over the sends).
-                dests = [w for w in range(p) if w != owner]
                 wave_start = t[owner]
                 pos = 0
                 while pos < m:
@@ -159,9 +189,208 @@ def analytic_fw(
                 if fpga_done > ti:
                     ti = fpga_done
                 t[i] = ti
+    return net_bytes
+
+
+#: The heap position of every push the replay makes before its first pop
+#: (the stall spawns, then the schedule's first ops); below every pop.
+_SETUP = (-1.0,)
+
+
+class _Defer(Exception):
+    """A stall meets its node's own channel traffic at one instant."""
+
+
+def _with_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
+    """A run with ``dma_stall`` windows: the fold, else the schedule's replay.
+
+    The fold covers ``aggregate_ops`` runs; a per-op run goes to the
+    replay (which refuses multi-run FPGA jobs).  A fold that meets a
+    same-instant stall defers to the replay too, counted under
+    ``fastpath.deferral{app, reason}`` -- a counter kept apart from the
+    ``fastpath.fallback`` ones, since the run stays analytic.
+    """
+    if config.aggregate_ops:
+        try:
+            return _fold_stalls(spec, config, design, rates, stall_log)
+        except _Defer as exc:
+            REGISTRY.counter("fastpath.deferral", app="fw", reason=str(exc)).inc()
+
+    def processes(price):
+        return fw_processes(config, spec.p, design.tile_cycles(config.b), price)
+
+    fields = replay_schedule(spec, design.freq_hz, rates, processes, stall_log)
+    return FwSimResult(iterations_run=config.iterations_run, config=config, **fields)
+
+
+def _fold_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
+    """:func:`analytic_fw` with stall windows, for ``aggregate_ops`` runs.
+
+    A stall only delays its own node, so the phase fold still holds;
+    each node's ``B_d`` channel becomes a FIFO queue fed by its holds
+    and its stalls in request order.  A hold or stall requested at ``a``
+    is granted at ``a`` on a free channel, else when the request ahead
+    of it is released, and released ``dur`` later; every stall's revert
+    counts in ``elapsed``, as the replay's latest instant does.
+
+    The marks must also come out in the replay's pop order, which at one
+    instant is push order.  So every event that can lead to a mark
+    carries its heap position ``(t, parent, sib)``: ``parent`` is the
+    position of the pop that pushed it, ``sib`` its rank among that
+    pop's pushes (a release grants its queue head before the released
+    process moves on; a transfer's completion pushes the next wave's
+    transfer, then its receiver's wake-up, then the sender's).  Tuples
+    compare as the heap does, so sorting the marks by position is the
+    replay's order, including stalls granted together on symmetric
+    pivot-wave receivers.  The same positions settle whether a receiver
+    that reaches its pivot wait at the pivot's arrival instant waits for
+    the wake-up.
+
+    A stall requested at the instant its node requests or releases a
+    hold, or at another stall's request instant on its node, raises
+    :class:`_Defer`: there the replay either refuses the tie or orders
+    it through the node's own pops, and the caller replays the run.
+    """
+    params = _fw_params(spec, config, design, rates)
+    _, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = params
+    p = spec.p
+    nb, l1, l2 = config.nb, config.l1, config.l2
+    L = spec.network.links_per_node
+    stage_bytes = 2 * block_bytes
+    # fw_processes' per-phase op costs, as ReplayCosts prices them.
+    op1 = op_flops / rate
+    cpu_dur = (l1 * op_flops) / rate
+    fpga_dur = (l2 * op_cycles) / freq
+    if config.overlap:  # the channel holds before and after the FPGA launch
+        before = 0.0 + stage_bytes / b_d
+        after = 0.0 + stage_bytes * (l2 - 1) / b_d if l2 > 1 else None
+    else:
+        before, after = 0.0 + stage_bytes * l2 / b_d, None
+
+    # Each node's stalls in request order: (at, spawn index, dur, mark).
+    stalls: list[list] = [[] for _ in range(p)]
+    spawns = 0
+    for event in rates.stalls:
+        for i in fault_nodes(event.node, p):
+            stalls[i].append((event.at if event.at > 0 else 0.0, spawns, event.duration,
+                              (event, i)))
+            spawns += 1
+    for lst in stalls:
+        lst.sort(key=itemgetter(0, 1))
+    requested = [frozenset(s[0] for s in lst) for lst in stalls]
+    if any(len(r) < len(lst) for r, lst in zip(requested, stalls)):
+        raise _Defer("same-instant-stalls")
+    next_at = [lst[0][0] if lst else inf for lst in stalls]
+    drained = [0] * p
+    free_t = [-inf] * p  # release instant of the channel's last grant
+    free_pos = [_SETUP] * p  # and the position of that release's pop
+    marks: list = []  # (position, mark, phase)
+
+    def drain(i: int, until: float) -> None:
+        """Grant node ``i``'s stalls requested before ``until``."""
+        lst = stalls[i]
+        j, ft, fp = drained[i], free_t[i], free_pos[i]
+        while j < len(lst) and lst[j][0] < until:
+            at, spawn, dur, mark = lst[j]
+            if at > ft:  # granted as its spawn pops (at once for at <= 0)
+                s = (at, (at, _SETUP, spawn), 0) if at > 0 else (0.0, _SETUP, spawn)
+            else:  # queued: granted by the release ahead of it
+                s = (ft, fp, 0)
+            ft = s[0] + dur
+            fp = (ft, s, 0)
+            marks.append((s, mark, "apply"))
+            marks.append((fp, mark, "revert"))
+            j += 1
+        drained[i], free_t[i], free_pos[i] = j, ft, fp
+        next_at[i] = lst[j][0] if j < len(lst) else inf
+
+    def hold(i: int, a: float, pos: tuple, sib: int, dur: float) -> tuple:
+        """Node ``i``'s hold requested at ``a`` in pop ``pos``: its release pop."""
+        if a in requested[i]:
+            raise _Defer("stall-at-hold-instant")
+        if next_at[i] < a:
+            drain(i, a)
+        ft = free_t[i]
+        if a > ft or (a == ft and free_pos[i] <= pos):
+            h = (a + dur, pos, sib)
+        else:
+            h = (ft + dur, free_pos[i], 0)
+        if h[0] in requested[i]:
+            raise _Defer("stall-at-hold-instant")
+        free_t[i], free_pos[i] = h[0], h
+        return h
+
+    # Per node: the time, the pop the process is running in, and the
+    # rank of its next push in that pop (after every stall spawn at first).
+    t = [0.0] * p
+    pos = [_SETUP] * p
+    sib = [spawns] * p
+    cpu_busy = [0.0] * p
+    fpga_busy = [0.0] * p
+    net_bytes = 0.0
+    m = p - 1
+
+    for step in range(config.iterations_run * nb):
+        it, phase = divmod(step, nb)
+        if next_at.count(inf) == p and all(map(le, free_t, t)):
+            # Every stall granted and every channel free by its node's next
+            # request: no mark is left to order, so the fold goes on bare.
+            net_bytes += _phases(spec, config, params, t, cpu_busy, fpga_busy, (it, phase))
+            break
+        if phase == 0:
+            owner = layout.iteration_owner(it)
+            dests = [w for w in range(p) if w != owner]
+            t0 = t[owner]
+            t[owner] = t0 + op1
+            cpu_busy[owner] += t[owner] - t0
+            pos[owner], sib[owner] = (t[owner], pos[owner], sib[owner]), 1
+        if m > 0:
+            # Wave one's transfers are pushed by the sender's pop, each
+            # later one by the completion that frees its egress link.
+            send, s0 = pos[owner], sib[owner]
+            wave: list = []
+            wave_start = t[owner]
+            for start in range(0, m, L):
+                c = wave_start + svc
+                xs = []
+                for j, w in enumerate(dests[start:start + L]):
+                    x = (c, wave[j], 0) if wave else (c, send, s0 + j)
+                    xs.append(x)
+                    if c > t[w] or (c == t[w] and x > pos[w]):
+                        t[w], pos[w], sib[w] = c, (c, x, 1), 1
+                    net_bytes += block_bytes
+                wave = xs
+                wave_start = c
+            t[owner], pos[owner], sib[owner] = wave_start, (wave_start, wave[-1], 2), 1
+        else:  # all_of([]) resumes the owner one step later
+            pos[owner], sib[owner] = (t[owner], pos[owner], sib[owner]), 1
+        for i in range(p):
+            ti, pi, si = t[i], pos[i], sib[i]
+            fpga_done = ti
+            if l2:
+                pi = hold(i, ti, pi, si, before)
+                ti = pi[0]
+                fpga_done = ti + fpga_dur
+                fpga_busy[i] += fpga_done - ti
+                f, si = (fpga_done, pi, 1), 2
+                if after is not None:
+                    pi = hold(i, ti, pi, si, after)
+                    ti, si = pi[0], 1
+            if l1:
+                tc = ti + cpu_dur
+                cpu_busy[i] += tc - ti
+                ti, pi, si = tc, (tc, pi, si), 1
+            if fpga_done > ti:  # at a tie the FPGA's completion, pushed first, pops first
+                ti, pi, si = fpga_done, (fpga_done, f, 0), 1
+            t[i], pos[i], sib[i] = ti, pi, si
+
+    for i in range(p):
+        drain(i, inf)
+    marks.sort(key=itemgetter(0))
+    stall_log.extend((mark, phase, at[0]) for at, mark, phase in marks)
     return FwSimResult(
-        elapsed=max(t),
-        iterations_run=n_iters,
+        elapsed=max(max(t), marks[-1][0][0]),  # the last mark is a revert
+        iterations_run=config.iterations_run,
         config=config,
         trace=None,
         cpu_busy=cpu_busy,

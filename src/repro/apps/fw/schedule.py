@@ -2,10 +2,11 @@
 
 The schedule is op-yielding generators (see
 :class:`repro.sim.analytic.Replay` for the vocabulary) that both engines
-run: :class:`~repro.sim.analytic.Replay` for stall-burst replicates and
-:class:`~repro.sim.interpret.DesInterpreter` for the DES.  Stall-free
-runs take the closed forms of :mod:`repro.apps.fw.analytic` instead,
-which evaluate the same arithmetic without an engine.
+run: :class:`~repro.sim.interpret.DesInterpreter` for the DES, and
+:class:`~repro.sim.analytic.Replay` for the runs the closed forms of
+:mod:`repro.apps.fw.analytic` hand over.  Every other fast-path run
+takes those closed forms, which evaluate the same arithmetic without an
+engine, DMA stall windows included.
 
 Iteration ``t`` has ``n/b`` phases, and every node runs each phase the
 same way:

@@ -3,11 +3,12 @@
 :func:`simulate_fw` runs the one FW schedule of
 :mod:`repro.apps.fw.schedule` on the discrete-event simulator through
 :class:`~repro.sim.interpret.DesInterpreter`, unless the fast path
-accepts the run: stall-free runs then take the closed form of
-:mod:`repro.apps.fw.analytic`, and runs with ``dma_stall`` windows the
-same schedule on the analytic :class:`~repro.sim.analytic.Replay`.  All
-three produce the same :class:`FwSimResult` bitwise wherever the fast
-path does not refuse.
+accepts the run: it then takes the closed form of
+:mod:`repro.apps.fw.analytic`, ``dma_stall`` windows included, which
+hands the few runs it cannot fold (a stall at the instant its node uses
+its channel, per-op granularity) to the same schedule on the analytic
+:class:`~repro.sim.analytic.Replay`.  All three produce the same
+:class:`FwSimResult` bitwise wherever the fast path does not refuse.
 
 Within a node each phase's operations are split ``l1`` to the processor
 and ``l2`` to the FPGA (Equation 6).  Baselines use the same schedule:
@@ -139,8 +140,8 @@ def simulate_fw(
     ``fast_path`` selects the analytic fast path (``"auto"`` / ``"on"``
     / ``"off"``; None = process default); see
     :mod:`repro.sim.analytic`.  Analytic results are bitwise identical:
-    steady whole-run rate faults fold into the closed form, and
-    ``dma_stall`` windows into the schedule's replay.
+    steady whole-run rate faults and ``dma_stall`` windows fold into
+    the closed form.
     """
     # Deferred import: .analytic imports this module's config/result types.
     from .analytic import analytic_fw
@@ -156,7 +157,7 @@ def simulate_fw(
 
     return run_schedule(
         "fw", spec, design, processes, result,
-        closed_form=lambda rates: analytic_fw(spec, config, design, rates),
+        closed_form=lambda rates, stall_log: analytic_fw(spec, config, design, rates, stall_log),
         fast_path=fast_path, trace=trace, node_specs=node_specs, monitor=monitor,
         faults=faults,
     )

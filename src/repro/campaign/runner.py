@@ -54,9 +54,9 @@ def run_replicate(task: dict[str, Any]) -> dict[str, Any]:
     whose perturbation is steady rate jitter takes the analytic fast
     path with its factors folded in
     (:func:`repro.sim.analytic.fast_path_refusal`).  A stall burst folds
-    too, for every app: the app's op schedule runs on the analytic
-    replay with the stalls as channel holds.  Any other fault timeline
-    still runs the DES.
+    too, for every app, with the stalls as channel holds: LU's op
+    schedule runs on the analytic replay, FW's closed form folds them.
+    Any other fault timeline still runs the DES.
 
     The result carries ``makespan`` (simulated seconds),
     ``overlap_efficiency``, ``predicted_latency`` and ``hist`` (the

@@ -57,7 +57,7 @@ STRAGGLER_FACTOR = 1.5
 #: parent's registry after a parallel map, so a counter delta taken
 #: around :meth:`SweepExecutor.map` reads the same serial or parallel
 #: (e.g. the campaign's analytic-vs-DES replicate split).
-SHIPPED_COUNTERS = ("fastpath.points", "fastpath.fallback")
+SHIPPED_COUNTERS = ("fastpath.points", "fastpath.fallback", "fastpath.deferral")
 
 
 def _shipped_counts() -> dict[tuple, float]:

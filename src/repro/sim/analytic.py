@@ -12,9 +12,9 @@ the fast path accepts, at a fraction of the cost.
 Two layers live here:
 
 * :class:`Replay` -- a chronological replay engine for schedules that do
-  queue on resources (the LU pipeline, the MM ring, and FW under DMA
-  stalls).  It keeps per-resource FIFO queues and a single time-ordered
-  heap, but no event/process objects.
+  queue on resources (the LU pipeline, the MM ring, and the FW runs
+  its closed form hands over).  It keeps per-resource FIFO queues and a
+  single time-ordered heap, but no event/process objects.
   A built-in *ambiguity detector* refuses (raises
   :class:`FastPathUnsupported`) whenever two same-timestamp acquisitions
   from different spawn bursts hit the same FIFO queue and at least one
@@ -44,16 +44,21 @@ coverage (see docs/performance.md):
   ``analytic`` vs ``des``;
 - ``fastpath.fallback{app,reason}`` -- why points fell back
   (``trace`` / ``monitor`` / ``faults`` / ``node-specs`` /
-  ``ambiguous-tie`` / ``unsupported-config`` / ``disabled``).
+  ``ambiguous-tie`` / ``unsupported-config`` / ``disabled``);
+- ``fastpath.deferral{app,reason}`` -- runs whose closed form handed
+  them to the replay (FW's stall fold, see
+  :mod:`repro.apps.fw.analytic`); created on the first deferral and
+  left out of :func:`fastpath_summary`.
 
 Faults fold in: a fault injector whose scenario only scales service
 rates for the whole run on every node, plus any number of ``dma_stall``
 windows, hands them over as :class:`SteadyRates`.  The replays apply
 the factors to ``B_n``, ``F_f`` and ``B_d`` exactly as the DES injector
-does.  The LU, FW and MM schedule replays also hold their ``B_d``
-channel queue for each stall window, as the DES injector holds the
-channel's grant lock (:func:`repro.apps.engines.replay_schedule`; see
-docs/performance.md).
+does.  The LU and MM schedule replays also hold their ``B_d`` channel
+queue for each stall window, as the DES injector holds the channel's
+grant lock (:func:`repro.apps.engines.replay_schedule`), and FW's closed
+form folds the same holds (:func:`repro.apps.fw.analytic.analytic_fw`;
+see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -165,10 +170,10 @@ class SteadyRates:
     order the fault injector applies them (see :func:`scale_in_order`).
     ``stalls`` lists the ``dma_stall`` events (anything with ``at``,
     ``duration`` and ``node``) in :meth:`FaultScenario.expand` order, the
-    order the injector spawns its stall processes in.  The LU, FW and MM
-    schedule replays model them, as FIFO holds on the ``B_d`` channel
-    queue; the FW closed forms take none
-    (:func:`repro.apps.engines.run_schedule` replays a run that has them).
+    order the injector spawns its stall processes in.  The LU and MM
+    schedule replays model them as FIFO holds on the ``B_d`` channel
+    queue, and so does :func:`~repro.apps.fw.analytic.analytic_fw` (the
+    batched FW grid takes none).
     """
 
     link: tuple[float, ...] = ()  # link_slowdown: network bandwidth B_n
@@ -285,7 +290,8 @@ def fast_path_refusal(
     applied at ``t = 0`` on every node for the whole run, or a
     ``dma_stall`` (see :meth:`repro.faults.FaultInjector.steady_rates`);
     any other fault timeline refuses with reason ``faults``.  Stalls pass
-    this check; every app's schedule replay folds them.
+    this check; LU's and MM's schedule replays and FW's closed form fold
+    them.
     """
     return _eligibility(trace, node_specs, monitor, faults)[0]
 

@@ -162,6 +162,12 @@ def _fallbacks(app, reason):
         return 0.0
 
 
+def _deferrals(app):
+    """Runs a closed form handed to the replay, over every reason."""
+    return sum(item["value"] for item in REGISTRY.snapshot()
+               if item["name"] == "fastpath.deferral" and item["labels"]["app"] == app)
+
+
 UNFOLDABLE = {
     "burst": FaultScenario(
         name="burst", events=(FaultEvent(kind="link_slowdown", factor=0.9),),
@@ -337,11 +343,19 @@ def test_fw_stall_bursts_match_the_des_bitwise():
     @given(point=fw_stall_points())
     @settings(max_examples=60, deadline=None, database=None)
     def check(point):
-        outcomes.append(_stall_outcome("fw", *point))
+        before = _deferrals("fw")
+        outcome = _stall_outcome("fw", *point)
+        # The closed form serves the run unless it counts a deferral; only
+        # the replay it defers to can refuse.
+        path = "deferral" if _deferrals("fw") > before else "closed-form"
+        assert outcome == "folded" or path == "deferral"
+        outcomes.append((outcome, path))
 
     check()
     # The suite must not pass by refusing: most draws fold.
-    assert outcomes.count("folded") >= 0.6 * len(outcomes), outcomes
+    assert [o for o, _ in outcomes].count("folded") >= 0.6 * len(outcomes), outcomes
+    # Stalls at drawn instants never meet a hold's: no draw defers.
+    assert all(path == "closed-form" for _, path in outcomes), outcomes
 
 
 def test_mm_stall_bursts_match_the_des_bitwise():
@@ -386,8 +400,11 @@ def _default_model_replicates_fold_and_match_the_des(app, preset, sizes=None):
         scenario = FaultScenario.from_dict(task["scenario"])
         assert scenario.bursts  # the default model always stalls
         before = _points(app, "analytic")
+        deferrals = _deferrals(app)
         got = run_replicate(task)
         folded += _points(app, "analytic") - before
+        # No replicate defers: FW's closed form serves every one itself.
+        assert _deferrals(app) == deferrals
         set_fast_path_mode("off")
         try:
             assert run_replicate(task) == got

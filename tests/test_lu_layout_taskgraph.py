@@ -1,8 +1,8 @@
-"""Tests for the LU data layout and task DAG."""
+"""Tests for the LU data layout and job release schedule."""
 
 import pytest
 
-from repro.apps.lu import BlockCyclicLayout, build_lu_taskgraph, lu_op_counts
+from repro.apps.lu import BlockCyclicLayout
 from repro.apps.lu.schedule import iteration_jobs, released_after_opl, released_after_opu
 
 
@@ -57,60 +57,6 @@ def test_layout_validation():
         layout.blocks_on(5)
     with pytest.raises(ValueError):
         layout.strip_members(9)
-
-
-# ------------------------------------------------------------- task graph
-
-
-def test_op_counts_match_closed_form():
-    g = build_lu_taskgraph(n=20, b=5, p=3)  # nb = 4
-    assert g.count_by_kind() == lu_op_counts(4)
-
-
-def test_closed_form_counts():
-    counts = lu_op_counts(10)
-    assert counts["opLU"] == 10
-    assert counts["opL"] == 45
-    assert counts["opMM"] == 285
-    with pytest.raises(ValueError):
-        lu_op_counts(0)
-
-
-def test_graph_is_acyclic_and_ordered():
-    g = build_lu_taskgraph(n=24, b=6, p=4)
-    order = [t.id for t in g.topological_order()]
-    assert order.index("opLU[1]") > order.index("opMS[0,1,1]")
-    assert order.index("opMM[0,1,2]") > order.index("opL[0,1]")
-    assert order.index("opMM[0,1,2]") > order.index("opU[0,2]")
-
-
-def test_graph_dependencies_follow_paper():
-    g = build_lu_taskgraph(n=24, b=6, p=4)
-    mm = g["opMM[1,2,3]"]
-    assert set(mm.deps) == {"opL[1,2]", "opU[1,3]"}
-    ms = g["opMS[1,2,3]"]
-    assert "opMM[1,2,3]" in ms.deps
-    assert "opMS[0,2,3]" in ms.deps
-    lu1 = g["opLU[1]"]
-    assert lu1.deps == ("opMS[0,1,1]",)
-
-
-def test_graph_flops_sum_close_to_lu_total():
-    n, b = 60, 10
-    g = build_lu_taskgraph(n, b, p=3)
-    assert g.total_flops() == pytest.approx((2 / 3) * n**3, rel=0.3)
-
-
-def test_graph_critical_path_positive():
-    g = build_lu_taskgraph(n=24, b=6, p=4)
-    length, path = g.critical_path(lambda t: t.flops)
-    assert length > 0
-    assert path[0].kind == "opLU"
-
-
-def test_taskgraph_validation():
-    with pytest.raises(ValueError):
-        build_lu_taskgraph(10, 3, 2)
 
 
 # -------------------------------------------------- job release schedule
