@@ -24,7 +24,10 @@ replay.
 :func:`analytic_fw_batch` vectorises the fold over a whole
 ``(l1, l2)`` split grid (the Figure 7 sweep) in one NumPy pass with
 elementwise IEEE-754 double arithmetic, keeping each lane bitwise equal
-to the scalar replay and hence to the DES.
+to the scalar replay and hence to the DES.  Nothing in ``repro`` calls
+it: the sweeps' scalar fast path is faster over the paper's grids.  It
+stays only until the perfbench tracer stops patching it (ROADMAP
+item 7).
 """
 
 from __future__ import annotations

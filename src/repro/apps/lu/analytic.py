@@ -12,9 +12,11 @@ multiply: the stripe broadcast is a chain of link-limited send waves and
 each worker's receive/stage/compute pipeline is a pure fold over stripe
 arrivals, with no cross-worker contention for any parameter choice.
 :func:`analytic_block_mm_batch` vectorises that fold over a whole
-``b_f`` grid in one NumPy pass (one fused sweep instead of one DES run
-per point) while keeping elementwise IEEE-754 double arithmetic, so
-each lane of the batch equals the scalar (and hence the DES) bitwise.
+``b_f`` grid in one NumPy pass while keeping elementwise IEEE-754
+double arithmetic, so each lane of the batch equals the scalar (and
+hence the DES) bitwise.  Nothing in ``repro`` calls it: the sweeps'
+scalar fast path is faster over the paper's grids.  It stays only
+until the perfbench tracer stops patching it (ROADMAP item 7).
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ __all__ = [
     "fig9_fw",
     "fig9_lu",
     "run_all",
+    "run_sim_task",
     "table1_routines",
 ]
 
@@ -77,10 +78,9 @@ class ExperimentResult:
 # Every simulation an experiment runs is expressed as a JSON-able *task*
 # and evaluated through ``_eval_sim_points``: the active result cache
 # replays stored values (``repro.parallel.cached_map``) and the misses go
-# to ``_run_sim_tasks``, which batch-solves what it can and fans the rest
-# out across the active executor.  Each simulation runs in its own
-# Simulator, so results are identical regardless of worker count or
-# cache state.
+# to :func:`run_sim_task`, mapped over the active executor (or a plain
+# loop without one).  Each simulation runs in its own Simulator, so
+# results are identical regardless of worker count or cache state.
 
 _EXECUTOR: Optional[SweepExecutor] = None
 _CACHE: Optional[ResultCache] = None
@@ -138,8 +138,15 @@ def _spec_for(machine: str):
     return ALL_PRESETS[machine]()
 
 
-def _point_sim(task: dict) -> Any:
+def run_sim_task(task: dict) -> Any:
     """Evaluate one simulation task; returns a JSON-able value.
+
+    The one evaluator for simulation tasks: the experiment sweeps and
+    the tuner (:func:`repro.tune.evaluate.run_tune_task`) both hand
+    their tasks here, so equal task dicts -- equal cache keys -- always
+    come from the same code.  ``block_mm`` / ``lu`` / ``fw`` tasks
+    follow the process fast-path mode, except that a task tagged
+    ``fidelity: "des"`` always runs the DES (``fast_path="off"``).
 
     Must stay module-level (and all task contents picklable) so the
     process-pool executor can ship tasks to workers.
@@ -147,14 +154,15 @@ def _point_sim(task: dict) -> Any:
     global SIM_CALLS
     SIM_CALLS += 1
     kind = task["kind"]
+    fast = "off" if task.get("fidelity") == "des" else None
     if kind == "block_mm":
         spec = _spec_for(task["machine"])
-        return simulate_block_mm(spec, task["b"], task["b_f"], task["k"])
+        return simulate_block_mm(spec, task["b"], task["b_f"], task["k"], fast_path=fast)
     if kind == "lu":
-        res = simulate_lu(_spec_for(task["machine"]), task["cfg"])
+        res = simulate_lu(_spec_for(task["machine"]), task["cfg"], fast_path=fast)
         return {"elapsed": res.elapsed, "gflops": res.gflops}
     if kind == "fw":
-        res = simulate_fw(_spec_for(task["machine"]), task["cfg"])
+        res = simulate_fw(_spec_for(task["machine"]), task["cfg"], fast_path=fast)
         return {"elapsed": res.elapsed, "gflops": res.gflops}
     if kind == "fw_weak":
         from .analysis import fw_weak_scaling
@@ -193,83 +201,6 @@ def _point_sim(task: dict) -> Any:
     }
 
 
-def _batch_fast_path(tasks: list[dict]) -> dict[int, Any]:
-    """Solve homogeneous uncontended sweep grids in one NumPy pass each.
-
-    Groups ``block_mm`` tasks by everything but ``b_f`` and ``fw`` tasks
-    by everything but the ``(l1, l2)`` split, then evaluates each group
-    of two or more points through the vectorised analytic solvers
-    (bitwise identical to per-point evaluation).  Returns ``{index:
-    value}`` for the points it solved; the rest fall through to the
-    normal per-point path (which applies the scalar fast path itself).
-    """
-    from .sim.analytic import FastPathUnsupported, note_point, resolve_fast_path
-
-    if resolve_fast_path(None) == "off":
-        return {}
-    groups: dict[tuple, list[int]] = {}
-    for i, task in enumerate(tasks):
-        kind = task.get("kind")
-        if kind == "block_mm":
-            groups.setdefault(("block_mm", task["machine"], task["b"], task["k"]), []).append(i)
-        elif kind == "fw":
-            cfg = task["cfg"]
-            groups.setdefault(
-                ("fw", task["machine"], cfg.n, cfg.b, cfg.k, cfg.overlap,
-                 cfg.aggregate_ops, cfg.iterations, cfg.cpu_kernel),
-                [],
-            ).append(i)
-    solved: dict[int, Any] = {}
-    for key, idxs in groups.items():
-        if len(idxs) < 2:
-            continue
-        spec = _spec_for(key[1])
-        try:
-            if key[0] == "block_mm":
-                from .apps.lu.analytic import analytic_block_mm_batch
-
-                _, _, b, k = key
-                latencies = analytic_block_mm_batch(
-                    spec, b, [tasks[i]["b_f"] for i in idxs], k
-                )
-                for i, latency in zip(idxs, latencies):
-                    solved[i] = latency
-                    note_point("block_mm", "analytic")
-            else:
-                from .apps.fw.analytic import analytic_fw_batch
-
-                results = analytic_fw_batch(spec, [tasks[i]["cfg"] for i in idxs])
-                for i, res in zip(idxs, results):
-                    solved[i] = {"elapsed": res.elapsed, "gflops": res.gflops}
-                    note_point("fw", "analytic")
-        except FastPathUnsupported:
-            continue
-    return solved
-
-
-def _run_sim_tasks(tasks: list[dict], executor) -> list[Any]:
-    """Evaluate uncached tasks: vectorised fast path, then the executor."""
-    global SIM_CALLS
-    solved = _batch_fast_path(tasks)
-    if not solved:
-        if executor is not None:
-            return executor.map(_point_sim, tasks)
-        return [_point_sim(t) for t in tasks]
-    SIM_CALLS += len(solved)  # batch-solved points are simulations too
-    rest = [i for i in range(len(tasks)) if i not in solved]
-    values: list[Any] = [None] * len(tasks)
-    for i, value in solved.items():
-        values[i] = value
-    if rest:
-        todo = [tasks[i] for i in rest]
-        got = executor.map(_point_sim, todo) if executor is not None else [
-            _point_sim(t) for t in todo
-        ]
-        for i, value in zip(rest, got):
-            values[i] = value
-    return values
-
-
 def _eval_sim_points(tasks: list[dict]) -> list[Any]:
     """Evaluate tasks through the active cache and executor, in order."""
     REGISTRY.counter("experiments.sim_points").inc(len(tasks))
@@ -277,7 +208,9 @@ def _eval_sim_points(tasks: list[dict]) -> list[Any]:
     def compute(todo: list[dict]) -> list[Any]:
         with get_tracer().span("eval_sim_points", category="sweep", tasks=len(todo),
                                cached=len(tasks) - len(todo)):
-            return _run_sim_tasks(todo, _EXECUTOR)
+            if _EXECUTOR is not None:
+                return _EXECUTOR.map(run_sim_task, todo)
+            return [run_sim_task(t) for t in todo]
 
     return cached_map(tasks, compute, _CACHE)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from .overlap import RESOURCE_PREFIXES
+from .overlap import resource_of_lane
 
 __all__ = [
     "ChainSegment",
@@ -76,14 +76,6 @@ def classify_label(label: str) -> str:
         if label.startswith(prefix):
             return cls
     return "compute"
-
-
-def resource_of_lane(lane: str) -> str:
-    """Resource class of a trace lane (``cpu3`` -> ``cpu``)."""
-    for prefix in RESOURCE_PREFIXES:
-        if lane.startswith(prefix):
-            return prefix
-    return "other"
 
 
 @dataclass(frozen=True)

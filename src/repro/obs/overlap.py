@@ -26,13 +26,13 @@ from typing import Any, Optional
 
 from .metrics import MetricsRegistry, REGISTRY
 
-__all__ = ["OverlapReport", "busy_by_resource", "reconcile"]
+__all__ = ["OverlapReport", "busy_by_resource", "reconcile", "resource_of_lane"]
 
 #: Trace-lane prefixes -> resource classes for the busy-time rollup.
 RESOURCE_PREFIXES = ("cpu", "fpga", "dram", "sram", "mpi", "net")
 
 
-def _resource_of(lane: str) -> str:
+def resource_of_lane(lane: str) -> str:
     """Map a trace lane (``cpu3``, ``net0->``) to its resource class."""
     for prefix in RESOURCE_PREFIXES:
         if lane.startswith(prefix):
@@ -54,7 +54,7 @@ def busy_by_resource(trace: Any) -> tuple[dict[str, float], dict[str, int]]:
     if trace is None:
         return busy, counts
     for lane in trace.lanes():
-        res = _resource_of(lane)
+        res = resource_of_lane(lane)
         busy[res] = busy.get(res, 0.0) + trace.busy_time(lane)
         counts[res] = counts.get(res, 0) + 1
     return busy, counts

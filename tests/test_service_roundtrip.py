@@ -205,13 +205,13 @@ def test_job_scoped_executor_telemetry(tmp_path, kind):
 
 
 def test_job_that_maps_nothing_has_no_telemetry(tmp_path):
-    """fig5 is solved in one vectorised batch, so its sweep job never
+    """table1 evaluates no simulation task, so its sweep job never
     maps; it must not carry the previous job's telemetry."""
     with _server_thread(tmp_path) as st:
         client = ServiceClient(port=st.bound_port)
         first = client.submit("design", {"app": "lu", "n": 6000, "b": 1200})
         assert "telemetry" in client.wait(first["id"], timeout=120)
-        doc = client.submit("sweep", {"experiments": ["fig5"]})
+        doc = client.submit("sweep", {"experiments": ["table1"]})
         done = client.wait(doc["id"], timeout=120)
     assert done["state"] == "completed"
     assert "telemetry" not in done
