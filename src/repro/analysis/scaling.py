@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from .series import Series
 
 # The app facades are imported lazily inside each function: analysis is a
-# lower layer than apps in the package graph, and eager imports here would
-# create a cycle through core.reporting -> analysis -> apps -> core.
+# lower layer than apps in the package graph.
 
 __all__ = ["ScalingPoint", "fw_weak_scaling", "mm_weak_scaling", "lu_strong_scaling"]
 

@@ -57,7 +57,7 @@ def _fw_params(spec: MachineSpec, config: FwSimConfig, design, rates=NOMINAL_RAT
     op_cycles = design.tile_cycles(config.b)
     op_flops = 2.0 * float(config.b) ** 3
     freq = rates.fpga_clock(design.freq_hz)
-    b_d = rates.b_d(design.freq_hz, spec.node.fpga.dram_link_bandwidth)
+    b_d = rates.b_d(spec.node.fpga.b_d(design.freq_hz))
     rate = spec.node.processor.sustained_flops(config.cpu_kernel)
     if svc <= 0.0 or op_cycles <= 0 or rate <= 0.0:
         raise FastPathUnsupported(

@@ -33,12 +33,6 @@ class FwDesign(HybridDesign):
     def ops_per_phase(self) -> int:
         return self.plan.partition.per_phase_ops
 
-    def describe(self) -> str:
-        """The plan as a Section 6.1-style implementation-details table."""
-        from ...core.reporting import describe_fw_plan, describe_parameters
-
-        return describe_parameters(self.params) + "\n\n" + describe_fw_plan(self.plan)
-
     def partition_params(self) -> dict:
         """The plan's partition decisions, JSON-able (run-ledger manifest)."""
         return {

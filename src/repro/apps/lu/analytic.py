@@ -38,7 +38,7 @@ def _block_mm_params(spec: MachineSpec, b: int, k: int, design):
     net = spec.network
     stripe_bytes = 2 * b * k * 8
     svc = net.latency + stripe_bytes / net.bandwidth
-    b_d = min(8.0 * design.freq_hz, spec.node.fpga.dram_link_bandwidth)
+    b_d = spec.node.fpga.b_d(design.freq_hz)
     rate = spec.node.processor.sustained_flops("dgemm")
     m = p - 1
     L = net.links_per_node

@@ -45,12 +45,6 @@ class LuDesign(HybridDesign):
         self.plan: LuPlan = model.plan_lu(n, b, self.k, **latencies)
         self.n, self.b = n, b
 
-    def describe(self) -> str:
-        """The plan as a Section 6.1-style implementation-details table."""
-        from ...core.reporting import describe_lu_plan, describe_parameters
-
-        return describe_parameters(self.params) + "\n\n" + describe_lu_plan(self.plan)
-
     def partition_params(self) -> dict:
         """The plan's partition decisions, JSON-able (run-ledger manifest)."""
         return {

@@ -93,10 +93,6 @@ class LuSimResult:
         return self.useful_flops / self.elapsed / 1e9 if self.elapsed > 0 else 0.0
 
     @property
-    def cpu_utilisation(self) -> float:
-        return sum(self.cpu_busy) / (len(self.cpu_busy) * self.elapsed) if self.elapsed else 0.0
-
-    @property
     def fpga_utilisation(self) -> float:
         return sum(self.fpga_busy) / (len(self.fpga_busy) * self.elapsed) if self.elapsed else 0.0
 

@@ -55,10 +55,6 @@ class MmPartition:
     def step_makespan(self) -> float:
         return max(self.t_p + self.t_mem + self.t_net, self.t_f)
 
-    @property
-    def fpga_fraction(self) -> float:
-        return self.m_f / self.r if self.r else 0.0
-
 
 def mm_row_partition(
     n: int, k: int, params: SystemParameters, enforce_sram: bool = True

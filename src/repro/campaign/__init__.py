@@ -39,7 +39,6 @@ from .core import (
     iter_cells,
     load_manifest,
     run_campaign,
-    write_manifest,
 )
 from .explain import (
     explain_cell,
@@ -89,5 +88,4 @@ __all__ = [
     "run_campaign",
     "run_replicate",
     "run_traced",
-    "write_manifest",
 ]

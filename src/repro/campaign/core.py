@@ -25,7 +25,7 @@ from typing import Any, Iterable, Optional
 
 from ..apps import check_names
 from ..faults.scenarios import FaultEvent, FaultScenario
-from ..obs.metrics import REGISTRY, Histogram
+from ..obs.metrics import REGISTRY, Histogram, exact_quantile
 from ..parallel import as_cache, cached_map, executor_for, sweep_telemetry
 from ..sim.analytic import fastpath_summary
 from .perturb import PerturbationModel, default_model
@@ -40,7 +40,6 @@ __all__ = [
     "run_campaign",
     "iter_cells",
     "load_manifest",
-    "write_manifest",
 ]
 
 #: Version of the campaign-manifest document layout (the ``cells`` /
@@ -190,19 +189,6 @@ def campaign_tasks(spec: CampaignSpec) -> list[dict[str, Any]]:
     return tasks
 
 
-def _quantile(ordered: list[float], q: float) -> float:
-    """Linear-interpolated quantile of an already-sorted sample."""
-    n = len(ordered)
-    if n == 1:
-        return ordered[0]
-    pos = q * (n - 1)
-    lo = int(pos)
-    frac = pos - lo
-    if frac == 0.0 or lo + 1 >= n:
-        return ordered[lo]
-    return ordered[lo] + (ordered[lo + 1] - ordered[lo]) * frac
-
-
 def _distribution(samples: list[float], hist: Optional[Histogram]) -> dict[str, Any]:
     """The per-cell distribution summary block.
 
@@ -224,16 +210,16 @@ def _distribution(samples: list[float], hist: Optional[Histogram]) -> dict[str, 
             "max": None,
         }
     ordered = sorted(samples)
-    q25 = _quantile(ordered, 0.25)
-    q75 = _quantile(ordered, 0.75)
+    q25 = exact_quantile(ordered, 0.25)
+    q75 = exact_quantile(ordered, 0.75)
     return {
         "samples": samples,
-        "median": _quantile(ordered, 0.5),
+        "median": exact_quantile(ordered, 0.5),
         "q25": q25,
         "q75": q75,
         "iqr": q75 - q25,
-        "p95": _quantile(ordered, 0.95),
-        "p99": _quantile(ordered, 0.99),
+        "p95": exact_quantile(ordered, 0.95),
+        "p99": exact_quantile(ordered, 0.99),
         "mean": sum(ordered) / len(ordered),
         "min": ordered[0],
         "max": ordered[-1],
@@ -351,19 +337,12 @@ def run_campaign(
     return manifest
 
 
-def write_manifest(manifest: dict[str, Any], path: str) -> None:
-    """Write a manifest as canonical JSON (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_manifest(path: str) -> dict[str, Any]:
     """Load a campaign manifest (or campaign ledger entry) from JSON.
 
-    Accepts both a bare manifest file written by :func:`write_manifest`
-    and a ledger ``campaign`` entry (the entry's embedded ``spec`` /
-    ``cells`` are hoisted into manifest shape).
+    Accepts both a bare manifest file (``campaign run --out``) and a
+    ledger ``campaign`` entry (the entry's embedded ``spec`` / ``cells``
+    are hoisted into manifest shape).
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)

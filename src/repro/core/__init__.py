@@ -1,7 +1,7 @@
 """The paper's contribution: the design model for hybrid CPU+FPGA designs.
 
 * :mod:`repro.core.parameters` -- Section 4.1 system characterisation,
-* :mod:`repro.core.tasks` -- task kinds, DAGs, placement attributes,
+* :mod:`repro.core.tasks` -- task kinds and their placement attributes,
 * :mod:`repro.core.partition` -- Equations (1), (2), (4), (6),
 * :mod:`repro.core.load_balance` -- Equation (5),
 * :mod:`repro.core.coordination` -- Section 4.4 handshakes and hazards,
@@ -46,20 +46,11 @@ from .partition import (
     lu_stripe_times,
 )
 from .prediction import Prediction, predict_fw, predict_lu
-from .reporting import describe_fw_plan, describe_lu_plan, describe_parameters
 from .sensitivity import Elasticity, TUNABLE_RATES, prediction_sensitivity
-from .tasks import (
-    FW_TASK_KINDS,
-    LU_TASK_KINDS,
-    CycleError,
-    Task,
-    TaskGraph,
-    TaskKind,
-)
+from .tasks import FW_TASK_KINDS, LU_TASK_KINDS, TaskKind
 
 __all__ = [
     "CoordinationGuard",
-    "CycleError",
     "DesignModel",
     "FW_TASK_KINDS",
     "FlopSplit",
@@ -72,8 +63,6 @@ __all__ = [
     "LuStripePartition",
     "Prediction",
     "SystemParameters",
-    "Task",
-    "TaskGraph",
     "TaskKind",
     "Violation",
     "Elasticity",
@@ -99,9 +88,6 @@ __all__ = [
     "imbalance",
     "node_hybrid_rate",
     "choose_fw_block_size",
-    "describe_fw_plan",
-    "describe_lu_plan",
-    "describe_parameters",
     "fw_block_size_bound",
     "lu_block_candidates",
     "max_lu_block_size",

@@ -161,15 +161,6 @@ class LuStripePartition:
     b_f_exact: float  # continuous solution of Eq. (4) before rounding
     sram_words: int  # intermediate-result footprint on SRAM
 
-    @property
-    def stripe_makespan(self) -> float:
-        """Steady-state per-stripe latency: max of the two pipelines."""
-        return max(self.t_comm + self.t_mem + self.t_p, self.t_f)
-
-    @property
-    def fpga_fraction(self) -> float:
-        return self.b_f / self.b if self.b else 0.0
-
 
 def lu_stripe_times(
     b: int, b_f: int, k: int, params: SystemParameters

@@ -1,26 +1,18 @@
-"""Task model: step 1 of the design methodology (Section 4).
+"""Task kinds: step 1 of the design methodology (Section 4).
 
 The methodology starts by identifying the tasks of an application, their
 computational complexity and their dependencies.  :class:`TaskKind`
 captures the per-kind attributes the partitioning decision needs
 (complexity class, whether the task's internal data dependencies permit
-splitting it between processor and FPGA); :class:`Task` and
-:class:`TaskGraph` represent a concrete schedule's DAG, used by the LU
-application (whose iteration structure is irregular) and by the
-critical-path analysis in the benchmarks.
+splitting it between processor and FPGA); the dependencies themselves
+live in each app's op schedule (``repro.apps.*.schedule``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
 
-__all__ = ["TaskKind", "Task", "TaskGraph", "CycleError", "LU_TASK_KINDS", "FW_TASK_KINDS"]
-
-
-class CycleError(ValueError):
-    """The task graph contains a dependency cycle."""
+__all__ = ["TaskKind", "LU_TASK_KINDS", "FW_TASK_KINDS"]
 
 
 @dataclass(frozen=True)
@@ -60,119 +52,3 @@ FW_TASK_KINDS: dict[str, TaskKind] = {
     "op22": TaskKind("op22", "n^3", partitionable=False),
     "op3": TaskKind("op3", "n^3", partitionable=False),
 }
-
-
-@dataclass
-class Task:
-    """One schedulable unit in a concrete run."""
-
-    id: str
-    kind: str
-    node: int
-    flops: float
-    deps: tuple[str, ...] = ()
-    payload: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.flops < 0:
-            raise ValueError(f"task {self.id!r}: negative flops")
-
-
-class TaskGraph:
-    """A DAG of :class:`Task` objects with topological utilities."""
-
-    def __init__(self) -> None:
-        self._tasks: dict[str, Task] = {}
-
-    def add(self, task: Task) -> Task:
-        """Insert a task; IDs must be unique, dependencies must exist."""
-        if task.id in self._tasks:
-            raise ValueError(f"duplicate task id {task.id!r}")
-        for dep in task.deps:
-            if dep not in self._tasks:
-                raise ValueError(f"task {task.id!r} depends on unknown task {dep!r}")
-        self._tasks[task.id] = task
-        return task
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    def __contains__(self, task_id: str) -> bool:
-        return task_id in self._tasks
-
-    def __getitem__(self, task_id: str) -> Task:
-        return self._tasks[task_id]
-
-    def tasks(self) -> Iterable[Task]:
-        return self._tasks.values()
-
-    def roots(self) -> list[Task]:
-        """Tasks with no dependencies."""
-        return [t for t in self._tasks.values() if not t.deps]
-
-    def successors(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {tid: [] for tid in self._tasks}
-        for task in self._tasks.values():
-            for dep in task.deps:
-                out[dep].append(task.id)
-        return out
-
-    def topological_order(self) -> list[Task]:
-        """Kahn's algorithm; raises :class:`CycleError` on cycles.
-
-        (Insertion order already guarantees acyclicity because ``add``
-        requires dependencies to pre-exist, but subclasses or direct
-        mutation could break that; this validates regardless.)
-        """
-        indeg = {tid: len(t.deps) for tid, t in self._tasks.items()}
-        succ = self.successors()
-        ready = deque(tid for tid, d in indeg.items() if d == 0)
-        order: list[Task] = []
-        while ready:
-            tid = ready.popleft()
-            order.append(self._tasks[tid])
-            for nxt in succ[tid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != len(self._tasks):
-            raise CycleError("task graph contains a cycle")
-        return order
-
-    def count_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for task in self._tasks.values():
-            out[task.kind] = out.get(task.kind, 0) + 1
-        return out
-
-    def total_flops(self) -> float:
-        return sum(t.flops for t in self._tasks.values())
-
-    def critical_path(
-        self, duration_of: Callable[[Task], float]
-    ) -> tuple[float, list[Task]]:
-        """Longest weighted path through the DAG.
-
-        ``duration_of`` maps a task to its execution time; resource
-        contention is ignored (this is the dependence-only lower bound
-        that Section 4.5's prediction refines).
-        """
-        order = self.topological_order()
-        finish: dict[str, float] = {}
-        best_pred: dict[str, Optional[str]] = {}
-        for task in order:
-            start = max((finish[d] for d in task.deps), default=0.0)
-            finish[task.id] = start + duration_of(task)
-            best_pred[task.id] = (
-                max(task.deps, key=lambda d: finish[d]) if task.deps else None
-            )
-        if not finish:
-            return 0.0, []
-        end_id = max(finish, key=lambda tid: finish[tid])
-        path: list[Task] = []
-        cur: Optional[str] = end_id
-        while cur is not None:
-            path.append(self._tasks[cur])
-            cur = best_pred[cur]
-        path.reverse()
-        return finish[end_id], path

@@ -24,7 +24,7 @@ Documentation lives in ``docs/robustness.md``.
 from ..apps import DEFAULT_SIZES
 from .adapt import POLICIES, TERM_GLOSS, FaultRunResult, run_with_faults
 from .inject import FaultInjector, NodeFailureError
-from .report import ResilienceReport, resilience_rows
+from .report import ResilienceReport
 from .scenarios import (
     FAULT_KINDS,
     RATE_KINDS,
@@ -66,7 +66,6 @@ __all__ = [
     "fpga_clock_throttle",
     "node_failure",
     "nominal",
-    "resilience_rows",
     "run_fault_task",
     "run_with_faults",
     "transient_dma_stalls",

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Optional
 from ..obs.dashboard import fmt_opt
 from ..obs.ledger import RunLedger, fault_run_key, latest_entries
 
-__all__ = ["ResilienceReport", "resilience_rows"]
+__all__ = ["ResilienceReport"]
 
 
 @dataclass
@@ -109,11 +109,6 @@ def _row(run: dict[str, Any]) -> _Row:
         gloss=attribution.get("gloss", ""),
         failure=run.get("failure"),
     )
-
-
-def resilience_rows(runs: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Normalised row dicts for arbitrary fault-run dicts (either shape)."""
-    return [_row(run).to_dict() for run in runs]
 
 
 class ResilienceReport:

@@ -6,35 +6,22 @@ degradations (link slowdown, FPGA clock throttle, DRAM-bandwidth
 contention), transient DMA stalls (explicit or drawn from a seeded
 random burst), and node failures at a given simulated time.
 
-Scenarios are *data*, not behaviour: they round-trip through JSON (the
-parallel sweep engine uses the dict form as a cacheable task axis) and
+Scenarios are *data*, not behaviour: they round-trip through a JSON-able
+dict (the parallel sweep engine uses it as a cacheable task axis) and
 they are deterministic -- :meth:`FaultScenario.expand` materialises the
 stochastic bursts with ``random.Random(seed)``, so the same seed always
 yields the bitwise-same concrete event timeline.  The DES side lives in
 :mod:`repro.faults.inject`; the model side (re-solving the partition
 equations against the degraded parameters) in :mod:`repro.faults.adapt`.
-
-Machine-level degradations reuse the :mod:`repro.machine.scenarios`
-transforms via :meth:`FaultScenario.degraded_spec`, so fault studies and
-what-if studies share one vocabulary.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
-import json
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
-
-from ..machine.scenarios import (
-    compose,
-    with_fpga_dram_bandwidth,
-    with_network_bandwidth,
-    with_node_failure,
-)
-from ..machine.system import MachineSpec
 
 __all__ = [
     "FAULT_KINDS",
@@ -254,28 +241,6 @@ class FaultScenario:
             self, events=tuple(e for e in self.events if e.kind != "node_failure")
         )
 
-    def degraded_spec(self, spec: MachineSpec) -> MachineSpec:
-        """``spec`` after the steady-state degradations, via the
-        :mod:`repro.machine.scenarios` transforms.
-
-        Applies the persistent network slowdown, the persistent DRAM
-        contention (as a scaled hardware FPGA<->DRAM link) and the node
-        failures.  FPGA clock throttles are design-level (the clock
-        lives on the loaded design, not the spec) and are handled by
-        :mod:`repro.faults.adapt` on the derived parameters instead.
-        """
-        factors = self.rate_factors()
-        transforms: list[Callable[[MachineSpec], MachineSpec]] = []
-        if factors["b_n"] != 1.0:
-            b_n = spec.network.bandwidth * factors["b_n"]
-            transforms.append(lambda s, b=b_n: with_network_bandwidth(s, b))
-        if factors["b_d"] != 1.0:
-            link = spec.node.fpga.dram_link_bandwidth * factors["b_d"]
-            transforms.append(lambda s, b=link: with_fpga_dram_bandwidth(s, b))
-        for node_id in self.failed_nodes():
-            transforms.append(lambda s, i=node_id: with_node_failure(s, i))
-        return compose(*transforms)(spec)
-
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -294,13 +259,6 @@ class FaultScenario:
             bursts=tuple(StallBurst.from_dict(b) for b in data.get("bursts", ())),
             seed=int(data.get("seed", 0)),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultScenario":
-        return cls.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------- library

@@ -53,11 +53,6 @@ class FpCore:
     multipliers: int
     max_freq_hz: float
 
-    @property
-    def throughput_ops_per_cycle(self) -> float:
-        """Fully pipelined cores accept one operation per cycle."""
-        return 1.0
-
     def latency_seconds(self, freq_hz: float) -> float:
         """Pipeline fill time at a given design clock."""
         if freq_hz <= 0:

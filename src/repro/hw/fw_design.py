@@ -107,11 +107,6 @@ class FloydWarshallDesign:
         """Sustained rate: 2b^3 ops in 2b^3/k cycles = k * F_f flops/s."""
         return self.k * self.freq_hz
 
-    @property
-    def dram_bandwidth(self) -> float:
-        """B_d: one 8-byte word per cycle from DRAM."""
-        return 8.0 * self.freq_hz
-
     # -- latency and storage formulas (Section 5.2.3) -------------------------
 
     def tile_cycles(self, b: int) -> int:

@@ -85,11 +85,6 @@ class MatrixMultiplyDesign:
         """O_f * F_f -- the FPGA computing power for this application."""
         return self.ops_per_cycle * self.freq_hz
 
-    @property
-    def dram_bandwidth(self) -> float:
-        """B_d: the design fetches one 8-byte word from DRAM per cycle."""
-        return 8.0 * self.freq_hz
-
     # -- latency formulas (Section 5.1.3) ------------------------------------
 
     def stripe_time(self, b_f: int, b: int, p: int) -> float:

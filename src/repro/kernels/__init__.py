@@ -15,10 +15,8 @@ from .floyd_warshall import (
 from .graphs import grid_graph, hub_and_spoke, layered_dag, ring_of_cliques
 from .flops import (
     fw_block_flops,
-    fw_total_flops,
     gemm_flops,
     getrf_flops,
-    lu_total_flops,
     trsm_flops,
 )
 from .lu import BlockLuResult, block_lu, lu_nopiv
@@ -37,7 +35,6 @@ __all__ = [
     "blocked_floyd_warshall",
     "floyd_warshall_simple",
     "fw_block_flops",
-    "fw_total_flops",
     "fwi",
     "gemm",
     "gemm_flops",
@@ -49,7 +46,6 @@ __all__ = [
     "getrf_nopiv",
     "lu_nopiv",
     "lu_residual",
-    "lu_total_flops",
     "max_abs_diff",
     "random_dd_matrix",
     "random_distance_matrix",

@@ -17,8 +17,6 @@ __all__ = [
     "gemm_flops",
     "getrf_flops",
     "trsm_flops",
-    "lu_total_flops",
-    "fw_total_flops",
     "fw_block_flops",
 ]
 
@@ -45,18 +43,6 @@ def trsm_flops(n: int, m: int) -> float:
     """Triangular solve with an n x n factor and an n x m RHS."""
     _check_positive(n=n, m=m)
     return float(n) * n * m
-
-
-def lu_total_flops(n: int) -> float:
-    """Total useful flops of LU decomposition of an n x n matrix."""
-    _check_positive(n=n)
-    return (2.0 / 3.0) * n**3
-
-
-def fw_total_flops(n: int) -> float:
-    """Total flops of Floyd-Warshall on n vertices (adds + compares)."""
-    _check_positive(n=n)
-    return 2.0 * n**3
 
 
 def fw_block_flops(b: int) -> float:

@@ -30,11 +30,22 @@ class FpgaSpec:
 
     device: FpgaDevice
     dram_link_bandwidth: float  # hardware max FPGA<->DRAM path (bytes/s)
-    sram_link_bandwidth: float  # hardware max FPGA<->SRAM path (bytes/s)
 
     def __post_init__(self) -> None:
-        if self.dram_link_bandwidth <= 0 or self.sram_link_bandwidth <= 0:
-            raise ValueError("link bandwidths must be positive")
+        if self.dram_link_bandwidth <= 0:
+            raise ValueError("the DRAM link bandwidth must be positive")
+
+    def b_d(self, freq_hz: float) -> float:
+        """B_d for a design clocked at ``freq_hz``: one word per design
+        cycle, capped by the hardware link.
+
+        On XD1 the RapidArray path tops out at 2.8 GB/s but the designs
+        consume one 8-byte word per cycle, so B_d = 8 * F_f (1.04 GB/s at
+        130 MHz) -- exactly the paper's Section 6.1 accounting.  The one
+        copy of the rule: the DES channel, the analytic replays and
+        :meth:`~repro.machine.system.MachineSpec.parameters` all call it.
+        """
+        return min(8.0 * freq_hz, self.dram_link_bandwidth)
 
 
 class FpgaFabric:
@@ -81,13 +92,8 @@ class FpgaFabric:
 
     @property
     def effective_dram_bandwidth(self) -> float:
-        """B_d: one word per design cycle, capped by the hardware link.
-
-        On XD1 the RapidArray path tops out at 2.8 GB/s but the designs
-        consume one 8-byte word per cycle, so B_d = 8 * F_f (1.04 GB/s at
-        130 MHz) -- exactly the paper's Section 6.1 accounting.
-        """
-        return min(8.0 * self.freq_hz, self.spec.dram_link_bandwidth)
+        """B_d of the loaded design (:meth:`FpgaSpec.b_d`)."""
+        return self.spec.b_d(self.freq_hz)
 
     # -- execution -----------------------------------------------------------
 

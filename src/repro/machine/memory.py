@@ -1,8 +1,10 @@
-"""Memory descriptions: DRAM, on-board SRAM and on-chip BRAM.
+"""The node's on-board SRAM, as the model sees it: a capacity.
 
 A :class:`MemorySpec` is declarative: a node's SRAM capacity feeds the
-paper's Section 4.1 parameters (the "8 MB of SRAM" constraint), and the
-live FPGA<->DRAM path is the node's B_d channel.
+paper's Section 4.1 parameters (the "8 MB of SRAM" constraint).  Its
+bandwidth is not modelled -- the SRAM<->fabric path never binds (see
+DESIGN.md, "SRAM<->fabric path") -- and the live FPGA<->DRAM path is the
+node's B_d channel.
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ class MemorySpec:
 
     kind: str  # "dram" | "sram" | "bram"
     capacity_bytes: int
-    bandwidth: float  # bytes/s through the port
 
     def __post_init__(self) -> None:
         if self.kind not in ("dram", "sram", "bram"):
             raise ValueError(f"unknown memory kind {self.kind!r}")
         if self.capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity_bytes}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")

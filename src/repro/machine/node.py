@@ -12,11 +12,10 @@ owns:
   when the design is configured (one word per design cycle, capped by
   the hardware link).
 
-The node's DRAM and SRAM are declarative only (:class:`NodeSpec`'s
-``dram`` / ``sram``): the SRAM capacity feeds the Section 4.1
-parameters.  All compute/transfer methods are process generators for
-the simulation engine; trace lanes are ``cpu{i}``, ``fpga{i}``,
-``dram{i}``.
+The node's SRAM is declarative only (:class:`NodeSpec`'s ``sram``): its
+capacity feeds the Section 4.1 parameters.  All compute/transfer methods
+are process generators for the simulation engine; trace lanes are
+``cpu{i}``, ``fpga{i}``, ``dram{i}``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class NodeSpec:
 
     processor: ProcessorSpec
     fpga: FpgaSpec
-    dram: MemorySpec
     sram: MemorySpec
 
 

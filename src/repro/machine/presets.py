@@ -21,7 +21,6 @@ from .system import MachineSpec
 
 __all__ = ["cray_xd1", "cray_xt3_drc", "src_map_station", "sgi_rasc", "ALL_PRESETS"]
 
-_GB = 1024**3
 _MB = 1024**2
 
 
@@ -38,10 +37,8 @@ def cray_xd1(p: int = 6) -> MachineSpec:
         fpga=FpgaSpec(
             device=get_device("XC2VP50"),
             dram_link_bandwidth=2.8e9,
-            sram_link_bandwidth=12.8e9,
         ),
-        dram=MemorySpec("dram", capacity_bytes=8 * _GB, bandwidth=6.4e9),
-        sram=MemorySpec("sram", capacity_bytes=8 * _MB, bandwidth=12.8e9),
+        sram=MemorySpec("sram", capacity_bytes=8 * _MB),
     )
     return MachineSpec(
         name="Cray XD1 (1 chassis)",
@@ -67,10 +64,8 @@ def cray_xt3_drc(p: int = 6) -> MachineSpec:
         fpga=FpgaSpec(
             device=get_device("XC4VLX200"),
             dram_link_bandwidth=6.4e9,
-            sram_link_bandwidth=12.8e9,
         ),
-        dram=MemorySpec("dram", capacity_bytes=8 * _GB, bandwidth=6.4e9),
-        sram=MemorySpec("sram", capacity_bytes=64 * _MB, bandwidth=12.8e9),
+        sram=MemorySpec("sram", capacity_bytes=64 * _MB),
     )
     return MachineSpec(
         name="Cray XT3 + DRC",
@@ -97,10 +92,8 @@ def src_map_station(p: int = 1) -> MachineSpec:
         fpga=FpgaSpec(
             device=get_device("XC2VP100"),
             dram_link_bandwidth=1.4e9,  # sustained MAP payload bandwidth
-            sram_link_bandwidth=9.6e9,
         ),
-        dram=MemorySpec("dram", capacity_bytes=8 * _GB, bandwidth=6.4e9),
-        sram=MemorySpec("sram", capacity_bytes=24 * _MB, bandwidth=9.6e9),
+        sram=MemorySpec("sram", capacity_bytes=24 * _MB),
     )
     return MachineSpec(
         name="SRC MAP station",
@@ -122,10 +115,8 @@ def sgi_rasc(p: int = 2) -> MachineSpec:
         fpga=FpgaSpec(
             device=get_device("XC4VLX200"),
             dram_link_bandwidth=6.4e9,
-            sram_link_bandwidth=12.8e9,
         ),
-        dram=MemorySpec("dram", capacity_bytes=16 * _GB, bandwidth=6.4e9),
-        sram=MemorySpec("sram", capacity_bytes=32 * _MB, bandwidth=12.8e9),
+        sram=MemorySpec("sram", capacity_bytes=32 * _MB),
     )
     return MachineSpec(
         name="SGI RASC RC100",

@@ -37,6 +37,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
+    "exact_quantile",
     "get_registry",
 ]
 
@@ -56,8 +57,9 @@ DEFAULT_BUCKETS = (
 EXACT_QUANTILE_SAMPLES = 64
 
 
-def _exact_quantile(ordered: list[float], q: float) -> float:
-    """Linear-interpolated quantile of a pre-sorted sample list."""
+def exact_quantile(ordered: list[float], q: float) -> float:
+    """Linear-interpolated quantile of a pre-sorted sample list (a
+    histogram's exact mode and every campaign order statistic)."""
     n = len(ordered)
     if n == 1:
         return ordered[0]
@@ -200,7 +202,7 @@ class Histogram:
         if q == 1.0:
             return self.max
         if self.samples is not None:
-            return _exact_quantile(sorted(self.samples), q)
+            return exact_quantile(sorted(self.samples), q)
         target = q * self.count
         seen = 0
         for i, c in enumerate(self.bucket_counts):

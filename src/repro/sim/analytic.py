@@ -189,14 +189,15 @@ class SteadyRates:
         """The throttled design clock ``F_f`` the FPGA runs cycles at."""
         return scale_in_order(f_f, self.clock)
 
-    def b_d(self, f_f: float, dram_link: float) -> float:
+    def b_d(self, b_d: float) -> float:
         """``B_d`` under DRAM contention.
 
-        The DES fixes the channel at ``min(8 * F_f, dram_link)`` from the
-        *nominal* clock when the FPGAs are configured; contention then
-        scales that channel and a clock throttle leaves it alone.
+        The DES fixes the channel at the nominal ``b_d``
+        (:meth:`~repro.machine.fpga.FpgaSpec.b_d` of the *nominal* clock)
+        when the FPGAs are configured; contention then scales that
+        channel and a clock throttle leaves it alone.
         """
-        return scale_in_order(min(8.0 * f_f, dram_link), self.dram)
+        return scale_in_order(b_d, self.dram)
 
 
 #: No rate faults: every replay's nominal arithmetic.
@@ -220,7 +221,7 @@ class ReplayCosts:
         self.latency = net.latency
         self.b_n = rates.network_bandwidth(net.bandwidth)
         self.freq = rates.fpga_clock(freq_hz)
-        self.b_d = rates.b_d(freq_hz, spec.node.fpga.dram_link_bandwidth)
+        self.b_d = rates.b_d(spec.node.fpga.b_d(freq_hz))
 
     def cpu(self, work: tuple) -> float:
         """``(kernel, flops)`` -> seconds on the CPU lane."""

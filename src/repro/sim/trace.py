@@ -164,25 +164,6 @@ class Trace:
         rows.append(f"{'':<{label_w}}  0{'':{width - len(f'{horizon:.3g}') - 1}}{horizon:.3g}s")
         return "\n".join(rows)
 
-    def as_records(self) -> list[dict[str, Any]]:
-        """Every interval as a JSON-able record (ledger / offline tools).
-
-        The record shape matches what
-        :func:`repro.obs.critical_path.from_chrome_trace` produces, so
-        live traces and reloaded Chrome-trace files are interchangeable
-        inputs to the critical-path walker.
-        """
-        return [
-            {
-                "category": iv.category,
-                "label": iv.label,
-                "start": iv.start,
-                "end": iv.end,
-                **({"meta": iv.meta} if iv.meta else {}),
-            }
-            for iv in self.intervals
-        ]
-
     def busy_by_class(self, classifier: Any) -> dict[str, float]:
         """Busy lane-seconds per ``classifier(label)`` class, descending.
 

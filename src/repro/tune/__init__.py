@@ -28,7 +28,6 @@ from .search import (
     TuneSpec,
     load_manifest,
     run_tune,
-    write_manifest,
 )
 from .space import NAMED_SPACES, SPACE_KINDS, SearchSpace, named_space, parse_axis
 
@@ -51,5 +50,4 @@ __all__ = [
     "resilience_task",
     "run_tune",
     "run_tune_task",
-    "write_manifest",
 ]

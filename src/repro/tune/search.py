@@ -47,7 +47,6 @@ __all__ = [
     "TUNE_MANIFEST_SCHEMA",
     "TuneSpec",
     "run_tune",
-    "write_manifest",
     "load_manifest",
 ]
 
@@ -352,13 +351,6 @@ def _search(
     if scenario_dict is not None:
         manifest["scenario"] = scenario_dict
     return manifest
-
-
-def write_manifest(manifest: dict[str, Any], path: str) -> None:
-    """Write a tune manifest as canonical JSON (sorted keys, newline)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_manifest(path: str) -> dict[str, Any]:

@@ -508,4 +508,4 @@ def test_steady_rates_keep_expand_order_per_target():
     assert rates.link == (1.2,)
     assert rates.dram == ()
     # B_d comes from the nominal clock; only DRAM contention scales it.
-    assert rates.b_d(130e6, 3.2e9) == min(8.0 * 130e6, 3.2e9)
+    assert rates.b_d(1.04e9) == 1.04e9

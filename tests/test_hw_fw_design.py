@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw import FloydWarshallDesign, XC2VP50, fwi_reference
+from repro.machine import cray_xd1
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ def test_for_device_defaults_to_paper_point():
     assert design.freq_hz == pytest.approx(120e6)
     assert design.ops_per_cycle == 16  # the paper's O_f
     assert design.effective_flops == pytest.approx(0.96e9)  # k * F_f
-    assert design.dram_bandwidth == pytest.approx(960e6)  # B_d in Section 6.1
+    assert cray_xd1().node.fpga.b_d(design.freq_hz) == pytest.approx(960e6)  # B_d, Sec. 6.1
 
 
 def test_tile_cycles_formula():

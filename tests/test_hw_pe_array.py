@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw import LinearPEArray, MatrixMultiplyDesign, XC2VP50, get_device
+from repro.machine import cray_xd1
 
 
 @pytest.fixture
@@ -86,7 +87,8 @@ def test_for_device_defaults_to_paper_point():
     assert design.freq_hz == pytest.approx(130e6)
     assert design.ops_per_cycle == 16
     assert design.peak_flops == pytest.approx(2.08e9)
-    assert design.dram_bandwidth == pytest.approx(1.04e9)
+    # B_d: one 8-byte word per cycle, under XD1's 2.8 GB/s link
+    assert cray_xd1().node.fpga.b_d(design.freq_hz) == pytest.approx(1.04e9)
 
 
 def test_stripe_time_formula():

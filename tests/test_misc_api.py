@@ -96,14 +96,6 @@ def test_comparison_properties():
     assert 0 < cmp.fraction_of_predicted <= 1.0
 
 
-def test_design_describe_methods():
-    lu = LuDesign(cray_xd1(), n=30000, b=3000)
-    text = lu.describe()
-    assert "System parameters" in text and "Eq. 4 split" in text
-    fw = FwDesign(cray_xd1(), n=18432, b=256)
-    assert "l1 = 2, l2 = 10" in fw.describe()
-
-
 def test_lu_superstripe_granularity_robust():
     """Coarser or finer event aggregation must not change the simulated
     time materially (the aggregation is a modelling convenience)."""

@@ -1,4 +1,4 @@
-"""Plan reporting, DES determinism, and app-level failure injection."""
+"""DES determinism and app-level failure injection."""
 
 import numpy as np
 import pytest
@@ -6,40 +6,9 @@ import pytest
 from repro.apps.fw import FwSimConfig, simulate_fw
 from repro.apps.lu import LuSimConfig, distributed_block_lu, simulate_lu
 from repro.apps.mm import MmSimConfig, simulate_mm
-from repro.core import CoordinationGuard, DesignModel, HazardError, SystemParameters
-from repro.core.reporting import describe_fw_plan, describe_lu_plan, describe_parameters
+from repro.core import CoordinationGuard, HazardError
 from repro.kernels import random_dd_matrix
 from repro.machine import cray_xd1
-
-
-# ---------------------------------------------------------------- reporting
-
-
-def lu_params():
-    return SystemParameters(p=6, o_f=16, f_f=130e6, cpu_flops=3.9e9, b_d=1.04e9, b_n=2e9)
-
-
-def test_describe_parameters():
-    text = describe_parameters(lu_params())
-    assert "130 MHz" in text
-    assert "3.9 GFLOPS" in text
-    assert "2 GB/s" in text
-
-
-def test_describe_lu_plan():
-    plan = DesignModel(lu_params()).plan_lu(30000, 3000, 8, t_lu=4.9, t_opl=7.1, t_opu=7.1)
-    text = describe_lu_plan(plan)
-    assert "l = 3" in text
-    assert "b_f = 1080" in text
-    assert "GFLOPS" in text
-
-
-def test_describe_fw_plan():
-    params = SystemParameters(p=6, o_f=16, f_f=120e6, cpu_flops=190e6, b_d=960e6, b_n=2e9)
-    plan = DesignModel(params).plan_fw(18432, 256, 8)
-    text = describe_fw_plan(plan)
-    assert "l1 = 2, l2 = 10" in text
-    assert "phase makespan" in text
 
 
 # ---------------------------------------------------------------- determinism

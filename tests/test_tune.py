@@ -31,7 +31,6 @@ from repro.tune import (
     render_tune,
     run_tune,
     run_tune_task,
-    write_manifest,
 )
 
 
@@ -400,7 +399,7 @@ def test_run_tune_telemetry_stays_out_of_manifest(tmp_path):
 def test_manifest_write_load_round_trip(tmp_path):
     manifest = run_tune(TuneSpec(space=small_space(), seed=0), jobs=1, cache=False)
     path = tmp_path / "tune.json"
-    write_manifest(manifest, str(path))
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     assert load_manifest(str(path)) == manifest
     bad = tmp_path / "other.json"
     bad.write_text(json.dumps({"kind": "campaign"}))
