@@ -209,7 +209,7 @@ def run_with_faults(
     sim_overrides: Optional[dict[str, Any]] = None,
     replan_latency: float = 0.0,
 ) -> FaultRunResult:
-    """One fault run: nominal baseline, perturbed re-plan, faulted DES.
+    """One fault run: nominal baseline, perturbed re-plan, faulted run.
 
     Simulates the app twice -- nominally, then under the scenario with
     the policy's partition -- and reconciles both against their model
@@ -271,8 +271,13 @@ def run_with_faults(
         return _aborted(result, {"error": str(exc), "stage": "replan"})
 
     injector = FaultInjector(run_scenario, fail_fast=(policy != "exclude-node"))
+    # Traced only when a node failure can abort the run: the trace is
+    # read solely for the failure's last active lane, and a node failure
+    # never folds, so every other scenario may take the fast path.
     try:
-        faulted = run.simulate(trace=True, faults=injector, **over)
+        faulted = run.simulate(
+            trace=bool(run_scenario.failed_nodes()), faults=injector, **over
+        )
     except ProcessFailure as exc:
         result.injected = injector.injected
         return _aborted(result, _failure_info(exc))

@@ -16,13 +16,10 @@ __all__ = ["MemorySpec"]
 
 @dataclass(frozen=True)
 class MemorySpec:
-    """Declarative description of a memory bank."""
+    """Declarative description of a node's SRAM bank."""
 
-    kind: str  # "dram" | "sram" | "bram"
     capacity_bytes: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("dram", "sram", "bram"):
-            raise ValueError(f"unknown memory kind {self.kind!r}")
         if self.capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity_bytes}")

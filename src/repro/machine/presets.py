@@ -38,7 +38,7 @@ def cray_xd1(p: int = 6) -> MachineSpec:
             device=get_device("XC2VP50"),
             dram_link_bandwidth=2.8e9,
         ),
-        sram=MemorySpec("sram", capacity_bytes=8 * _MB),
+        sram=MemorySpec(capacity_bytes=8 * _MB),
     )
     return MachineSpec(
         name="Cray XD1 (1 chassis)",
@@ -65,7 +65,7 @@ def cray_xt3_drc(p: int = 6) -> MachineSpec:
             device=get_device("XC4VLX200"),
             dram_link_bandwidth=6.4e9,
         ),
-        sram=MemorySpec("sram", capacity_bytes=64 * _MB),
+        sram=MemorySpec(capacity_bytes=64 * _MB),
     )
     return MachineSpec(
         name="Cray XT3 + DRC",
@@ -93,7 +93,7 @@ def src_map_station(p: int = 1) -> MachineSpec:
             device=get_device("XC2VP100"),
             dram_link_bandwidth=1.4e9,  # sustained MAP payload bandwidth
         ),
-        sram=MemorySpec("sram", capacity_bytes=24 * _MB),
+        sram=MemorySpec(capacity_bytes=24 * _MB),
     )
     return MachineSpec(
         name="SRC MAP station",
@@ -116,7 +116,7 @@ def sgi_rasc(p: int = 2) -> MachineSpec:
             device=get_device("XC4VLX200"),
             dram_link_bandwidth=6.4e9,
         ),
-        sram=MemorySpec("sram", capacity_bytes=32 * _MB),
+        sram=MemorySpec(capacity_bytes=32 * _MB),
     )
     return MachineSpec(
         name="SGI RASC RC100",

@@ -8,6 +8,7 @@ import pytest
 from repro.apps.lu import LuDesign, simulate_lu
 from repro.faults import (
     POLICIES,
+    SCENARIO_BUILDERS,
     FaultEvent,
     FaultInjector,
     FaultScenario,
@@ -24,8 +25,11 @@ from repro.faults import (
 )
 from repro.machine import cray_xd1
 from repro.machine.system import ReconfigurableSystem
+from repro.obs.metrics import REGISTRY
 from repro.parallel import ResultCache
 from repro.sim import ProcessFailure
+from repro.sim.analytic import set_fast_path_mode
+from repro.tune import SearchSpace, TuneSpec, run_tune
 
 N, B = 12000, 3000  # small-but-real LU size (nb = 4, Table 1 latencies apply)
 
@@ -248,6 +252,73 @@ def test_fault_run_results_are_bitwise_reproducible():
     a = run_with_faults("lu", sc, "repartition").to_dict()
     b = run_with_faults("lu", sc, "repartition").to_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# ------------------------------------------------------------- fast path
+
+
+def _counts(name: str) -> dict[tuple, float]:
+    """Every ``name`` counter in the global registry, by sorted labels."""
+    return {
+        tuple(sorted(item["labels"].items())): item["value"]
+        for item in REGISTRY.snapshot()
+        if item["name"] == name
+    }
+
+
+def _delta(name: str, before: dict[tuple, float]) -> dict[tuple, float]:
+    """The ``name`` counters that moved since ``before``."""
+    after = _counts(name)
+    moved = {k: v - before.get(k, 0.0) for k, v in after.items()}
+    return {k: v for k, v in moved.items() if v}
+
+
+@pytest.mark.parametrize("app", ["lu", "fw"])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_fault_runs_equal_the_des_and_fold_unless_a_node_can_fail(app, policy, name):
+    """The fast path changes no fault-run result, and takes every run a
+    node failure cannot abort: those keep their trace and their DES,
+    whose last active lane names where the failure struck."""
+    scenario = build_scenario(name, seed=7)
+    run_scenario = scenario.without_node_failures() if policy == "exclude-node" else scenario
+    prev = set_fast_path_mode("auto")
+    try:
+        before = _counts("fastpath.points")
+        fast = run_with_faults(app, scenario, policy).to_dict()
+        points = _delta("fastpath.points", before)
+        set_fast_path_mode("off")
+        des = run_with_faults(app, scenario, policy).to_dict()
+    finally:
+        set_fast_path_mode(prev)
+    assert json.dumps(fast, sort_keys=True) == json.dumps(des, sort_keys=True)
+    if run_scenario.failed_nodes():
+        assert fast["failed"] and fast["failure"]["lane"] is not None
+    elif FaultInjector(run_scenario).steady_rates() is not None and not fast["failed"]:
+        # the nominal run and the faulted run, both analytic
+        assert points == {(("app", app), ("path", "analytic")): 2}
+
+
+#: Refusal reasons a fault sweep or a resilience tune may count: the LU
+#: tie-break, the tuner's DES rung, unfoldable fault timelines, monitors
+#: and configurations the replay does not model.  Never ``trace``.
+ALLOWED_FALLBACKS = {"ambiguous-tie", "disabled", "faults", "monitor", "unsupported-config"}
+
+
+def test_fault_grid_and_resilience_tune_never_fall_back_for_a_trace():
+    before = _counts("fastpath.fallback")
+    scenarios = [
+        build_scenario(name, seed=7)
+        for name in ("degraded-link", "dram-contention", "flaky-dma")
+    ]
+    fault_sweep(["lu", "fw"], scenarios, ["degrade-static", "repartition"],
+                jobs=1, cache=False)
+    space = SearchSpace(kind="block_mm", machine="xd1", fixed={"b": 240, "k": 8},
+                        axes={"b_f": (0, 80, 160, 240)})
+    run_tune(TuneSpec(space=space, resilience="degraded-link"), jobs=1, cache=False)
+    reasons = {dict(labels)["reason"] for labels in _delta("fastpath.fallback", before)}
+    assert "trace" not in reasons
+    assert reasons <= ALLOWED_FALLBACKS
 
 
 # ----------------------------------------------------------------- sweep
