@@ -409,10 +409,12 @@ def bench_tune() -> dict:
 
     Runs the successive-halving tuner over the paper's Figure 5 (b, f)
     grid for LU block-matrix-multiply on XD1, then the exhaustive
-    full-fidelity sweep of the same space, and reports how close the
-    incumbent landed to the exhaustive optimum and what fraction of the
-    exhaustive DES evaluations the guided search spent to get there.
+    full-fidelity sweep of the same space on the DES (fast-path mode
+    ``off``), and reports how close the incumbent landed to the
+    exhaustive optimum and what fraction of the exhaustive DES
+    evaluations the guided search spent to get there.
     """
+    from repro.sim.analytic import set_fast_path_mode
     from repro.tune import (
         TuneSpec,
         named_space,
@@ -426,10 +428,14 @@ def bench_tune() -> dict:
     t0 = time.perf_counter()
     manifest = run_tune(TuneSpec(space=space, seed=0), jobs=1, cache=False)
     elapsed = time.perf_counter() - t0
-    exhaustive_best = max(
-        objectives_for(space, pt, run_tune_task(point_task(space, pt, "des")))["gflops"]
-        for pt in space.points()
-    )
+    prev = set_fast_path_mode("off")
+    try:
+        exhaustive_best = max(
+            objectives_for(space, pt, run_tune_task(point_task(space, pt)))["gflops"]
+            for pt in space.points()
+        )
+    finally:
+        set_fast_path_mode(prev)
     incumbent = manifest["incumbent"]["objectives"]["gflops"]
     return {
         "space": "fig5-bf",

@@ -17,7 +17,6 @@ from .lu import LuDesign
 
 __all__ = [
     "Comparison",
-    "DEFAULT_SIZES",
     "HybridDesign",
     "build_design",
     "check_names",
@@ -26,11 +25,8 @@ __all__ = [
     "mm",
 ]
 
-#: The designs a fault policy can re-plan, by app name, and their
-#: default problem sizes (small enough for CI fault sweeps and
-#: campaigns; LU uses the paper's b=3000 so the Table 1 latencies apply).
+#: The designs a fault policy can re-plan, by app name.
 _DESIGNS = {"lu": LuDesign, "fw": FwDesign}
-DEFAULT_SIZES = {"lu": (12000, 3000), "fw": (18432, 256)}
 
 
 def check_names(apps: Iterable[str] = (), presets: Iterable[str] = ()) -> None:
@@ -48,10 +44,10 @@ def build_design(
 ) -> HybridDesign:
     """The ``app`` design on a machine preset (``p`` nodes if given).
 
-    ``n``/``b`` default to :data:`DEFAULT_SIZES`.
+    ``n``/``b`` default to the design's own (see :class:`LuDesign` and
+    :class:`FwDesign`).
     """
     check_names([app], [preset])
     factory = ALL_PRESETS[preset]
     spec = factory() if p is None else factory(p=p)
-    default_n, default_b = DEFAULT_SIZES[app]
-    return _DESIGNS[app](spec, int(n or default_n), int(b or default_b))
+    return _DESIGNS[app](spec, int(n) if n else None, int(b) if b else None)

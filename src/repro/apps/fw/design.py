@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
+from ...core.blocksize import choose_fw_block_size
 from ...core.model import DesignModel, FwPlan
 from ...core.parameters import SystemParameters
 from ...core.partition import fw_op_times
@@ -16,15 +17,25 @@ from .simulate import FwSimConfig, FwSimResult, simulate_fw
 
 __all__ = ["FwDesign"]
 
+#: The default problem is this many tiles a side: n = 18432 at XD1's b = 256.
+DEFAULT_TILES = 72
+
 
 class FwDesign(HybridDesign):
     """The hybrid Floyd-Warshall design on a given machine."""
 
-    def __init__(self, spec: MachineSpec, n: int, b: int, k: Optional[int] = None) -> None:
+    def __init__(self, spec: MachineSpec, n: Optional[int] = None, b: Optional[int] = None,
+                 k: Optional[int] = None) -> None:
+        """``b`` defaults to the Section 6.1 tile for this machine (a
+        multiple of the array's ``k``: 256 on XD1 and SRC, 231 on XT3 and
+        RASC) and ``n`` to :data:`DEFAULT_TILES` such tiles a side."""
         self.spec = spec
         self.design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=k)
         self.k = self.design.k
         self.params = spec.parameters("fw", self.design)
+        default_b = choose_fw_block_size(self.params, self.k)
+        n = DEFAULT_TILES * default_b if n is None else n
+        b = default_b if b is None else b
         model = DesignModel(self.params)
         self.plan: FwPlan = model.plan_fw(n, b, self.k)
         self.n, self.b = n, b
@@ -59,12 +70,12 @@ class FwDesign(HybridDesign):
         iterations and extrapolates to the whole run."""
         return result.total_elapsed
 
-    def config(self, l1: Optional[int] = None, **over) -> FwSimConfig:
-        """A simulation config; defaults to the plan's l1/l2 split."""
+    def config(self, l1: Optional[int] = None, l2: Optional[int] = None, **over) -> FwSimConfig:
+        """A simulation config; defaults to the plan's l1/l2 split, and
+        ``l2`` to the rest of the phase's ops after ``l1``."""
         l1 = self.plan.partition.l1 if l1 is None else l1
-        return FwSimConfig(
-            n=self.n, b=self.b, k=self.k, l1=l1, l2=self.ops_per_phase - l1, **over
-        )
+        l2 = self.ops_per_phase - l1 if l2 is None else l2
+        return FwSimConfig(n=self.n, b=self.b, k=self.k, l1=l1, l2=l2, **over)
 
     def simulate(self, trace: bool = False, monitor=None, faults=None, **over) -> FwSimResult:
         """Simulate the planned hybrid design.

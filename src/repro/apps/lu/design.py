@@ -24,6 +24,10 @@ __all__ = ["LuDesign"]
 #: The measured panel-routine latencies of Table 1 (b = 3000).
 TABLE1_LATENCIES = {"t_lu": 4.9, "t_opl": 7.1, "t_opu": 7.1}
 
+#: The default ``(n, b)``: small enough for CI fault sweeps and
+#: campaigns, at the paper's b = 3000 so Table 1's latencies apply.
+DEFAULT_SIZE = (12000, 3000)
+
 
 class LuDesign(HybridDesign):
     """The hybrid LU design on a given machine."""
@@ -31,11 +35,13 @@ class LuDesign(HybridDesign):
     def __init__(
         self,
         spec: MachineSpec,
-        n: int,
-        b: int,
+        n: Optional[int] = None,
+        b: Optional[int] = None,
         k: Optional[int] = None,
         use_table1: bool = True,
     ) -> None:
+        n = DEFAULT_SIZE[0] if n is None else n
+        b = DEFAULT_SIZE[1] if b is None else b
         self.spec = spec
         self.design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=k)
         self.k = self.design.k

@@ -63,9 +63,10 @@ class CampaignSpec:
     #: Optional multi-preset grid; empty means "just :attr:`preset`".
     #: Each app x scenario pair is evaluated once per preset, with its
     #: own cell key (``app@preset/scenario``) and sub-seed stream.  Not
-    #: every app runs on every preset (LU needs p >= 2 nodes, FW's
-    #: block size must divide its tile) -- callers pick compatible
-    #: combinations, the design constructors fail fast otherwise.
+    #: every app runs on every preset (LU needs p >= 2 nodes; FW's
+    #: default tile follows each preset's array) -- callers pick
+    #: compatible combinations, the design constructors fail fast
+    #: otherwise.
     presets: tuple[str, ...] = ()
     scenarios: tuple[FaultScenario, ...] = (FaultScenario(name="nominal"),)
     replicates: int = 20

@@ -630,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
     tun_sub = tun.add_subparsers(dest="tune_command", required=True)
 
     trun = tun_sub.add_parser(
-        "run", help="analytic rung -> DES on survivors -> local refinement"
+        "run", help="score each point once -> re-rank survivors -> refine"
     )
     trun.add_argument("--space", default=None, metavar="NAME",
                       help="named search space: fig5-bf, fw-split, lu-bf-l, "
@@ -648,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     trun.add_argument("--eta", type=int, default=None,
                       help="keep the top 1/eta of the analytic rung (default 4)")
     trun.add_argument("--budget", type=int, default=None,
-                      help="full-fidelity DES evaluation cap "
+                      help="cap on the points the DES rungs re-rank "
                            "(default: a quarter of the space)")
     trun.add_argument("--refine", type=int, default=None,
                       help="local-refinement neighbourhood radius; 0 disables "

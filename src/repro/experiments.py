@@ -145,8 +145,7 @@ def run_sim_task(task: dict) -> Any:
     the tuner (:func:`repro.tune.evaluate.run_tune_task`) both hand
     their tasks here, so equal task dicts -- equal cache keys -- always
     come from the same code.  ``block_mm`` / ``lu`` / ``fw`` tasks
-    follow the process fast-path mode, except that a task tagged
-    ``fidelity: "des"`` always runs the DES (``fast_path="off"``).
+    follow the process fast-path mode.
 
     Must stay module-level (and all task contents picklable) so the
     process-pool executor can ship tasks to workers.
@@ -154,15 +153,14 @@ def run_sim_task(task: dict) -> Any:
     global SIM_CALLS
     SIM_CALLS += 1
     kind = task["kind"]
-    fast = "off" if task.get("fidelity") == "des" else None
     if kind == "block_mm":
         spec = _spec_for(task["machine"])
-        return simulate_block_mm(spec, task["b"], task["b_f"], task["k"], fast_path=fast)
+        return simulate_block_mm(spec, task["b"], task["b_f"], task["k"])
     if kind == "lu":
-        res = simulate_lu(_spec_for(task["machine"]), task["cfg"], fast_path=fast)
+        res = simulate_lu(_spec_for(task["machine"]), task["cfg"])
         return {"elapsed": res.elapsed, "gflops": res.gflops}
     if kind == "fw":
-        res = simulate_fw(_spec_for(task["machine"]), task["cfg"], fast_path=fast)
+        res = simulate_fw(_spec_for(task["machine"]), task["cfg"])
         return {"elapsed": res.elapsed, "gflops": res.gflops}
     if kind == "fw_weak":
         from .analysis import fw_weak_scaling

@@ -21,7 +21,6 @@ partition equations against the degraded parameters:
 Documentation lives in ``docs/robustness.md``.
 """
 
-from ..apps import DEFAULT_SIZES
 from .adapt import POLICIES, TERM_GLOSS, FaultRunResult, run_with_faults
 from .inject import FaultInjector, NodeFailureError
 from .report import ResilienceReport
@@ -44,7 +43,6 @@ from .scenarios import (
 from .sweep import fault_sweep, fault_tasks, run_fault_task
 
 __all__ = [
-    "DEFAULT_SIZES",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultInjector",

@@ -2,17 +2,18 @@
 
 The paper's core question -- which (p, b, b_f, l, l1:l2, k) partition
 is best for a given machine -- is answered elsewhere in this repo by
-exhaustive grid sweeps.  This package answers it *guided*: the analytic
-fast path scores the whole space cheaply, successive halving promotes
-only the top fraction to full-fidelity DES runs, a local-refinement
-pass polishes the incumbent, and an optional fault-grid rung scores the
-survivors' resilience.  The output is a bitwise-deterministic *tune
-manifest* (schema-6 ``tune`` ledger entries) carrying the incumbent and
-the Pareto front over {GFLOPS, FPGA slice utilisation, resilience}.
+exhaustive grid sweeps.  This package answers it *guided*: the fast
+path scores the whole space once (bitwise the DES's values), successive
+halving re-ranks only the top fraction under a DES budget, a
+local-refinement pass polishes the incumbent, and an optional
+fault-grid rung scores the survivors' resilience.  The output is a
+bitwise-deterministic *tune manifest* (schema-6 ``tune`` ledger
+entries) carrying the incumbent and the Pareto front over {GFLOPS, FPGA
+slice utilisation, resilience}.
 
 * :mod:`repro.tune.space` -- :class:`SearchSpace`: axes over a
   :class:`~repro.parallel.ParamGrid` plus feasibility and synthesis;
-* :mod:`repro.tune.evaluate` -- cacheable fidelity-tagged tasks;
+* :mod:`repro.tune.evaluate` -- cacheable point and fault-probe tasks;
 * :mod:`repro.tune.search` -- :class:`TuneSpec` / :func:`run_tune`;
 * :mod:`repro.tune.pareto` -- dominance and front extraction;
 * :mod:`repro.tune.report` -- ASCII rendering for ``tune report``.

@@ -1,28 +1,27 @@
-"""Fidelity-aware evaluation of tuner design points.
+"""Evaluation of tuner design points.
 
 The tuner evaluates every point through the same cached-task layer the
 experiments use: each evaluation is a JSON-able task dict (the cache
 key) plus a module-level worker function (picklable, so the
-process-pool executor can ship it).  Three fidelity levels exist:
+process-pool executor can ship it).  Two task shapes exist:
 
-* ``analytic`` -- the cheap rung.  Points follow the process fast-path
-  mode (default ``auto``: the closed-form fast path where eligible, the
-  DES otherwise), exactly as the experiment sweeps do -- so under mode
-  ``on`` an ineligible point raises ``FastPathUnsupported`` here too.
-* ``des`` -- the full-fidelity rung (``fast_path="off"``).  The task
-  carries a ``fidelity: "des"`` marker so its cache entry never
-  masquerades as a cheap one: budget accounting stays honest on any
-  cache state.
-* ``resilience`` -- an optional fault-grid probe for front candidates:
-  the point's own partition is held fixed (policy ``degrade-static``)
-  under a seeded fault scenario and scored by overlap-efficiency
-  retention (:mod:`repro.faults`).
+* :func:`point_task` -- one simulation per feasible point, run once at
+  rung 0 under the process fast-path mode (default ``auto``: the
+  closed-form fast path where eligible, the DES otherwise), exactly as
+  the experiment sweeps run -- so under mode ``on`` an ineligible point
+  raises ``FastPathUnsupported`` here too.  The fast path is bitwise
+  equal to the DES wherever it accepts, so the DES rungs of
+  :mod:`repro.tune.search` re-rank these values instead of simulating
+  the point again.
+* :func:`resilience_task` -- an optional fault-grid probe for front
+  candidates: the point's own partition is held fixed (policy
+  ``degrade-static``) under a seeded fault scenario and scored by
+  overlap-efficiency retention (:mod:`repro.faults`).
 
-The ``analytic`` and ``des`` rungs are evaluated by
-:func:`repro.experiments.run_sim_task`, the experiments' own evaluator.
-Analytic tasks have the experiment sweeps' exact shape, so the two
-share cache entries by construction: a tuner run after ``repro
-experiments`` starts warm -- and vice versa.
+Point tasks are evaluated by :func:`repro.experiments.run_sim_task`,
+the experiments' own evaluator, and have the experiment sweeps' exact
+shape, so the two share cache entries by construction: a tuner run
+after ``repro experiments`` starts warm -- and vice versa.
 
 Objectives derived parent-side (no caching needed -- pure arithmetic):
 GFLOPS from the simulated latency and FPGA slice utilisation from the
@@ -39,10 +38,8 @@ from .space import SearchSpace
 __all__ = ["run_tune_task", "point_task", "resilience_task", "objectives_for"]
 
 
-def point_task(
-    space: SearchSpace, point: dict[str, Any], fidelity: str
-) -> dict[str, Any]:
-    """The cacheable task dict for one (point, fidelity) evaluation."""
+def point_task(space: SearchSpace, point: dict[str, Any]) -> dict[str, Any]:
+    """The cacheable task dict for one point's simulation."""
     p = space.params(point)
     if space.kind == "block_mm":
         task: dict[str, Any] = {
@@ -74,10 +71,6 @@ def point_task(
                 l1=int(p["l1"]), l2=int(p["l2"]), iterations=1,
             ),
         }
-    if fidelity == "des":
-        # Distinct cache identity for full-fidelity entries; analytic
-        # tasks keep the experiments' exact shape for cache sharing.
-        task["fidelity"] = "des"
     return task
 
 
@@ -119,7 +112,7 @@ def run_tune_task(task: dict[str, Any]) -> Any:
     ``block_mm`` / ``lu`` / ``fw`` tasks go to
     :func:`repro.experiments.run_sim_task` (latency in seconds, or
     ``{"elapsed", "gflops"}``) under the process fast-path mode, which
-    under ``on`` raises on an ineligible analytic task; ``tune_resilience``
+    under ``on`` raises on an ineligible point; ``tune_resilience``
     probes return a resilience summary dict.
     """
     kind = task["kind"]

@@ -1,21 +1,27 @@
 """Successive-halving search with local refinement and Pareto extraction.
 
-The driver spends cheap evaluations freely and full-fidelity DES runs
-surgically:
+Every feasible point is evaluated once; the later rungs re-rank those
+exact values under the DES budget:
 
 1. **Rung 0 (analytic).**  Every feasible point in the space is scored
-   through the analytic fast path -- bitwise identical to the DES where
-   eligible, an order of magnitude cheaper (docs/performance.md).
+   through the process fast-path mode -- the analytic fast path where
+   eligible (bitwise identical to the DES), the DES where it refuses
+   (docs/performance.md).  So each rung-0 value *is* the DES value.
 2. **Rung 1 (DES).**  The top ``1/eta`` of rung 0 (clipped so the
-   refinement pass keeps part of the budget) is re-evaluated at full
-   fidelity; the DES ranking picks the incumbent.
+   refinement pass keeps part of the budget) is re-ranked on its rung-0
+   values; the ranking picks the incumbent.
 3. **Refinement rungs.**  Axis-adjacent neighbours of the incumbent are
-   DES-evaluated while budget remains and the incumbent keeps moving --
-   hill-climbing on the grid around the survivor.
+   re-ranked the same way while budget remains and the incumbent keeps
+   moving -- hill-climbing on the grid around the survivor.
 4. **Resilience rung (optional).**  The strongest survivors are probed
    under a seeded fault scenario (their own partition held fixed,
    policy ``degrade-static``), adding a third Pareto objective:
    overlap-efficiency retention under faults.
+
+Rungs 1 and up keep the ``des`` name, budget and counters
+(``evals["des"]``, ``tune.evals.des``) of the full-fidelity rung they
+stand for, so the manifest reads as if each survivor had been simulated
+again; no simulation runs for them.
 
 Determinism contract (same as :mod:`repro.campaign`): tasks are
 enumerated parent-side, results reassembled by index, rankings break
@@ -170,9 +176,12 @@ def _search(
     # cache changes wall-clock only, never the manifest's ``evals``.
     scheduled = {"analytic": 0, "des": 0, "resilience": 0}
 
+    def count(fidelity: str, n: int) -> None:
+        scheduled[fidelity] += n
+        REGISTRY.counter(f"tune.evals.{fidelity}").inc(n)
+
     def evaluate(tasks: list[dict[str, Any]], fidelity: str) -> list[Any]:
-        scheduled[fidelity] += len(tasks)
-        REGISTRY.counter(f"tune.evals.{fidelity}").inc(len(tasks))
+        count(fidelity, len(tasks))
         computed = 0
 
         def compute(todo: list[dict[str, Any]]) -> list[Any]:
@@ -200,9 +209,18 @@ def _search(
         return rec
 
     # -- rung 0: analytic scores for the whole space --------------------
-    values = evaluate([point_task(space, pt, "analytic") for pt in points], "analytic")
+    values = evaluate([point_task(space, pt) for pt in points], "analytic")
+    exact = {canonical_json(pt): value for pt, value in zip(points, values)}
     for pt, value in zip(points, values):
         record(pt, value, "analytic", 0)
+
+    def rerank(pts: list[dict[str, Any]], rung: int) -> list[dict[str, Any]]:
+        """DES-rung records from the rung-0 values: the fast path returns
+        the DES's own value or runs the DES, so no point runs twice.
+        Every point re-ranked here is a feasible grid point."""
+        count("des", len(pts))
+        return [record(pt, exact[canonical_json(pt)], "des", rung) for pt in pts]
+
     ranked0 = _ranked(list(records.values()))
     # Reserve part of the DES budget for refinement around the incumbent
     # (one round costs at most two neighbours per axis per radius step).
@@ -219,13 +237,9 @@ def _search(
         }
     )
 
-    # -- rung 1: full-fidelity DES on the survivors ----------------------
+    # -- rung 1: the survivors, re-ranked at full fidelity ---------------
     survivors = [dict(r["point"]) for r in ranked0[:n1]]
-    des_used = 0
-    values = evaluate([point_task(space, pt, "des") for pt in survivors], "des")
-    des_records = [record(pt, v, "des", 1) for pt, v in zip(survivors, values)]
-    des_used += len(survivors)
-    incumbent = _ranked(des_records)[0]
+    incumbent = _ranked(rerank(survivors, 1))[0]
     REGISTRY.counter("tune.rungs").inc()
     rungs.append(
         {
@@ -238,17 +252,15 @@ def _search(
     )
 
     # -- refinement rungs: hill-climb the grid around the incumbent ------
-    while spec.refine and des_used < budget:
+    while spec.refine and scheduled["des"] < budget:
         fresh = [
             pt
             for pt in space.neighbors(incumbent["point"], radius=spec.refine)
-            if records.get(canonical_json(pt), {}).get("fidelity") != "des"
-        ][: budget - des_used]
+            if records[canonical_json(pt)]["fidelity"] != "des"
+        ][: budget - scheduled["des"]]
         if not fresh:
             break
-        values = evaluate([point_task(space, pt, "des") for pt in fresh], "des")
-        batch = [record(pt, v, "des", len(rungs)) for pt, v in zip(fresh, values)]
-        des_used += len(fresh)
+        batch = rerank(fresh, len(rungs))
         best = _ranked(batch + [incumbent])[0]
         REGISTRY.counter("tune.rungs").inc()
         rungs.append(
@@ -295,6 +307,7 @@ def _search(
             }
         )
 
+    des_used = scheduled["des"]
     if telemetry is not None:
         telemetry.update(sweep_telemetry(executor, cache))
 

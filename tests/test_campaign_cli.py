@@ -154,6 +154,32 @@ def test_campaign_run_multi_preset_comma_list(tmp_path, capsys):
     assert manifest["cells"]["lu@xt3/nominal"]["preset"] == "xt3"
 
 
+def test_campaign_run_help_example_grid_runs_both_apps(tmp_path, capsys):
+    """The ``--preset`` help's own example, under the default ``--apps
+    lu,fw``: FW takes each preset's Section 6.1 tile (231 on XT3 and RASC,
+    whose arrays have k = 33), and XD1 keeps its (18432, 256)."""
+    from repro.apps import build_design
+
+    out_path = tmp_path / "grid.json"
+    rc = main(
+        [
+            "campaign", "run", "--preset", "xd1,xt3,rasc",
+            "--replicates", "2", "--seed", "7", "--cache", "off",
+            "--out", str(out_path),
+        ]
+    )
+    assert rc == 0
+    cells = json.loads(out_path.read_text())["cells"]
+    assert sorted(cells) == [
+        f"{app}@{preset}/nominal" for app in ("fw", "lu") for preset in ("rasc", "xd1", "xt3")
+    ]
+    assert all(cell["completed"] == 2 for cell in cells.values())
+    sizes = {preset: (d.n, d.b, d.k) for preset in ("xd1", "src", "xt3", "rasc")
+             for d in [build_design("fw", preset)]}
+    assert sizes == {"xd1": (18432, 256, 8), "src": (18432, 256, 16),
+                     "xt3": (16632, 231, 33), "rasc": (16632, 231, 33)}
+
+
 def test_campaign_check_explain_blames_fpga(tmp_path, capsys):
     base = _run(tmp_path, "base.json")
     slow = _run(tmp_path, "slow.json", "--throttle-fpga", "0.8")

@@ -299,20 +299,28 @@ def test_fault_runs_equal_the_des_and_fold_unless_a_node_can_fail(app, policy, n
         assert points == {(("app", app), ("path", "analytic")): 2}
 
 
-#: Refusal reasons a fault sweep or a resilience tune may count: the LU
-#: tie-break, the tuner's DES rung, unfoldable fault timelines, monitors
-#: and configurations the replay does not model.  Never ``trace``.
-ALLOWED_FALLBACKS = {"ambiguous-tie", "disabled", "faults", "monitor", "unsupported-config"}
+#: Refusal reasons a production path may count: the LU tie-break,
+#: unfoldable fault timelines, monitors and configurations the replay
+#: does not model.  Never ``trace``, and never ``disabled``: no path
+#: turns the fast path off by itself, only ``--fast-path off`` does.
+ALLOWED_FALLBACKS = {"ambiguous-tie", "faults", "monitor", "unsupported-config"}
 
 
 def test_fault_grid_and_resilience_tune_never_fall_back_for_a_trace():
+    """The full ``experiments`` run, the CI fault grid, one campaign and
+    one resilience tune count only :data:`ALLOWED_FALLBACKS`."""
+    from repro import experiments as E
+    from repro.campaign import CampaignSpec, run_campaign
+
     before = _counts("fastpath.fallback")
+    E.run_all(jobs=1, cache=False)
     scenarios = [
         build_scenario(name, seed=7)
         for name in ("degraded-link", "dram-contention", "flaky-dma")
     ]
     fault_sweep(["lu", "fw"], scenarios, ["degrade-static", "repartition"],
                 jobs=1, cache=False)
+    run_campaign(CampaignSpec(replicates=2, seed=7), jobs=1, cache=False)
     space = SearchSpace(kind="block_mm", machine="xd1", fixed={"b": 240, "k": 8},
                         axes={"b_f": (0, 80, 160, 240)})
     run_tune(TuneSpec(space=space, resilience="degraded-link"), jobs=1, cache=False)

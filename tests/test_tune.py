@@ -15,6 +15,7 @@ import pytest
 from repro.obs import RunLedger, tune_entry
 from repro.obs.dashboard import render_ascii, render_html
 from repro.obs.metrics import REGISTRY
+from repro.sim.analytic import set_fast_path_mode
 from repro.tune import (
     DEFAULT_SENSES,
     NAMED_SPACES,
@@ -233,10 +234,14 @@ def test_tune_spec_dict_round_trip():
 
 def exhaustive_best_gflops(space):
     """The full-fidelity optimum, by DES-evaluating every feasible point."""
-    return max(
-        objectives_for(space, pt, run_tune_task(point_task(space, pt, "des")))["gflops"]
-        for pt in space.points()
-    )
+    prev = set_fast_path_mode("off")
+    try:
+        return max(
+            objectives_for(space, pt, run_tune_task(point_task(space, pt)))["gflops"]
+            for pt in space.points()
+        )
+    finally:
+        set_fast_path_mode(prev)
 
 
 def test_fig5_acceptance_within_2pct_at_quarter_budget():
@@ -300,22 +305,25 @@ def test_run_tune_budget_counts_scheduled_evals_not_cache_misses(tmp_path):
     assert warm["budget"]["des_used"] == cold["budget"]["des_used"]
 
 
-def test_run_tune_task_des_tag_forces_the_des():
-    """Analytic tasks follow the process fast-path mode; DES tasks never
-    take the fast path, whatever the mode."""
-    from repro import experiments as E
-
-    space, pt = small_space(), {"b_f": 80}
+def test_run_tune_simulates_each_point_once_and_equals_the_des_run():
+    """The DES rungs re-rank rung 0's values: a run simulates each point
+    once, on the fast path, and its manifest equals the same run with
+    every point simulated on the DES."""
+    spec = TuneSpec(space=small_space(), seed=0)
 
     def served(path):
         return REGISTRY.counter("fastpath.points", app="block_mm", path=path).value
 
-    with E.configured(cache=False, fast_path="auto"):
-        before = served("analytic"), served("des")
-        analytic = run_tune_task(point_task(space, pt, "analytic"))
-        des = run_tune_task(point_task(space, pt, "des"))
-    assert (served("analytic"), served("des")) == (before[0] + 1, before[1] + 1)
-    assert analytic == des  # bitwise
+    before = served("analytic"), served("des")
+    fast = run_tune(spec, jobs=1, cache=False)
+    assert (served("analytic") - before[0], served("des") - before[1]) == (4, 0)
+    assert fast["evals"]["des"] >= 1
+    prev = set_fast_path_mode("off")
+    try:
+        des = run_tune(spec, jobs=1, cache=False)
+    finally:
+        set_fast_path_mode(prev)
+    assert json.dumps(fast, sort_keys=True) == json.dumps(des, sort_keys=True)
 
 
 def _fig5_tune(cache):
@@ -365,18 +373,20 @@ def test_run_tune_rejects_empty_space():
 
 
 def test_run_tune_resilience_rung_adds_third_objective():
-    manifest = run_tune(
-        TuneSpec(space=small_space(), seed=0, resilience="degraded-link"),
-        jobs=1,
-        cache=False,
-    )
-    assert manifest["objectives"]["resilience"] == "max"
-    assert manifest["rungs"][-1]["fidelity"] == "resilience"
-    assert manifest["evals"]["resilience"] >= 1
-    assert manifest["scenario"]["name"] == "degraded-link"
-    for row in manifest["front"]:
-        assert row["objectives"]["resilience"] is not None
-        assert 0.0 <= row["objectives"]["resilience"] <= 1.0
+    """Also on an ``fw`` space, whose probes run the point's own (l1, l2)."""
+    for space in (small_space(), named_space("fw-split")):
+        manifest = run_tune(
+            TuneSpec(space=space, seed=0, resilience="degraded-link"),
+            jobs=1,
+            cache=False,
+        )
+        assert manifest["objectives"]["resilience"] == "max"
+        assert manifest["rungs"][-1]["fidelity"] == "resilience"
+        assert manifest["evals"]["resilience"] >= 1
+        assert manifest["scenario"]["name"] == "degraded-link"
+        for row in manifest["front"]:
+            assert row["objectives"]["resilience"] is not None
+            assert 0.0 <= row["objectives"]["resilience"] <= 1.0
 
 
 def test_run_tune_telemetry_stays_out_of_manifest(tmp_path):
