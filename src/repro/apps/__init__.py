@@ -40,14 +40,15 @@ def check_names(apps: Iterable[str] = (), presets: Iterable[str] = ()) -> None:
 
 
 def build_design(
-    app: str, preset: str = "xd1", n: Any = None, b: Any = None, *, p: Optional[int] = None
+    app: str, preset: str = "xd1", n: Any = None, b: Any = None, *, p: Optional[int] = None,
+    k: Optional[int] = None,
 ) -> HybridDesign:
     """The ``app`` design on a machine preset (``p`` nodes if given).
 
     ``n``/``b`` default to the design's own (see :class:`LuDesign` and
-    :class:`FwDesign`).
+    :class:`FwDesign`), ``k`` (the PE array size) to the device's.
     """
     check_names([app], [preset])
     factory = ALL_PRESETS[preset]
     spec = factory() if p is None else factory(p=p)
-    return _DESIGNS[app](spec, int(n) if n else None, int(b) if b else None)
+    return _DESIGNS[app](spec, int(n) if n else None, int(b) if b else None, k)

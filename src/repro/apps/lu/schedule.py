@@ -32,14 +32,40 @@ The schedule prices its physical work once per run through the engine's
 pricer (see :mod:`repro.sim.interpret`), so neither engine converts
 anything per op.
 
-Tie classes (why the replay is safe where it does not refuse): the
-owner's per-superstripe broadcast is one ``send_batch`` burst -- its
-transfers enter each FIFO in a fixed documented order in both engines;
-workers' result sends toward the same ``opMS`` owner are tagged with
-their broadcast *wave* (``position // links_per_node``), as same-job
-same-wave workers are structurally identical twins whose arrival order
-is restored at every resynchronisation point.  Any other same-time
-collision refuses to the DES.
+Tie classes (why the replay is safe where it does not refuse; the
+rule for one instant is in :class:`~repro.sim.analytic.Replay`):
+
+* the owner's per-superstripe broadcast is one ``send_batch`` burst --
+  its transfers enter each FIFO in a fixed documented order in both
+  engines;
+* the result sends of one job ``(t, u, v)`` toward its storage node are
+  one class, ``("msr", t, u, v)``, across broadcast waves.  Each worker
+  sends right after its last timed hold of the job (or its FPGA job)
+  ends: the DES asks for the ingress link one step later (the egress
+  grant), or two after an FPGA completion, and orders equal steps by
+  the order its timers expire; the replay asks at once, or after every
+  timed entry of the instant, in the same timer order.  So a worker
+  whose job ended on its own hold precedes one whose FPGA finished in
+  both engines, and within each kind they agree as long as they started
+  those timers in the same order -- the induction every class here rests
+  on, which the differential tests check (the replay does not model
+  every DES step, so it is not a proof for all schedules);
+* the locally kept part of a job is a ``handoff`` to the node's own
+  sink.  In the DES the worker sets ``local_ms``, then yields on it (one
+  step); the sink's ``wait_all`` fires one step after that
+  (``AllOf``), and its opMS asks for the CPU lane a step later still,
+  while the worker's next lane request waits for a receive or its own
+  ``wait_all`` (at least one more step, queued behind the sink's).
+  When ``local_ms`` completes a ``wait_all`` whose other parts all
+  arrived at earlier instants, the sink therefore gets the lane first
+  and the replay steps the worker behind it (see the ``handoff`` op).
+  With overlap and no FPGA share the worker sets the job's FPGA key just
+  before it waits on it, a step the replay does not take, and its
+  queued gemm then falls out of step with its twins (a p = 6, n = 36000
+  CPU-only run replays wrong): those jobs keep a plain ``set`` and
+  ``wait`` and claim no order.
+
+Any other same-time collision refuses to the DES.
 """
 
 from __future__ import annotations
@@ -83,7 +109,7 @@ def iteration_jobs(t: int, nb: int) -> list[tuple[int, int]]:
     return out
 
 
-def lu_processes(config, p: int, links: int, price) -> list[tuple[str, Iterator]]:
+def lu_processes(config, p: int, price) -> list[tuple[str, Iterator]]:
     """``(name, ops)`` per process in spawn order: ``node{i}``, ``ms_sink{i}``.
 
     ``price`` turns the run's physical work into op costs, once per run:
@@ -145,7 +171,6 @@ def lu_processes(config, p: int, links: int, price) -> list[tuple[str, Iterator]
 
     def worker_iteration(i: int, t: int):
         owner = t % p
-        wave = workers_of(t).index(i) // links
         for u, v in iteration_jobs(t, nb):
             fkey = ("fpga", i, t, u, v)
             stage_label, gemm_label = ("stage", t, u, v), ("gemm", t, u, v)
@@ -178,13 +203,15 @@ def lu_processes(config, p: int, links: int, price) -> list[tuple[str, Iterator]
             if collect:
                 dest = min(u, v) % p
                 if dest != i:
-                    yield ("send", (i, dest, ("ms", t, u, v, i)), result,
-                           ("msr", t, u, v, wave))
-                else:
-                    # The locally kept part: set it, then yield on it (one
-                    # same-time step in the DES) before the next job.
+                    yield ("send", (i, dest, ("ms", t, u, v, i)), result, ("msr", t, u, v))
+                elif overlap and b_f == 0:
+                    # Its FPGA key was set just now: no order is claimed
+                    # (see "Tie classes" above).
                     yield ("set", ("local_ms", i, t, u, v))
                     yield ("wait", ("local_ms", i, t, u, v))
+                else:
+                    # The locally kept part goes to this node's own sink.
+                    yield ("handoff", i, ("local_ms", i, t, u, v))
 
     def ms_sink(i: int):
         """Receives A'_uv parts and applies the opMS subtractions."""

@@ -127,7 +127,7 @@ def simulate_lu(
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
 
     def processes(price):
-        return lu_processes(config, spec.p, spec.network.links_per_node, price)
+        return lu_processes(config, spec.p, price)
 
     def result(fields: dict) -> LuSimResult:
         return LuSimResult(useful_flops=(2.0 / 3.0) * float(config.n) ** 3, config=config,
@@ -191,4 +191,4 @@ def distributed_block_lu(a: np.ndarray, b: int, p: int, b_f: Optional[int] = Non
     stripe = k if array is not None else 1  # (LuSimConfig checks b | n and 0 <= b_f <= b)
     config = LuSimConfig(n=n, b=b, k=stripe, b_f=b_f, l=1, superstripes=min(2, b // stripe))
     blocks = LuBlocks(a, config, BlockCyclicLayout(config.nb, p), guard, array)
-    return blocks.run(lu_processes(config, p, 1, Physical))
+    return blocks.run(lu_processes(config, p, Physical))

@@ -206,6 +206,7 @@ def run_with_faults(
     preset: str = "xd1",
     n: Optional[int] = None,
     b: Optional[int] = None,
+    k: Optional[int] = None,
     sim_overrides: Optional[dict[str, Any]] = None,
     replan_latency: float = 0.0,
 ) -> FaultRunResult:
@@ -217,7 +218,8 @@ def run_with_faults(
     efficiency retention, recovery latency and the model-term
     attribution.  ``app`` is ``"lu"`` or ``"fw"`` (MM supports raw
     injection via ``MmDesign.simulate(faults=...)`` but has no
-    Eq.-based re-partitioning policy).  One runner serves both apps:
+    Eq.-based re-partitioning policy).  ``k`` is the FPGA's PE array
+    size (the device's own by default).  One runner serves both apps:
     the design re-plans (:meth:`~repro.apps.lu.LuDesign.replan`) or
     re-predicts (:meth:`~repro.apps.lu.LuDesign.repredict`) its own
     split on the perturbed parameters.
@@ -226,7 +228,7 @@ def run_with_faults(
         scenario = FaultScenario.from_dict(scenario)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    base = build_design(app, preset, n, b)
+    base = build_design(app, preset, n, b, k=k)
     over = dict(sim_overrides or {})
     registry = MetricsRegistry()  # keep fault-run gauges off the global registry
     # Untraced: the result keeps only the baseline's makespan, efficiency
@@ -262,7 +264,7 @@ def run_with_faults(
             spec = base.spec
             for node_id in failed_nodes:
                 spec = with_node_failure(spec, node_id)
-            survivors = type(base)(spec, base.n, base.b)  # re-validates the layout
+            survivors = type(base)(spec, base.n, base.b, base.k)  # re-validates the layout
             run = survivors.replan(_perturbed_params(survivors.params, scenario))
             run_scenario = scenario.without_node_failures()
             result.p_effective = spec.p

@@ -16,19 +16,21 @@ Two layers live here:
   its closed form hands over).  It keeps per-resource FIFO queues and a
   single time-ordered heap, but no event/process objects.
   A built-in *ambiguity detector* refuses (raises
-  :class:`FastPathUnsupported`) whenever two same-timestamp acquisitions
-  from different spawn bursts hit the same FIFO queue and at least one
-  of them has to wait -- the only situation in which the DES outcome
-  depends on its intra-timestamp micro-ordering.  Everything else is
-  provably order-independent:
+  :class:`FastPathUnsupported`) whenever same-timestamp acquisitions of
+  one FIFO queue from different tie classes meet and any of them has to
+  wait -- the situation in which the DES outcome depends on its
+  intra-timestamp micro-ordering.  Everything else is order-independent
+  or ordered by a written rule:
 
   - grants that all succeed immediately commute;
   - float ``max`` is a selection, not an arithmetic blend;
   - acquisitions at *distinct* timestamps are ordered by time alone;
-  - same-timestamp acquisitions from the *same* burst (one process
-    spawning a batch of transfers, or structurally identical "wave
-    twins" tagged with the same tie class) arrive in a fixed documented
-    order in both engines, so FIFO service order matches by induction.
+  - same-timestamp acquisitions of *one* tie class (one process spawning
+    a batch of transfers, or the result sends of one LU job) arrive in a
+    fixed documented order in both engines, so FIFO service order
+    matches by induction;
+  - a ``handoff`` orders the two CPU-lane requests it causes by the DES
+    steps each takes (see :class:`Replay`).
 
 * Mode resolution -- ``fast_path`` arguments on the ``simulate_*``
   entry points accept ``"auto"`` (use the fast path when eligible, fall
@@ -400,7 +402,7 @@ class _Q:
     moves on to its ingress queue.
     """
 
-    __slots__ = ("cap", "in_use", "q", "last_t", "last_burst", "last_waited", "name")
+    __slots__ = ("cap", "in_use", "q", "last_t", "last_burst", "last_waited", "tie", "name")
 
     def __init__(self, cap: int, name: str) -> None:
         self.cap = cap
@@ -409,6 +411,7 @@ class _Q:
         self.last_t = -1.0
         self.last_burst: Optional[object] = None
         self.last_waited = False
+        self.tie: Optional[tuple] = None  # (t, first, second): a handoff's ordered pair
         self.name = name
 
 
@@ -442,6 +445,12 @@ class Replay:
         Block until the named completion events are set.
     ``("set", key)``
         Set a completion event immediately.
+    ``("handoff", i, key)``
+        ``set`` then ``wait`` on ``key``, for a setter on node *i* whose
+        ``key`` completes a ``wait_all`` on the same node (the LU worker
+        handing its kept part to its own opMS sink).  The two must be
+        the only users of node *i*'s CPU lane, and the setter's next op
+        a receive or a ``wait_all``; see the tie rule below.
     ``("step",)``
         Resume at the same time one step later, behind every event
         already queued for this instant.  A blocking send takes this
@@ -457,14 +466,33 @@ class Replay:
         right after its release (``revert``), as ``(mark, phase, t)``
         entries in :attr:`marks`; the generator is not resumed.
 
-    The ambiguity detector lives in :meth:`_acq`: two same-timestamp
-    acquisitions of one queue are allowed only if both are granted
-    immediately or they share a *tie class* (the same ``send_batch``
-    burst, or an explicit ``tie`` tag marking structurally identical
-    wave twins whose FIFO order is reproduced by construction).  Any
-    other same-timestamp contention raises :class:`FastPathUnsupported`
-    -- the caller falls back to the DES, so refusals cost accuracy
-    nothing.
+    The ambiguity detector lives in :meth:`_acq`: same-timestamp
+    acquisitions of one queue are allowed only if all are granted
+    immediately or all share one *tie class* (the same ``send_batch``
+    burst, or an explicit ``tie`` tag whose FIFO order the schedule
+    reproduces by construction).  Once two classes have met at an
+    instant, no later acquisition at it may wait: comparing each
+    acquisition with the previous one alone let a third, waiting one
+    through after two granted ones of different classes.  Any other
+    same-timestamp contention raises :class:`FastPathUnsupported` -- the
+    caller falls back to the DES, so refusals cost accuracy nothing.
+
+    The rule for one instant that a ``handoff`` adds counts DES steps
+    (each ``succeed``, each yield on an event triggered but not yet
+    processed, each ``AllOf`` firing and each mailbox ``get`` costs one
+    same-instant step; a step runs after every step queued before it).
+    The setter's yield on ``key`` is one step.  The waiter's ``AllOf``
+    fires when that step runs, ahead of the setter's own resumption (it
+    registered on ``key`` first), and the waiter runs one step later;
+    the setter's next CPU request follows at least one step of its own
+    (a receive or a ``wait_all``), queued behind the waiter's.  So when
+    ``key`` completes the ``wait_all`` of a waiter that parked before
+    this instant on keys all set before it, the DES grants the lane to
+    the waiter first.  The replay then resumes the setter one step later
+    (behind the waiter, which ``set`` already queued) and records the
+    pair on the lane; :meth:`_acq` accepts exactly that pair, in that
+    order, once.  Otherwise the handoff is a plain ``set`` and ``wait``
+    and any collision is judged as usual.
 
     The hot paths are inlined for speed.  Heap entries are flat tuples
     ``(time, seq, kind, a, b, start)``, dispatched in :meth:`run` in
@@ -485,7 +513,7 @@ class Replay:
         self.fpga_busy = [0.0] * p
         self.net_bytes = 0.0
         self.events: dict = {}  # key -> completion time
-        self.waiters: dict = {}  # key -> [countdown, gen] cells
+        self.waiters: dict = {}  # key -> [countdown, gen] cells (+ parked t, keys for wait_all)
         self.marks: list = []  # (mark, "apply"|"revert", t) per stall, in order
         self.max_t = 0.0
 
@@ -495,17 +523,25 @@ class Replay:
         """Acquire ``q`` at ``t``; True if granted now, else ``waiter`` queues.
 
         Raises :class:`FastPathUnsupported` on an ambiguous tie: a
-        same-timestamp acquisition from a different tie class where
-        either party waits (then DES micro-order picks the winner).
-        Every acquisition at ``q``'s previous acquisition instant comes
-        here; the hot paths grant a free queue at a new instant inline.
+        same-timestamp acquisition that waits, or follows one that
+        waited, at an instant where two tie classes have met (then DES
+        micro-order picks the winner).  A handoff's recorded pair passes
+        in its order.  Every acquisition at ``q``'s previous acquisition
+        instant comes here; the hot paths grant a free queue at a new
+        instant inline (a CPU lane records the holder in ``last_burst``).
         """
         wait = q.in_use >= q.cap
-        if t == q.last_t and (burst is None or q.last_burst is None or burst != q.last_burst):
-            if wait or q.last_waited:
-                raise FastPathUnsupported(
-                    f"ambiguous same-time contention on {q.name} at t={t!r}"
-                )
+        if t == q.last_t:
+            tie = q.tie
+            if tie is not None and tie[0] == t and q.last_burst is tie[1] and waiter[3] is tie[2]:
+                q.tie = None  # the handoff's pair, in the order the DES grants it
+            elif burst is None or burst != q.last_burst:
+                if wait or q.last_waited:
+                    raise FastPathUnsupported(
+                        f"ambiguous same-time contention on {q.name} at t={t!r}"
+                    )
+                burst = None  # two classes met here: no later tie is safe
+            wait = wait or q.last_waited
         q.last_t = t
         q.last_burst = burst
         q.last_waited = wait
@@ -566,11 +602,29 @@ class Replay:
                 if v > mx:
                     mx = v
             return mx
-        cell = [len(unset), gen]
+        cell = [len(unset), gen, t, keys]
         waiters = self.waiters
         for k in unset:
             waiters.setdefault(k, []).append(cell)
         return None
+
+    def _handoff(self, gen, i: int, key, t: float) -> bool:
+        """Set ``key`` at ``t``; True if the setter steps behind its waiter.
+
+        That is when ``key`` completes the ``wait_all`` of its one
+        waiter, parked before ``t`` on keys all set before ``t``; node
+        ``i``'s CPU lane then records the pair (waiter first).
+        """
+        cells = self.waiters.get(key)
+        self._set(key, t)
+        if not cells or len(cells) != 1 or len(cells[0]) != 4:
+            return False
+        left, waiter, parked, keys = cells[0]
+        events = self.events
+        if left or parked >= t or any(events[k] >= t for k in keys if k != key):
+            return False
+        self.lane[i].tie = (t, waiter, gen)
+        return True
 
     # -- generator driver ------------------------------------------------
 
@@ -608,7 +662,7 @@ class Replay:
                 q = self.lane[i]
                 if q.in_use < q.cap and t != q.last_t:
                     q.in_use += 1
-                    q.last_t, q.last_burst, q.last_waited = t, None, False
+                    q.last_t, q.last_burst, q.last_waited = t, gen, False
                 elif not self._acq(q, t, None, (dur, "c", i, gen)):
                     return
                 heappush(heap, (t + dur, seq(), "c", i, gen, t))
@@ -649,6 +703,10 @@ class Replay:
                 return
             elif code == "set":
                 self._set(op[1], t)
+            elif code == "handoff":
+                if self._handoff(gen, op[1], op[2], t):
+                    heappush(heap, (t, seq(), "g", gen, None, None))
+                    return
             elif code == "wait_all":
                 r = self._wait_keys(gen, op[1], t)
                 if r is None:

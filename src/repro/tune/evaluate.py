@@ -82,6 +82,7 @@ def resilience_task(
     ``block_mm`` points have no full-app fault policy surface, so they
     are probed through a short (2-block) LU run that reuses the point's
     (b, b_f) split -- the block multiply is LU's co-designed kernel.
+    Every probe runs the point's own PE array size ``k``.
     """
     p = space.params(point)
     if space.kind == "fw":
@@ -100,6 +101,7 @@ def resilience_task(
         "machine": space.machine,
         "n": n,
         "b": b,
+        "k": int(p["k"]) if "k" in p else None,
         "overrides": overrides,
         "scenario": dict(scenario),
         "policy": "degrade-static",
@@ -128,6 +130,7 @@ def run_tune_task(task: dict[str, Any]) -> Any:
             preset=task["machine"],
             n=task["n"],
             b=task["b"],
+            k=task["k"],
             sim_overrides=dict(task["overrides"]),
         )
         return {

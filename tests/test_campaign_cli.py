@@ -180,6 +180,26 @@ def test_campaign_run_help_example_grid_runs_both_apps(tmp_path, capsys):
                      "xt3": (16632, 231, 33), "rasc": (16632, 231, 33)}
 
 
+def test_campaign_preset_grid_lu_replicates_all_fold_and_equal_the_des(tmp_path, capsys):
+    """``lu@rasc`` (p = 2) used to refuse every replicate with
+    ``ambiguous-tie`` at its worker/sink CPU-lane handoff; the replay now
+    orders that handoff, so no replicate of the preset grid runs the DES,
+    and the manifest is byte-identical to the one the DES writes."""
+    from repro.sim.analytic import set_fast_path_mode
+
+    args = ["campaign", "run", "--preset", "xd1,xt3,rasc", "--replicates", "3",
+            "--seed", "7", "--cache", "off", "--out"]
+    assert main(args + [str(tmp_path / "fast.json")]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "replicates:" in ln]
+    assert lines and all(ln.rstrip().endswith("0 DES (0% on the DES)") for ln in lines)
+    prev = set_fast_path_mode("off")
+    try:
+        assert main(args + [str(tmp_path / "des.json")]) == 0
+    finally:
+        set_fast_path_mode(prev)
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "des.json").read_bytes()
+
+
 def test_campaign_check_explain_blames_fpga(tmp_path, capsys):
     base = _run(tmp_path, "base.json")
     slow = _run(tmp_path, "slow.json", "--throttle-fpga", "0.8")

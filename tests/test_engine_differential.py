@@ -21,9 +21,11 @@ deadlock-free.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.lu import LuSimConfig, simulate_lu
 from repro.hw.mm_design import MatrixMultiplyDesign
 from repro.machine import ReconfigurableSystem, cray_xd1
 from repro.sim.analytic import FastPathUnsupported, Replay, ReplayCosts
@@ -152,3 +154,80 @@ def test_an_empty_send_batch_resumes_its_process():
     replayed = _replay(spec, design, programs)
     assert replayed == _des(spec, design, programs)
     assert replayed[1][0] > 0.0  # node 0 ran its op after the batch
+
+
+def test_a_wait_at_an_instant_where_two_classes_met_refuses():
+    """Reduced from the FPGA-only ``ablation-overlap`` points: at one
+    instant an untagged send takes one of node 3's two ingress links, then
+    two sends of one tie class ask, and the second must wait.  The replay
+    resumes the untagged sender inline when its first transfer ends, so it
+    asks first; the DES resumes it one step later (its mailbox put), behind
+    the two senders woken by the messages that arrived just before, and
+    makes it wait instead (makespan 0.5158253... against the replay's
+    0.5148237...).  Compared only with the previous acquisition, of its own
+    class, the waiting send passed the detector."""
+    spec = cray_xd1(p=4)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    programs = [
+        [("send", (2, 1, ("m", 1)), 0, None)],
+        [("send", (2, 1, ("m", 2)), 0, None)],
+        [("send", (0, 2, ("a",)), 0, None), ("send", (0, 3, ("x",)), 0, None),
+         ("cpu", 0, 1, ("cpu",))],
+        [("wait", (2, 1, ("m", 1))), ("send", (1, 3, ("y", 1)), 0, ("y",))],
+        [("wait", (2, 1, ("m", 2))), ("send", (1, 3, ("y", 2)), 0, ("y",))],
+    ]
+    with pytest.raises(FastPathUnsupported, match="ingress"):
+        _replay(spec, design, programs)
+    assert _des(spec, design, programs)[0] == 0.5158253128205128
+
+
+def _handoff_programs(handoff):
+    """Node 0's worker ends a gemm and hands its part to node 0's sink,
+    whose other part arrived earlier; both then ask for node 0's CPU lane.
+    The sink's ``ms`` releases node 1's last op."""
+    local = ("local",)
+    return [
+        [("send_batch", [(1, 0, ("r",)), (1, 0, ("c",))], 0), ("wait", ("ms",)),
+         ("cpu", 1, 1, ("tail",))],
+        [("wait_all", [local, (1, 0, ("r",))]), ("cpu", 0, 0, ("opMS",)), ("set", ("ms",))],
+        [("cpu", 0, 1, ("gemm", 0))] + handoff(local)
+        + [("wait", (1, 0, ("c",))), ("cpu", 0, 0, ("gemm", 1))],
+    ]
+
+
+def test_a_handoff_grants_the_sink_first_as_the_des_does():
+    spec = cray_xd1(p=2)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    programs = _handoff_programs(lambda key: [("handoff", 0, key)])
+    replayed = _replay(spec, design, programs)
+    assert replayed == _des(spec, design, programs)
+    gemm, opms = (ReplayCosts(spec, design.freq_hz).cpu(WORK["cpu"][w]) for w in (1, 0))
+    assert replayed[0] == gemm + opms + gemm  # node 1's tail follows the sink's opMS
+    # The same collision without the handoff's rule is an ambiguous tie.
+    plain = _handoff_programs(lambda key: [("set", key), ("wait", key)])
+    with pytest.raises(FastPathUnsupported, match="lane"):
+        _replay(spec, design, plain)
+
+
+@given(
+    p=st.sampled_from([2, 3, 4, 6]),
+    nb=st.integers(2, 6),
+    b_f=st.sampled_from([0, 1080, 3000]),
+    l=st.integers(0, 5),
+    overlap=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_lu_replay_matches_des_bitwise_unless_it_refuses(p, nb, b_f, l, overlap):
+    """Random LU points: every point the replay accepts equals the DES in
+    every result field (CPU-only, hybrid and FPGA-only, with and without
+    overlap)."""
+    spec = cray_xd1(p=p)
+    config = LuSimConfig(n=3000 * nb, b=3000, k=8, b_f=b_f, l=l, overlap=overlap)
+    try:
+        fast = simulate_lu(spec, config, fast_path="on")
+    except FastPathUnsupported as exc:
+        assert exc.reason == "ambiguous-tie"
+        return
+    des = simulate_lu(spec, config, fast_path="off")
+    assert (fast.elapsed, fast.cpu_busy, fast.fpga_busy, fast.network_bytes) == (
+        des.elapsed, des.cpu_busy, des.fpga_busy, des.network_bytes)

@@ -47,7 +47,7 @@ def _without(processes, bad):
 def _lu(a, config, p, order, processes=None):
     guard = CoordinationGuard(enforce=True)
     blocks = LuBlocks(a, config, BlockCyclicLayout(config.nb, p), guard)
-    res = blocks.run(processes or lu_processes(config, p, 1, Physical), order.randrange)
+    res = blocks.run(processes or lu_processes(config, p, Physical), order.randrange)
     assert guard.clean
     return res
 
@@ -72,7 +72,7 @@ def test_lu_without_the_owners_opms_wait_goes_wrong_in_some_order():
         return op[0] == "wait_all" and op[1][0][0] == "ms"
 
     def broken(order):
-        procs = _without(lu_processes(config, 3, 1, Physical), owner_skips_opms)
+        procs = _without(lu_processes(config, 3, Physical), owner_skips_opms)
         try:
             return lu_residual(a, _lu(a, config, 3, order, procs).lu) > LU_TOL
         except HazardError:

@@ -5,10 +5,11 @@ Pins the ``repr`` of ``elapsed``, ``cpu_busy``, ``fpga_busy`` and
 
 - a fixed LU grid on the XD1: p in {2, 3, 4, 6}, n/b in {2, 4, 6, 10},
   b_f in {0, 344, 1080, 3000}, l in {0, 1, 3, 5}, overlap on and off;
-- the seven ``experiments`` LU points that refuse with ``ambiguous-tie``
-  (fig9-lu's two baselines, ablation-overlap's four FPGA-only points and
-  ext-scaling's p = 2 point), so a change to the replay's same-instant
-  order or to its ambiguity detector shows up as a changed refusal;
+- the seven ``experiments`` LU points that refused with
+  ``ambiguous-tie`` (fig9-lu's two baselines, which still do,
+  ablation-overlap's four FPGA-only points and ext-scaling's p = 2
+  point, which now replay), so a change to the replay's same-instant
+  order or to its ambiguity detector shows up as a changed line;
 - stall-folded LU, FW and MM runs on three presets, each with its
   fault injector's log.
 
@@ -51,7 +52,7 @@ def _lu_grid():
 
 
 def _lu_refusals():
-    """The ``experiments`` LU points the replay refuses as ambiguous ties."""
+    """The ``experiments`` LU points the replay refused as ambiguous ties."""
     slow = with_fpga_dram_bandwidth(cray_xd1(), 0.104e9)  # ablation-overlap's slow B_d
     runs = [
         ("fig9-lu-cpu-only", cray_xd1(), dict(n=30000, b_f=0, l=3)),

@@ -389,6 +389,32 @@ def test_run_tune_resilience_rung_adds_third_objective():
             assert 0.0 <= row["objectives"]["resilience"] <= 1.0
 
 
+def test_resilience_probe_runs_the_points_own_k(monkeypatch):
+    """``mm-codesign`` crosses ``b_f`` with the PE count ``k``: each
+    candidate's fault probe must build its design at that ``k``, not at
+    the device's default (8 on the XD1)."""
+    from repro.faults import build_scenario
+    from repro.tune.evaluate import resilience_task
+
+    space = named_space("mm-codesign")
+    scenario = build_scenario("degraded-link", seed=7).to_dict()
+    tasks = {k: resilience_task(space, {"b_f": 1000, "k": k}, scenario) for k in (4, 8)}
+    assert tasks[4] != tasks[8] and tasks[4]["k"] == 4
+    seen = []
+    import repro.faults as faults
+
+    real = faults.run_with_faults
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append(result.nominal_partition["k"])
+        return result
+
+    monkeypatch.setattr(faults, "run_with_faults", spy)
+    run_tune_task(tasks[4])
+    assert seen == [4]
+
+
 def test_run_tune_telemetry_stays_out_of_manifest(tmp_path):
     telemetry = {}
     manifest = run_tune(
