@@ -315,7 +315,13 @@ def fw_partition(n: int, b: int, k: int, params: SystemParameters) -> FwPartitio
     t_p, t_f, t_comm, t_mem = fw_op_times(b, k, params)
     # l1 (T_p + T_f - T_mem) = total (T_f - T_mem) - T_comm
     effective = t_f - t_mem
-    l1_exact = (total * effective - t_comm) / (t_p + effective)
+    if t_p + effective == 0.0:
+        # No balance point: with T_p = T_mem - T_f the CPU side outlasts
+        # the FPGA side by total T_p + T_comm at every split, and it is
+        # shortest when the CPU takes every column.
+        l1_exact = float(total)
+    else:
+        l1_exact = (total * effective - t_comm) / (t_p + effective)
     l1 = int(round(l1_exact))
     l1 = min(max(l1, 0), total)
     return FwPartition(

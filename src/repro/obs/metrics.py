@@ -28,7 +28,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 __all__ = [
     "Counter",
@@ -358,6 +358,40 @@ class MetricsRegistry:
     def snapshot(self) -> list[dict[str, Any]]:
         """Every series as a JSON-able dict, in sorted (name, labels) order."""
         return [inst.snapshot() for _, inst in sorted(self._series.items())]
+
+    # -- shipping counters between processes ------------------------------
+
+    def counter_values(self, names: Optional[Iterable[str]] = None) -> dict[tuple, float]:
+        """Every counter's value by ``(name, labels)`` key; only the
+        counters named in ``names`` when it is given."""
+        wanted = None if names is None else frozenset(names)
+        return {
+            key: inst.value
+            for key, inst in self._series.items()
+            if isinstance(inst, Counter) and (wanted is None or key[0] in wanted)
+        }
+
+    def counter_deltas(
+        self, before: dict[tuple, float], names: Optional[Iterable[str]] = None
+    ) -> dict[tuple, float]:
+        """The increments of the counters that moved since ``before`` (a
+        :meth:`counter_values` taken with the same ``names``).
+
+        A child process returns these with its work, and its parent adds
+        them with :meth:`add_counters`, so a count reads the same whichever
+        process did the work.
+        """
+        return {
+            key: value - before.get(key, 0.0)
+            for key, value in self.counter_values(names).items()
+            if value != before.get(key, 0.0)
+        }
+
+    def add_counters(self, deltas: dict[tuple, float]) -> None:
+        """Add increments shipped from another process (see
+        :meth:`counter_deltas`)."""
+        for (name, labels), delta in deltas.items():
+            self.counter(name, **dict(labels)).inc(delta)
 
     def reset(self) -> None:
         """Drop every series (tests and per-run CLI isolation)."""

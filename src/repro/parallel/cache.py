@@ -180,6 +180,13 @@ class ResultCache:
             "evictions": self.evictions,
         }
 
+    def add_stats(self, delta: dict[str, int]) -> None:
+        """Add :attr:`stats` increments made by another process's copy of
+        this cache (the service's job worker).  The registry mirrors are
+        not touched: that process ships its registry counters itself."""
+        for name, value in delta.items():
+            setattr(self, name, getattr(self, name) + value)
+
     @property
     def hit_rate(self) -> float:
         """Hits per lookup (0.0 before the first lookup)."""

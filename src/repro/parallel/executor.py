@@ -60,15 +60,6 @@ STRAGGLER_FACTOR = 1.5
 SHIPPED_COUNTERS = ("fastpath.points", "fastpath.fallback", "fastpath.deferral")
 
 
-def _shipped_counts() -> dict[tuple, float]:
-    """Current values of the :data:`SHIPPED_COUNTERS` series."""
-    return {
-        (counter.name, tuple(sorted(counter.labels.items()))): counter.value
-        for name in SHIPPED_COUNTERS
-        for counter in REGISTRY.series(name)
-    }
-
-
 def resolve_jobs(jobs: Optional[int | str] = None) -> int:
     """The effective worker count for ``jobs`` (see module docstring)."""
     raw: Any = jobs if jobs is not None else os.environ.get(PARALLEL_ENV_VAR)
@@ -110,15 +101,11 @@ def _run_chunk(fn: Callable[[Any], Any], chunk: list[Any]) -> bytes:
     telemetry: queue waits, busy time, imbalance, stragglers.  It also
     carries the chunk's increments of the :data:`SHIPPED_COUNTERS`.
     """
-    before = _shipped_counts()
+    before = REGISTRY.counter_values(SHIPPED_COUNTERS)
     start = time.time()
     results = [fn(v) for v in chunk]
     end = time.time()
-    counters = {
-        key: value - before.get(key, 0.0)
-        for key, value in _shipped_counts().items()
-        if value != before.get(key, 0.0)
-    }
+    counters = REGISTRY.counter_deltas(before, SHIPPED_COUNTERS)
     return pickle.dumps(
         {"results": results, "pid": os.getpid(), "start": start, "end": end,
          "counters": counters},
@@ -244,8 +231,7 @@ class SweepExecutor:
             for fut, submitted, size in futures:
                 payload = pickle.loads(fut.result())
                 results.extend(payload["results"])
-                for (name, labels), delta in payload["counters"].items():
-                    REGISTRY.counter(name, **dict(labels)).inc(delta)
+                REGISTRY.add_counters(payload["counters"])
                 spans.append(
                     {
                         "pid": payload["pid"],

@@ -6,9 +6,10 @@ manifests (:mod:`~repro.service.jobs`), deduplicated against in-flight
 work and the content-addressed result cache, queued by priority class
 (:mod:`~repro.service.queue`), and executed by the one job-kind table
 the CLI's job commands also run through (:mod:`~repro.service.runners`)
-on one shared persistent worker pool.  :mod:`~repro.service.server` is the
-stdlib-only asyncio HTTP server; :mod:`~repro.service.client` the thin
-synchronous client the CLI ``client`` group uses.
+in one forked job-worker process (:mod:`~repro.service.worker`).
+:mod:`~repro.service.server` is the stdlib-only asyncio HTTP server;
+:mod:`~repro.service.client` the thin synchronous client the CLI
+``client`` group uses.
 
 See ``docs/service.md`` for the API reference and job lifecycle.
 """

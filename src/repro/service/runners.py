@@ -37,9 +37,9 @@ class RunnerContext:
     """What a runner may use: the executor and cache every kind maps on.
 
     ``executor`` is the :class:`~repro.parallel.executor.SweepExecutor`
-    every kind passes on as its ``jobs=`` (the server's persistent pool,
-    reused across jobs so it pays startup once; the CLI's is built per
-    command); None lets each sweep build its own from
+    every kind passes on as its ``jobs=`` (the server's persistent pool
+    in its job worker, reused across jobs so it pays startup once; the
+    CLI's is built per command); None lets each sweep build its own from
     ``REPRO_PARALLEL``.  ``cache`` is a :class:`~repro.parallel.cache.
     ResultCache` or None (no cache: the environment is never consulted).
     ``jobs`` is ignored: nothing reads it, and it stays only because

@@ -21,13 +21,17 @@ framing) and exposes
   in-flight dedup window deterministically).
 
 One worker coroutine drains the :class:`~repro.service.queue.JobQueue`
-(priority classes, FIFO within) and runs each job's blocking runner in
-a thread so the event loop keeps serving status requests; the runners
-share one persistent :class:`~repro.parallel.executor.SweepExecutor`,
-so the process pool pays startup once across all jobs.  Worker crashes
-are retried with exponential backoff up to ``max_retries`` before the
-job is marked ``failed``.  On shutdown (``stop``, wired to SIGTERM by
-``repro-xd1 serve``) the listener closes, the queue drains, and every
+(priority classes, FIFO within) and awaits each job's runner in the one
+job-worker process :meth:`CodesignServer.start` forks
+(:class:`~repro.service.worker.JobWorker`), so a simulation never holds
+the GIL the event loop answers requests with.  The runners share the
+worker's one persistent :class:`~repro.parallel.executor.SweepExecutor`,
+so its process pool pays startup once across all jobs.  A runner that
+raises, or a worker that dies (a fresh one is forked), is retried with
+exponential backoff up to ``max_retries`` before the job is marked
+``failed``.  Dedup, the job-level cache and the ledger stay on the
+loop.  On shutdown (``stop``, wired to SIGTERM by ``repro-xd1 serve``)
+the listener closes, the queue drains, the worker exits, and every
 completed job has already been appended to the run ledger as a schema-7
 ``service`` entry.
 
@@ -51,7 +55,8 @@ from ..parallel.cache import as_cache
 from ..parallel.executor import SweepExecutor
 from .jobs import Job, JobError, job_key, normalize_request, result_payload
 from .queue import DEFAULT_PRIORITY, PRIORITIES, JobQueue, RateLimiter
-from .runners import RunnerContext, run_manifest
+from .runners import RunnerContext
+from .worker import JobWorker
 
 __all__ = ["CodesignServer", "ServerThread", "SERVICE_COUNTERS"]
 
@@ -111,7 +116,7 @@ class CodesignServer:
         fixed ports.
     jobs:
         Worker count for the shared sweep executor (int, ``"auto"`` or
-        None for ``REPRO_PARALLEL``).
+        None for ``REPRO_PARALLEL``); its pool lives in the job worker.
     cache:
         Result-cache directory or :class:`~repro.parallel.cache.
         ResultCache`; None disables job-level and point-level caching.
@@ -124,6 +129,9 @@ class CodesignServer:
     max_retries:
         Crashed runners are retried this many times (exponential
         backoff from ``retry_backoff_s``) before the job fails.
+
+    Register custom kinds before :meth:`start`: the job worker is forked
+    with the kind table as it is then.
     """
 
     def __init__(
@@ -142,8 +150,11 @@ class CodesignServer:
         self.host = host
         self.port = port
         self.bound_port: Optional[int] = None
+        #: The sweep executor the jobs map on.  The job worker maps on its
+        #: forked copy; this one keeps the size and the last map's mode.
         self.executor = SweepExecutor(jobs)
         self.cache = None if cache is None else as_cache(cache)
+        self.worker = JobWorker(RunnerContext(self.executor, self.cache))
         if ledger is None:
             self.ledger = None
         else:
@@ -181,7 +192,9 @@ class CodesignServer:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> "CodesignServer":
-        """Bind the listener and start the worker loop."""
+        """Fork the job worker, bind the listener, start the worker loop."""
+        # First, so the worker inherits no listening socket and no thread.
+        await self.worker.start()
         self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port, limit=_MAX_HEAD
@@ -215,7 +228,7 @@ class CodesignServer:
         if self._worker_task is not None:
             await self._worker_task
             self._worker_task = None
-        self.executor.close()
+        self.worker.close()
 
     def pause(self) -> None:
         """Hold the worker loop (queued jobs stay queued)."""
@@ -367,7 +380,6 @@ class CodesignServer:
             await self._run_job(job)
 
     async def _run_job(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
         job.state = "running"
         job.mark("started")
         job.add_event("started", queue_wait_s=job.queue_wait_s)
@@ -375,7 +387,7 @@ class CodesignServer:
             while True:
                 job.attempts += 1
                 try:
-                    result = await loop.run_in_executor(None, self._execute, job)
+                    result = await self._execute(job)
                 except JobError as exc:
                     # A bad manifest can never succeed on retry.
                     self._fail(job, str(exc))
@@ -399,17 +411,12 @@ class CodesignServer:
         finally:
             self.inflight.pop(job.key, None)
 
-    def _execute(self, job: Job) -> Any:
-        """Run the job's runner (called in a thread; blocking is fine)."""
-        self.executor.scope = job.id
-        # A job that maps nothing (every point cached) gets no telemetry
-        # rather than the previous job's.
-        self.executor.last_telemetry = {}
-        try:
-            return run_manifest(job.manifest, RunnerContext(self.executor, self.cache))
-        finally:
-            job.telemetry = dict(self.executor.last_telemetry)
-            self.executor.scope = None
+    async def _execute(self, job: Job) -> Any:
+        """Run the job's runner in the job worker; raises its error."""
+        result, job.telemetry, error = await self.worker.run(job.manifest, job.id)
+        if error is not None:
+            raise error
+        return result
 
     # ------------------------------------------------------------ HTTP layer
 

@@ -8,7 +8,7 @@ work to the device that overlaps it).
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -122,6 +122,9 @@ def test_lu_partition_faster_cpu_takes_more_rows(b_over_k, k, scale):
     k=st.sampled_from([2, 4, 8]),
 )
 @settings(max_examples=60)
+# T_p = T_mem - T_f exactly: Eq. (6)'s denominator is zero.
+@example(params=SystemParameters(p=2, o_f=4, f_f=50e6, cpu_flops=1e8, b_d=1e8, b_n=1e8),
+         cols=1, b_over_k=2, k=2)
 def test_fw_partition_invariants(params, cols, b_over_k, k):
     b = b_over_k * k
     n = b * params.p * cols

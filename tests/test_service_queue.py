@@ -212,13 +212,32 @@ def test_tune_adhoc_space_normalizes_to_its_grid():
 # ------------------------------------------------- server-level semantics
 #
 # These use throwaway registered kinds so queue/retry behaviour is
-# exercised without paying for a real simulation.
+# exercised without paying for a real simulation.  The runners run in
+# the server's job-worker process, so what they record goes through a
+# file under tmp_path.
+
+
+class _FileState:
+    """Named values kept in a JSON file: a runner in the job worker and
+    the test read and write the same ones."""
+
+    def __init__(self, path, **values):
+        self.path = path
+        path.write_text(json.dumps(values))
+
+    def __getitem__(self, name):
+        return json.loads(self.path.read_text())[name]
+
+    def __setitem__(self, name, value):
+        values = json.loads(self.path.read_text())
+        values[name] = value
+        self.path.write_text(json.dumps(values))
 
 
 @pytest.fixture
-def flaky_kind():
+def flaky_kind(tmp_path):
     """A registered kind whose runner fails N times before succeeding."""
-    state = {"failures_left": 0, "calls": 0}
+    state = _FileState(tmp_path / "flaky.json", failures_left=0, calls=0)
 
     def runner(params, ctx):
         state["calls"] += 1
@@ -315,13 +334,15 @@ def test_bad_requests_are_400_not_500(flaky_kind):
     assert health["status"] == "ok"
 
 
-def test_priority_classes_drain_in_order(flaky_kind):
+def test_priority_classes_drain_in_order(flaky_kind, tmp_path):
     """With the worker paused, queued jobs drain interactive -> default
     -> batch regardless of submission order."""
-    order = []
+    log = tmp_path / "order.txt"
+    log.write_text("")
 
     def runner(params, ctx):
-        order.append(params["tag"])
+        with open(log, "a") as fh:
+            fh.write(params["tag"] + "\n")
         return {"tag": params["tag"]}
 
     register_runner("ordered", runner, normalizer=lambda p: dict(p))
@@ -341,6 +362,7 @@ def test_priority_classes_drain_in_order(flaky_kind):
                 client.wait(doc["id"], timeout=30)
     finally:
         unregister_runner("ordered")
+    order = log.read_text().split()
     assert order == ["interactive", "default", "batch"]
 
 

@@ -19,6 +19,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -41,13 +42,20 @@ def pinned_env(monkeypatch):
 @pytest.fixture
 def server(tmp_path):
     """A ``serve --port 0 --jobs 1`` process: yields (address, proc, ledger)."""
+    yield from _serve(tmp_path, "1")
+
+
+def _serve(tmp_path, jobs):
+    """Run ``serve --port 0 --jobs <jobs>`` in a session of its own;
+    yields (address, proc, ledger) and kills what is left afterwards."""
     ledger = tmp_path / "ledger.jsonl"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0", "--jobs", "1",
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0", "--jobs", jobs,
          "--cache", str(tmp_path / "cache"), "--ledger", str(ledger)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        start_new_session=True,
     )
     try:
         line = ""
@@ -60,7 +68,34 @@ def server(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
+        for pid in _procs(session=proc.pid):
+            os.kill(pid, signal.SIGKILL)
         proc.stdout.close()
+
+
+def _procs(**match: int) -> list[int]:
+    """The live (non-zombie) processes with the given ``ppid`` or
+    ``session`` (fields of ``/proc/<pid>/stat``)."""
+    index = {"ppid": 1, "session": 3}
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while listed
+        if fields[0] != "Z" and all(int(fields[index[k]]) == v for k, v in match.items()):
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def _until_gone(pids: list[int], timeout: float) -> list[int]:
+    """Wait up to ``timeout`` s for ``pids`` to end; returns the live ones."""
+    deadline = time.monotonic() + timeout
+    while True:
+        live = [pid for pid in pids if pid in _procs()]
+        if not live or time.monotonic() > deadline:
+            return live
+        time.sleep(0.05)
 
 
 def _client(addr, capsys, *argv) -> tuple[int, str]:
@@ -155,3 +190,42 @@ def test_campaign_job_over_http_equals_campaign_run(pinned_env, server, capsys, 
     page = html.read_text(encoding="utf-8")
     assert "Service jobs" in page
     assert not re.search(r"<script|https?://", page), "dashboard is not self-contained"
+
+
+@pytest.mark.parametrize("how", ["sigterm", "sigkill"])
+def test_no_server_process_outlives_the_server(how, tmp_path, capsys):
+    """The server, its job worker and the worker's sweep pool (``--jobs
+    2``) all end with a SIGTERM drain, and within 5 s of a SIGKILL of the
+    server alone: the worker notices its parent is gone."""
+    if not Path("/proc/self/stat").is_file():
+        pytest.skip("needs /proc")
+    for addr, proc, _ledger in _serve(tmp_path, "2"):
+        rc, out = _client(addr, capsys, "submit", "sweep", "--param", "experiments=fig5",
+                          "--wait")
+        assert rc == 0 and "state=completed" in out
+        assert len(_procs(session=proc.pid)) >= 4  # server, worker, two sweep workers
+        if how == "sigterm":
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            assert _procs(session=proc.pid) == []
+        else:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            assert _until_gone(_procs(session=proc.pid), timeout=5.0) == []
+
+
+def test_sigterm_to_the_worker_ends_the_worker_not_the_server(tmp_path, capsys):
+    """The worker does not keep the server's signal handlers: a SIGTERM
+    sent to it alone ends it, the server keeps serving, and the next job
+    runs on a freshly forked worker."""
+    if not Path("/proc/self/stat").is_file():
+        pytest.skip("needs /proc")
+    for addr, proc, _ledger in _serve(tmp_path, "1"):
+        (worker,) = _procs(ppid=proc.pid)
+        os.kill(worker, signal.SIGTERM)
+        assert _until_gone([worker], timeout=5.0) == []
+        rc, out = _client(addr, capsys, "submit", "design", "--param", "app=lu",
+                          "--param", "n=6000", "--param", "b=1200", "--wait")
+        assert rc == 0 and "state=completed" in out
+        assert proc.poll() is None
+        assert len(_procs(ppid=proc.pid)) == 1
