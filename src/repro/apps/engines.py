@@ -8,7 +8,10 @@ in spawn order.  :func:`replay_schedule` runs them on the analytic
 machine through :class:`~repro.sim.interpret.DesInterpreter`.  Both
 return the fields every ``*SimResult`` shares -- ``elapsed``,
 ``trace``, ``cpu_busy``, ``fpga_busy`` and ``network_bytes`` -- and the
-two agree bitwise wherever the replay does not refuse.
+two agree bitwise wherever the replay does not refuse.  A schedule
+``Replay`` refuses as an ambiguous tie replays on
+:class:`~repro.sim.stepped.StepReplay`, which takes the DES's
+same-instant order.
 :func:`run_schedule` is the one driver every ``simulate_*`` entry point
 hands its schedule to: the fast path first, the DES otherwise.
 """
@@ -18,8 +21,10 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from ..machine.system import MachineSpec, ReconfigurableSystem
-from ..sim.analytic import Replay, ReplayCosts, SteadyRates, fault_nodes, try_fast_path
+from ..sim.analytic import (FastPathUnsupported, Replay, ReplayCosts, SteadyRates,
+                            fault_nodes, try_fast_path)
 from ..sim.interpret import DesInterpreter, Physical
+from ..sim.stepped import StepReplay
 
 __all__ = ["des_schedule", "replay_schedule", "run_schedule"]
 
@@ -38,16 +43,18 @@ def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
     ``dma_stall`` in ``rates.stalls`` becomes a ``stall`` op spawned
     before the schedule, in :meth:`FaultInjector.install`'s order, as
     the DES spawns its stall processes; the replay's stall marks are
-    appended to ``stall_log`` once the run completes.
+    appended to ``stall_log`` once the run completes.  When ``Replay``
+    refuses an ambiguous tie, the schedule replays on
+    :class:`StepReplay` (which refuses only where a stall meets the
+    schedule at one instant).
     """
-    p = spec.p
-    engine = Replay(p, spec.network.links_per_node)
-    for event in rates.stalls:
-        for i in fault_nodes(event.node, p):
-            engine.spawn(_stall(event, i), event.at)
-    for _, ops in processes(ReplayCosts(spec, freq_hz, rates)):
-        engine.advance(ops, 0.0)
-    elapsed = engine.run()
+    try:
+        engine = _replayed(Replay, spec, freq_hz, rates, processes)
+    except FastPathUnsupported as exc:
+        if exc.reason != "ambiguous-tie":
+            raise
+        engine = _replayed(StepReplay, spec, freq_hz, rates, processes)
+    elapsed = engine.max_t
     stall_log.extend(engine.marks)
     return dict(
         elapsed=elapsed,
@@ -56,6 +63,20 @@ def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
         fpga_busy=engine.fpga_busy,
         network_bytes=engine.net_bytes,
     )
+
+
+def _replayed(engine_type, spec: MachineSpec, freq_hz: float, rates: SteadyRates,
+              processes: Processes):
+    """A fresh ``engine_type`` run to the end over the schedule."""
+    p = spec.p
+    engine = engine_type(p, spec.network.links_per_node)
+    for event in rates.stalls:
+        for i in fault_nodes(event.node, p):
+            engine.spawn(_stall(event, i), event.at)
+    for _, ops in processes(ReplayCosts(spec, freq_hz, rates)):
+        engine.process(ops)
+    engine.run()
+    return engine
 
 
 def des_schedule(spec: MachineSpec, design, processes: Processes, trace: bool = False,

@@ -65,7 +65,10 @@ rule for one instant is in :class:`~repro.sim.analytic.Replay`):
   CPU-only run replays wrong): those jobs keep a plain ``set`` and
   ``wait`` and claim no order.
 
-Any other same-time collision refuses to the DES.
+Any other same-time collision refuses, and the schedule replays on
+:class:`~repro.sim.stepped.StepReplay`, which takes every DES step (the
+per-op step table is in its class doc): the CPU-only jobs above, for
+one, replay there.
 """
 
 from __future__ import annotations

@@ -16,9 +16,18 @@ import hashlib
 import json
 import math
 from itertools import product
+from operator import itemgetter
 from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = ["canonical", "canonical_json", "canonical_key", "ParamGrid"]
+
+
+#: Exact types that are their own canonical form.
+_PLAIN = frozenset((str, int, bool, type(None)))
+#: Per dataclass type: its ``__dataclass__`` tag and field names.
+_DATACLASSES: dict[type, tuple[str, tuple[str, ...]]] = {}
+_BY_KEY = itemgetter(0)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def canonical(value: Any) -> Any:
@@ -31,30 +40,43 @@ def canonical(value: Any) -> Any:
     sweep).  NumPy scalars reduce to their Python equivalents via
     ``item()``; floats stay floats (``repr`` round-trips exactly through
     JSON, so keys are bit-precise).
+
+    Every cache lookup canonicalises its task, so the common exact types
+    are dispatched first and a dataclass's fields are read once per
+    type; subclasses and everything else take the general checks.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        out: dict[str, Any] = {"__dataclass__": f"{cls.__module__}.{cls.__qualname__}"}
-        for field in dataclasses.fields(value):
-            out[field.name] = canonical(getattr(value, field.name))
+    cls = type(value)
+    if cls in _PLAIN:
+        return value
+    if cls is float:
+        return _finite(value)
+    if cls is dict:
+        items = [(k if type(k) is str else str(k), canonical(v)) for k, v in value.items()]
+        items.sort(key=_BY_KEY)
+        return dict(items)
+    if cls is list or cls is tuple:
+        return [canonical(v) for v in value]
+    shape = _DATACLASSES.get(cls)
+    if shape is None and dataclasses.is_dataclass(cls) and cls is not type:
+        shape = _DATACLASSES[cls] = (
+            f"{cls.__module__}.{cls.__qualname__}",
+            tuple(field.name for field in dataclasses.fields(cls)),
+        )
+    if shape is not None:
+        out: dict[str, Any] = {"__dataclass__": shape[0]}
+        for name in shape[1]:
+            out[name] = canonical(getattr(value, name))
         return out
     if isinstance(value, Mapping):
         items = [(str(k), canonical(v)) for k, v in value.items()]
-        items.sort(key=lambda kv: kv[0])
+        items.sort(key=_BY_KEY)
         return dict(items)
     if isinstance(value, (list, tuple)):
         return [canonical(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted((canonical(v) for v in value), key=repr)
     if isinstance(value, (str, int, float, bool)) or value is None:
-        if isinstance(value, float) and not math.isfinite(value):
-            # json.dumps would emit non-standard ``NaN``/``Infinity`` tokens
-            # that strict parsers reject, so keys stop round-tripping.
-            raise TypeError(
-                f"cannot canonicalise non-finite float {value!r}: "
-                "cache keys must be strict JSON"
-            )
-        return value
+        return _finite(value) if isinstance(value, float) else value
     # NumPy scalars (and anything else with an exact Python equivalent).
     item = getattr(value, "item", None)
     if callable(item):
@@ -64,13 +86,22 @@ def canonical(value: Any) -> Any:
     raise TypeError(f"cannot canonicalise {type(value).__name__!r} value {value!r}")
 
 
+def _finite(value: float) -> float:
+    if math.isfinite(value):
+        return value
+    # json.dumps would emit non-standard ``NaN``/``Infinity`` tokens that
+    # strict parsers reject, so keys stop round-tripping.
+    raise TypeError(
+        f"cannot canonicalise non-finite float {value!r}: cache keys must be strict JSON"
+    )
+
+
 def canonical_json(value: Any) -> str:
     """The canonical JSON text of ``value`` (sorted keys, no whitespace)."""
     # allow_nan=False backstops :func:`canonical`: nothing non-finite may
-    # reach the wire even through a future canonicalisation hole.
-    return json.dumps(
-        canonical(value), sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    # reach the wire even through a future canonicalisation hole.  One
+    # encoder serves every call (json.dumps builds one per call).
+    return _ENCODER.encode(canonical(value))
 
 
 def canonical_key(value: Any) -> str:

@@ -27,7 +27,11 @@ forks a fresh worker on its next call.  The worker resets SIGTERM and
 SIGINT to their defaults (the inherited handlers would wake the
 server's loop instead of stopping the worker), and it exits, killing
 its own sweep pool first, as soon as the server process is gone: it
-reads a pipe whose only write end the server holds.
+reads a pipe whose only write end the server holds.  A worker forked
+after a crash copies the server's listening socket and every open
+connection; it points each inherited socket at ``/dev/null`` (its own
+descriptors are pipes), so the port and those connections close when
+the server closes them, not when the worker exits.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import multiprocessing
 import multiprocessing.util
 import os
 import signal
+import stat
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -56,6 +61,7 @@ def _init(ctx: RunnerContext, death_r: int, death_w: int) -> None:
     """Worker-side set-up, run once right after the fork."""
     global _CTX
     os.close(death_w)  # the server's end: EOF on death_r means it is gone
+    _drop_inherited_sockets()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
@@ -66,6 +72,26 @@ def _init(ctx: RunnerContext, death_r: int, death_w: int) -> None:
     multiprocessing.util.Finalize(None, ctx.executor.close, exitpriority=100)
     threading.Thread(target=_exit_with_server, args=(death_r,), daemon=True,
                      name="job-worker-parent-watch").start()
+
+
+def _drop_inherited_sockets() -> None:
+    """Release every socket the fork copied from the server.
+
+    Each one's descriptor is re-pointed at ``/dev/null`` rather than
+    closed, so a copied socket object that closes its descriptor later
+    cannot close whatever reused the number.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/dev/fd"):
+            fd = int(name)
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:  # the listing's own descriptor, closed by now
+                continue
+    finally:
+        os.close(null)
 
 
 def _exit_with_server(death_r: int) -> None:

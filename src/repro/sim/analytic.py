@@ -32,6 +32,12 @@ Two layers live here:
   - a ``handoff`` orders the two CPU-lane requests it causes by the DES
     steps each takes (see :class:`Replay`).
 
+  A schedule ``Replay`` refuses as an ambiguous tie replays on
+  :class:`repro.sim.stepped.StepReplay`, which takes the DES's
+  same-instant order step by step (see
+  :func:`repro.apps.engines.replay_schedule`); only what that refuses
+  too goes to the DES.
+
 * Mode resolution -- ``fast_path`` arguments on the ``simulate_*``
   entry points accept ``"auto"`` (use the fast path when eligible, fall
   back to the DES otherwise), ``"on"`` (raise if ineligible) and
@@ -475,7 +481,9 @@ class Replay:
     acquisition with the previous one alone let a third, waiting one
     through after two granted ones of different classes.  Any other
     same-timestamp contention raises :class:`FastPathUnsupported` -- the
-    caller falls back to the DES, so refusals cost accuracy nothing.
+    caller replays the schedule on :class:`~repro.sim.stepped.StepReplay`
+    (the DES's order, one queue entry per same-instant step), so refusals
+    cost accuracy nothing.
 
     The rule for one instant that a ``handoff`` adds counts DES steps
     (each ``succeed``, each yield on an event triggered but not yet
@@ -627,6 +635,10 @@ class Replay:
         return True
 
     # -- generator driver ------------------------------------------------
+
+    def process(self, gen) -> None:
+        """Start a schedule process at t = 0."""
+        self.advance(gen, 0.0)
 
     def spawn(self, gen, at: float) -> None:
         """Start ``gen`` at time ``at`` (at once when ``at <= 0``)."""

@@ -17,19 +17,26 @@ see same-time contention between processes, as the LU owner and opMS
 sink do.  Messages and events only flow from lower to higher process
 ids and sends never wait on their receiver, so every drawn schedule is
 deadlock-free.
+
+:class:`repro.sim.stepped.StepReplay`, which takes the DES's
+same-instant order, runs the same schedules and must match the DES on
+every one of them, refusing none.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import build_design
 from repro.apps.lu import LuSimConfig, simulate_lu
 from repro.hw.mm_design import MatrixMultiplyDesign
 from repro.machine import ReconfigurableSystem, cray_xd1
-from repro.sim.analytic import FastPathUnsupported, Replay, ReplayCosts
+from repro.obs.metrics import REGISTRY
+from repro.sim.analytic import FastPathUnsupported, Replay, ReplayCosts, set_fast_path_mode
 from repro.sim.interpret import DesInterpreter, Physical
+from repro.sim.stepped import StepReplay
 
 #: Physical work per kind of cost; the drawn ops index into these.
 WORK = {
@@ -108,10 +115,15 @@ def _priced(programs, price):
     ]
 
 
-def _replay(spec, design, programs):
-    engine = Replay(spec.p, spec.network.links_per_node)
+def _replay(spec, design, programs, engine_type=Replay, start="process"):
+    """The programs on ``engine_type``, each started with ``start``
+    (``"process"``, or ``"spawn"`` for processes it cannot order)."""
+    engine = engine_type(spec.p, spec.network.links_per_node)
     for ops in _priced(programs, ReplayCosts(spec, design.freq_hz)):
-        engine.advance(iter(ops), 0.0)
+        if start == "process":
+            engine.process(iter(ops))
+        else:
+            engine.spawn(iter(ops), 0.0)
     return engine.run(), engine.cpu_busy, engine.fpga_busy, engine.net_bytes
 
 
@@ -142,6 +154,15 @@ def test_replay_matches_des_bitwise_unless_it_refuses(schedule):
         assert exc.reason == "ambiguous-tie"
         return
     assert replayed == _des(spec, design, programs)
+
+
+@given(schedules())
+@settings(max_examples=300, deadline=None)
+def test_stepped_replay_matches_des_bitwise(schedule):
+    p, _nodes, programs = schedule
+    spec = cray_xd1(p=p)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    assert _replay(spec, design, programs, StepReplay) == _des(spec, design, programs)
 
 
 def test_an_empty_send_batch_resumes_its_process():
@@ -209,25 +230,80 @@ def test_a_handoff_grants_the_sink_first_as_the_des_does():
         _replay(spec, design, plain)
 
 
+def _same_lu(a, b) -> bool:
+    return (a.elapsed, a.cpu_busy, a.fpga_busy, a.network_bytes) == (
+        b.elapsed, b.cpu_busy, b.fpga_busy, b.network_bytes)
+
+
 @given(
     p=st.sampled_from([2, 3, 4, 6]),
-    nb=st.integers(2, 6),
+    nb=st.integers(2, 10),
     b_f=st.sampled_from([0, 1080, 3000]),
     l=st.integers(0, 5),
     overlap=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
+@example(p=4, nb=5, b_f=0, l=2, overlap=True)  # a service design's CPU-only baseline
 def test_lu_replay_matches_des_bitwise_unless_it_refuses(p, nb, b_f, l, overlap):
-    """Random LU points: every point the replay accepts equals the DES in
-    every result field (CPU-only, hybrid and FPGA-only, with and without
-    overlap)."""
+    """Random LU points: every point replays (on ``Replay``, or on
+    ``StepReplay`` where ``Replay`` refuses) and equals the DES in every
+    result field (CPU-only, hybrid and FPGA-only, with and without
+    overlap).  The whole domain (4 x 9 x 3 x 6 x 2 points) was checked
+    exhaustively once: all replay, all equal."""
     spec = cray_xd1(p=p)
     config = LuSimConfig(n=3000 * nb, b=3000, k=8, b_f=b_f, l=l, overlap=overlap)
+    assert _same_lu(simulate_lu(spec, config, fast_path="on"),
+                    simulate_lu(spec, config, fast_path="off"))
+
+
+def test_the_stepped_replay_orders_a_met_wait_as_the_des_does():
+    """The schedule of the two-classes test above: ``StepReplay`` refuses
+    it when its processes are spawned (it cannot order them) and replays
+    it equal to the DES when they are started as the DES starts them."""
+    spec = cray_xd1(p=4)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    programs = [
+        [("send", (2, 1, ("m", 1)), 0, None)],
+        [("send", (2, 1, ("m", 2)), 0, None)],
+        [("send", (0, 2, ("a",)), 0, None), ("send", (0, 3, ("x",)), 0, None),
+         ("cpu", 0, 1, ("cpu",))],
+        [("wait", (2, 1, ("m", 1))), ("send", (1, 3, ("y", 1)), 0, ("y",))],
+        [("wait", (2, 1, ("m", 2))), ("send", (1, 3, ("y", 2)), 0, ("y",))],
+    ]
+    with pytest.raises(FastPathUnsupported, match="ingress"):
+        _replay(spec, design, programs, StepReplay, start="spawn")
+    assert _replay(spec, design, programs, StepReplay) == _des(spec, design, programs)
+
+
+def test_twin_gemms_ending_at_one_instant_replay_as_the_des_orders_them():
+    """Nodes 3 and 4 end twin gemms (started at one instant) at t =
+    754.248...; both then send to node 5, whose one free ingress link the
+    DES grants to node 4.  ``StepReplay`` starts those timers in the DES's
+    order and does the same (the inline order granted node 3 and ended
+    at 2109.5133 against the DES's 2109.5231)."""
+    spec = cray_xd1(p=6)
+    config = LuSimConfig(n=36000, b=3000, k=8, b_f=0, l=1)
+    fast = simulate_lu(spec, config, fast_path="on")
+    assert fast.elapsed == 2109.5230755691346
+    assert _same_lu(fast, simulate_lu(spec, config, fast_path="off"))
+
+
+def test_the_lu_design_grid_runs_on_the_replay():
+    """The service's LU ``design`` grid -- n = 6000..24000 step 3000 on
+    p = 3, 4 and 6 -- counts no DES point over its 63 runs (hybrid,
+    CPU-only and FPGA-only), and every comparison equals the DES's."""
+    points = REGISTRY.counter("fastpath.points", app="lu", path="des")
+    prev = set_fast_path_mode(None)
     try:
-        fast = simulate_lu(spec, config, fast_path="on")
-    except FastPathUnsupported as exc:
-        assert exc.reason == "ambiguous-tie"
-        return
-    des = simulate_lu(spec, config, fast_path="off")
-    assert (fast.elapsed, fast.cpu_busy, fast.fpga_busy, fast.network_bytes) == (
-        des.elapsed, des.cpu_busy, des.fpga_busy, des.network_bytes)
+        for n in range(6000, 24001, 3000):
+            for p in (3, 4, 6):
+                before = points.value
+                fast = build_design("lu", n=n, b=3000, p=p).compare()
+                assert points.value == before, (n, p)
+                set_fast_path_mode("off")
+                des = build_design("lu", n=n, b=3000, p=p).compare()
+                set_fast_path_mode(None)
+                for run in ("hybrid", "cpu_only", "fpga_only"):
+                    assert _same_lu(getattr(fast, run), getattr(des, run)), (n, p, run)
+    finally:
+        set_fast_path_mode(prev)

@@ -299,16 +299,13 @@ def test_fault_runs_equal_the_des_and_fold_unless_a_node_can_fail(app, policy, n
         assert points == {(("app", app), ("path", "analytic")): 2}
 
 
-#: Refusal reasons a production path may count: the LU tie-break,
-#: unfoldable fault timelines, monitors and configurations the replay
-#: does not model.  ``ambiguous-tie`` stays while fig9-lu's two
-#: baselines still refuse at a worker/sink CPU-lane collision: the
-#: CPU-only one at a job's local handoff with overlap and no FPGA share,
-#: the FPGA-only one where a remote part reached the sink at the
-#: instant of the local handoff and the worker goes on to own the next
-#: panel.  Never ``trace``, and never ``disabled``: no path
-#: turns the fast path off by itself, only ``--fast-path off`` does.
-ALLOWED_FALLBACKS = {"ambiguous-tie", "faults", "monitor", "unsupported-config"}
+#: Refusal reasons a production path may count: unfoldable fault
+#: timelines, monitors and configurations the replay
+#: does not model.  Never ``ambiguous-tie``: the replay orders every
+#: same-instant choice of these runs as the DES does.  Never ``trace``,
+#: and never ``disabled``: no path turns the fast path off by itself,
+#: only ``--fast-path off`` does.
+ALLOWED_FALLBACKS = {"faults", "monitor", "unsupported-config"}
 
 
 def test_fault_grid_and_resilience_tune_never_fall_back_for_a_trace():

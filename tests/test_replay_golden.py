@@ -5,11 +5,13 @@ Pins the ``repr`` of ``elapsed``, ``cpu_busy``, ``fpga_busy`` and
 
 - a fixed LU grid on the XD1: p in {2, 3, 4, 6}, n/b in {2, 4, 6, 10},
   b_f in {0, 344, 1080, 3000}, l in {0, 1, 3, 5}, overlap on and off;
-- the seven ``experiments`` LU points that refused with
-  ``ambiguous-tie`` (fig9-lu's two baselines, which still do,
-  ablation-overlap's four FPGA-only points and ext-scaling's p = 2
-  point, which now replay), so a change to the replay's same-instant
-  order or to its ambiguity detector shows up as a changed line;
+- the seven ``experiments`` LU points that once refused with
+  ``ambiguous-tie`` (fig9-lu's two baselines, ablation-overlap's four
+  FPGA-only points and ext-scaling's p = 2 point) and the ten runs of
+  the service's LU ``design`` grid that did (nine CPU-only baselines
+  and the hybrid n = 24000, p = 4 run), all of which replay now, so a
+  change to the replay's same-instant order or to its ambiguity
+  detector shows up as a changed line;
 - stall-folded LU, FW and MM runs on three presets, each with its
   fault injector's log.
 
@@ -27,6 +29,7 @@ import itertools
 import json
 from pathlib import Path
 
+from repro.apps import build_design
 from repro.apps.fw import FwSimConfig, simulate_fw
 from repro.apps.lu import LuSimConfig, simulate_lu
 from repro.apps.mm.simulate import MmSimConfig, simulate_mm
@@ -52,7 +55,7 @@ def _lu_grid():
 
 
 def _lu_refusals():
-    """The ``experiments`` LU points the replay refused as ambiguous ties."""
+    """The ``experiments`` LU points the replay once refused as ambiguous ties."""
     slow = with_fpga_dram_bandwidth(cray_xd1(), 0.104e9)  # ablation-overlap's slow B_d
     runs = [
         ("fig9-lu-cpu-only", cray_xd1(), dict(n=30000, b_f=0, l=3)),
@@ -66,6 +69,23 @@ def _lu_refusals():
     ]
     for name, spec, cfg in runs:
         yield name, spec, LuSimConfig(b=_B, k=_K, **cfg)
+
+
+#: ``(n, p, run)`` of the service ``design`` grid's LU runs (b = 3000 on
+#: the XD1) the replay once refused as ambiguous ties.
+_DESIGN_REFUSALS = [
+    (15000, 4, "cpu-only"), (18000, 3, "cpu-only"), (18000, 4, "cpu-only"),
+    (21000, 3, "cpu-only"), (21000, 4, "cpu-only"), (21000, 6, "cpu-only"),
+    (24000, 3, "cpu-only"), (24000, 4, "cpu-only"), (24000, 6, "cpu-only"),
+    (24000, 4, "hybrid"),
+]
+
+
+def _design_refusals():
+    for n, p, run in _DESIGN_REFUSALS:
+        design = build_design("lu", n=n, b=_B, p=p)
+        cfg = design.config(b_f=0) if run == "cpu-only" else design.config()
+        yield f"design-lu-n{n}-p{p}-{run}", design.spec, cfg
 
 
 def _scenarios(h: float):
@@ -131,7 +151,7 @@ def _outcome(simulate, spec, cfg, **kwargs) -> dict:
 def _golden_runs() -> list[dict]:
     runs = [
         {"name": name, **_outcome(simulate_lu, spec, cfg)}
-        for name, spec, cfg in itertools.chain(_lu_grid(), _lu_refusals())
+        for name, spec, cfg in itertools.chain(_lu_grid(), _lu_refusals(), _design_refusals())
     ]
     for name, simulate, spec, cfg, scenario in _stall_runs():
         injector = FaultInjector(scenario)

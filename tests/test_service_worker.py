@@ -55,6 +55,9 @@ def test_a_dead_worker_is_retried_on_a_fresh_worker(tmp_path):
             events = [e["event"] for e in client.events(doc["id"])]
             queue = client.queue()
             second_worker = server.worker.pid
+            listener = os.fstat(server._server.sockets[0].fileno()).st_ino
+            worker_fds = [os.readlink(f"/proc/{second_worker}/fd/{fd}")
+                          for fd in os.listdir(f"/proc/{second_worker}/fd")]
     finally:
         unregister_runner("dies-once")
     assert done["state"] == "completed"
@@ -69,6 +72,9 @@ def test_a_dead_worker_is_retried_on_a_fresh_worker(tmp_path):
     assert len({first_worker, second_worker, os.getpid()}) == 3
     assert all(health == "ok" for _, health in seen)
     assert sum(state == "running" for state, _ in seen) >= 5
+    # The retry's worker was forked from a listening server, and let go
+    # of the listener it copied.
+    assert f"socket:[{listener}]" not in worker_fds
 
 
 #: Jobs that between them move every counter perfbench reports.
