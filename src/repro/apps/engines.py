@@ -21,8 +21,9 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from ..machine.system import MachineSpec, ReconfigurableSystem
-from ..sim.analytic import (FastPathUnsupported, Replay, ReplayCosts, SteadyRates,
-                            fault_nodes, try_fast_path)
+from ..obs.metrics import REGISTRY
+from ..sim.analytic import (FastPathUnsupported, FoldDeferred, Replay, ReplayCosts,
+                            SteadyRates, fault_nodes, try_fast_path)
 from ..sim.interpret import DesInterpreter, Physical
 from ..sim.stepped import StepReplay
 
@@ -36,28 +37,34 @@ def _stall(event, i: int):
 
 
 def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
-                    processes: Processes, stall_log: list) -> dict:
+                    processes: Processes, stall_log: list, app: str = "lu") -> dict:
     """The schedule on :class:`Replay`, with ``rates`` folded in.
 
     ``freq_hz`` is the configured design's nominal clock.  Each
     ``dma_stall`` in ``rates.stalls`` becomes a ``stall`` op spawned
     before the schedule, in :meth:`FaultInjector.install`'s order, as
     the DES spawns its stall processes; the replay's stall marks are
-    appended to ``stall_log`` once the run completes.  When ``Replay``
-    refuses an ambiguous tie, the schedule replays on
-    :class:`StepReplay` (which refuses only where a stall meets the
-    schedule at one instant).
+    appended to ``stall_log`` once the run completes.  A run whose
+    stretch fold defers (:class:`~repro.sim.analytic.FoldDeferred`)
+    replays unfolded, counted under ``fastpath.deferral{app, reason}``.
+    When ``Replay`` refuses an ambiguous tie, the schedule replays on
+    :class:`StepReplay`.  Every engine run adds its :meth:`work` to the
+    ``replay.events`` and ``replay.folded`` counters.
     """
+    p, links = spec.p, spec.network.links_per_node
     try:
-        engine = _replayed(Replay, spec, freq_hz, rates, processes)
+        try:
+            engine = _replayed(Replay(p, links), spec, freq_hz, rates, processes)
+        except FoldDeferred:
+            REGISTRY.counter("fastpath.deferral", app=app, reason="instant").inc()
+            engine = _replayed(Replay(p, links, fold=False), spec, freq_hz, rates, processes)
     except FastPathUnsupported as exc:
         if exc.reason != "ambiguous-tie":
             raise
-        engine = _replayed(StepReplay, spec, freq_hz, rates, processes)
-    elapsed = engine.max_t
+        engine = _replayed(StepReplay(p, links), spec, freq_hz, rates, processes)
     stall_log.extend(engine.marks)
     return dict(
-        elapsed=elapsed,
+        elapsed=engine.max_t,
         trace=None,
         cpu_busy=engine.cpu_busy,
         fpga_busy=engine.fpga_busy,
@@ -65,17 +72,24 @@ def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
     )
 
 
-def _replayed(engine_type, spec: MachineSpec, freq_hz: float, rates: SteadyRates,
+def _replayed(engine, spec: MachineSpec, freq_hz: float, rates: SteadyRates,
               processes: Processes):
-    """A fresh ``engine_type`` run to the end over the schedule."""
+    """``engine`` run to the end over the schedule; its work is counted
+    whether or not it completes."""
     p = spec.p
-    engine = engine_type(p, spec.network.links_per_node)
-    for event in rates.stalls:
-        for i in fault_nodes(event.node, p):
-            engine.spawn(_stall(event, i), event.at)
-    for _, ops in processes(ReplayCosts(spec, freq_hz, rates)):
-        engine.process(ops)
-    engine.run()
+    try:
+        for event in rates.stalls:
+            for i in fault_nodes(event.node, p):
+                engine.spawn(_stall(event, i), event.at)
+        for _, ops in processes(ReplayCosts(spec, freq_hz, rates)):
+            engine.process(ops)
+        engine.run()
+    finally:
+        name = "stepped" if isinstance(engine, StepReplay) else "replay"
+        work = engine.work()
+        REGISTRY.counter("replay.events", engine=name).inc(work["events"])
+        if work["folded"]:
+            REGISTRY.counter("replay.folded", engine=name).inc(work["folded"])
     return engine
 
 
@@ -123,7 +137,8 @@ def run_schedule(app: str, spec: MachineSpec, design, processes: Processes,
     def solve(rates: SteadyRates):
         if closed_form is not None:
             return closed_form(rates, stall_log)
-        return result(replay_schedule(spec, design.freq_hz, rates, processes, stall_log))
+        return result(replay_schedule(spec, design.freq_hz, rates, processes, stall_log,
+                                      app))
 
     fast = try_fast_path(app, solve, mode=fast_path, trace=trace, node_specs=node_specs,
                          monitor=monitor, faults=faults, stall_log=stall_log)

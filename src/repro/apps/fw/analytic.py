@@ -222,7 +222,7 @@ def _with_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
     def processes(price):
         return fw_processes(config, spec.p, design.tile_cycles(config.b), price)
 
-    fields = replay_schedule(spec, design.freq_hz, rates, processes, stall_log)
+    fields = replay_schedule(spec, design.freq_hz, rates, processes, stall_log, "fw")
     return FwSimResult(iterations_run=config.iterations_run, config=config, **fields)
 
 

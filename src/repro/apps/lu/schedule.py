@@ -17,7 +17,9 @@ paper's schedule at the opMM/superstripe level:
   stripe data (T_comm), stages the FPGA's share over the B_d channel
   (T_mem), kicks the FPGA (T_f share) and runs its own gemm share (T_p),
   so the Equation-4 balance emerges from resource contention rather than
-  being scripted;
+  being scripted.  Each job's node-local ops go out as one ``stretch``
+  op (a :class:`~repro.sim.analytic.StretchPlan` built once per run),
+  which the replay folds into one heap entry;
 * each opMM's partial results go to the block's storage node, whose sink
   process applies opMS; the next iteration's owner blocks on the opMS
   completions its panel needs (the recursion on A_11).
@@ -76,6 +78,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ...kernels.flops import getrf_flops, trsm_flops
+from ...sim.analytic import StretchPlan
 
 __all__ = [
     "block_mm_processes",
@@ -172,37 +175,66 @@ def lu_processes(config, p: int, price) -> list[tuple[str, Iterator]]:
             yield from ship(l)
         yield from ship(len(pending))
 
+    # One opMM job's node-local ops on its worker, as StretchPlan steps
+    # (keys: the S chunk messages, then the FPGA job's key): per
+    # superstripe receive the chunk (T_comm), stage the FPGA share
+    # (T_mem), kick the FPGA once (T_f) and run the CPU share (T_p).
+    # b_f = 0 sets the FPGA key between the receives and the CPU share
+    # (no overlap) or after them (overlap), so the plan stops there.
+    if overlap:
+        steps = []
+        for s in range(S):
+            steps.append(("wait", s))
+            if b_f > 0:
+                steps.append(("chan", stage))
+                if s == 0:
+                    steps.append(("fpga_spawn", fpga))
+            if b_p > 0:
+                steps.append(("cpu", gemm))
+        tail = None
+    elif b_f > 0:
+        # Ablation: no overlap -- receive and stage everything, then compute.
+        steps = [("wait", s) for s in range(S)] + [("chan", stage_full), ("fpga_spawn", fpga)]
+        steps += [("cpu", gemm_full)] if b_p > 0 else []
+        tail = None
+    else:
+        steps = [("wait", s) for s in range(S)]
+        tail = StretchPlan([("cpu", gemm_full), ("wait", 0)])
+    if b_f > 0:
+        steps.append(("wait", S))
+    plan = StretchPlan(steps, fpga_key=S)
+
+    def job_ops(plan, keys: list, i: int, t: int, u: int, v: int) -> list:
+        """The ops ``plan`` stands for, for job ``(t, u, v)`` on worker ``i``."""
+        ops = []
+        for code, x in plan.steps:
+            if code == "wait":
+                ops.append(("wait", keys[x]))
+            elif code == "chan":
+                ops.append(("chan", i, x, ("stage", t, u, v)))
+            elif code == "cpu":
+                ops.append(("cpu", i, x, ("gemm", t, u, v)))
+            else:
+                ops.append(("fpga_spawn", i, x, keys[-1], ("mm", t, u, v)))
+        return ops
+
     def worker_iteration(i: int, t: int):
         owner = t % p
         for u, v in iteration_jobs(t, nb):
             fkey = ("fpga", i, t, u, v)
-            stage_label, gemm_label = ("stage", t, u, v), ("gemm", t, u, v)
-            if overlap:
-                started = False
-                for s in range(S):
-                    yield ("wait", (owner, i, ("mm", t, u, v, s)))
-                    if b_f > 0:
-                        yield ("chan", i, stage, stage_label)
-                        if not started:
-                            yield ("fpga_spawn", i, fpga, fkey, ("mm", t, u, v))
-                            started = True
-                    if b_p > 0:
-                        yield ("cpu", i, gemm, gemm_label)
-                if not started:
-                    yield ("set", fkey)
-            else:
-                # Ablation: no overlap -- receive and stage everything,
-                # then compute.
-                for s in range(S):
-                    yield ("wait", (owner, i, ("mm", t, u, v, s)))
-                if b_f > 0:
-                    yield ("chan", i, stage_full, stage_label)
-                    yield ("fpga_spawn", i, fpga, fkey, ("mm", t, u, v))
-                else:
-                    yield ("set", fkey)
-                if b_p > 0:
-                    yield ("cpu", i, gemm_full, gemm_label)
-            yield ("wait", fkey)
+            keys = []
+            for s in range(S):
+                keys.append((owner, i, ("mm", t, u, v, s)))
+            keys.append(fkey)
+            # An engine that takes the job's ops over sends True.
+            if not plan.durs or not (yield ("stretch", i, plan, keys)):
+                yield from job_ops(plan, keys, i, t, u, v)
+            if b_f == 0:
+                yield ("set", fkey)
+                if tail is None:
+                    yield ("wait", fkey)
+                elif not (yield ("stretch", i, tail, [fkey])):
+                    yield from job_ops(tail, [fkey], i, t, u, v)
             if collect:
                 dest = min(u, v) % p
                 if dest != i:

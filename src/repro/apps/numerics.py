@@ -171,7 +171,7 @@ class NodeStores:
                 done.add(op[1])
             elif code == "handoff":
                 done.add(op[2])
-            elif code != "step":  # pragma: no cover - schedule author error
+            elif code != "step" and code != "stretch":  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown op {code!r}")
             proc[2] = next(proc[1], None)
             if proc[2] is None:

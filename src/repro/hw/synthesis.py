@@ -20,6 +20,7 @@ reported implementation points (see DESIGN.md section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .devices import FpgaDevice
 from .floating_point import FpCore
@@ -145,8 +146,14 @@ def synthesize(design: DesignSpec, device: FpgaDevice, k: int) -> SynthesisRepor
     )
 
 
+@lru_cache(maxsize=None)
 def max_pes(design: DesignSpec, device: FpgaDevice) -> int:
-    """Largest k for which the design fits on the device."""
+    """Largest k for which the design fits on the device.
+
+    A linear search over :func:`synthesize`; both arguments are frozen
+    dataclasses, so the answer is cached per ``(design, device)`` (every
+    ``build_design`` asks).  A design that fits nowhere raises each time.
+    """
     k = 0
     while True:
         try:

@@ -56,8 +56,10 @@ STRAGGLER_FACTOR = 1.5
 #: Counters whose worker-side increments are added back into the
 #: parent's registry after a parallel map, so a counter delta taken
 #: around :meth:`SweepExecutor.map` reads the same serial or parallel
-#: (e.g. the campaign's analytic-vs-DES replicate split).
-SHIPPED_COUNTERS = ("fastpath.points", "fastpath.fallback", "fastpath.deferral")
+#: (e.g. the campaign's analytic-vs-DES replicate split, or the replay
+#: engines' work counts).
+SHIPPED_COUNTERS = ("fastpath.points", "fastpath.fallback", "fastpath.deferral",
+                    "replay.events", "replay.folded")
 
 
 def resolve_jobs(jobs: Optional[int | str] = None) -> int:

@@ -14,7 +14,9 @@ Two layers live here:
 * :class:`Replay` -- a chronological replay engine for schedules that do
   queue on resources (the LU pipeline, the MM ring, and the FW runs
   its closed form hands over).  It keeps per-resource FIFO queues and a
-  single time-ordered heap, but no event/process objects.
+  single time-ordered heap, but no event/process objects, and folds an
+  LU worker's node-local opMM pipeline into one heap entry per stretch
+  (:class:`StretchPlan`).
   A built-in *ambiguity detector* refuses (raises
   :class:`FastPathUnsupported`) whenever same-timestamp acquisitions of
   one FIFO queue from different tie classes meet and any of them has to
@@ -55,8 +57,17 @@ coverage (see docs/performance.md):
   ``ambiguous-tie`` / ``unsupported-config`` / ``disabled``);
 - ``fastpath.deferral{app,reason}`` -- runs whose closed form handed
   them to the replay (FW's stall fold, see
-  :mod:`repro.apps.fw.analytic`); created on the first deferral and
-  left out of :func:`fastpath_summary`.
+  :mod:`repro.apps.fw.analytic`), or whose stretch fold handed them to
+  the unfolded replay (LU, reason ``instant``; see
+  :class:`Replay`); created on the first deferral and left out of
+  :func:`fastpath_summary`;
+- ``replay.events{engine}`` -- heap entries each replay engine run
+  pushed (``replay``: :class:`Replay`'s pushes; ``stepped``:
+  :class:`~repro.sim.stepped.StepReplay`'s timers plus same-instant
+  entries), read from state the engines keep, with no per-event
+  increment (:func:`repro.apps.engines.replay_schedule` adds them);
+- ``replay.folded{engine}`` -- the ops a run's stretch folds took over
+  without a heap entry each.
 
 Faults fold in: a fault injector whose scenario only scales service
 rates for the whole run on every node, plus any number of ``dma_stall``
@@ -75,7 +86,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, count
 from typing import Iterable, Optional, Sequence
 
 from ..obs.metrics import REGISTRY
@@ -84,10 +95,12 @@ __all__ = [
     "FAST_PATH_ENV_VAR",
     "FAST_PATH_MODES",
     "FastPathUnsupported",
+    "FoldDeferred",
     "NOMINAL_RATES",
     "Replay",
     "ReplayCosts",
     "SteadyRates",
+    "StretchPlan",
     "fast_path_refusal",
     "fastpath_summary",
     "fault_nodes",
@@ -397,18 +410,28 @@ def try_fast_path(
 # ----------------------------------------------------------------- engine
 
 
+class FoldDeferred(Exception):
+    """A stretch fold met an order it cannot reproduce (see :class:`Replay`):
+    two things at one of its instants whose same-instant order only the
+    unfolded replay knows.  The run replays unfolded, counted under
+    ``fastpath.deferral{app, reason=instant}``."""
+
+
 class _Q:
     """One FIFO resource queue (link lane, CPU lane, FPGA, DMA channel).
 
     ``q`` holds waiters only while all ``cap`` slots are taken: a release
     hands its slot straight to the FIFO head, so ``in_use < cap`` means
     a free slot and nobody waiting.  A waiter is ``(dur, kind, a, b)``;
-    granted at ``t`` it becomes the heap entry ``(t + dur, seq, kind, a,
-    b, t)``, except a transfer waiting for egress (kind None), which
-    moves on to its ingress queue.
+    granted at ``t`` it becomes the heap entry ``(t + dur, t, seq, kind,
+    a, b)``, except a transfer waiting for egress (kind None), which
+    moves on to its ingress queue.  ``until`` is the end of the latest
+    hold granted.  While a stretch folds its node's CPU lane (``fold``),
+    ``cap`` is 0, so every request reaches :meth:`Replay._acq`.
     """
 
-    __slots__ = ("cap", "in_use", "q", "last_t", "last_burst", "last_waited", "tie", "name")
+    __slots__ = ("cap", "in_use", "q", "last_t", "last_burst", "last_waited", "tie", "name",
+                 "until", "fold")
 
     def __init__(self, cap: int, name: str) -> None:
         self.cap = cap
@@ -419,6 +442,116 @@ class _Q:
         self.last_waited = False
         self.tie: Optional[tuple] = None  # (t, first, second): a handoff's ordered pair
         self.name = name
+        self.until = 0.0
+        self.fold: Optional[_Stretch] = None
+
+
+class StretchPlan:
+    """The node-local ops a ``stretch`` op stands for, one plan per run.
+
+    ``steps`` lists ``(code, x)`` per op, all on the stretch's node:
+    ``("chan", dur)`` and ``("cpu", dur)`` hold its channel and CPU lane
+    for ``dur > 0``; ``("fpga_spawn", dur)`` starts an FPGA job of
+    ``dur > 0`` that sets the op's key ``fpga_key``; ``("wait", n)``
+    waits on its ``n``-th key.  ``durs`` are the holds' durations in
+    order, ``cpu`` tells which are CPU holds, ``before[pos]`` counts the
+    holds before step ``pos``, and ``spawn`` is the FPGA step's position
+    (``fpga`` its duration), so holds that follow each other are timed by
+    one :func:`itertools.accumulate` (the same additions, in order).
+
+    ``at[pos]``, for a hold at ``pos``, is ``(cpu, waits, own, full)``:
+    whether it is a CPU hold; the waits after it as ``(position, key)``,
+    leaving out the one on the FPGA key when the job is spawned after
+    ``pos`` and before it, whose position is ``own`` (else None); and
+    :meth:`span` up to the plan's end.
+    """
+
+    __slots__ = ("steps", "fpga_key", "durs", "cpu", "before", "spawn", "fpga", "at", "_spans")
+
+    def __init__(self, steps, fpga_key: Optional[int] = None) -> None:
+        self.steps = steps = tuple(steps)
+        self.fpga_key = fpga_key
+        durs: list = []
+        cpu: list = []
+        before: list = []
+        self.spawn = self.fpga = None
+        for pos, (code, x) in enumerate(steps):
+            before.append(len(durs))
+            if code == "chan" or code == "cpu":
+                cpu.append(code == "cpu")
+                durs.append(x)
+            elif code == "fpga_spawn":
+                self.spawn, self.fpga = pos, x
+        before.append(len(durs))
+        self.durs, self.cpu, self.before = tuple(durs), tuple(cpu), tuple(before)
+        sp = self.spawn
+        self._spans: dict = {}
+        self.at: list = [None] * len(steps)
+        for j, (code, _) in enumerate(steps):
+            if code != "chan" and code != "cpu":
+                continue
+            waits, own = [], None
+            for pos, (code2, x) in enumerate(steps):
+                if pos > j and code2 == "wait":
+                    if x == fpga_key and sp is not None and j < sp < pos and own is None:
+                        own = pos
+                    else:
+                        waits.append((pos, x))
+            self.at[j] = (code == "cpu", tuple(waits), own, self.span(j, len(steps), own))
+
+    def span(self, j: int, stop: int, own: Optional[int]) -> tuple:
+        """``(durs, gemms, spawn, reached)`` of the holds from step ``j`` to
+        step ``stop``: their durations, the gemms' offsets among them, the
+        offset of the hold the FPGA job is spawned after (None: not
+        spawned there) and whether its key's wait is reached."""
+        span = self._spans.get((j, stop))
+        if span is None:
+            h0, h1 = self.before[j], self.before[stop]
+            sp = self.spawn
+            span = self._spans[j, stop] = (
+                self.durs[h0:h1], tuple(m - h0 for m in range(h0, h1) if self.cpu[m]),
+                self.before[sp] - h0 if sp is not None and j < sp < stop else None,
+                own is not None and own < stop)
+        return span
+
+
+#: What :meth:`Replay._fold` is handed for a list not taken over yet, and
+#: returns when it declines one.
+_TAKE = object()
+
+
+class _Stretch:
+    """One process's steps ``plan.steps[k:j]`` on node ``i``, folded at ``t0``.
+
+    ``keys`` are the ``stretch`` op's keys; the fold stopped at step ``j``
+    (a wait on a key not set then) or ran through the plan, and ``after``
+    is the op the process yielded after it (None: it finished).  The fold
+    records the end ``end``, the instant ``vpt`` at which the unfolded
+    replay pushes the entry that resumes the process then and the FPGA job
+    spawned (from ``fs`` to ``fe``).  Holds that follow each other keep
+    their boundaries in ``ends`` (``ends[m]`` starts hold ``m``), the
+    gemms among them as offsets in ``gemms``.  :meth:`Replay._play`
+    re-times the steps behind the lane's outside requests ``intr`` (``[t,
+    dur, who, start]``) into the virtual instants ``inst`` (hold ends,
+    and ``t0`` when the first CPU request is made then), the gemms
+    ``owed`` to ``cpu_busy`` as ``(end, start)`` (the first ``paid``
+    already added) and ``waits``, whether any CPU hold waited for the
+    lane (which is free at ``lane0``); ``owed`` is None until then.
+    ``tok`` is the seq of the live end entry, ``root`` that of the first
+    (the fold's place in push order).
+    """
+
+    fs = fe = intr = owed = None
+    paid = 0
+    waits = False
+
+    def twin(self, other: "_Stretch") -> bool:
+        """The same hold boundaries from the same fold instant, nothing
+        re-timed: every entry of each was pushed at the same instant as
+        the other's, so the unfolded replay runs the two in fold order at
+        every instant."""
+        return (self.owed is None and other.owed is None and self.vpt == other.vpt
+                and self.fs == other.fs and self.ends == other.ends)
 
 
 class Replay:
@@ -426,11 +559,11 @@ class Replay:
 
     Schedules are plain generators yielding *ops* (tuples); the engine
     drives each generator with :meth:`advance` and orders everything on
-    one ``(time, seq)`` heap.  The same schedules run on the DES through
-    :class:`repro.sim.interpret.DesInterpreter`, which documents the
-    key and label conventions; here each op's cost slot holds what
-    :class:`ReplayCosts` made of its physical work, and labels are
-    ignored.  Supported ops:
+    one ``(time, push time, seq)`` heap.  The same schedules run on the
+    DES through :class:`repro.sim.interpret.DesInterpreter`, which
+    documents the key and label conventions; here each op's cost slot
+    holds what :class:`ReplayCosts` made of its physical work, and labels
+    are ignored.  Supported ops:
 
     ``("cpu", i, dur, label)``
         Hold node *i*'s CPU lane for ``dur``; busy time accrues as
@@ -465,6 +598,15 @@ class Replay:
         interpreter runs nothing for it; a schedule yields it after a
         send whose sender's next ops race other nodes' same-instant
         work.
+    ``("stretch", i, plan, keys)``
+        The ops a :class:`StretchPlan` stands for, on node *i*, with the
+        keys they wait on and set.  Sent None (every engine that only
+        steps the process), the process goes on to yield those ops one by
+        one; sent True, it skips them, and the engine runs them itself.
+        The DES takes no step for the op.  It promises that nothing else
+        uses node *i*'s channel and FPGA but stall windows, and that the
+        process waits for an FPGA job's key before it spawns another.
+        This engine takes the ops over and folds them (see below).
     ``("stall", i, dur, mark)``
         A ``dma_stall`` window: hold node *i*'s channel for ``dur`` in
         FIFO order with the schedule's own holds.  Like the DES fault
@@ -502,14 +644,64 @@ class Replay:
     order, once.  Otherwise the handoff is a plain ``set`` and ``wait``
     and any collision is judged as usual.
 
+    **Stretches.**  At a ``stretch`` op :meth:`_fold` takes the plan's
+    ops over and times them in closed form, up to the first wait on a
+    key not set yet: holds that follow each other in one
+    :func:`itertools.accumulate`, the FPGA job from its spawn, and the
+    wait on its key.  It pushes one ``"E"`` entry for the instant the
+    process would resume, at that wait or at the op after the plan (a
+    send, a handoff, a ``set``); that entry resumes it there, and a
+    wait's key, once set, resumes the fold (the ``("fold", ...)`` op, an
+    internal one).  An FPGA job whose key the stretch does not reach
+    stays a real ``"F"`` entry, and a later stretch of the job waits for
+    it as for its own.  The folded holds are *virtual*: they are never
+    pushed, and ``cpu_busy`` adds them in the order their entries would
+    have popped.  The lane's, channel's and FPGA's ``last_t`` /
+    ``last_burst`` / ``last_waited`` are left as they were: every
+    folded acquisition asks before the stretch's end, and the detector
+    reads them only for an acquisition at the instant of the last one,
+    so they read as if the folded acquisitions had happened.
+    Unfolded, an entry's place at its instant is its push time, then its
+    push order; the heap key ``(time, push time, seq)`` sorts the same,
+    and an end entry carries the push time of the entry it stands for
+    (the start of the last hold, or the FPGA's end when the process
+    waits for it), so it sorts exactly unless another entry has the same
+    time and push time.  While a stretch is on, its CPU lane refuses the
+    fast grant:
+
+    - another process's CPU request (the LU opMS sink's) is granted
+      from the stretch's lane timeline -- inside a virtual hold it waits
+      to the hold's end (a ``"C"`` entry pushed at once), in a gap it
+      gets the lane then -- and the stretch is re-timed behind it
+      (:meth:`_intrude`); its hold's end adds the gemms ``owed`` before
+      it first, so ``cpu_busy`` adds up in the order the holds pop
+      unfolded;
+    - a request or a release at one of the stretch's own instants, where
+      the order of the unfolded replay's same-instant steps would
+      decide, raises :class:`FoldDeferred` (``instant``), and so does a
+      ``"C"``/``"E"``/``"F"`` entry whose time and push time another
+      entry shares, unless both are stretches' entries whose order
+      :meth:`_before` can tell (twins, :meth:`_Stretch.twin`, pop in fold
+      order; others compare the pushes back to their folds);
+      :func:`repro.apps.engines.replay_schedule` then replays the run
+      unfolded.  A request at the fold's own instant where the process
+      asked for the lane too is the detector's ambiguous tie, and
+      refuses as it does unfolded.
+
+    While a spawned ``stall`` window is pending, ``stretch`` ops fold
+    nothing: the channel may not be promised to the schedule, and the
+    process yields its ops one by one.  An engine built with
+    ``fold=False`` never folds.
+
     The hot paths are inlined for speed.  Heap entries are flat tuples
-    ``(time, seq, kind, a, b, start)``, dispatched in :meth:`run` in
-    the order of how often each kind occurs in the LU sweeps, and a
-    transfer is the tuple ``(src, dst, svc, size, key, burst, gen,
-    group)``.
+    ``(time, push time, seq, kind, a, b)`` (a hold's push time is its
+    start), dispatched in :meth:`run` (and ops in :meth:`advance`) in
+    the order of how often each occurs in the LU sweeps, and a transfer
+    is the tuple ``(src, dst, svc, size, key, burst, gen, group)``.
+    :meth:`work` reads the run's heap entries and folded ops.
     """
 
-    def __init__(self, p: int, links: int) -> None:
+    def __init__(self, p: int, links: int, fold: bool = True) -> None:
         self.heap: list = []
         self._seq = count(1).__next__  # heap tie-breaker: push order
         self.egress = [_Q(links, f"egress[{i}]") for i in range(p)]
@@ -521,9 +713,16 @@ class Replay:
         self.fpga_busy = [0.0] * p
         self.net_bytes = 0.0
         self.events: dict = {}  # key -> completion time
-        self.waiters: dict = {}  # key -> [countdown, gen] cells (+ parked t, keys for wait_all)
+        self.waiters: dict = {}  # key -> [countdown, gen, first op] cells (+ parked t, keys)
         self.marks: list = []  # (mark, "apply"|"revert", t) per stall, in order
         self.max_t = 0.0
+        self.folding = fold
+        self.folded = 0  # ops folded into stretches
+        self.spawned = 0  # spawned processes (stall windows) not yet over
+
+    def work(self) -> dict:
+        """The run's heap entries (pushes) and folded ops."""
+        return {"events": self._seq() - 1, "folded": self.folded}
 
     # -- queues ---------------------------------------------------------
 
@@ -535,9 +734,12 @@ class Replay:
         waited, at an instant where two tie classes have met (then DES
         micro-order picks the winner).  A handoff's recorded pair passes
         in its order.  Every acquisition at ``q``'s previous acquisition
-        instant comes here; the hot paths grant a free queue at a new
-        instant inline (a CPU lane records the holder in ``last_burst``).
+        instant comes here, and every acquisition of a folded queue; the
+        hot paths grant a free queue at a new instant inline (a CPU lane
+        records the holder in ``last_burst``).
         """
+        if q.fold is not None:
+            return self._intrude(q, t, waiter)
         wait = q.in_use >= q.cap
         if t == q.last_t:
             tie = q.tie
@@ -565,19 +767,27 @@ class Replay:
         if kind is None:  # a transfer past its egress queue
             self._ingress(a, t)
         else:
-            heappush(self.heap, (t + dur, self._seq(), kind, a, b, t))
+            q.until = t + dur
+            heappush(self.heap, (t + dur, t, self._seq(), kind, a, b))
 
     # -- transfers ------------------------------------------------------
 
     def _send(self, tok: tuple, t: float) -> None:
-        """Start transfer ``tok`` at ``t``: egress, then ingress, then the wire."""
+        """Start transfer ``tok`` at ``t``: egress, then ingress (as
+        :meth:`_ingress`, inlined), then the wire."""
         q = self.egress[tok[0]]
         if q.in_use < q.cap and t != q.last_t:
             q.in_use += 1
             q.last_t, q.last_burst, q.last_waited = t, tok[5], False
         elif not self._acq(q, t, tok[5], (None, None, tok, None)):
             return
-        self._ingress(tok, t)
+        q = self.ingress[tok[1]]
+        if q.in_use < q.cap and t != q.last_t:
+            q.in_use += 1
+            q.last_t, q.last_burst, q.last_waited = t, tok[5], False
+        elif not self._acq(q, t, tok[5], (tok[2], "x", tok, None)):
+            return
+        heappush(self.heap, (t + tok[2], t, self._seq(), "x", tok, None))
 
     def _ingress(self, tok: tuple, t: float) -> None:
         q = self.ingress[tok[1]]
@@ -586,7 +796,7 @@ class Replay:
             q.last_t, q.last_burst, q.last_waited = t, tok[5], False
         elif not self._acq(q, t, tok[5], (tok[2], "x", tok, None)):
             return
-        heappush(self.heap, (t + tok[2], self._seq(), "x", tok, None, t))
+        heappush(self.heap, (t + tok[2], t, self._seq(), "x", tok, None))
 
     # -- completion events ----------------------------------------------
 
@@ -597,7 +807,7 @@ class Replay:
             for cell in cells:
                 cell[0] -= 1
                 if cell[0] == 0:
-                    heappush(self.heap, (t, self._seq(), "g", cell[1], None, None))
+                    heappush(self.heap, (t, t, self._seq(), "g", cell[1], cell[2]))
 
     def _wait_keys(self, gen, keys, t: float) -> Optional[float]:
         """Resume time if every key is set; else park ``gen``."""
@@ -610,7 +820,7 @@ class Replay:
                 if v > mx:
                     mx = v
             return mx
-        cell = [len(unset), gen, t, keys]
+        cell = [len(unset), gen, None, t, keys]
         waiters = self.waiters
         for k in unset:
             waiters.setdefault(k, []).append(cell)
@@ -625,14 +835,318 @@ class Replay:
         """
         cells = self.waiters.get(key)
         self._set(key, t)
-        if not cells or len(cells) != 1 or len(cells[0]) != 4:
+        if not cells or len(cells) != 1 or len(cells[0]) != 5:
             return False
-        left, waiter, parked, keys = cells[0]
+        left, waiter, _, parked, keys = cells[0]
         events = self.events
         if left or parked >= t or any(events[k] >= t for k in keys if k != key):
             return False
         self.lane[i].tie = (t, waiter, gen)
         return True
+
+    # -- stretches -------------------------------------------------------
+
+    def _fold(self, gen, i: int, t: float, plan: StretchPlan, keys: list, k: int,
+              after) -> Optional[tuple]:
+        """Fold ``plan``'s steps from ``k`` on, for ``gen`` on node ``i``,
+        from ``t`` (see the class doc); returns the op to run unfolded
+        next, or None.
+
+        ``after`` is the op ``gen`` yields after the plan's ops, or
+        ``_TAKE`` when the plan comes from the ``stretch`` op just
+        yielded: then the fold takes the ops over (sends True) only once
+        it folds or parks something, and declines (returns ``_TAKE``)
+        where the replay's own rules must order what happens at ``t`` -- a
+        busy channel or FPGA, a lane waiter, a lane holder ending at
+        ``t``, a first hold asking at an instant its queue has already
+        seen.  A fold that resumes a plan taken over defers there instead.
+        """
+        steps, events = plan.steps, self.events
+        n = len(steps)
+        if k == n:
+            return after
+        j = k
+        code, x = steps[j]
+        while code == "wait":
+            if keys[x] not in events:  # fold on once it is set
+                if after is _TAKE:
+                    try:
+                        after = gen.send(True)
+                    except StopIteration:
+                        after = None
+                self.waiters.setdefault(keys[x], []).append(
+                    [1, gen, ("fold", i, plan, keys, j + 1, after)])
+                return None
+            j += 1
+            if j == n:
+                return after  # only waits on keys already set
+            code, x = steps[j]
+        at = plan.at[j]
+        lane, chan = self.lane[i], self.chan[i]
+        if (at is None or (lane if at[0] else chan).last_t == t or chan.in_use or lane.q
+                or (lane.in_use and lane.until == t)):
+            if after is _TAKE:
+                return _TAKE
+            raise FoldDeferred
+        # Up to the first wait whose key is not set; an FPGA job the
+        # stretch spawns sets its key, and so does the job's running one.
+        running = None
+        for pos, x in at[1]:
+            if keys[x] not in events:
+                if x == plan.fpga_key and self.fpga[i].in_use:
+                    running = self.fpga[i].until
+                    continue
+                durs, gemms, spawn, reached = plan.span(j, pos, at[2])
+                stop = pos
+                break
+        else:
+            durs, gemms, spawn, reached = at[3]
+            stop = n
+        if spawn is not None:
+            fpga = self.fpga[i]
+            if fpga.in_use or fpga.until > t:
+                if after is _TAKE:
+                    return _TAKE
+                raise FoldDeferred
+        if after is _TAKE:
+            try:
+                after = gen.send(True)
+            except StopIteration:
+                after = None
+        self.folded += stop - k
+        rec = _Stretch()
+        rec.gen, rec.i, rec.t0, rec.plan, rec.keys, rec.k, rec.j, rec.after = (
+            gen, i, t, plan, keys, j, stop, after)
+        if running is not None:
+            rec.fe = running
+        if lane.in_use:  # the lane's holder: a gemm may wait for it
+            rec.lane0 = lane.until
+            self._play(rec)
+        else:
+            rec.lane0 = t
+            rec.ends = ends = list(accumulate(durs, initial=t))
+            rec.gemms = gemms
+            rec.end, rec.vpt = ends[-1], ends[-2]
+            if spawn is not None:
+                rec.fs = fs = ends[spawn]
+                rec.fe = fe = fs + plan.fpga
+                if reached and fe > rec.end:
+                    rec.end = rec.vpt = fe
+            elif running is not None and running > rec.end:
+                rec.end = rec.vpt = running
+        if spawn is not None:
+            fs, fe = rec.fs, rec.fe
+            self.fpga_busy[i] += fe - fs
+            fpga.until = fe
+            if not reached:  # the process does not reach the key here: the job's end is real
+                fpga.in_use = 1
+                heappush(self.heap, (fe, fs, self._seq(), "F", rec, None))
+        lane.fold = rec
+        lane.cap = 0
+        rec.root = rec.tok = seq = self._seq()
+        heappush(self.heap, (rec.end, rec.vpt, seq, "E", rec, seq))
+        return None
+
+    def _play(self, rec: _Stretch, holds: Optional[list] = None) -> None:
+        """Time ``rec``'s steps from ``t0`` one by one, its lane shared
+        FIFO with the outside requests in ``intr`` (each gets its start),
+        into ``inst`` and ``owed``; ``holds``, when given, collects each
+        hold's ``(start, end, waited)``."""
+        t0 = t = rec.t0
+        free = rec.lane0
+        intr = rec.intr or ()
+        k, n = 0, len(intr)
+        fk = rec.plan.fpga_key
+        inst: list = []
+        owed: list = []
+        vpt, waits = t, False
+        for code, x in rec.plan.steps[rec.k:rec.j]:
+            if code == "cpu":
+                while k < n and intr[k][0] < t:  # asked before this gemm: ahead of it
+                    w = intr[k]
+                    w[3] = s = w[0] if free <= w[0] else free
+                    free = s + w[1]
+                    k += 1
+                if t == t0:
+                    inst.append(t)
+                waited = free > t
+                waits = waits or waited
+                vpt = start = free if waited else t
+                t = free = start + x
+                owed.append((t, start))
+                inst.append(t)
+                if holds is not None:
+                    holds.append((start, t, waited))
+            elif code == "chan":
+                vpt = t
+                t = t + x
+                inst.append(t)
+                if holds is not None:
+                    holds.append((vpt, t, False))
+            elif code == "wait":
+                if x == fk and rec.fe is not None and rec.fe > t:  # on the job's FPGA
+                    t = vpt = rec.fe
+            elif rec.fs is None:  # the FPGA spawn, timed once
+                rec.fs, rec.fe = t, t + x
+            elif rec.fs != t:  # an outside request moved it
+                raise FoldDeferred
+        while k < n:
+            w = intr[k]
+            w[3] = s = w[0] if free <= w[0] else free
+            free = s + w[1]
+            k += 1
+        rec.inst, rec.owed, rec.end, rec.vpt, rec.waits = inst, owed, t, vpt, waits
+
+    def _chain(self, rec: _Stretch, kind: str) -> Optional[list]:
+        """The push times of ``rec``'s ``kind`` entry and of the entries
+        whose pops pushed it, back to the fold instant.
+
+        A hold granted at its request was pushed when the process resumed,
+        at the end of its previous hold; one that waited, when the lane's
+        holder released it -- an outside hold that itself waited for a
+        virtual one has its place there, any other holder's pop is real,
+        and the chain is None.
+        """
+        holds: list = []
+        self._play(rec, holds)
+        if kind == "F":  # pushed at the spawn, when the process resumed
+            chain, p, rel = [rec.fs], rec.fs, False
+        elif rec.vpt == rec.fe:  # pushed when the FPGA job ended
+            chain, p, rel = [rec.fe, rec.fs], rec.fs, False
+        else:
+            p, _, rel = holds[-1]
+            chain = [p]
+        while True:
+            if rel:  # pushed when the lane's holder released it at p
+                for w in rec.intr or ():
+                    if w[3] + w[1] == p and w[3] != w[0]:
+                        break
+                else:
+                    return None
+                p = w[3]
+                chain.append(p)
+            elif p == rec.t0:
+                return chain
+            for start, end, rel in reversed(holds):  # the process resumed at p
+                if end == p:
+                    break
+            else:
+                return None
+            p = start
+            chain.append(p)
+
+    def _before(self, a: _Stretch, akind: str, b: _Stretch, bkind: str) -> bool:
+        """Whether ``a``'s entry pops before ``b``'s unfolded, where both
+        have one time and push time: the pops that pushed them compare the
+        same way, back to the folds, which compare in fold order.  Raises
+        :class:`FoldDeferred` where that order is not known."""
+        if a is not b:
+            if akind == bkind and a.twin(b):
+                return a.root < b.root
+            ca, cb = self._chain(a, akind), self._chain(b, bkind)
+            if ca is not None and cb is not None:
+                for x, y in zip(ca, cb):
+                    if x != y:
+                        return x < y
+                if len(ca) == len(cb):
+                    return a.root < b.root
+        raise FoldDeferred
+
+    def _tie(self, t: float, pt: float, kind: str, rec: Optional[_Stretch]) -> None:
+        """A folded entry of ``kind`` at ``(t, pt)`` pops: defer unless the
+        next entry sorts apart from it, or is a stretch's entry that
+        follows it unfolded (:meth:`_before`)."""
+        heap = self.heap
+        if heap:
+            top = heap[0]
+            if top[0] == t and top[1] == pt:
+                okind, other = top[3], top[4]
+                if (rec is None or (okind != "E" and okind != "F")
+                        or (okind == "E" and other.tok != top[5])
+                        or not self._before(rec, kind, other, okind)):
+                    raise FoldDeferred
+
+    def _intrude(self, q: _Q, t: float, waiter: tuple) -> bool:
+        """Another process asks for a folded lane at ``t``; True if it
+        gets it now (the caller pushes its hold)."""
+        rec = q.fold
+        intr, end, vpt = rec.intr, rec.end, rec.vpt
+        if t == end or (intr and intr[-1][0] == t):
+            raise FoldDeferred
+        dur, _, i, who = waiter
+        w = [t, dur, who, None]
+        if intr is None:
+            rec.intr = [w]
+        else:
+            intr.append(w)
+        self._play(rec)  # the instants before t stay as they were
+        if t == rec.t0 and rec.inst[0] == t:
+            # The process asked for the lane at this instant too, so the
+            # unfolded replay's detector refuses this request.
+            raise FastPathUnsupported(f"ambiguous same-time contention on {q.name} at t={t!r}")
+        if t in rec.inst:
+            raise FoldDeferred
+        if rec.end != end or rec.vpt != vpt:  # re-time the end entry
+            rec.tok = seq = self._seq()
+            heappush(self.heap, (rec.end, rec.vpt, seq, "E", rec, seq))
+        s = w[3]
+        q.in_use += 1
+        q.until = s + dur
+        if s == t:
+            return True
+        heappush(self.heap, (s + dur, s, self._seq(), "C", i, who))
+        return False
+
+    def _released(self, rec: _Stretch, t: float) -> None:
+        """An outside hold on ``rec``'s lane ends at ``t``: the gemms
+        before it in lane order add their busy time first."""
+        if rec.owed is None:
+            self._play(rec)
+        if t in rec.inst or t == rec.end:
+            raise FoldDeferred
+        owed, n, i = rec.owed, rec.paid, rec.i
+        busy = self.cpu_busy
+        while n < len(owed) and owed[n][0] <= t:
+            end, start = owed[n]
+            busy[i] += end - start
+            n += 1
+        rec.paid = n
+
+    def _finish(self, rec: _Stretch, t: float, pt: float, tok: int) -> None:
+        """``rec``'s end entry pops: its node's queues read as if its holds
+        had run, and the process resumes at the op after them."""
+        if rec.tok != tok:
+            return  # re-timed by an outside request
+        heap = self.heap
+        if heap and heap[0][0] == t and heap[0][1] == pt:
+            self._tie(t, pt, "E", rec)
+        i, intr = rec.i, rec.intr
+        if intr and intr[-1][3] > t:
+            raise FoldDeferred  # an outside request still queued
+        lane = self.lane[i]
+        lane.fold = None
+        lane.cap = 1
+        busy = self.cpu_busy
+        if rec.owed is None:  # each gemm's end - start, added in order
+            ends, b = rec.ends, busy[i]
+            for m in rec.gemms:
+                b += ends[m + 1] - ends[m]
+            busy[i] = b
+        else:
+            for end, start in rec.owed[rec.paid:]:
+                busy[i] += end - start
+        gen, plan, j = rec.gen, rec.plan, rec.j
+        if j < len(plan.steps):  # stopped at a wait: fold on once its key is set
+            op = ("fold", i, plan, rec.keys, j + 1, rec.after)
+            key = rec.keys[plan.steps[j][1]]
+            if key not in self.events:
+                self.waiters.setdefault(key, []).append([1, gen, op])
+                return
+        else:
+            op = rec.after
+            if op is None:
+                return
+        self.advance(gen, t, op)
 
     # -- generator driver ------------------------------------------------
 
@@ -641,29 +1155,58 @@ class Replay:
         self.advance(gen, 0.0)
 
     def spawn(self, gen, at: float) -> None:
-        """Start ``gen`` at time ``at`` (at once when ``at <= 0``)."""
+        """Start ``gen`` (a stall window) at time ``at`` (at once when
+        ``at <= 0``); stretches fold nothing until its revert."""
+        self.spawned += 1
         if at > 0:
-            heappush(self.heap, (at, self._seq(), "g", gen, None, None))
+            heappush(self.heap, (at, 0.0, self._seq(), "g", gen, None))
         else:
             self.advance(gen, 0.0)
 
-    def advance(self, gen, t: float) -> None:
-        """Drive ``gen`` from time ``t`` until it blocks or finishes."""
-        if t > self.max_t:
-            self.max_t = t
+    def advance(self, gen, t: float, op: Optional[tuple] = None) -> None:
+        """Drive ``gen`` from time ``t`` (first running ``op``, when given)
+        until it blocks or finishes."""
         step = gen.__next__
         heap, seq = self.heap, self._seq
         while True:
-            try:
-                op = step()
-            except StopIteration:
-                return
+            if op is None:
+                try:
+                    op = step()
+                except StopIteration:
+                    return
             code = op[0]
-            if code == "wait":
+            if code == "send":
+                key, (svc, size) = op[1], op[2]
+                self._send((key[0], key[1], svc, size, key, op[3], gen, None), t)
+                return
+            elif code == "stretch":
+                if self.folding and not self.spawned:
+                    op = self._fold(gen, op[1], t, op[2], op[3], 0, _TAKE)
+                    if op is None:
+                        return
+                    if op is not _TAKE:
+                        continue
+            elif code == "send_batch":
+                keys = op[1]
+                if not keys:  # all_of([]) fires at once: resume one step later
+                    heappush(heap, (t, t, seq(), "g", gen, None))
+                    return
+                svc, size = op[2]
+                burst = object()
+                group = [len(keys), gen]
+                for key in keys:
+                    self._send((key[0], key[1], svc, size, key, burst, None, group), t)
+                return
+            elif code == "fold":  # a stretch taken over goes on
+                op = self._fold(gen, op[1], t, op[2], op[3], op[4], op[5])
+                if op is None:
+                    return
+                continue
+            elif code == "wait":
                 key = op[1]
                 done = self.events.get(key)
                 if done is None:
-                    self.waiters.setdefault(key, []).append([1, gen])
+                    self.waiters.setdefault(key, []).append([1, gen, None])
                     return
                 if done > t:
                     t = done
@@ -677,8 +1220,22 @@ class Replay:
                     q.last_t, q.last_burst, q.last_waited = t, gen, False
                 elif not self._acq(q, t, None, (dur, "c", i, gen)):
                     return
-                heappush(heap, (t + dur, seq(), "c", i, gen, t))
+                q.until = end = t + dur
+                heappush(heap, (end, t, seq(), "c", i, gen))
                 return
+            elif code == "wait_all":
+                r = self._wait_keys(gen, op[1], t)
+                if r is None:
+                    return
+                t = r
+                if t > self.max_t:
+                    self.max_t = t
+            elif code == "set":
+                self._set(op[1], t)
+            elif code == "handoff":
+                if self._handoff(gen, op[1], op[2], t):
+                    heappush(heap, (t, t, seq(), "g", gen, None))
+                    return
             elif code == "chan":
                 i, dur = op[1], op[2]
                 q = self.chan[i]
@@ -687,7 +1244,7 @@ class Replay:
                     q.last_t, q.last_burst, q.last_waited = t, None, False
                 elif not self._acq(q, t, None, (dur, "h", i, gen)):
                     return
-                heappush(heap, (t + dur, seq(), "h", i, gen, t))
+                heappush(heap, (t + dur, t, seq(), "h", i, gen))
                 return
             elif code == "fpga_spawn":
                 i, dur, key = op[1], op[2], op[3]
@@ -695,85 +1252,76 @@ class Replay:
                 if q.in_use < q.cap and t != q.last_t:
                     q.in_use += 1
                     q.last_t, q.last_burst, q.last_waited = t, None, False
-                elif not self._acq(q, t, None, (dur, "f", i, key)):
-                    continue
-                heappush(heap, (t + dur, seq(), "f", i, key, t))
-            elif code == "send":
-                key, (svc, size) = op[1], op[2]
-                self._send((key[0], key[1], svc, size, key, op[3], gen, None), t)
-                return
-            elif code == "send_batch":
-                keys = op[1]
-                if not keys:  # all_of([]) fires at once: resume one step later
-                    heappush(heap, (t, seq(), "g", gen, None, None))
-                    return
-                svc, size = op[2]
-                burst = object()
-                group = [len(keys), gen]
-                for key in keys:
-                    self._send((key[0], key[1], svc, size, key, burst, None, group), t)
-                return
-            elif code == "set":
-                self._set(op[1], t)
-            elif code == "handoff":
-                if self._handoff(gen, op[1], op[2], t):
-                    heappush(heap, (t, seq(), "g", gen, None, None))
-                    return
-            elif code == "wait_all":
-                r = self._wait_keys(gen, op[1], t)
-                if r is None:
-                    return
-                t = r
-                if t > self.max_t:
-                    self.max_t = t
+                    heappush(heap, (t + dur, t, seq(), "f", i, key))
+                elif self._acq(q, t, None, (dur, "f", i, key)):
+                    heappush(heap, (t + dur, t, seq(), "f", i, key))
             elif code == "step":
-                heappush(heap, (t, seq(), "g", gen, None, None))
+                heappush(heap, (t, t, seq(), "g", gen, None))
                 return
             elif code == "stall":
                 _, i, dur, mark = op
                 # A queued stall waits with dur 0.0: its grant pushes "s" at the grant instant.
                 if self._acq(self.chan[i], t, None, (0.0, "s", i, (dur, mark))):
-                    heappush(heap, (t, seq(), "s", i, (dur, mark), t))
+                    heappush(heap, (t, t, seq(), "s", i, (dur, mark)))
                 return
             else:  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown replay op {code!r}")
+            op = None
 
     def run(self) -> float:
-        """Drain the heap; returns the makespan (latest time touched)."""
+        """Drain the heap; returns the makespan (latest time touched).
+
+        Entries pop in time order, so the last one popped is the latest.
+        """
         heap, seq, advance, grant = self.heap, self._seq, self.advance, self._grant
         lane, chan, fpga = self.lane, self.chan, self.fpga
+        ingress, egress, events, waiters = self.ingress, self.egress, self.events, self.waiters
+        net = self.net_bytes
+        t = self.max_t
         while heap:
-            t, _, kind, a, b, start = heappop(heap)
-            if t > self.max_t:
-                self.max_t = t
+            t, start, _, kind, a, b = heappop(heap)
             if kind == "x":  # transfer wire time ends; a is the transfer
                 src, dst, _, size, key, _, gen, group = a
-                q = self.ingress[dst]
+                q = ingress[dst]
                 if q.q:
                     grant(q, t)
                 else:
                     q.in_use -= 1
-                q = self.egress[src]
+                q = egress[src]
                 if q.q:
                     grant(q, t)
                 else:
                     q.in_use -= 1
-                self.net_bytes += size
-                self._set(key, t)
+                net += size
+                events[key] = t
+                cells = waiters.pop(key, None)
+                if cells:
+                    for cell in cells:
+                        cell[0] -= 1
+                        if cell[0] == 0:
+                            heappush(heap, (t, t, seq(), "g", cell[1], cell[2]))
                 if gen is not None:
                     advance(gen, t)
                 else:
                     group[0] -= 1
                     if group[0] == 0:
-                        heappush(heap, (t, seq(), "g", group[1], None, None))
-            elif kind == "c":  # cpu lane hold ends; a is the node, b the process
+                        heappush(heap, (t, t, seq(), "g", group[1], None))
+            elif kind == "c" or kind == "C":  # cpu lane hold ends; a is the node, b the process
+                if kind == "C":  # granted at a folded hold's end
+                    self._tie(t, start, kind, None)
                 q = lane[a]
                 if q.q:
                     grant(q, t)
                 else:
                     q.in_use -= 1
+                if q.fold is not None:
+                    self._released(q.fold, t)
                 self.cpu_busy[a] += t - start
                 advance(b, t)
+            elif kind == "g":  # generator resume, at op b when given
+                advance(a, t, b)
+            elif kind == "E":  # a stretch ends; a is the stretch, b its token
+                self._finish(a, t, start, b)
             elif kind == "h":  # channel hold ends
                 q = chan[a]
                 if q.q:
@@ -781,20 +1329,22 @@ class Replay:
                 else:
                     q.in_use -= 1
                 advance(b, t)
-            elif kind == "g":  # plain generator resume
-                advance(a, t)
-            elif kind == "f":  # fpga job ends; b is its completion key
+            elif kind == "f" or kind == "F":  # fpga job ends
+                if kind == "F":  # spawned in a stretch; a is the stretch
+                    self._tie(t, start, kind, a)
+                    a, b = a.i, a.keys[-1]
+                else:
+                    self.fpga_busy[a] += t - start
                 q = fpga[a]
                 if q.q:
                     grant(q, t)
                 else:
                     q.in_use -= 1
-                self.fpga_busy[a] += t - start
                 self._set(b, t)
             elif kind == "s":  # stall granted: log it, then hold the channel
                 dur, mark = b
                 self.marks.append((mark, "apply", t))
-                heappush(heap, (t + dur, seq(), "r", a, mark, t))
+                heappush(heap, (t + dur, t, seq(), "r", a, mark))
             else:  # "r": stall window ends
                 q = chan[a]
                 if q.q:
@@ -802,4 +1352,8 @@ class Replay:
                 else:
                     q.in_use -= 1
                 self.marks.append((b, "revert", t))
+                self.spawned -= 1
+        self.net_bytes = net
+        if t > self.max_t:
+            self.max_t = t
         return self.max_t

@@ -20,7 +20,8 @@ event; ``handoff`` -> succeed an event, then yield on it;
 ``wait``/``wait_all`` -> yield on events, with a blocking
 receive (inline, or as a process under ``all_of``) for each message
 key; ``step`` -> nothing (the replay's stand-in for the mailbox put a
-DES send ends with).
+DES send ends with); ``stretch`` -> nothing (the process, sent None,
+yields the ops of its plan one by one; the replay takes them over).
 
 Messages model the paper's blocking point-to-point MPI over the
 interconnect.  A send moves its bytes through ``system.network`` (one
@@ -168,7 +169,7 @@ class DesInterpreter:
                 self._event(op[1]).succeed()
             elif code == "handoff":
                 yield self._event(op[2]).succeed()
-            elif code == "step":
+            elif code == "step" or code == "stretch":
                 continue
             else:  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown op {code!r}")

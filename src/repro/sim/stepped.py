@@ -17,9 +17,6 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
-from typing import Optional
-
-from .analytic import FastPathUnsupported
 
 __all__ = ["StepReplay"]
 
@@ -38,21 +35,15 @@ class _Q:
     a free slot and nobody waiting.  A waiter is ``(dur, kind, a, b)``,
     which starts the timer ``(kind, a, b)`` of ``dur`` once granted,
     except a transfer waiting for egress, ``(None, None, tok, None)``,
-    which asks for its ingress link instead.  ``last_t``, ``last_who``
-    and ``last_waited`` describe the latest acquisition for the
-    detector of :meth:`StepReplay._acq`.
+    which asks for its ingress link instead.
     """
 
-    __slots__ = ("cap", "in_use", "q", "last_t", "last_who", "last_waited", "name")
+    __slots__ = ("cap", "in_use", "q")
 
-    def __init__(self, cap: int, name: str) -> None:
+    def __init__(self, cap: int) -> None:
         self.cap = cap
         self.in_use = 0
         self.q: deque = deque()
-        self.last_t = -1.0
-        self.last_who: Optional[object] = None
-        self.last_waited = False
-        self.name = name
 
 
 class StepReplay:
@@ -91,6 +82,9 @@ class StepReplay:
     ``("step",)``
         Nothing: the DES takes no step for it (its send already ends
         with the put's).
+    ``("stretch", i, plan, keys)``
+        Nothing: the process is sent None and yields the plan's ops one
+        by one (``Replay`` sends True and folds them).
     ``("stall", i, dur, mark)``
         A ``dma_stall`` window: hold node *i*'s channel for ``dur`` in
         FIFO order with the schedule's own holds.  Like the DES fault
@@ -164,73 +158,48 @@ class StepReplay:
     order their transfers do, so only the last one takes the steps of
     its ending.
 
-    **Refusals.**  A process started with :meth:`spawn` has no place in
-    the DES's order (it stands in for a process the caller cannot place,
-    such as a fault injector's stall); one started with :meth:`process`
-    does.  :meth:`_acq` refuses (raises :class:`FastPathUnsupported`)
-    when an acquisition by a spawned process meets another acquisition
-    of the same queue at one instant and either has to wait -- there the
-    DES outcome depends on an order the replay does not know.  Once that
-    has happened at an instant, no later acquisition at it may wait.
-    Acquisitions by started processes are ordered exactly and never
-    refuse.  The caller falls back to the DES, so refusals cost
-    accuracy nothing.
+    Every process has its place in the DES's order: :meth:`process`
+    starts one at step 1 of t = 0, and :meth:`spawn` (a fault injector's
+    stall, installed before the schedule) does too, or starts its sleep's
+    timer before any other.  So the replay refuses nothing.
 
     Timers are flat tuples ``(end, seq, kind, a, b, start)`` and queue
     entries ``(kind, a, b)``, dispatched in :meth:`run` in the order of
     how often each kind occurs in the LU sweeps; a transfer is the tuple
-    ``(src, dst, svc, size, key, who, gen, group)``.
+    ``(src, dst, svc, size, key, gen, group)``.
     """
 
     def __init__(self, p: int, links: int) -> None:
         self.heap: list = [_END]  # timers: (end, seq, kind, a, b, start)
         self.dq: deque = deque()  # this instant's entries, (kind, a, b), in post order
         self._seq = count(1).__next__  # timer start order
-        self.egress = [_Q(links, f"egress[{i}]") for i in range(p)]
-        self.ingress = [_Q(links, f"ingress[{i}]") for i in range(p)]
-        self.lane = [_Q(1, f"lane[{i}]") for i in range(p)]
-        self.fpga = [_Q(1, f"fpga[{i}]") for i in range(p)]
-        self.chan = [_Q(1, f"chan[{i}]") for i in range(p)]
+        self.egress = [_Q(links) for i in range(p)]
+        self.ingress = [_Q(links) for i in range(p)]
+        self.lane = [_Q(1) for i in range(p)]
+        self.fpga = [_Q(1) for i in range(p)]
+        self.chan = [_Q(1) for i in range(p)]
         self.cpu_busy = [0.0] * p
         self.fpga_busy = [0.0] * p
         self.net_bytes = 0.0
         self.events: dict = {}  # key -> instant it was processed (event) or put (message)
         self.waiters: dict = {}  # key -> callbacks: generators and all_of cells [left, gen]
-        self.spawned: set = set()  # processes with no place in the DES order
         self.marks: list = []  # (mark, "apply"|"revert", t) per stall, in order
         self.max_t = 0.0
+        self.steps = 0  # same-instant entries run
+
+    def work(self) -> dict:
+        """The run's timers and same-instant entries; it folds nothing."""
+        return {"events": self._seq() - 1 + self.steps, "folded": 0}
 
     # -- queues ---------------------------------------------------------
 
-    def _acq(self, q: _Q, t: float, who, waiter: tuple) -> bool:
-        """Acquire ``q`` at ``t`` for process ``who``; True if granted now,
-        else ``waiter`` queues.
-
-        Raises :class:`FastPathUnsupported` on an ambiguous tie: at an
-        instant where a spawned process's acquisition met another
-        acquisition of ``q``, one that waits or follows one that waited.
-        Every acquisition at ``q``'s previous acquisition instant comes
-        here; the hot paths grant a free queue at a new instant inline.
-        """
-        wait = q.in_use >= q.cap
-        waited = wait
-        if t == q.last_t:
-            last, spawned = q.last_who, self.spawned
-            if last is None or who in spawned or last in spawned:
-                if wait or q.last_waited:
-                    raise FastPathUnsupported(
-                        f"ambiguous same-time contention on {q.name} at t={t!r}"
-                    )
-                who = None  # unordered acquisitions met here: no later one may wait
-            waited = wait or q.last_waited
-        q.last_t = t
-        q.last_who = who
-        q.last_waited = waited
-        if wait:
-            q.q.append(waiter)
-            return False
-        q.in_use += 1
-        return True
+    def _acq(self, q: _Q, waiter: tuple) -> bool:
+        """Acquire ``q``; True if granted now, else ``waiter`` queues."""
+        if q.in_use < q.cap:
+            q.in_use += 1
+            return True
+        q.q.append(waiter)
+        return False
 
     def _release(self, q: _Q, t: float) -> None:
         """Free a slot of ``q``; its FIFO head takes it and resumes a step
@@ -299,25 +268,17 @@ class StepReplay:
 
     def _fpga(self, job: tuple, t: float) -> None:
         """An FPGA job's process starts and asks for its FPGA."""
-        i, dur, key, who = job
-        q = self.fpga[i]
+        i, dur, key = job
         w = (dur, "f", i, key)
-        if q.in_use < q.cap and t != q.last_t:
-            q.in_use += 1
-            q.last_t, q.last_who, q.last_waited = t, who, False
-        elif not self._acq(q, t, who, w):
-            return
-        self._start(w, t)
+        if self._acq(self.fpga[i], w):
+            self._start(w, t)
 
     # -- transfers ------------------------------------------------------
 
     def _egress(self, tok: tuple, t: float) -> None:
         """Transfer ``tok`` asks for its egress link."""
         q = self.egress[tok[0]]
-        if q.in_use < q.cap and t != q.last_t:
-            q.in_use += 1
-            q.last_t, q.last_who, q.last_waited = t, tok[5], False
-        elif not self._acq(q, t, tok[5], (None, None, tok, None)):
+        if not self._acq(q, (None, None, tok, None)):
             return
         if not self.dq and self.heap[0][0] != t:
             self._ingress(tok, t)
@@ -327,10 +288,7 @@ class StepReplay:
     def _ingress(self, tok: tuple, t: float) -> None:
         """Transfer ``tok``, granted its egress link, asks for ingress."""
         q = self.ingress[tok[1]]
-        if q.in_use < q.cap and t != q.last_t:
-            q.in_use += 1
-            q.last_t, q.last_who, q.last_waited = t, tok[5], False
-        elif not self._acq(q, t, tok[5], (tok[2], "x", tok, None)):
+        if not self._acq(q, (tok[2], "x", tok, None)):
             return
         end = t + tok[2]
         if end != t:
@@ -347,7 +305,7 @@ class StepReplay:
         """Transfer ``tok``'s wire time ends: release ingress, release
         egress, then the mailbox put resumes the sender a step later and
         a receiver already waiting right behind it."""
-        src, dst, _, size, key, _, gen, group = tok
+        src, dst, _, size, key, gen, group = tok
         q = self.ingress[dst]
         if q.q:
             self._release(q, t)
@@ -488,9 +446,7 @@ class StepReplay:
 
     def spawn(self, gen, at: float) -> None:
         """Start ``gen`` at time ``at`` like a DES process spawned before
-        the run that first sleeps ``at`` (the fault injector's stall), but
-        with no place in the DES's same-instant order (see the class doc)."""
-        self.spawned.add(gen)
+        the run that first sleeps ``at`` (the fault injector's stall)."""
         if at > 0:  # its sleep's timer, started before any other
             heappush(self.heap, (at, self._seq(), "g", gen, None, None))
         else:
@@ -522,10 +478,7 @@ class StepReplay:
             elif code == "cpu":
                 i, dur = op[1], op[2]
                 q = self.lane[i]
-                if q.in_use < q.cap and t != q.last_t:
-                    q.in_use += 1
-                    q.last_t, q.last_who, q.last_waited = t, gen, False
-                elif not self._acq(q, t, gen, (dur, "c", i, gen)):
+                if not self._acq(q, (dur, "c", i, gen)):
                     return
                 end = t + dur
                 if end != t:
@@ -536,10 +489,7 @@ class StepReplay:
             elif code == "chan":
                 i, dur = op[1], op[2]
                 q = self.chan[i]
-                if q.in_use < q.cap and t != q.last_t:
-                    q.in_use += 1
-                    q.last_t, q.last_who, q.last_waited = t, gen, False
-                elif not self._acq(q, t, gen, (dur, "h", i, gen)):
+                if not self._acq(q, (dur, "h", i, gen)):
                     return
                 end = t + dur
                 if end != t:
@@ -548,17 +498,17 @@ class StepReplay:
                     self._start((dur, "h", i, gen), t)
                 return
             elif code == "fpga_spawn":
-                dq.append(("F", (op[1], op[2], op[3], gen), None))
+                dq.append(("F", op[1:4], None))
             elif code == "send":
                 key, (svc, size) = op[1], op[2]
-                self._egress((key[0], key[1], svc, size, key, gen, gen, None), t)
+                self._egress((key[0], key[1], svc, size, key, gen, None), t)
                 return
             elif code == "send_batch":
                 keys = op[1]
                 if keys:
                     svc, size = op[2]
                     group = [len(keys), gen]
-                    toks = [(k[0], k[1], svc, size, k, gen, None, group) for k in keys]
+                    toks = [(k[0], k[1], svc, size, k, None, group) for k in keys]
                     if not dq and heap[0][0] != t:
                         self._batch(toks, t)
                     else:
@@ -575,7 +525,7 @@ class StepReplay:
                 dq.append(("e", op[2], None))
                 self.waiters.setdefault(op[2], []).append(gen)
                 return
-            elif code == "step":
+            elif code == "step" or code == "stretch":
                 continue
             elif code == "wait_all":
                 cell = [0, gen]
@@ -605,7 +555,7 @@ class StepReplay:
             elif code == "stall":
                 _, i, dur, mark = op
                 w = (dur, "r", i, mark)
-                if self._acq(self.chan[i], t, gen, w):
+                if self._acq(self.chan[i], w):
                     self._start(w, t)
                 return
             else:  # pragma: no cover - schedule author error
@@ -616,9 +566,10 @@ class StepReplay:
         (latest time touched)."""
         heap, dq, advance, expire = self.heap, self.dq, self.advance, self._expire
         lane, chan, release, arrive = self.lane, self.chan, self._release, self._arrive
-        t = 0.0
+        t, steps = 0.0, 0
         while True:
             if dq and heap[0][0] != t:  # timers ending now run first
+                steps += 1
                 kind, a, b = dq.popleft()
                 if kind == "g":  # a process resumes
                     advance(a, t)
@@ -647,6 +598,7 @@ class StepReplay:
             t, _, kind, a, b, start = heappop(heap)
             if t > self.max_t:
                 if kind is None:  # the bottom entry: nothing is left
+                    self.steps = steps
                     break
                 self.max_t = t
             if kind == "c":  # cpu lane hold ends; a is the node, b the process

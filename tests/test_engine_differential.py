@@ -21,6 +21,13 @@ deadlock-free.
 :class:`repro.sim.stepped.StepReplay`, which takes the DES's
 same-instant order, runs the same schedules and must match the DES on
 every one of them, refusing none.
+
+Hand-built ``stretch`` schedules (an LU worker's opMM job folded into
+one heap entry) hold the fold bitwise equal to the DES where another
+process asks for the worker's CPU lane inside a gemm or in a stage gap,
+where one asks at a folded instant (the run defers, counted), where twin
+workers end their stretches at one instant, and where a chunk arrives
+mid-stretch.
 """
 
 from __future__ import annotations
@@ -30,11 +37,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_design
+from repro.apps.engines import replay_schedule
 from repro.apps.lu import LuSimConfig, simulate_lu
 from repro.hw.mm_design import MatrixMultiplyDesign
 from repro.machine import ReconfigurableSystem, cray_xd1
 from repro.obs.metrics import REGISTRY
-from repro.sim.analytic import FastPathUnsupported, Replay, ReplayCosts, set_fast_path_mode
+from repro.sim.analytic import (NOMINAL_RATES, FastPathUnsupported, Replay, ReplayCosts,
+                                StretchPlan, set_fast_path_mode)
 from repro.sim.interpret import DesInterpreter, Physical
 from repro.sim.stepped import StepReplay
 
@@ -257,9 +266,10 @@ def test_lu_replay_matches_des_bitwise_unless_it_refuses(p, nb, b_f, l, overlap)
 
 
 def test_the_stepped_replay_orders_a_met_wait_as_the_des_does():
-    """The schedule of the two-classes test above: ``StepReplay`` refuses
-    it when its processes are spawned (it cannot order them) and replays
-    it equal to the DES when they are started as the DES starts them."""
+    """The schedule of the two-classes test above: ``StepReplay`` replays
+    it equal to the DES whether its processes are started or spawned at
+    t = 0 -- a spawned process (a fault injector's stall) starts at step 1
+    of t = 0 too, in start order, as the DES starts it."""
     spec = cray_xd1(p=4)
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
     programs = [
@@ -270,9 +280,9 @@ def test_the_stepped_replay_orders_a_met_wait_as_the_des_does():
         [("wait", (2, 1, ("m", 1))), ("send", (1, 3, ("y", 1)), 0, ("y",))],
         [("wait", (2, 1, ("m", 2))), ("send", (1, 3, ("y", 2)), 0, ("y",))],
     ]
-    with pytest.raises(FastPathUnsupported, match="ingress"):
-        _replay(spec, design, programs, StepReplay, start="spawn")
-    assert _replay(spec, design, programs, StepReplay) == _des(spec, design, programs)
+    des = _des(spec, design, programs)
+    assert _replay(spec, design, programs, StepReplay, start="spawn") == des
+    assert _replay(spec, design, programs, StepReplay) == des
 
 
 def test_twin_gemms_ending_at_one_instant_replay_as_the_des_orders_them():
@@ -307,3 +317,167 @@ def test_the_lu_design_grid_runs_on_the_replay():
                     assert _same_lu(getattr(fast, run), getattr(des, run)), (n, p, run)
     finally:
         set_fast_path_mode(prev)
+
+
+# -----------------------------------------------------------------------
+# stretches: a worker's node-local ops folded into one heap entry
+# -----------------------------------------------------------------------
+
+
+def _stretch_program(ops, price):
+    """Process ``ops`` (table indices priced by ``price``), where a
+    ``("stretch", i, steps, keys)`` op carries :class:`StretchPlan` steps
+    whose last key is the FPGA job's: an engine that sends True takes
+    them over, any other gets them one by one."""
+    tables = {kind: [getattr(price, kind)(w) for w in work] for kind, work in WORK.items()}
+    for op in ops:
+        if op[0] != "stretch":
+            yield op[:2] + (tables[TABLE[op[0]]][op[2]],) + op[3:] if op[0] in TABLE else op
+            continue
+        _, i, steps, keys = op
+        priced = [(code, x if code == "wait" else tables[TABLE[code]][x])
+                  for code, x in steps]
+        if (yield ("stretch", i, StretchPlan(priced, fpga_key=len(keys) - 1), keys)):
+            continue
+        for code, x in priced:
+            if code == "wait":
+                yield ("wait", keys[x])
+            elif code == "fpga_spawn":
+                yield ("fpga_spawn", i, x, keys[-1], ("fpga",))
+            else:
+                yield (code, i, x, (code,))
+
+
+def _stretch_runs(p, programs):
+    """``(replayed, des, deferrals, folded)``: the programs through
+    :func:`replay_schedule` and on the DES, with the replay's
+    ``fastpath.deferral`` and ``replay.folded`` increments."""
+    spec = cray_xd1(p=p)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    names = ("fastpath.deferral", "replay.folded")
+    before = REGISTRY.counter_values(names)
+    fields = replay_schedule(
+        spec, design.freq_hz, NOMINAL_RATES,
+        lambda price: [(f"proc{j}", _stretch_program(ops, price)) for j, ops in enumerate(programs)],
+        [], app="test")
+    deltas = REGISTRY.counter_deltas(before, names)
+    count = {name: sum(v for key, v in deltas.items() if key[0] == name) for name in names}
+    system = ReconfigurableSystem(spec, trace=False)
+    system.configure_fpgas(lambda: design)
+    des = DesInterpreter(system)
+    for j, ops in enumerate(programs):
+        des.spawn(f"proc{j}", _stretch_program(ops, Physical))
+    elapsed = system.run()
+    replayed = (fields["elapsed"], fields["cpu_busy"], fields["fpga_busy"],
+                fields["network_bytes"])
+    des_fields = (elapsed, [nd.cpu_busy_time for nd in system.nodes],
+                  [nd.fpga.busy_time for nd in system.nodes], system.network.bytes_moved)
+    return replayed, des_fields, count["fastpath.deferral"], count["replay.folded"]
+
+
+#: One opMM-like job of worker node 1: chunk 0, stage, FPGA, gemm, then
+#: the FPGA's key, and the result to node 0.
+_C0, _C1, _FK = (0, 1, ("c", 0)), (0, 1, ("c", 1)), ("fpga", 1)
+_JOB = [("stretch", 1, [("wait", 0), ("chan", 0), ("fpga_spawn", 0), ("cpu", 0), ("wait", 1),
+                        ("chan", 0), ("cpu", 0), ("wait", 2)], [_C0, _C1, _FK]),
+        ("send", (1, 0, ("r",)), 0, None)]
+
+
+def _sink(wait_for):
+    """Node 1's other CPU user: one opMS-like hold once ``wait_for`` holds."""
+    return wait_for + [("cpu", 1, 0, ("opMS",))]
+
+
+@pytest.mark.parametrize("where", ["gemm", "stage-gap"])
+def test_an_outside_lane_request_refolds_the_stretch_as_the_des_orders_it(where):
+    """The sink asks for node 1's lane while the worker's job is folded:
+    inside a gemm it waits for the gemm's end, in the stage gap before it
+    it gets the lane at once and the gemm queues behind it.  Either way
+    the stretch is re-timed, ``cpu_busy`` adds up in lane order, and the
+    run folds with no deferral."""
+    # Node 0's chunks leave at t = 0; the sink's trigger, a message of
+    # 2e6 bytes, arrives mid-stage (1.0016 ms) or, after a 0.2564 s hold
+    # on node 0, inside the worker's first gemm.
+    trigger = [("send", (0, 1, ("m",)), 0, None)]
+    owner = ([("send_batch", [_C0, _C1], 0)] + (trigger if where == "stage-gap" else [])
+             + ([("cpu", 0, 0, ("x",))] + trigger if where == "gemm" else [])
+             + [("wait", (1, 0, ("r",)))])
+    programs = [owner, _JOB, _sink([("wait", (0, 1, ("m",)))])]
+    replayed, des, deferrals, folded = _stretch_runs(2, programs)
+    assert replayed == des
+    assert (deferrals, folded) == (0, 7)
+
+
+def test_an_outside_request_at_a_folded_instant_defers_the_run():
+    """Node 2 stages as long as node 1 does, from the same instant, and
+    then lets node 1's sink ask for the lane: the sink asks exactly when
+    the worker's stage ends, where only the unfolded order can tell who
+    gets the lane first.  The fold defers (counted), and the unfolded run
+    equals the DES."""
+    c2 = (0, 2, ("c", 0))
+    programs = [
+        [("send_batch", [_C0, c2], 0), ("send", (0, 1, _C1[2]), 0, None),
+         ("wait", (1, 0, ("r",)))],
+        _JOB,
+        [("wait", c2), ("chan", 2, 0, ("x",)), ("set", ("go",))],
+        _sink([("wait", ("go",))]),
+    ]
+    replayed, des, deferrals, _ = _stretch_runs(3, programs)
+    assert replayed == des
+    assert deferrals == 1
+
+
+def test_twin_stretches_ending_at_one_instant_pop_in_fold_order():
+    """Workers 1 and 2 get their chunks in one burst and run the same job:
+    their stretches end at one instant (both stop at the second chunk,
+    which the owner's next burst brings), and both send to node 0.  The
+    twins' end entries pop in fold order, as the unfolded replay runs
+    them."""
+    def job(i):
+        c0, c1, fk = (0, i, ("c", 0)), (0, i, ("c", 1)), ("fpga", i)
+        return [("stretch", i, [("wait", 0), ("chan", 0), ("fpga_spawn", 0), ("cpu", 0),
+                                ("wait", 1), ("chan", 0), ("cpu", 0), ("wait", 2)],
+                 [c0, c1, fk]),
+                ("send", (i, 0, ("r", i)), 1, None)]
+
+    programs = [
+        [("send_batch", [(0, 1, ("c", 0)), (0, 2, ("c", 0))], 0),
+         ("send_batch", [(0, 1, ("c", 1)), (0, 2, ("c", 1))], 0),
+         ("wait_all", [(1, 0, ("r", 1)), (2, 0, ("r", 2))])],
+        job(1), job(2),
+    ]
+    replayed, des, deferrals, folded = _stretch_runs(3, programs)
+    assert replayed == des
+    assert (deferrals, folded) == (0, 12)
+
+
+def test_a_chunk_arriving_mid_stretch_stops_the_fold_and_resumes_it():
+    """The worker's second chunk leaves node 0 only after a 0.2564 s hold,
+    so the fold stops at its wait; once it arrives the fold goes on, and
+    the FPGA job spawned before the stop ends as a real entry."""
+    programs = [
+        [("send", _C0, 0, None), ("cpu", 0, 0, ("x",)), ("send", _C1, 1, None),
+         ("wait", (1, 0, ("r",)))],
+        _JOB,
+    ]
+    replayed, des, deferrals, folded = _stretch_runs(2, programs)
+    assert replayed == des
+    assert (deferrals, folded) == (0, 6)  # the waits that stop a fold are not folded
+
+
+def test_engine_work_counts_read_the_same_serial_or_parallel():
+    """Each replay run adds its heap entries and folded ops to the
+    registry from state the engine keeps; the pool's workers ship them
+    back, so one figure counts the same work serially and with two
+    workers."""
+    from repro import experiments
+
+    names = ("replay.events", "replay.folded")
+    counts = []
+    for jobs in (1, 2):
+        before = REGISTRY.counter_values(names)
+        with experiments.configured(jobs=jobs, cache=False):
+            experiments.ALL_EXPERIMENTS["fig8"]()
+        counts.append(REGISTRY.counter_deltas(before, names))
+    assert counts[0] == counts[1]
+    assert counts[0][("replay.folded", (("engine", "replay"),))] > 0
