@@ -9,7 +9,7 @@ machine through :class:`~repro.sim.interpret.DesInterpreter`.  Both
 return the fields every ``*SimResult`` shares -- ``elapsed``,
 ``trace``, ``cpu_busy``, ``fpga_busy`` and ``network_bytes`` -- and the
 two agree bitwise wherever the replay does not refuse.  A schedule
-``Replay`` refuses as an ambiguous tie replays on
+whose same-instant order ``Replay`` cannot prove replays on
 :class:`~repro.sim.stepped.StepReplay`, which takes the DES's
 same-instant order.
 :func:`run_schedule` is the one driver every ``simulate_*`` entry point
@@ -44,22 +44,20 @@ def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
     ``dma_stall`` in ``rates.stalls`` becomes a ``stall`` op spawned
     before the schedule, in :meth:`FaultInjector.install`'s order, as
     the DES spawns its stall processes; the replay's stall marks are
-    appended to ``stall_log`` once the run completes.  A run whose
-    stretch fold defers (:class:`~repro.sim.analytic.FoldDeferred`)
-    replays unfolded, counted under ``fastpath.deferral{app, reason}``.
-    When ``Replay`` refuses an ambiguous tie, the schedule replays on
-    :class:`StepReplay`.  Every engine run adds its :meth:`work` to the
-    ``replay.events`` and ``replay.folded`` counters.
+    appended to ``stall_log`` once the run completes.  Where ``Replay``
+    cannot prove the same-instant order -- it refuses an ambiguous tie,
+    or a stretch fold defers (:class:`~repro.sim.analytic.FoldDeferred`,
+    counted under ``fastpath.deferral{app, reason}``) -- the schedule
+    replays on :class:`StepReplay`.  Every engine run adds its
+    :meth:`work` to the ``replay.events`` and ``replay.folded`` counters.
     """
     p, links = spec.p, spec.network.links_per_node
     try:
-        try:
-            engine = _replayed(Replay(p, links), spec, freq_hz, rates, processes)
-        except FoldDeferred:
+        engine = _replayed(Replay(p, links), spec, freq_hz, rates, processes)
+    except (FoldDeferred, FastPathUnsupported) as exc:
+        if isinstance(exc, FoldDeferred):
             REGISTRY.counter("fastpath.deferral", app=app, reason="instant").inc()
-            engine = _replayed(Replay(p, links, fold=False), spec, freq_hz, rates, processes)
-    except FastPathUnsupported as exc:
-        if exc.reason != "ambiguous-tie":
+        elif exc.reason != "ambiguous-tie":
             raise
         engine = _replayed(StepReplay(p, links), spec, freq_hz, rates, processes)
     stall_log.extend(engine.marks)

@@ -52,25 +52,15 @@ rule for one instant is in :class:`~repro.sim.analytic.Replay`):
   those timers in the same order -- the induction every class here rests
   on, which the differential tests check (the replay does not model
   every DES step, so it is not a proof for all schedules);
-* the locally kept part of a job is a ``handoff`` to the node's own
-  sink.  In the DES the worker sets ``local_ms``, then yields on it (one
-  step); the sink's ``wait_all`` fires one step after that
-  (``AllOf``), and its opMS asks for the CPU lane a step later still,
-  while the worker's next lane request waits for a receive or its own
-  ``wait_all`` (at least one more step, queued behind the sink's).
-  When ``local_ms`` completes a ``wait_all`` whose other parts all
-  arrived at earlier instants, the sink therefore gets the lane first
-  and the replay steps the worker behind it (see the ``handoff`` op).
-  With overlap and no FPGA share the worker sets the job's FPGA key just
-  before it waits on it, a step the replay does not take, and its
-  queued gemm then falls out of step with its twins (a p = 6, n = 36000
-  CPU-only run replays wrong): those jobs keep a plain ``set`` and
-  ``wait`` and claim no order.
+* the locally kept part of a job goes to the node's own sink as a
+  ``set`` and a ``wait`` on ``local_ms``, and claims no order.  Where
+  the sink's opMS and the worker's next CPU request meet at one instant,
+  the order depends on DES steps the replay does not take, so the
+  replay refuses (or its stretch fold defers).
 
-Any other same-time collision refuses, and the schedule replays on
+Any other same-time collision refuses too, and the schedule replays on
 :class:`~repro.sim.stepped.StepReplay`, which takes every DES step (the
-per-op step table is in its class doc): the CPU-only jobs above, for
-one, replay there.
+per-op step table is in its class doc).
 """
 
 from __future__ import annotations
@@ -239,14 +229,10 @@ def lu_processes(config, p: int, price) -> list[tuple[str, Iterator]]:
                 dest = min(u, v) % p
                 if dest != i:
                     yield ("send", (i, dest, ("ms", t, u, v, i)), result, ("msr", t, u, v))
-                elif overlap and b_f == 0:
-                    # Its FPGA key was set just now: no order is claimed
-                    # (see "Tie classes" above).
-                    yield ("set", ("local_ms", i, t, u, v))
-                    yield ("wait", ("local_ms", i, t, u, v))
                 else:
                     # The locally kept part goes to this node's own sink.
-                    yield ("handoff", i, ("local_ms", i, t, u, v))
+                    yield ("set", ("local_ms", i, t, u, v))
+                    yield ("wait", ("local_ms", i, t, u, v))
 
     def ms_sink(i: int):
         """Receives A'_uv parts and applies the opMS subtractions."""

@@ -72,6 +72,10 @@ def mm_processes(config, p: int, price) -> list[tuple[str, Iterator]]:
                 # Forward the panel for the next step (CPU time, Sec. 4.3).
                 # Every node's send ends at one instant; like the DES, the
                 # replay resumes the senders only once all panels landed.
+                # Without the step, the replay would log same-instant
+                # dma_stall grants in transfer-end order, not the DES's,
+                # and its detector, which sees only queue acquisitions,
+                # would not refuse (see ``step`` in Replay's op list).
                 yield ("send", (i, right, ("ring", s + 1)), panel, None)
                 yield ("step",)
             yield ("wait", fkey)

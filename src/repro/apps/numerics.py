@@ -169,8 +169,6 @@ class NodeStores:
                         done.add(key)
             elif code == "set":
                 done.add(op[1])
-            elif code == "handoff":
-                done.add(op[2])
             elif code != "step" and code != "stretch":  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown op {code!r}")
             proc[2] = next(proc[1], None)

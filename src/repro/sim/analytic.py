@@ -30,13 +30,11 @@ Two layers live here:
   - same-timestamp acquisitions of *one* tie class (one process spawning
     a batch of transfers, or the result sends of one LU job) arrive in a
     fixed documented order in both engines, so FIFO service order
-    matches by induction;
-  - a ``handoff`` orders the two CPU-lane requests it causes by the DES
-    steps each takes (see :class:`Replay`).
+    matches by induction.
 
-  A schedule ``Replay`` refuses as an ambiguous tie replays on
-  :class:`repro.sim.stepped.StepReplay`, which takes the DES's
-  same-instant order step by step (see
+  A schedule ``Replay`` refuses as an ambiguous tie, or whose stretch
+  fold defers, replays on :class:`repro.sim.stepped.StepReplay`, which
+  takes the DES's same-instant order step by step (see
   :func:`repro.apps.engines.replay_schedule`); only what that refuses
   too goes to the DES.
 
@@ -58,7 +56,7 @@ coverage (see docs/performance.md):
 - ``fastpath.deferral{app,reason}`` -- runs whose closed form handed
   them to the replay (FW's stall fold, see
   :mod:`repro.apps.fw.analytic`), or whose stretch fold handed them to
-  the unfolded replay (LU, reason ``instant``; see
+  :class:`~repro.sim.stepped.StepReplay` (LU, reason ``instant``; see
   :class:`Replay`); created on the first deferral and left out of
   :func:`fastpath_summary`;
 - ``replay.events{engine}`` -- heap entries each replay engine run
@@ -413,7 +411,8 @@ def try_fast_path(
 class FoldDeferred(Exception):
     """A stretch fold met an order it cannot reproduce (see :class:`Replay`):
     two things at one of its instants whose same-instant order only the
-    unfolded replay knows.  The run replays unfolded, counted under
+    unfolded replay knows.  The run replays on
+    :class:`~repro.sim.stepped.StepReplay`, counted under
     ``fastpath.deferral{app, reason=instant}``."""
 
 
@@ -430,8 +429,8 @@ class _Q:
     ``cap`` is 0, so every request reaches :meth:`Replay._acq`.
     """
 
-    __slots__ = ("cap", "in_use", "q", "last_t", "last_burst", "last_waited", "tie", "name",
-                 "until", "fold")
+    __slots__ = ("cap", "in_use", "q", "last_t", "last_burst", "last_waited", "name", "until",
+                 "fold")
 
     def __init__(self, cap: int, name: str) -> None:
         self.cap = cap
@@ -440,7 +439,6 @@ class _Q:
         self.last_t = -1.0
         self.last_burst: Optional[object] = None
         self.last_waited = False
-        self.tie: Optional[tuple] = None  # (t, first, second): a handoff's ordered pair
         self.name = name
         self.until = 0.0
         self.fold: Optional[_Stretch] = None
@@ -584,12 +582,6 @@ class Replay:
         Block until the named completion events are set.
     ``("set", key)``
         Set a completion event immediately.
-    ``("handoff", i, key)``
-        ``set`` then ``wait`` on ``key``, for a setter on node *i* whose
-        ``key`` completes a ``wait_all`` on the same node (the LU worker
-        handing its kept part to its own opMS sink).  The two must be
-        the only users of node *i*'s CPU lane, and the setter's next op
-        a receive or a ``wait_all``; see the tie rule below.
     ``("step",)``
         Resume at the same time one step later, behind every event
         already queued for this instant.  A blocking send takes this
@@ -597,7 +589,12 @@ class Replay:
         queued behind the other same-instant deliveries), so the
         interpreter runs nothing for it; a schedule yields it after a
         send whose sender's next ops race other nodes' same-instant
-        work.
+        work.  The MM ring needs it: without it its senders resume in
+        the order their transfers end, so their next staging holds start,
+        and the stall windows queued behind them log ``apply``, in
+        another order than the DES's (node 2 before node 0 on a
+        six-node XD1).  No queue sees that order, so the detector below
+        would not refuse it.
     ``("stretch", i, plan, keys)``
         The ops a :class:`StretchPlan` stands for, on node *i*, with the
         keys they wait on and set.  Sent None (every engine that only
@@ -625,24 +622,8 @@ class Replay:
     same-timestamp contention raises :class:`FastPathUnsupported` -- the
     caller replays the schedule on :class:`~repro.sim.stepped.StepReplay`
     (the DES's order, one queue entry per same-instant step), so refusals
-    cost accuracy nothing.
-
-    The rule for one instant that a ``handoff`` adds counts DES steps
-    (each ``succeed``, each yield on an event triggered but not yet
-    processed, each ``AllOf`` firing and each mailbox ``get`` costs one
-    same-instant step; a step runs after every step queued before it).
-    The setter's yield on ``key`` is one step.  The waiter's ``AllOf``
-    fires when that step runs, ahead of the setter's own resumption (it
-    registered on ``key`` first), and the waiter runs one step later;
-    the setter's next CPU request follows at least one step of its own
-    (a receive or a ``wait_all``), queued behind the waiter's.  So when
-    ``key`` completes the ``wait_all`` of a waiter that parked before
-    this instant on keys all set before it, the DES grants the lane to
-    the waiter first.  The replay then resumes the setter one step later
-    (behind the waiter, which ``set`` already queued) and records the
-    pair on the lane; :meth:`_acq` accepts exactly that pair, in that
-    order, once.  Otherwise the handoff is a plain ``set`` and ``wait``
-    and any collision is judged as usual.
+    cost accuracy nothing.  The detector sees queue acquisitions only:
+    it does not check the order in which stall windows log their marks.
 
     **Stretches.**  At a ``stretch`` op :meth:`_fold` takes the plan's
     ops over and times them in closed form, up to the first wait on a
@@ -650,7 +631,7 @@ class Replay:
     :func:`itertools.accumulate`, the FPGA job from its spawn, and the
     wait on its key.  It pushes one ``"E"`` entry for the instant the
     process would resume, at that wait or at the op after the plan (a
-    send, a handoff, a ``set``); that entry resumes it there, and a
+    send or a ``set``); that entry resumes it there, and a
     wait's key, once set, resumes the fold (the ``("fold", ...)`` op, an
     internal one).  An FPGA job whose key the stretch does not reach
     stays a real ``"F"`` entry, and a later stretch of the job waits for
@@ -683,15 +664,14 @@ class Replay:
       entry shares, unless both are stretches' entries whose order
       :meth:`_before` can tell (twins, :meth:`_Stretch.twin`, pop in fold
       order; others compare the pushes back to their folds);
-      :func:`repro.apps.engines.replay_schedule` then replays the run
-      unfolded.  A request at the fold's own instant where the process
-      asked for the lane too is the detector's ambiguous tie, and
-      refuses as it does unfolded.
+      :func:`repro.apps.engines.replay_schedule` then replays the run on
+      :class:`~repro.sim.stepped.StepReplay`.  A request at the fold's
+      own instant where the process asked for the lane too is the
+      detector's ambiguous tie, and refuses as it does unfolded.
 
     While a spawned ``stall`` window is pending, ``stretch`` ops fold
     nothing: the channel may not be promised to the schedule, and the
-    process yields its ops one by one.  An engine built with
-    ``fold=False`` never folds.
+    process yields its ops one by one.
 
     The hot paths are inlined for speed.  Heap entries are flat tuples
     ``(time, push time, seq, kind, a, b)`` (a hold's push time is its
@@ -701,7 +681,7 @@ class Replay:
     :meth:`work` reads the run's heap entries and folded ops.
     """
 
-    def __init__(self, p: int, links: int, fold: bool = True) -> None:
+    def __init__(self, p: int, links: int) -> None:
         self.heap: list = []
         self._seq = count(1).__next__  # heap tie-breaker: push order
         self.egress = [_Q(links, f"egress[{i}]") for i in range(p)]
@@ -713,10 +693,9 @@ class Replay:
         self.fpga_busy = [0.0] * p
         self.net_bytes = 0.0
         self.events: dict = {}  # key -> completion time
-        self.waiters: dict = {}  # key -> [countdown, gen, first op] cells (+ parked t, keys)
+        self.waiters: dict = {}  # key -> [countdown, gen, first op] cells
         self.marks: list = []  # (mark, "apply"|"revert", t) per stall, in order
         self.max_t = 0.0
-        self.folding = fold
         self.folded = 0  # ops folded into stretches
         self.spawned = 0  # spawned processes (stall windows) not yet over
 
@@ -732,20 +711,16 @@ class Replay:
         Raises :class:`FastPathUnsupported` on an ambiguous tie: a
         same-timestamp acquisition that waits, or follows one that
         waited, at an instant where two tie classes have met (then DES
-        micro-order picks the winner).  A handoff's recorded pair passes
-        in its order.  Every acquisition at ``q``'s previous acquisition
-        instant comes here, and every acquisition of a folded queue; the
-        hot paths grant a free queue at a new instant inline (a CPU lane
-        records the holder in ``last_burst``).
+        micro-order picks the winner).  Every acquisition at ``q``'s
+        previous acquisition instant comes here, and every acquisition
+        of a folded queue; the hot paths grant a free queue at a new
+        instant inline.
         """
         if q.fold is not None:
             return self._intrude(q, t, waiter)
         wait = q.in_use >= q.cap
         if t == q.last_t:
-            tie = q.tie
-            if tie is not None and tie[0] == t and q.last_burst is tie[1] and waiter[3] is tie[2]:
-                q.tie = None  # the handoff's pair, in the order the DES grants it
-            elif burst is None or burst != q.last_burst:
+            if burst is None or burst != q.last_burst:
                 if wait or q.last_waited:
                     raise FastPathUnsupported(
                         f"ambiguous same-time contention on {q.name} at t={t!r}"
@@ -820,29 +795,11 @@ class Replay:
                 if v > mx:
                     mx = v
             return mx
-        cell = [len(unset), gen, None, t, keys]
+        cell = [len(unset), gen, None]
         waiters = self.waiters
         for k in unset:
             waiters.setdefault(k, []).append(cell)
         return None
-
-    def _handoff(self, gen, i: int, key, t: float) -> bool:
-        """Set ``key`` at ``t``; True if the setter steps behind its waiter.
-
-        That is when ``key`` completes the ``wait_all`` of its one
-        waiter, parked before ``t`` on keys all set before ``t``; node
-        ``i``'s CPU lane then records the pair (waiter first).
-        """
-        cells = self.waiters.get(key)
-        self._set(key, t)
-        if not cells or len(cells) != 1 or len(cells[0]) != 5:
-            return False
-        left, waiter, _, parked, keys = cells[0]
-        events = self.events
-        if left or parked >= t or any(events[k] >= t for k in keys if k != key):
-            return False
-        self.lane[i].tie = (t, waiter, gen)
-        return True
 
     # -- stretches -------------------------------------------------------
 
@@ -1180,7 +1137,7 @@ class Replay:
                 self._send((key[0], key[1], svc, size, key, op[3], gen, None), t)
                 return
             elif code == "stretch":
-                if self.folding and not self.spawned:
+                if not self.spawned:
                     op = self._fold(gen, op[1], t, op[2], op[3], 0, _TAKE)
                     if op is None:
                         return
@@ -1217,7 +1174,7 @@ class Replay:
                 q = self.lane[i]
                 if q.in_use < q.cap and t != q.last_t:
                     q.in_use += 1
-                    q.last_t, q.last_burst, q.last_waited = t, gen, False
+                    q.last_t, q.last_burst, q.last_waited = t, None, False
                 elif not self._acq(q, t, None, (dur, "c", i, gen)):
                     return
                 q.until = end = t + dur
@@ -1232,10 +1189,6 @@ class Replay:
                     self.max_t = t
             elif code == "set":
                 self._set(op[1], t)
-            elif code == "handoff":
-                if self._handoff(gen, op[1], op[2], t):
-                    heappush(heap, (t, t, seq(), "g", gen, None))
-                    return
             elif code == "chan":
                 i, dur = op[1], op[2]
                 q = self.chan[i]

@@ -16,8 +16,7 @@ The interpreter makes the calls a hand-written DES process would make:
 ``fpga_spawn`` -> a process running ``node.fpga.run_cycles`` and then
 setting its event; ``send`` -> a blocking send; ``send_batch`` -> one
 send process per message, then ``all_of``; ``set`` -> succeed an
-event; ``handoff`` -> succeed an event, then yield on it;
-``wait``/``wait_all`` -> yield on events, with a blocking
+event; ``wait``/``wait_all`` -> yield on events, with a blocking
 receive (inline, or as a process under ``all_of``) for each message
 key; ``step`` -> nothing (the replay's stand-in for the mailbox put a
 DES send ends with); ``stretch`` -> nothing (the process, sent None,
@@ -167,8 +166,6 @@ class DesInterpreter:
                 ])
             elif code == "set":
                 self._event(op[1]).succeed()
-            elif code == "handoff":
-                yield self._event(op[2]).succeed()
             elif code == "step" or code == "stretch":
                 continue
             else:  # pragma: no cover - schedule author error

@@ -3,8 +3,8 @@
 :class:`StepReplay` runs the op schedules :class:`~repro.sim.analytic.Replay`
 runs, with the DES's order of same-instant work: where ``Replay`` meets
 a same-instant collision it cannot settle and refuses (``ambiguous-tie``),
-:func:`repro.apps.engines.replay_schedule` hands the schedule here
-instead of to the DES.  It is exact for every schedule of processes it
+or its stretch fold defers, :func:`repro.apps.engines.replay_schedule`
+hands the schedule here instead of to the DES.  It is exact for every schedule of processes it
 starts (see the step table in the class doc), at the price of one queue
 entry per DES step at an instant that holds other work; ``Replay``'s
 inline order stays the first attempt because twin workers (one broadcast
@@ -77,8 +77,6 @@ class StepReplay:
         Block until the named events are set and messages received.
     ``("set", key)``
         Set a completion event.
-    ``("handoff", i, key)``
-        ``set``, then ``wait`` on ``key``, as the DES runs it.
     ``("step",)``
         Nothing: the DES takes no step for it (its send already ends
         with the put's).
@@ -129,6 +127,8 @@ class StepReplay:
                             the sender at step 3 (``[]``: at s+1)
     ``set``                 ``key`` is processed at s+1: its waiters
                             resume there in the order they registered
+                            (a ``wait`` on ``key`` right after it, as
+                            the LU worker's on its kept part, last)
     ``wait`` event          processed: no step; else resumes when
                             ``key`` is processed
     ``wait`` message        on the mailbox: the ``get`` takes one step
@@ -521,10 +521,6 @@ class StepReplay:
                 return
             elif code == "set":
                 dq.append(("e", op[1], None))
-            elif code == "handoff":  # set, then wait: resumes when the key is processed
-                dq.append(("e", op[2], None))
-                self.waiters.setdefault(op[2], []).append(gen)
-                return
             elif code == "step" or code == "stretch":
                 continue
             elif code == "wait_all":

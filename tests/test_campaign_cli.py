@@ -181,10 +181,12 @@ def test_campaign_run_help_example_grid_runs_both_apps(tmp_path, capsys):
 
 
 def test_campaign_preset_grid_lu_replicates_all_fold_and_equal_the_des(tmp_path, capsys):
-    """``lu@rasc`` (p = 2) used to refuse every replicate with
-    ``ambiguous-tie`` at its worker/sink CPU-lane handoff; the replay now
-    orders that handoff, so no replicate of the preset grid runs the DES,
-    and the manifest is byte-identical to the one the DES writes."""
+    """``lu@rasc`` (p = 2) used to send every replicate to the DES: the
+    replay refused with ``ambiguous-tie`` where a worker's kept part and
+    its node's opMS sink meet on the CPU lane.  Such runs now replay on
+    ``StepReplay``, in the DES's same-instant order, so no replicate of
+    the preset grid runs the DES, and the manifest is byte-identical to
+    the one the DES writes."""
     from repro.sim.analytic import set_fast_path_mode
 
     args = ["campaign", "run", "--preset", "xd1,xt3,rasc", "--replicates", "3",

@@ -25,9 +25,15 @@ every one of them, refusing none.
 Hand-built ``stretch`` schedules (an LU worker's opMM job folded into
 one heap entry) hold the fold bitwise equal to the DES where another
 process asks for the worker's CPU lane inside a gemm or in a stage gap,
-where one asks at a folded instant (the run defers, counted), where twin
-workers end their stretches at one instant, and where a chunk arrives
-mid-stretch.
+where one asks at a folded instant (the run defers to ``StepReplay``,
+counted), where twin workers end their stretches at one instant, and
+where a chunk arrives mid-stretch.
+
+Run as a script, it compares every point of the LU domain the
+Hypothesis test below samples, fast path against DES, in every result
+field::
+
+    PYTHONPATH=src python tests/test_engine_differential.py
 """
 
 from __future__ import annotations
@@ -211,32 +217,35 @@ def test_a_wait_at_an_instant_where_two_classes_met_refuses():
     assert _des(spec, design, programs)[0] == 0.5158253128205128
 
 
-def _handoff_programs(handoff):
-    """Node 0's worker ends a gemm and hands its part to node 0's sink,
-    whose other part arrived earlier; both then ask for node 0's CPU lane.
-    The sink's ``ms`` releases node 1's last op."""
+def _handoff_programs():
+    """Node 0's worker ends a gemm and passes its part to node 0's sink
+    (a ``set`` and a ``wait`` on ``local``), whose other part arrived
+    earlier; both then ask for node 0's CPU lane.  The sink's ``ms``
+    releases node 1's last op."""
     local = ("local",)
     return [
         [("send_batch", [(1, 0, ("r",)), (1, 0, ("c",))], 0), ("wait", ("ms",)),
          ("cpu", 1, 1, ("tail",))],
         [("wait_all", [local, (1, 0, ("r",))]), ("cpu", 0, 0, ("opMS",)), ("set", ("ms",))],
-        [("cpu", 0, 1, ("gemm", 0))] + handoff(local)
-        + [("wait", (1, 0, ("c",))), ("cpu", 0, 0, ("gemm", 1))],
+        [("cpu", 0, 1, ("gemm", 0)), ("set", local), ("wait", local),
+         ("wait", (1, 0, ("c",))), ("cpu", 0, 0, ("gemm", 1))],
     ]
 
 
-def test_a_handoff_grants_the_sink_first_as_the_des_does():
+def test_a_local_handoff_replays_as_the_des_orders_it():
+    """``Replay`` cannot tell who gets node 0's lane first and refuses;
+    the schedule replays on ``StepReplay``, which grants it to the sink
+    first, as the DES does."""
     spec = cray_xd1(p=2)
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
-    programs = _handoff_programs(lambda key: [("handoff", 0, key)])
-    replayed = _replay(spec, design, programs)
-    assert replayed == _des(spec, design, programs)
+    programs = _handoff_programs()
+    with pytest.raises(FastPathUnsupported, match="lane"):
+        _replay(spec, design, programs)
+    replayed, des, deferrals, _, stepped = _stretch_runs(2, programs)
+    assert replayed == des
+    assert deferrals == 0 and stepped > 0
     gemm, opms = (ReplayCosts(spec, design.freq_hz).cpu(WORK["cpu"][w]) for w in (1, 0))
     assert replayed[0] == gemm + opms + gemm  # node 1's tail follows the sink's opMS
-    # The same collision without the handoff's rule is an ambiguous tie.
-    plain = _handoff_programs(lambda key: [("set", key), ("wait", key)])
-    with pytest.raises(FastPathUnsupported, match="lane"):
-        _replay(spec, design, plain)
 
 
 def _same_lu(a, b) -> bool:
@@ -349,12 +358,13 @@ def _stretch_program(ops, price):
 
 
 def _stretch_runs(p, programs):
-    """``(replayed, des, deferrals, folded)``: the programs through
-    :func:`replay_schedule` and on the DES, with the replay's
-    ``fastpath.deferral`` and ``replay.folded`` increments."""
+    """``(replayed, des, deferrals, folded, stepped)``: the programs
+    through :func:`replay_schedule` and on the DES, with the replay's
+    ``fastpath.deferral``, ``replay.folded`` and ``StepReplay``'s
+    ``replay.events`` increments."""
     spec = cray_xd1(p=p)
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
-    names = ("fastpath.deferral", "replay.folded")
+    names = ("fastpath.deferral", "replay.folded", "replay.events")
     before = REGISTRY.counter_values(names)
     fields = replay_schedule(
         spec, design.freq_hz, NOMINAL_RATES,
@@ -362,6 +372,7 @@ def _stretch_runs(p, programs):
         [], app="test")
     deltas = REGISTRY.counter_deltas(before, names)
     count = {name: sum(v for key, v in deltas.items() if key[0] == name) for name in names}
+    stepped = deltas.get(("replay.events", (("engine", "stepped"),)), 0)
     system = ReconfigurableSystem(spec, trace=False)
     system.configure_fpgas(lambda: design)
     des = DesInterpreter(system)
@@ -372,7 +383,7 @@ def _stretch_runs(p, programs):
                 fields["network_bytes"])
     des_fields = (elapsed, [nd.cpu_busy_time for nd in system.nodes],
                   [nd.fpga.busy_time for nd in system.nodes], system.network.bytes_moved)
-    return replayed, des_fields, count["fastpath.deferral"], count["replay.folded"]
+    return replayed, des_fields, count["fastpath.deferral"], count["replay.folded"], stepped
 
 
 #: One opMM-like job of worker node 1: chunk 0, stage, FPGA, gemm, then
@@ -403,17 +414,17 @@ def test_an_outside_lane_request_refolds_the_stretch_as_the_des_orders_it(where)
              + ([("cpu", 0, 0, ("x",))] + trigger if where == "gemm" else [])
              + [("wait", (1, 0, ("r",)))])
     programs = [owner, _JOB, _sink([("wait", (0, 1, ("m",)))])]
-    replayed, des, deferrals, folded = _stretch_runs(2, programs)
+    replayed, des, deferrals, folded, stepped = _stretch_runs(2, programs)
     assert replayed == des
-    assert (deferrals, folded) == (0, 7)
+    assert (deferrals, folded, stepped) == (0, 7, 0)
 
 
 def test_an_outside_request_at_a_folded_instant_defers_the_run():
     """Node 2 stages as long as node 1 does, from the same instant, and
     then lets node 1's sink ask for the lane: the sink asks exactly when
     the worker's stage ends, where only the unfolded order can tell who
-    gets the lane first.  The fold defers (counted), and the unfolded run
-    equals the DES."""
+    gets the lane first.  The fold defers (counted once), the run replays
+    on ``StepReplay``, and it equals the DES."""
     c2 = (0, 2, ("c", 0))
     programs = [
         [("send_batch", [_C0, c2], 0), ("send", (0, 1, _C1[2]), 0, None),
@@ -422,9 +433,10 @@ def test_an_outside_request_at_a_folded_instant_defers_the_run():
         [("wait", c2), ("chan", 2, 0, ("x",)), ("set", ("go",))],
         _sink([("wait", ("go",))]),
     ]
-    replayed, des, deferrals, _ = _stretch_runs(3, programs)
+    replayed, des, deferrals, _, stepped = _stretch_runs(3, programs)
     assert replayed == des
     assert deferrals == 1
+    assert stepped > 0
 
 
 def test_twin_stretches_ending_at_one_instant_pop_in_fold_order():
@@ -446,9 +458,9 @@ def test_twin_stretches_ending_at_one_instant_pop_in_fold_order():
          ("wait_all", [(1, 0, ("r", 1)), (2, 0, ("r", 2))])],
         job(1), job(2),
     ]
-    replayed, des, deferrals, folded = _stretch_runs(3, programs)
+    replayed, des, deferrals, folded, stepped = _stretch_runs(3, programs)
     assert replayed == des
-    assert (deferrals, folded) == (0, 12)
+    assert (deferrals, folded, stepped) == (0, 12, 0)
 
 
 def test_a_chunk_arriving_mid_stretch_stops_the_fold_and_resumes_it():
@@ -460,9 +472,9 @@ def test_a_chunk_arriving_mid_stretch_stops_the_fold_and_resumes_it():
          ("wait", (1, 0, ("r",)))],
         _JOB,
     ]
-    replayed, des, deferrals, folded = _stretch_runs(2, programs)
+    replayed, des, deferrals, folded, stepped = _stretch_runs(2, programs)
     assert replayed == des
-    assert (deferrals, folded) == (0, 6)  # the waits that stop a fold are not folded
+    assert (deferrals, folded, stepped) == (0, 6, 0)  # the waits that stop a fold are not folded
 
 
 def test_engine_work_counts_read_the_same_serial_or_parallel():
@@ -481,3 +493,25 @@ def test_engine_work_counts_read_the_same_serial_or_parallel():
         counts.append(REGISTRY.counter_deltas(before, names))
     assert counts[0] == counts[1]
     assert counts[0][("replay.folded", (("engine", "replay"),))] > 0
+
+
+if __name__ == "__main__":  # pragma: no cover
+    import itertools
+    import sys
+
+    stepped = REGISTRY.counter("replay.events", engine="stepped")
+    domain = list(itertools.product([2, 3, 4, 6], range(2, 11), [0, 1080, 3000], range(6),
+                                    [False, True]))
+    on_stepped = differ = 0
+    for p, nb, b_f, l, overlap in domain:
+        spec = cray_xd1(p=p)
+        config = LuSimConfig(n=3000 * nb, b=3000, k=8, b_f=b_f, l=l, overlap=overlap)
+        before = stepped.value
+        fast = simulate_lu(spec, config, fast_path="on")
+        on_stepped += stepped.value > before
+        if fast != simulate_lu(spec, config, fast_path="off"):
+            differ += 1
+            print(f"differs from the DES: p={p} n/b={nb} b_f={b_f} l={l} overlap={overlap}")
+    print(f"{len(domain)} LU points: {on_stepped} replayed on StepReplay, "
+          f"{differ} differ from the DES")
+    sys.exit(1 if differ else 0)
