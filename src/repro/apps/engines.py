@@ -3,15 +3,17 @@
 LU, FW and MM write their schedules once, as op generators (see
 :class:`repro.sim.analytic.Replay` for the vocabulary), built by a
 ``processes(price)`` callable that returns ``(name, ops)`` per process
-in spawn order.  :func:`replay_schedule` runs them on the analytic
-:class:`~repro.sim.analytic.Replay`, :func:`des_schedule` on a live
-machine through :class:`~repro.sim.interpret.DesInterpreter`.  Both
-return the fields every ``*SimResult`` shares -- ``elapsed``,
-``trace``, ``cpu_busy``, ``fpga_busy`` and ``network_bytes`` -- and the
-two agree bitwise wherever the replay does not refuse.  A schedule
-whose same-instant order ``Replay`` cannot prove replays on
-:class:`~repro.sim.stepped.StepReplay`, which takes the DES's
-same-instant order.
+in spawn order.  :func:`replay_schedule` replays them without a DES,
+:func:`des_schedule` runs them on a live machine through
+:class:`~repro.sim.interpret.DesInterpreter`.  Both return the fields
+every ``*SimResult`` shares -- ``elapsed``, ``trace``, ``cpu_busy``,
+``fpga_busy`` and ``network_bytes`` -- and the two agree bitwise.
+
+The general replay is :class:`~repro.sim.stepped.StepReplay`, which
+takes the DES's same-instant order by construction and refuses nothing.
+LU schedules try :class:`~repro.sim.analytic.Replay` first, whose
+inline tie classes are faster on twin workers but only checked: a
+schedule whose order it cannot prove replays on ``StepReplay``.
 :func:`run_schedule` is the one driver every ``simulate_*`` entry point
 hands its schedule to: the fast path first, the DES otherwise.
 """
@@ -37,28 +39,33 @@ def _stall(event, i: int):
 
 
 def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
-                    processes: Processes, stall_log: list, app: str = "lu") -> dict:
-    """The schedule on :class:`Replay`, with ``rates`` folded in.
+                    processes: Processes, stall_log: list, app: str) -> dict:
+    """``app``'s schedule replayed, with ``rates`` folded in.
 
     ``freq_hz`` is the configured design's nominal clock.  Each
     ``dma_stall`` in ``rates.stalls`` becomes a ``stall`` op spawned
     before the schedule, in :meth:`FaultInjector.install`'s order, as
     the DES spawns its stall processes; the replay's stall marks are
-    appended to ``stall_log`` once the run completes.  Where ``Replay``
+    appended to ``stall_log`` once the run completes.  ``app``'s
+    schedule replays on :class:`StepReplay`, except LU's: that runs on
+    :class:`Replay` first, and on ``StepReplay`` only where ``Replay``
     cannot prove the same-instant order -- it refuses an ambiguous tie,
     or a stretch fold defers (:class:`~repro.sim.analytic.FoldDeferred`,
-    counted under ``fastpath.deferral{app, reason}``) -- the schedule
-    replays on :class:`StepReplay`.  Every engine run adds its
-    :meth:`work` to the ``replay.events`` and ``replay.folded`` counters.
+    counted under ``fastpath.deferral{app, reason}``).  Every engine run
+    adds its :meth:`work` to the ``replay.events`` and ``replay.folded``
+    counters.
     """
     p, links = spec.p, spec.network.links_per_node
-    try:
-        engine = _replayed(Replay(p, links), spec, freq_hz, rates, processes)
-    except (FoldDeferred, FastPathUnsupported) as exc:
-        if isinstance(exc, FoldDeferred):
+    engine = None
+    if app == "lu":
+        try:
+            engine = _replayed(Replay(p, links), spec, freq_hz, rates, processes)
+        except FoldDeferred:
             REGISTRY.counter("fastpath.deferral", app=app, reason="instant").inc()
-        elif exc.reason != "ambiguous-tie":
-            raise
+        except FastPathUnsupported as exc:
+            if exc.reason != "ambiguous-tie":
+                raise
+    if engine is None:
         engine = _replayed(StepReplay(p, links), spec, freq_hz, rates, processes)
     stall_log.extend(engine.marks)
     return dict(

@@ -17,9 +17,10 @@ A ``dma_stall`` window delays only its own node: it queues FIFO on that
 node's ``B_d`` channel with the node's staging holds, and the rest of
 the run follows through the node's times.  The fold keeps its phases
 and runs each channel as that queue (:func:`_fold_stalls`), about a
-seventh of the replay's time on the campaign's default design; the
-runs it cannot settle without the replay's event order go to the
-replay.
+seventh of the replay's time on the campaign's default design, and
+logs the stall marks in the DES's order; the runs it cannot settle
+without stepping through an instant go to
+:class:`~repro.sim.stepped.StepReplay`.
 
 :func:`analytic_fw_batch` vectorises the fold over a whole
 ``(l1, l2)`` split grid (the Figure 7 sweep) in one NumPy pass with
@@ -79,7 +80,7 @@ def analytic_fw(
     ``rates`` folds steady rate faults into ``B_n``, ``F_f`` and ``B_d``,
     and its ``dma_stall`` windows into FIFO holds on each node's ``B_d``
     channel (see :func:`_fold_stalls`); their ``apply``/``revert`` marks
-    are appended to ``stall_log`` in the replay's order.
+    are appended to ``stall_log`` in the DES's order.
     """
     if design is None:
         design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
@@ -195,9 +196,9 @@ def _phases(spec, config, params, t, cpu_busy, fpga_busy, start=(0, 0)) -> float
     return net_bytes
 
 
-#: The heap position of every push the replay makes before its first pop
-#: (the stall spawns, then the schedule's first ops); below every pop.
-_SETUP = (-1.0,)
+#: The DES position of its setup, before the run: each process starts one
+#: step after it, in start order (the stall processes first).
+_SETUP = (-1.0, 0)
 
 
 class _Defer(Exception):
@@ -207,11 +208,12 @@ class _Defer(Exception):
 def _with_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
     """A run with ``dma_stall`` windows: the fold, else the schedule's replay.
 
-    The fold covers ``aggregate_ops`` runs; a per-op run goes to the
-    replay (which refuses multi-run FPGA jobs).  A fold that meets a
-    same-instant stall defers to the replay too, counted under
-    ``fastpath.deferral{app, reason}`` -- a counter kept apart from the
-    ``fastpath.fallback`` ones, since the run stays analytic.
+    The fold covers ``aggregate_ops`` runs; a per-op run replays the
+    schedule on :class:`~repro.sim.stepped.StepReplay` (its pricer
+    refuses multi-run FPGA jobs).  A fold that meets a same-instant stall
+    replays too, counted under ``fastpath.deferral{app, reason}`` -- a
+    counter kept apart from the ``fastpath.fallback`` ones, since the run
+    stays analytic.
     """
     if config.aggregate_ops:
         try:
@@ -234,25 +236,26 @@ def _fold_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
     and its stalls in request order.  A hold or stall requested at ``a``
     is granted at ``a`` on a free channel, else when the request ahead
     of it is released, and released ``dur`` later; every stall's revert
-    counts in ``elapsed``, as the replay's latest instant does.
+    counts in ``elapsed``, as the DES's latest instant does.
 
-    The marks must also come out in the replay's pop order, which at one
-    instant is push order.  So every event that can lead to a mark
-    carries its heap position ``(t, parent, sib)``: ``parent`` is the
-    position of the pop that pushed it, ``sib`` its rank among that
-    pop's pushes (a release grants its queue head before the released
-    process moves on; a transfer's completion pushes the next wave's
-    transfer, then its receiver's wake-up, then the sender's).  Tuples
-    compare as the heap does, so sorting the marks by position is the
-    replay's order, including stalls granted together on symmetric
-    pivot-wave receivers.  The same positions settle whether a receiver
-    that reaches its pivot wait at the pivot's arrival instant waits for
-    the wake-up.
+    The marks must also come out in the DES's order.  The DES runs an
+    instant's timers in the order they started, then its zero-delay
+    posts, each one step after the entry that posted it (the step table
+    of :class:`~repro.sim.stepped.StepReplay`).  So every entry that can
+    lead to a mark carries its DES position ``(t, step, parent, rank)``:
+    a timer's is ``(end, 0, the entry that started it, 0)``, a post's
+    ``(t, step + 1, the entry that posted it, its rank among that
+    entry's posts)``.  Tuples compare as the DES runs its entries, so
+    sorting the marks by position is the DES's order, including stalls
+    granted together on symmetric pivot-wave receivers.  The same
+    positions settle whether a hold requested at its channel's release
+    instant finds it free, whether a receiver that reaches its pivot
+    wait at the pivot's arrival instant waits for the put, and whether
+    a process that waits for its FPGA job's key at the job's end waits.
 
     A stall requested at the instant its node requests or releases a
     hold, or at another stall's request instant on its node, raises
-    :class:`_Defer`: there the replay either refuses the tie or orders
-    it through the node's own pops, and the caller replays the run.
+    :class:`_Defer`, and the caller replays the run.
     """
     params = _fw_params(spec, config, design, rates)
     _, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = params
@@ -286,7 +289,7 @@ def _fold_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
     next_at = [lst[0][0] if lst else inf for lst in stalls]
     drained = [0] * p
     free_t = [-inf] * p  # release instant of the channel's last grant
-    free_pos = [_SETUP] * p  # and the position of that release's pop
+    free_pos = [_SETUP] * p  # and the position of that release's entry
     marks: list = []  # (position, mark, phase)
 
     def drain(i: int, until: float) -> None:
@@ -295,39 +298,42 @@ def _fold_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
         j, ft, fp = drained[i], free_t[i], free_pos[i]
         while j < len(lst) and lst[j][0] < until:
             at, spawn, dur, mark = lst[j]
-            if at > ft:  # granted as its spawn pops (at once for at <= 0)
-                s = (at, (at, _SETUP, spawn), 0) if at > 0 else (0.0, _SETUP, spawn)
+            if at > ft:  # granted at its request: at its start, or as its sleep ends
+                first = (0.0, 1, _SETUP, spawn)
+                s = (at, 1, (at, 0, first, 0), 0) if at > 0 else (0.0, 2, first, 0)
             else:  # queued: granted by the release ahead of it
-                s = (ft, fp, 0)
+                s = (ft, fp[1] + 1, fp, 0)
             ft = s[0] + dur
-            fp = (ft, s, 0)
+            fp = (ft, 0, s, 0)
             marks.append((s, mark, "apply"))
             marks.append((fp, mark, "revert"))
             j += 1
         drained[i], free_t[i], free_pos[i] = j, ft, fp
         next_at[i] = lst[j][0] if j < len(lst) else inf
 
-    def hold(i: int, a: float, pos: tuple, sib: int, dur: float) -> tuple:
-        """Node ``i``'s hold requested at ``a`` in pop ``pos``: its release pop."""
+    def hold(i: int, a: float, pos: tuple, rank: int, dur: float) -> tuple:
+        """Node ``i``'s hold requested at ``a`` in entry ``pos``, as that
+        entry's ``rank``-th post: the entry that ends it."""
         if a in requested[i]:
             raise _Defer("stall-at-hold-instant")
         if next_at[i] < a:
             drain(i, a)
-        ft = free_t[i]
-        if a > ft or (a == ft and free_pos[i] <= pos):
-            h = (a + dur, pos, sib)
-        else:
-            h = (ft + dur, free_pos[i], 0)
+        ft, fp = free_t[i], free_pos[i]
+        if a > ft or (a == ft and fp <= pos):  # released before the request
+            g = (a, pos[1] + 1, pos, rank)
+        else:  # granted by the release, as that entry's first post
+            g = (ft, fp[1] + 1, fp, 0)
+        h = (g[0] + dur, 0, g, 0)
         if h[0] in requested[i]:
             raise _Defer("stall-at-hold-instant")
         free_t[i], free_pos[i] = h[0], h
         return h
 
-    # Per node: the time, the pop the process is running in, and the
-    # rank of its next push in that pop (after every stall spawn at first).
+    # Per node: the time, the entry the process is running in, and the
+    # rank of its next post there.
     t = [0.0] * p
-    pos = [_SETUP] * p
-    sib = [spawns] * p
+    pos = [(0.0, 1, _SETUP, spawns + i) for i in range(p)]
+    rank = [0] * p
     cpu_busy = [0.0] * p
     fpga_busy = [0.0] * p
     net_bytes = 0.0
@@ -343,49 +349,71 @@ def _fold_stalls(spec, config, design, rates, stall_log) -> FwSimResult:
         if phase == 0:
             owner = layout.iteration_owner(it)
             dests = [w for w in range(p) if w != owner]
-            t0 = t[owner]
+            t0, e = t[owner], pos[owner]
             t[owner] = t0 + op1
             cpu_busy[owner] += t[owner] - t0
-            pos[owner], sib[owner] = (t[owner], pos[owner], sib[owner]), 1
+            pos[owner], rank[owner] = (t[owner], 0, (t0, e[1] + 1, e, rank[owner]), 0), 0
+        a, e, r = t[owner], pos[owner], rank[owner]
         if m > 0:
-            # Wave one's transfers are pushed by the sender's pop, each
-            # later one by the completion that frees its egress link.
-            send, s0 = pos[owner], sib[owner]
+            # The send processes start a step after the owner's entry, in
+            # key order.  Wave one's egress grants come a step later, each
+            # later one's from the end of the transfer ahead of it on the
+            # link; a transfer's timer starts a step after its grant.  Its
+            # end posts the queued egress grant, then the put, then the
+            # receiver's get if it waits.
             wave: list = []
-            wave_start = t[owner]
+            wave_start = a
             for start in range(0, m, L):
                 c = wave_start + svc
                 xs = []
                 for j, w in enumerate(dests[start:start + L]):
-                    x = (c, wave[j], 0) if wave else (c, send, s0 + j)
+                    if wave:
+                        g = (wave_start, 1, wave[j], 0)
+                    else:
+                        g = (a, e[1] + 2, (a, e[1] + 1, e, r + start + j), 0)
+                    x = (c, 0, (g[0], g[1] + 1, g, 0), 0)
                     xs.append(x)
-                    if c > t[w] or (c == t[w] and x > pos[w]):
-                        t[w], pos[w], sib[w] = c, (c, x, 1), 1
+                    if c > t[w] or (c == t[w] and x > pos[w]):  # it waits for the put
+                        t[w], pos[w] = c, (c, 1, x, 2 if start + L + j < m else 1)
+                    else:  # the message is there: the get takes a step
+                        pos[w] = (t[w], pos[w][1] + 1, pos[w], rank[w])
+                    rank[w] = 0
                     net_bytes += block_bytes
                 wave = xs
                 wave_start = c
-            t[owner], pos[owner], sib[owner] = wave_start, (wave_start, wave[-1], 2), 1
+            # The last transfer's put ends its send process a step later,
+            # whose event fires the owner's all_of a step after that.
+            put = (wave_start, 1, wave[-1], 0)
+            t[owner], pos[owner] = wave_start, (wave_start, 3, (wave_start, 2, put, 0), 0)
         else:  # all_of([]) resumes the owner one step later
-            pos[owner], sib[owner] = (t[owner], pos[owner], sib[owner]), 1
+            pos[owner] = (a, e[1] + 1, e, r)
+        rank[owner] = 0
         for i in range(p):
-            ti, pi, si = t[i], pos[i], sib[i]
-            fpga_done = ti
+            ti, e, r = t[i], pos[i], rank[i]
             if l2:
-                pi = hold(i, ti, pi, si, before)
-                ti = pi[0]
+                e = hold(i, ti, e, r, before)
+                ti = e[0]
                 fpga_done = ti + fpga_dur
                 fpga_busy[i] += fpga_done - ti
-                f, si = (fpga_done, pi, 1), 2
+                # The job's process starts as the hold's end entry's second
+                # post (a queued stall's grant is the first), gets its FPGA a
+                # step later and starts its timer; its end posts the key.
+                job = (ti, 2, (ti, 1, e, 1), 0)
+                key = (fpga_done, 1, (fpga_done, 0, job, 0), 0)
+                r = 2
                 if after is not None:
-                    pi = hold(i, ti, pi, si, after)
-                    ti, si = pi[0], 1
+                    e = hold(i, ti, e, r, after)
+                    ti, r = e[0], 1
+            else:  # the process sets its key itself
+                fpga_done, key, r = ti, (ti, e[1] + 1, e, r), r + 1
             if l1:
                 tc = ti + cpu_dur
                 cpu_busy[i] += tc - ti
-                ti, pi, si = tc, (tc, pi, si), 1
-            if fpga_done > ti:  # at a tie the FPGA's completion, pushed first, pops first
-                ti, pi, si = fpga_done, (fpga_done, f, 0), 1
-            t[i], pos[i], sib[i] = ti, pi, si
+                e, r = (tc, 0, (ti, e[1] + 1, e, r), 0), 0
+                ti = tc
+            if key > e:  # the key is processed after the wait: resume there
+                ti, e, r = fpga_done, key, 0
+            t[i], pos[i], rank[i] = ti, e, r
 
     for i in range(p):
         drain(i, inf)

@@ -3,7 +3,7 @@
 The schedule is op-yielding generators (see
 :class:`repro.sim.analytic.Replay` for the vocabulary) that both engines
 run: :class:`~repro.sim.interpret.DesInterpreter` for the DES, and
-:class:`~repro.sim.analytic.Replay` for the runs the closed forms of
+:class:`~repro.sim.stepped.StepReplay` for the runs the closed forms of
 :mod:`repro.apps.fw.analytic` hand over.  Every other fast-path run
 takes those closed forms, which evaluate the same arithmetic without an
 engine, DMA stall windows included.

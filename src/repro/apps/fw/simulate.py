@@ -7,7 +7,7 @@ accepts the run: it then takes the closed form of
 :mod:`repro.apps.fw.analytic`, ``dma_stall`` windows included, which
 hands the few runs it cannot fold (a stall at the instant its node uses
 its channel, per-op granularity) to the same schedule on the analytic
-:class:`~repro.sim.analytic.Replay`.  All three produce the same
+:class:`~repro.sim.stepped.StepReplay`.  All three produce the same
 :class:`FwSimResult` bitwise wherever the fast path does not refuse.
 
 Within a node each phase's operations are split ``l1`` to the processor

@@ -2,7 +2,7 @@
 
 The schedule is op-yielding generators (see
 :class:`repro.sim.analytic.Replay` for the vocabulary) that both engines
-run: :class:`~repro.sim.analytic.Replay` for the fast path and
+run: :class:`~repro.sim.stepped.StepReplay` for the fast path and
 :class:`~repro.sim.interpret.DesInterpreter` for the DES.
 
 Each node holds row panels of A, B and C.  In ring step ``s`` the node
@@ -70,14 +70,7 @@ def mm_processes(config, p: int, price) -> list[tuple[str, Iterator]]:
                 yield ("cpu", i, cpu, ("gemm", s))
             if s < p - 1:
                 # Forward the panel for the next step (CPU time, Sec. 4.3).
-                # Every node's send ends at one instant; like the DES, the
-                # replay resumes the senders only once all panels landed.
-                # Without the step, the replay would log same-instant
-                # dma_stall grants in transfer-end order, not the DES's,
-                # and its detector, which sees only queue acquisitions,
-                # would not refuse (see ``step`` in Replay's op list).
                 yield ("send", (i, right, ("ring", s + 1)), panel, None)
-                yield ("step",)
             yield ("wait", fkey)
 
     return [(f"node{i}", node_main(i)) for i in range(p)]

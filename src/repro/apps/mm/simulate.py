@@ -2,10 +2,10 @@
 
 :func:`simulate_mm` runs the one ring schedule of
 :mod:`repro.apps.mm.schedule` on the analytic
-:class:`~repro.sim.analytic.Replay` when the fast path accepts the run,
-and on the discrete-event simulator through
+:class:`~repro.sim.stepped.StepReplay` when the fast path accepts the
+run, and on the discrete-event simulator through
 :class:`~repro.sim.interpret.DesInterpreter` otherwise; both produce the
-same :class:`MmSimResult` bitwise wherever the replay does not refuse.
+same :class:`MmSimResult` bitwise.
 
 Baselines use the same schedule: ``m_f = 0`` is the Processor-only
 design, ``m_f = r`` the FPGA-only design.  :func:`distributed_ring_mm`

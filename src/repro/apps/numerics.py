@@ -16,8 +16,7 @@ label names on those blocks:
 * ``send`` / ``send_batch``: the sender's processor reads the payload
   the tag names into the message key's mailbox; the receiver's ``wait``
   writes it into its own store under the tag.
-* ``set`` / ``wait`` / ``wait_all`` on event keys order the processes;
-  ``step`` does nothing.
+* ``set`` / ``wait`` / ``wait_all`` on event keys order the processes.
 
 Every access goes through a
 :class:`~repro.core.coordination.CoordinationGuard` as ``cpu{i}`` or
@@ -169,7 +168,7 @@ class NodeStores:
                         done.add(key)
             elif code == "set":
                 done.add(op[1])
-            elif code != "step" and code != "stretch":  # pragma: no cover - schedule author error
+            elif code != "stretch":  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown op {code!r}")
             proc[2] = next(proc[1], None)
             if proc[2] is None:

@@ -150,7 +150,7 @@ class FaultInjector:
         :meth:`FaultScenario.expand` order, then each stall's ``apply``
         and ``revert`` at the replay's grant and release times.
         ``stall_log`` holds those ``((event, node), phase, t)`` marks in
-        replay order (:attr:`repro.sim.analytic.Replay.marks`).
+        the DES's order (a replay engine's ``marks``).
         """
         self._claim()
         for event in self.timeline:

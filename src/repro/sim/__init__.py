@@ -1,8 +1,9 @@
 """Discrete-event simulation substrate.
 
 This package is the timing backbone of the reproduction: the
-application schedules in :mod:`repro.apps` run either on the analytic
-:class:`~repro.sim.analytic.Replay` or, through
+application schedules in :mod:`repro.apps` run either on an analytic
+replay (:class:`~repro.sim.stepped.StepReplay`, or
+:class:`~repro.sim.analytic.Replay` for LU) or, through
 :class:`~repro.sim.interpret.DesInterpreter` (which also carries their
 MPI messages), as cooperative processes on this engine over the machine
 models in :mod:`repro.machine`.

@@ -11,12 +11,12 @@ the fast path accepts, at a fraction of the cost.
 
 Two layers live here:
 
-* :class:`Replay` -- a chronological replay engine for schedules that do
-  queue on resources (the LU pipeline, the MM ring, and the FW runs
-  its closed form hands over).  It keeps per-resource FIFO queues and a
+* :class:`Replay` -- a chronological replay engine for the LU pipeline,
+  which queues on resources.  It keeps per-resource FIFO queues and a
   single time-ordered heap, but no event/process objects, and folds an
   LU worker's node-local opMM pipeline into one heap entry per stretch
-  (:class:`StretchPlan`).
+  (:class:`StretchPlan`).  The MM ring and the FW runs FW's closed form
+  hands over replay on :class:`repro.sim.stepped.StepReplay` alone.
   A built-in *ambiguity detector* refuses (raises
   :class:`FastPathUnsupported`) whenever same-timestamp acquisitions of
   one FIFO queue from different tie classes meet and any of them has to
@@ -32,11 +32,13 @@ Two layers live here:
     fixed documented order in both engines, so FIFO service order
     matches by induction.
 
-  A schedule ``Replay`` refuses as an ambiguous tie, or whose stretch
-  fold defers, replays on :class:`repro.sim.stepped.StepReplay`, which
-  takes the DES's same-instant order step by step (see
-  :func:`repro.apps.engines.replay_schedule`); only what that refuses
-  too goes to the DES.
+  The tie classes are checked by the differential tests, not proved.
+  A refusal (reason ``ambiguous-tie``) is only ``Replay``'s signal to
+  hand the schedule, like one whose stretch fold defers, to
+  :class:`~repro.sim.stepped.StepReplay`, which takes the DES's
+  same-instant order step by step and refuses nothing (see
+  :func:`repro.apps.engines.replay_schedule`); it is no
+  ``fastpath.fallback`` reason.
 
 * Mode resolution -- ``fast_path`` arguments on the ``simulate_*``
   entry points accept ``"auto"`` (use the fast path when eligible, fall
@@ -52,13 +54,12 @@ coverage (see docs/performance.md):
   ``analytic`` vs ``des``;
 - ``fastpath.fallback{app,reason}`` -- why points fell back
   (``trace`` / ``monitor`` / ``faults`` / ``node-specs`` /
-  ``ambiguous-tie`` / ``unsupported-config`` / ``disabled``);
-- ``fastpath.deferral{app,reason}`` -- runs whose closed form handed
-  them to the replay (FW's stall fold, see
-  :mod:`repro.apps.fw.analytic`), or whose stretch fold handed them to
-  :class:`~repro.sim.stepped.StepReplay` (LU, reason ``instant``; see
-  :class:`Replay`); created on the first deferral and left out of
-  :func:`fastpath_summary`;
+  ``unsupported-config`` / ``disabled``);
+- ``fastpath.deferral{app,reason}`` -- runs whose closed form (FW's
+  stall fold, see :mod:`repro.apps.fw.analytic`) or stretch fold (LU,
+  reason ``instant``; see :class:`Replay`) handed them to
+  :class:`~repro.sim.stepped.StepReplay`; created on the first
+  deferral and left out of :func:`fastpath_summary`;
 - ``replay.events{engine}`` -- heap entries each replay engine run
   pushed (``replay``: :class:`Replay`'s pushes; ``stepped``:
   :class:`~repro.sim.stepped.StepReplay`'s timers plus same-instant
@@ -555,6 +556,11 @@ class _Stretch:
 class Replay:
     """Chronological replay of a DES schedule without event objects.
 
+    :func:`repro.apps.engines.replay_schedule` runs LU schedules on it,
+    where twin workers share every instant and a step per same-instant
+    DES step would cost a fifth of a sweep; every other schedule replays
+    on :class:`~repro.sim.stepped.StepReplay` alone.
+
     Schedules are plain generators yielding *ops* (tuples); the engine
     drives each generator with :meth:`advance` and orders everything on
     one ``(time, push time, seq)`` heap.  The same schedules run on the
@@ -582,19 +588,6 @@ class Replay:
         Block until the named completion events are set.
     ``("set", key)``
         Set a completion event immediately.
-    ``("step",)``
-        Resume at the same time one step later, behind every event
-        already queued for this instant.  A blocking send takes this
-        step inside the DES (its sender resumes on the mailbox put,
-        queued behind the other same-instant deliveries), so the
-        interpreter runs nothing for it; a schedule yields it after a
-        send whose sender's next ops race other nodes' same-instant
-        work.  The MM ring needs it: without it its senders resume in
-        the order their transfers end, so their next staging holds start,
-        and the stall windows queued behind them log ``apply``, in
-        another order than the DES's (node 2 before node 0 on a
-        six-node XD1).  No queue sees that order, so the detector below
-        would not refuse it.
     ``("stretch", i, plan, keys)``
         The ops a :class:`StretchPlan` stands for, on node *i*, with the
         keys they wait on and set.  Sent None (every engine that only
@@ -619,11 +612,15 @@ class Replay:
     instant, no later acquisition at it may wait: comparing each
     acquisition with the previous one alone let a third, waiting one
     through after two granted ones of different classes.  Any other
-    same-timestamp contention raises :class:`FastPathUnsupported` -- the
-    caller replays the schedule on :class:`~repro.sim.stepped.StepReplay`
-    (the DES's order, one queue entry per same-instant step), so refusals
-    cost accuracy nothing.  The detector sees queue acquisitions only:
-    it does not check the order in which stall windows log their marks.
+    same-timestamp contention raises :class:`FastPathUnsupported`
+    (``ambiguous-tie``) -- only a signal: the caller replays the schedule
+    on :class:`~repro.sim.stepped.StepReplay` (the DES's order, one queue
+    entry per same-instant step), which refuses nothing, so refusals
+    cost accuracy nothing and no run falls back for them.  The tie
+    classes are checked by the differential tests, not proved.  The
+    detector sees queue acquisitions only: it does not check the order
+    in which stall windows log their marks, which the tests compare
+    with ``StepReplay``'s on LU's default-model campaign draws.
 
     **Stretches.**  At a ``stretch`` op :meth:`_fold` takes the plan's
     ops over and times them in closed form, up to the first wait on a
@@ -1208,9 +1205,6 @@ class Replay:
                     heappush(heap, (t + dur, t, seq(), "f", i, key))
                 elif self._acq(q, t, None, (dur, "f", i, key)):
                     heappush(heap, (t + dur, t, seq(), "f", i, key))
-            elif code == "step":
-                heappush(heap, (t, t, seq(), "g", gen, None))
-                return
             elif code == "stall":
                 _, i, dur, mark = op
                 # A queued stall waits with dur 0.0: its grant pushes "s" at the grant instant.

@@ -18,9 +18,8 @@ setting its event; ``send`` -> a blocking send; ``send_batch`` -> one
 send process per message, then ``all_of``; ``set`` -> succeed an
 event; ``wait``/``wait_all`` -> yield on events, with a blocking
 receive (inline, or as a process under ``all_of``) for each message
-key; ``step`` -> nothing (the replay's stand-in for the mailbox put a
-DES send ends with); ``stretch`` -> nothing (the process, sent None,
-yields the ops of its plan one by one; the replay takes them over).
+key; ``stretch`` -> nothing (the process, sent None, yields the ops
+of its plan one by one; the replay takes them over).
 
 Messages model the paper's blocking point-to-point MPI over the
 interconnect.  A send moves its bytes through ``system.network`` (one
@@ -166,7 +165,7 @@ class DesInterpreter:
                 ])
             elif code == "set":
                 self._event(op[1]).succeed()
-            elif code == "step" or code == "stretch":
+            elif code == "stretch":
                 continue
             else:  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown op {code!r}")

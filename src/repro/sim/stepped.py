@@ -1,15 +1,18 @@
-"""The analytic replay in the DES's same-instant order.
+"""The general analytic replay, in the DES's same-instant order.
 
-:class:`StepReplay` runs the op schedules :class:`~repro.sim.analytic.Replay`
-runs, with the DES's order of same-instant work: where ``Replay`` meets
-a same-instant collision it cannot settle and refuses (``ambiguous-tie``),
-or its stretch fold defers, :func:`repro.apps.engines.replay_schedule`
-hands the schedule here instead of to the DES.  It is exact for every schedule of processes it
-starts (see the step table in the class doc), at the price of one queue
-entry per DES step at an instant that holds other work; ``Replay``'s
-inline order stays the first attempt because twin workers (one broadcast
-wave, identical work) share every instant of an LU sweep, where that
-price would add a fifth to a fig6 + fig8 pass.
+:class:`StepReplay` runs the op schedules of every app without a DES,
+with the DES's order of same-instant work by construction: it is exact
+for every schedule of processes it starts (see the step table in the
+class doc) and refuses nothing, at the price of one queue entry per DES
+step at an instant that holds other work.
+:func:`repro.apps.engines.replay_schedule` runs the MM ring and the FW
+runs FW's closed form hands over here.  LU schedules try
+:class:`~repro.sim.analytic.Replay` first, because twin workers (one
+broadcast wave, identical work) share every instant of an LU sweep,
+where that price would add a fifth to a fig6 + fig8 pass; where
+``Replay`` meets a same-instant collision it cannot settle
+(``ambiguous-tie``), or its stretch fold defers, the schedule replays
+here.
 """
 
 from __future__ import annotations
@@ -77,9 +80,6 @@ class StepReplay:
         Block until the named events are set and messages received.
     ``("set", key)``
         Set a completion event.
-    ``("step",)``
-        Nothing: the DES takes no step for it (its send already ends
-        with the put's).
     ``("stretch", i, plan, keys)``
         Nothing: the process is sent None and yields the plan's ops one
         by one (``Replay`` sends True and folds them).
@@ -521,7 +521,7 @@ class StepReplay:
                 return
             elif code == "set":
                 dq.append(("e", op[1], None))
-            elif code == "step" or code == "stretch":
+            elif code == "stretch":
                 continue
             elif code == "wait_all":
                 cell = [0, gen]

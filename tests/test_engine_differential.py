@@ -3,8 +3,7 @@
 Hypothesis draws small random op schedules (``p`` from 2 to 4; CPU,
 channel, FPGA spawn + wait, send and send-batch ops with matching
 receives, and event ``set`` ops with matching waits; a send batch may
-be empty, and a send may be followed by the ``step`` the DES takes
-inside its blocking send) and runs each through
+be empty) and runs each through
 :class:`repro.sim.analytic.Replay` and through
 :class:`repro.sim.interpret.DesInterpreter` on a live machine.
 Wherever the replay does not refuse, makespan, per-node CPU and FPGA
@@ -20,7 +19,10 @@ deadlock-free.
 
 :class:`repro.sim.stepped.StepReplay`, which takes the DES's
 same-instant order, runs the same schedules and must match the DES on
-every one of them, refusing none.
+every one of them, refusing none.  LU is the one app left on
+``Replay``: on default-model LU campaign replicates (stall bursts and
+rate jitter) on xd1, xt3 and rasc, every run it serves must equal
+``StepReplay``'s in every result field and stall mark.
 
 Hand-built ``stretch`` schedules (an LU worker's opMM job folded into
 one heap entry) hold the fold bitwise equal to the DES where another
@@ -43,13 +45,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_design
-from repro.apps.engines import replay_schedule
+from repro.apps.engines import _replayed, replay_schedule
 from repro.apps.lu import LuSimConfig, simulate_lu
+from repro.apps.lu.schedule import lu_processes
+from repro.campaign import CampaignSpec
+from repro.campaign.core import campaign_tasks
+from repro.faults import FaultInjector, FaultScenario
 from repro.hw.mm_design import MatrixMultiplyDesign
 from repro.machine import ReconfigurableSystem, cray_xd1
 from repro.obs.metrics import REGISTRY
-from repro.sim.analytic import (NOMINAL_RATES, FastPathUnsupported, Replay, ReplayCosts,
-                                StretchPlan, set_fast_path_mode)
+from repro.sim.analytic import (NOMINAL_RATES, FastPathUnsupported, FoldDeferred, Replay,
+                                ReplayCosts, StretchPlan, set_fast_path_mode)
 from repro.sim.interpret import DesInterpreter, Physical
 from repro.sim.stepped import StepReplay
 
@@ -70,9 +76,7 @@ def schedules(draw):
     node ``nodes[j]``; work slots hold table indices."""
     p = draw(st.integers(2, 4))
     nodes = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=5))
-    # Each program is a list of units (lists of ops) until the receives
-    # are placed, so no wait lands between a send and its step.
-    programs: list[list[list[tuple]]] = [[] for _ in nodes]
+    programs: list[list[tuple]] = [[] for _ in nodes]
     receives: list[list[tuple]] = [[] for _ in nodes]
     for j, i in enumerate(nodes):
         prog = programs[j]
@@ -83,27 +87,27 @@ def schedules(draw):
             w = draw(st.integers(0, 1))
             label = (kind, j, n)
             if kind == "cpu":
-                prog.append([("cpu", i, w, label)])
+                prog.append(("cpu", i, w, label))
             elif kind == "chan":
-                prog.append([("chan", i, w, label)])
+                prog.append(("chan", i, w, label))
             elif kind == "fpga":
                 key = ("fpga", j, n)
-                prog.append([("fpga_spawn", i, w, key, label)])
+                prog.append(("fpga_spawn", i, w, key, label))
                 receives[j].append((len(prog), key))  # wait after the spawn
             elif kind == "send":
                 r = draw(st.sampled_from(peers))
                 key = (i, nodes[r], ("m", j, n))
-                prog.append([("send", key, w, None)] + [("step",)] * draw(st.integers(0, 1)))
+                prog.append(("send", key, w, None))
                 receives[r].append((0, key))
             elif kind == "set":
                 key = ("ev", j, n)
-                prog.append([("set", key)])
+                prog.append(("set", key))
                 for r in draw(st.lists(st.sampled_from(later), unique=True)) if later else []:
                     receives[r].append((0, key))
             else:
                 rs = draw(st.lists(st.sampled_from(peers), unique=True)) if peers else []
                 keys = [(i, nodes[r], ("b", j, n, r)) for r in rs]
-                prog.append([("send_batch", keys, w)])
+                prog.append(("send_batch", keys, w))
                 for r, key in zip(rs, keys):
                     receives[r].append((0, key))
     # Insert every receive at a drawn position (never before its spawn),
@@ -114,10 +118,10 @@ def schedules(draw):
             if draw(st.booleans()):
                 gathered.append(key)
             else:
-                prog.insert(draw(st.integers(earliest, len(prog))), [("wait", key)])
+                prog.insert(draw(st.integers(earliest, len(prog))), ("wait", key))
         if gathered:
-            prog.append([("wait_all", gathered)])
-    return p, nodes, [[op for unit in prog for op in unit] for prog in programs]
+            prog.append(("wait_all", gathered))
+    return p, nodes, programs
 
 
 def _priced(programs, price):
@@ -328,6 +332,44 @@ def test_the_lu_design_grid_runs_on_the_replay():
         set_fast_path_mode(prev)
 
 
+#: Of 150 default-model LU replicates, how many ``Replay`` serves per
+#: preset: it hands every two-node RASC run to ``StepReplay`` at its
+#: first same-instant lane contention.
+LU_SERVED = {"xd1": 150, "xt3": 150, "rasc": 0}
+
+
+@pytest.mark.parametrize("preset", sorted(LU_SERVED))
+def test_default_model_lu_replicates_replay_as_the_stepped_replay(preset):
+    """LU is the one app left on ``Replay``'s checked tie classes.  On
+    default-model campaign replicates (a stall burst over every node plus
+    rate jitter) every run ``Replay`` serves equals :class:`StepReplay`'s,
+    which takes the DES's order by construction, in every result field
+    and stall mark."""
+    campaign = CampaignSpec(apps=("lu",), presets=(preset,), replicates=150, seed=5)
+    served = 0
+    for task in campaign_tasks(campaign):
+        lu = build_design("lu", preset, task.get("n"), task.get("b"))
+        config = lu.config()
+        rates = FaultInjector(FaultScenario.from_dict(task["scenario"])).steady_rates()
+        runs = []
+        for engine_type in (Replay, StepReplay):
+            engine = engine_type(lu.spec.p, lu.spec.network.links_per_node)
+            try:
+                _replayed(engine, lu.spec, lu.design.freq_hz, rates,
+                          lambda price: lu_processes(config, lu.spec.p, price))
+            except FoldDeferred:
+                break
+            except FastPathUnsupported as exc:
+                assert exc.reason == "ambiguous-tie"
+                break
+            runs.append((engine.max_t, engine.cpu_busy, engine.fpga_busy, engine.net_bytes,
+                         engine.marks))
+        else:
+            assert runs[0] == runs[1], task
+            served += 1
+    assert served == LU_SERVED[preset]
+
+
 # -----------------------------------------------------------------------
 # stretches: a worker's node-local ops folded into one heap entry
 # -----------------------------------------------------------------------
@@ -369,7 +411,7 @@ def _stretch_runs(p, programs):
     fields = replay_schedule(
         spec, design.freq_hz, NOMINAL_RATES,
         lambda price: [(f"proc{j}", _stretch_program(ops, price)) for j, ops in enumerate(programs)],
-        [], app="test")
+        [], app="lu")
     deltas = REGISTRY.counter_deltas(before, names)
     count = {name: sum(v for key, v in deltas.items() if key[0] == name) for name in names}
     stepped = deltas.get(("replay.events", (("engine", "stepped"),)), 0)

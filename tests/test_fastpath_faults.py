@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.fw import FwSimConfig, simulate_fw
@@ -80,11 +80,7 @@ def _folded_and_des(app, preset, scenario):
     spec = ALL_PRESETS[preset]()
     simulate, cfg = APPS[app](spec)
     folded, des = FaultInjector(scenario), FaultInjector(scenario)
-    try:
-        ana = simulate(spec, cfg, faults=folded, fast_path="on")
-    except FastPathUnsupported as exc:
-        assert exc.reason == "ambiguous-tie"
-        return None
+    ana = simulate(spec, cfg, faults=folded, fast_path="on")
     ref = simulate(spec, cfg, faults=des, fast_path="off")
     return ana, folded.injected, ref, des.injected
 
@@ -99,9 +95,8 @@ def _assert_bitwise(ana, ref):
 @given(events=rate_events)
 @settings(max_examples=12, deadline=None)
 def test_folded_rate_faults_match_the_des_bitwise(app, preset, events):
-    out = _folded_and_des(app, preset, FaultScenario(name="drawn", events=tuple(events)))
-    assume(out is not None)
-    ana, ana_log, ref, ref_log = out
+    ana, ana_log, ref, ref_log = _folded_and_des(
+        app, preset, FaultScenario(name="drawn", events=tuple(events)))
     _assert_bitwise(ana, ref)
     assert ana_log == ref_log
 
@@ -120,9 +115,7 @@ def test_stacked_throttle_and_clock_jitter_apply_in_sequence(app, throttle, jitt
             FaultEvent(kind="fpga_throttle", factor=jitter),
         ),
     )
-    out = _folded_and_des(app, "xd1", scenario)
-    assume(out is not None)
-    ana, ana_log, ref, ref_log = out
+    ana, ana_log, ref, ref_log = _folded_and_des(app, "xd1", scenario)
     _assert_bitwise(ana, ref)
     assert ana_log == ref_log
 
@@ -345,8 +338,7 @@ def test_fw_stall_bursts_match_the_des_bitwise():
     def check(point):
         before = _deferrals("fw")
         outcome = _stall_outcome("fw", *point)
-        # The closed form serves the run unless it counts a deferral; only
-        # the replay it defers to can refuse.
+        # The closed form serves the run unless it counts a deferral.
         path = "deferral" if _deferrals("fw") > before else "closed-form"
         assert outcome == "folded" or path == "deferral"
         outcomes.append((outcome, path))
@@ -384,6 +376,57 @@ def test_mm_same_instant_stall_grants_keep_the_des_order():
         seed=1,
     )
     assert _stall_outcome("mm", spec, cfg, scenario) == "folded"
+
+
+@pytest.mark.parametrize("l1,events,instant", [
+    # On node 1 a short stall reverts as its hold is requested, and the
+    # revert's timer runs before the request: both nodes' holds are
+    # granted at their requests and end together.
+    (1, (
+        FaultEvent(kind="dma_stall", at=1e-4, duration=0.05, node=1),
+        FaultEvent(kind="dma_stall", at=1e-4, duration=0.05, node=2),
+        FaultEvent(kind="dma_stall", at=0.07244739720287659, duration=2.0**-20, node=1),
+        FaultEvent(kind="dma_stall", at=0.072449350877193, duration=1e-3, node=1),
+        FaultEvent(kind="dma_stall", at=0.072449350877193, duration=1e-3, node=2),
+    ), 0.07272141754385966),
+    # A stall ends node 2's FPGA job as its pivot lands: its get takes a
+    # step, so node 1, woken by the put, asks for its channel first.
+    (0, (
+        FaultEvent(kind="dma_stall", at=0.02241448687719298, duration=0.008867882666666669,
+                   node=2),
+        FaultEvent(kind="dma_stall", at=0.040704, duration=1e-3, node=1),
+        FaultEvent(kind="dma_stall", at=0.040704, duration=1e-3, node=2),
+    ), 0.040840702877192991),
+], ids=["abutting", "on-the-pivot"])
+def test_fw_same_instant_stall_grants_keep_the_des_order(l1, events, instant):
+    # Nodes 1 and 2's holds end together, and the stalls queued behind
+    # them are granted in the order the DES started the holds' timers:
+    # node 1's first.
+    spec = ALL_PRESETS["xd1"]()
+    cfg = FwSimConfig(n=1536, b=128, k=8, l1=l1, l2=2 - l1)
+    scenario = FaultScenario(name="together", events=events)
+    assert _stall_outcome("fw", spec, cfg, scenario) == "folded"
+    log = FaultInjector(scenario)
+    simulate_fw(spec, cfg, faults=log, fast_path="on")
+    together = [(e["node"], e["phase"]) for e in log.injected if e["t"] == instant]
+    assert together == [(1, "apply"), (2, "apply")]
+
+
+@pytest.mark.parametrize("app,cfg", [
+    ("mm", MmSimConfig(n=1440, k=8, m_f=8)),
+    ("fw", FwSimConfig(n=128 * 2 * 6, b=128, k=8, l1=2, l2=0, aggregate_ops=False)),
+])
+def test_only_lu_replays_on_replay(app, cfg):
+    # An MM stall run and an FW per-op stall run replay on StepReplay
+    # alone: Replay counts no event.
+    spec = ALL_PRESETS["xd1"]()
+    scenario = FaultScenario(name="stall", bursts=(StallBurst(count=2, window=0.1),), seed=1)
+    names = ("replay.events",)
+    before = REGISTRY.counter_values(names)
+    assert _stall_outcome(app, spec, cfg, scenario) == "folded"
+    deltas = REGISTRY.counter_deltas(before, names)
+    assert ("replay.events", (("engine", "replay"),)) not in deltas
+    assert deltas[("replay.events", (("engine", "stepped"),))] > 0
 
 
 #: Default-model campaign replicates (4-stall burst over every node plus

@@ -15,9 +15,12 @@ Pins the ``repr`` of ``elapsed``, ``cpu_busy``, ``fpga_busy`` and
 - stall-folded LU, FW and MM runs on three presets, each with its
   fault injector's log.
 
-Any change to the :class:`repro.sim.analytic.Replay` engine's event
-order or arithmetic shows up here as a changed line, whether or not the
-DES would agree.
+The LU runs replay on :class:`repro.sim.analytic.Replay`, or on
+:class:`repro.sim.stepped.StepReplay` where it refuses; the MM runs on
+``StepReplay`` alone, and the FW runs take FW's closed form or its stall
+fold.  Any change to an engine's event order or arithmetic, or to the
+fold's, shows up here as a changed line, whether or not the DES would
+agree.
 
 Regenerate (only when a result change is intended) with
 ``PYTHONPATH=src python tests/test_replay_golden.py``.
