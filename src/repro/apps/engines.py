@@ -1,7 +1,7 @@
 """Run an app's op schedule on either engine.
 
 LU, FW and MM write their schedules once, as op generators (see
-:class:`repro.sim.analytic.Replay` for the vocabulary), built by a
+:class:`repro.sim.stepped.StepReplay` for the vocabulary), built by a
 ``processes(price)`` callable that returns ``(name, ops)`` per process
 in spawn order.  :func:`replay_schedule` replays them without a DES,
 :func:`des_schedule` runs them on a live machine through
@@ -9,11 +9,8 @@ in spawn order.  :func:`replay_schedule` replays them without a DES,
 every ``*SimResult`` shares -- ``elapsed``, ``trace``, ``cpu_busy``,
 ``fpga_busy`` and ``network_bytes`` -- and the two agree bitwise.
 
-The general replay is :class:`~repro.sim.stepped.StepReplay`, which
-takes the DES's same-instant order by construction and refuses nothing.
-LU schedules try :class:`~repro.sim.analytic.Replay` first, whose
-inline tie classes are faster on twin workers but only checked: a
-schedule whose order it cannot prove replays on ``StepReplay``.
+The replay is :class:`~repro.sim.stepped.StepReplay`, which takes the
+DES's same-instant order by construction and refuses nothing.
 :func:`run_schedule` is the one driver every ``simulate_*`` entry point
 hands its schedule to: the fast path first, the DES otherwise.
 """
@@ -24,10 +21,9 @@ from typing import Callable, Iterator, Optional
 
 from ..machine.system import MachineSpec, ReconfigurableSystem
 from ..obs.metrics import REGISTRY
-from ..sim.analytic import (FastPathUnsupported, FoldDeferred, Replay, ReplayCosts,
-                            SteadyRates, fault_nodes, try_fast_path)
+from ..sim.analytic import ReplayCosts, SteadyRates, fault_nodes, try_fast_path
 from ..sim.interpret import DesInterpreter, Physical
-from ..sim.stepped import StepReplay
+from ..sim.stepped import StepReplay, replay
 
 __all__ = ["des_schedule", "replay_schedule", "run_schedule"]
 
@@ -40,33 +36,38 @@ def _stall(event, i: int):
 
 def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
                     processes: Processes, stall_log: list, app: str) -> dict:
-    """``app``'s schedule replayed, with ``rates`` folded in.
+    """``app``'s schedule replayed on :class:`StepReplay`, with ``rates``
+    folded in.
 
     ``freq_hz`` is the configured design's nominal clock.  Each
     ``dma_stall`` in ``rates.stalls`` becomes a ``stall`` op spawned
     before the schedule, in :meth:`FaultInjector.install`'s order, as
     the DES spawns its stall processes; the replay's stall marks are
-    appended to ``stall_log`` once the run completes.  ``app``'s
-    schedule replays on :class:`StepReplay`, except LU's: that runs on
-    :class:`Replay` first, and on ``StepReplay`` only where ``Replay``
-    cannot prove the same-instant order -- it refuses an ambiguous tie,
-    or a stretch fold defers (:class:`~repro.sim.analytic.FoldDeferred`,
-    counted under ``fastpath.deferral{app, reason}``).  Every engine run
-    adds its :meth:`work` to the ``replay.events`` and ``replay.folded``
-    counters.
+    appended to ``stall_log`` once the run completes.  A stretch fold
+    that cannot order one of its instants makes the run start over with
+    no fold (:func:`~repro.sim.stepped.replay`), counted under
+    ``fastpath.deferral{app, reason=instant}``.  The run's :meth:`work`,
+    and that of a run given up, go to the ``replay.events`` and
+    ``replay.folded`` counters.
     """
-    p, links = spec.p, spec.network.links_per_node
-    engine = None
-    if app == "lu":
-        try:
-            engine = _replayed(Replay(p, links), spec, freq_hz, rates, processes)
-        except FoldDeferred:
-            REGISTRY.counter("fastpath.deferral", app=app, reason="instant").inc()
-        except FastPathUnsupported as exc:
-            if exc.reason != "ambiguous-tie":
-                raise
-    if engine is None:
-        engine = _replayed(StepReplay(p, links), spec, freq_hz, rates, processes)
+    p = spec.p
+    price = ReplayCosts(spec, freq_hz, rates)
+
+    def start(engine: StepReplay) -> None:
+        for event in rates.stalls:
+            for i in fault_nodes(event.node, p):
+                engine.spawn(_stall(event, i), event.at)
+        for _, ops in processes(price):
+            engine.process(ops)
+
+    engine = replay(p, spec.network.links_per_node, start)
+    if engine.deferred is not None:
+        REGISTRY.counter("fastpath.deferral", app=app, reason="instant").inc()
+    for work in (engine.deferred, engine.work()):
+        if work is not None:
+            REGISTRY.counter("replay.events", engine="stepped").inc(work["events"])
+            if work["folded"]:
+                REGISTRY.counter("replay.folded", engine="stepped").inc(work["folded"])
     stall_log.extend(engine.marks)
     return dict(
         elapsed=engine.max_t,
@@ -75,27 +76,6 @@ def replay_schedule(spec: MachineSpec, freq_hz: float, rates: SteadyRates,
         fpga_busy=engine.fpga_busy,
         network_bytes=engine.net_bytes,
     )
-
-
-def _replayed(engine, spec: MachineSpec, freq_hz: float, rates: SteadyRates,
-              processes: Processes):
-    """``engine`` run to the end over the schedule; its work is counted
-    whether or not it completes."""
-    p = spec.p
-    try:
-        for event in rates.stalls:
-            for i in fault_nodes(event.node, p):
-                engine.spawn(_stall(event, i), event.at)
-        for _, ops in processes(ReplayCosts(spec, freq_hz, rates)):
-            engine.process(ops)
-        engine.run()
-    finally:
-        name = "stepped" if isinstance(engine, StepReplay) else "replay"
-        work = engine.work()
-        REGISTRY.counter("replay.events", engine=name).inc(work["events"])
-        if work["folded"]:
-            REGISTRY.counter("replay.folded", engine=name).inc(work["folded"])
-    return engine
 
 
 def des_schedule(spec: MachineSpec, design, processes: Processes, trace: bool = False,

@@ -10,8 +10,8 @@ therefore a pure fold over phases, and :func:`analytic_fw` evaluates
 exactly the float arithmetic the DES would -- same operations, same
 order, including the ``end - start`` busy-time accounting -- so every
 field of the returned :class:`FwSimResult` is bitwise identical.  It
-takes about a fifteenth of the time of running the schedule on
-:class:`~repro.sim.analytic.Replay`.
+takes about a fifteenth of the time of running the schedule on a
+replay.
 
 A ``dma_stall`` window delays only its own node: it queues FIFO on that
 node's ``B_d`` channel with the node's staging holds, and the rest of

@@ -1,7 +1,7 @@
 """The distributed FW schedule (Section 5.2.3), written once.
 
 The schedule is op-yielding generators (see
-:class:`repro.sim.analytic.Replay` for the vocabulary) that both engines
+:class:`repro.sim.stepped.StepReplay` for the vocabulary) that both engines
 run: :class:`~repro.sim.interpret.DesInterpreter` for the DES, and
 :class:`~repro.sim.stepped.StepReplay` for the runs the closed forms of
 :mod:`repro.apps.fw.analytic` hand over.  Every other fast-path run

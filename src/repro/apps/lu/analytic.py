@@ -2,10 +2,8 @@
 
 The distributed LU schedule itself has no separate analytic copy: it is
 written once in :mod:`repro.apps.lu.schedule` and
-:func:`repro.apps.lu.simulate.simulate_lu` runs it on the
-:class:`repro.sim.analytic.Replay` engine for the fast path (see that
-module for the tie classes that make the replay safe where it does not
-refuse).
+:func:`repro.apps.lu.simulate.simulate_lu` runs it on
+:class:`repro.sim.stepped.StepReplay` for the fast path.
 
 :func:`analytic_block_mm` is a closed form for one cooperative block
 multiply: the stripe broadcast is a chain of link-limited send waves and

@@ -1,9 +1,9 @@
 """The distributed LU schedule (Section 5.1.3), written once.
 
 The schedule is op-yielding generators (see
-:class:`repro.sim.analytic.Replay` for the vocabulary) that both engines
-run: :class:`~repro.sim.analytic.Replay` for the analytic fast path and
-:class:`~repro.sim.interpret.DesInterpreter` for the DES.  It models the
+:class:`repro.sim.stepped.StepReplay` for the vocabulary) that both
+engines run: :class:`~repro.sim.stepped.StepReplay` for the analytic
+fast path and :class:`~repro.sim.interpret.DesInterpreter` for the DES.  It models the
 paper's schedule at the opMM/superstripe level:
 
 * In iteration ``t`` the owner ``P_{t mod p}`` runs opLU, then the m
@@ -19,7 +19,7 @@ paper's schedule at the opMM/superstripe level:
   so the Equation-4 balance emerges from resource contention rather than
   being scripted.  Each job's node-local ops go out as one ``stretch``
   op (a :class:`~repro.sim.analytic.StretchPlan` built once per run),
-  which the replay folds into one heap entry;
+  which the replay folds into one entry;
 * each opMM's partial results go to the block's storage node, whose sink
   process applies opMS; the next iteration's owner blocks on the opMS
   completions its panel needs (the recursion on A_11).
@@ -34,33 +34,10 @@ The schedule prices its physical work once per run through the engine's
 pricer (see :mod:`repro.sim.interpret`), so neither engine converts
 anything per op.
 
-Tie classes (why the replay is safe where it does not refuse; the
-rule for one instant is in :class:`~repro.sim.analytic.Replay`):
-
-* the owner's per-superstripe broadcast is one ``send_batch`` burst --
-  its transfers enter each FIFO in a fixed documented order in both
-  engines;
-* the result sends of one job ``(t, u, v)`` toward its storage node are
-  one class, ``("msr", t, u, v)``, across broadcast waves.  Each worker
-  sends right after its last timed hold of the job (or its FPGA job)
-  ends: the DES asks for the ingress link one step later (the egress
-  grant), or two after an FPGA completion, and orders equal steps by
-  the order its timers expire; the replay asks at once, or after every
-  timed entry of the instant, in the same timer order.  So a worker
-  whose job ended on its own hold precedes one whose FPGA finished in
-  both engines, and within each kind they agree as long as they started
-  those timers in the same order -- the induction every class here rests
-  on, which the differential tests check (the replay does not model
-  every DES step, so it is not a proof for all schedules);
-* the locally kept part of a job goes to the node's own sink as a
-  ``set`` and a ``wait`` on ``local_ms``, and claims no order.  Where
-  the sink's opMS and the worker's next CPU request meet at one instant,
-  the order depends on DES steps the replay does not take, so the
-  replay refuses (or its stretch fold defers).
-
-Any other same-time collision refuses too, and the schedule replays on
-:class:`~repro.sim.stepped.StepReplay`, which takes every DES step (the
-per-op step table is in its class doc).
+The replay takes the DES's same-instant order step by step (the per-op
+step table is in :class:`~repro.sim.stepped.StepReplay`), so the
+schedule needs no tie tags: the result sends and the local hand-over to
+the sink are plain ``send`` and ``set`` + ``wait`` ops.
 """
 
 from __future__ import annotations
@@ -228,7 +205,7 @@ def lu_processes(config, p: int, price) -> list[tuple[str, Iterator]]:
             if collect:
                 dest = min(u, v) % p
                 if dest != i:
-                    yield ("send", (i, dest, ("ms", t, u, v, i)), result, ("msr", t, u, v))
+                    yield ("send", (i, dest, ("ms", t, u, v, i)), result)
                 else:
                     # The locally kept part goes to this node's own sink.
                     yield ("set", ("local_ms", i, t, u, v))

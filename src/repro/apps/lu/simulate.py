@@ -2,10 +2,12 @@
 
 :func:`simulate_lu` runs the one LU schedule of
 :mod:`repro.apps.lu.schedule` on the analytic
-:class:`~repro.sim.analytic.Replay` when the fast path accepts the run,
-and on the discrete-event simulator through
+:class:`~repro.sim.stepped.StepReplay` when the fast path accepts the
+run, and on the discrete-event simulator through
 :class:`~repro.sim.interpret.DesInterpreter` otherwise; both produce the
-same :class:`LuSimResult` bitwise wherever the replay does not refuse.
+same :class:`LuSimResult` bitwise.  The replay folds each worker's opMM
+job into one entry (a ``stretch``) and replays a run unfolded where a
+fold cannot order one of its instants.
 :func:`distributed_block_lu` runs the same schedule on real blocks,
 through the numerics interpreter of :mod:`repro.apps.numerics`.
 :func:`simulate_block_mm` is one cooperative block multiply (Figure 5):

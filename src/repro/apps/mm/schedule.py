@@ -1,7 +1,7 @@
 """The ring-allgather MM schedule, written once.
 
 The schedule is op-yielding generators (see
-:class:`repro.sim.analytic.Replay` for the vocabulary) that both engines
+:class:`repro.sim.stepped.StepReplay` for the vocabulary) that both engines
 run: :class:`~repro.sim.stepped.StepReplay` for the fast path and
 :class:`~repro.sim.interpret.DesInterpreter` for the DES.
 
@@ -70,7 +70,7 @@ def mm_processes(config, p: int, price) -> list[tuple[str, Iterator]]:
                 yield ("cpu", i, cpu, ("gemm", s))
             if s < p - 1:
                 # Forward the panel for the next step (CPU time, Sec. 4.3).
-                yield ("send", (i, right, ("ring", s + 1)), panel, None)
+                yield ("send", (i, right, ("ring", s + 1)), panel)
             yield ("wait", fkey)
 
     return [(f"node{i}", node_main(i)) for i in range(p)]

@@ -1,7 +1,7 @@
 """Run op schedules on the discrete-event simulator.
 
 An application schedule written once as op-yielding generators (the
-vocabulary of :class:`repro.sim.analytic.Replay`) runs on either engine.
+vocabulary of :class:`repro.sim.stepped.StepReplay`) runs on either engine.
 The schedule prices its work once per run through a *pricer*: the
 replay's :class:`~repro.sim.analytic.ReplayCosts` turns it into
 durations, :class:`Physical` leaves it physical -- ``(kernel, flops)``,
@@ -153,7 +153,7 @@ class DesInterpreter:
                 label = op_name(label) if traced else ""
                 sim.process(fpga_job(nodes[i], work, label, self._event(key)))
             elif code == "send":
-                _, key, nbytes, _tie = op
+                _, key, nbytes = op
                 yield from self._send(key, nbytes)
             elif code == "send_batch":
                 _, keys, nbytes = op

@@ -181,12 +181,11 @@ def test_campaign_run_help_example_grid_runs_both_apps(tmp_path, capsys):
 
 
 def test_campaign_preset_grid_lu_replicates_all_fold_and_equal_the_des(tmp_path, capsys):
-    """``lu@rasc`` (p = 2) used to send every replicate to the DES: the
-    replay refused with ``ambiguous-tie`` where a worker's kept part and
-    its node's opMS sink meet on the CPU lane.  Such runs now replay on
-    ``StepReplay``, in the DES's same-instant order, so no replicate of
-    the preset grid runs the DES, and the manifest is byte-identical to
-    the one the DES writes."""
+    """``lu@rasc`` (p = 2) once sent every replicate to the DES: a worker's
+    kept part and its node's opMS sink meet on the CPU lane, an order the
+    replay's old tie classes could not prove.  The replay takes the DES's
+    same-instant order, so no replicate of the preset grid runs the DES,
+    and the manifest is byte-identical to the one the DES writes."""
     from repro.sim.analytic import set_fast_path_mode
 
     args = ["campaign", "run", "--preset", "xd1,xt3,rasc", "--replicates", "3",

@@ -4,36 +4,30 @@ Hypothesis draws small random op schedules (``p`` from 2 to 4; CPU,
 channel, FPGA spawn + wait, send and send-batch ops with matching
 receives, and event ``set`` ops with matching waits; a send batch may
 be empty) and runs each through
-:class:`repro.sim.analytic.Replay` and through
-:class:`repro.sim.interpret.DesInterpreter` on a live machine.
-Wherever the replay does not refuse, makespan, per-node CPU and FPGA
-busy time and network bytes must be bitwise equal.  Work comes from a
-small set of sizes so that same-time ties are common and the
-``ambiguous-tie`` refusal path is exercised too.
+:class:`repro.sim.stepped.StepReplay` and through
+:class:`repro.sim.interpret.DesInterpreter` on a live machine:
+makespan, per-node CPU and FPGA busy time and network bytes must be
+bitwise equal on every one.  Work comes from a small set of sizes so
+that same-time ties are common.
 
 Several processes may share a node, so CPU lanes, channels and FPGAs
 see same-time contention between processes, as the LU owner and opMS
 sink do.  Messages and events only flow from lower to higher process
 ids and sends never wait on their receiver, so every drawn schedule is
-deadlock-free.
-
-:class:`repro.sim.stepped.StepReplay`, which takes the DES's
-same-instant order, runs the same schedules and must match the DES on
-every one of them, refusing none.  LU is the one app left on
-``Replay``: on default-model LU campaign replicates (stall bursts and
-rate jitter) on xd1, xt3 and rasc, every run it serves must equal
-``StepReplay``'s in every result field and stall mark.
+deadlock-free.  On default-model LU campaign replicates (stall bursts
+and rate jitter) on xd1, xt3 and rasc, the replay must equal the DES in
+every result field and stall mark.
 
 Hand-built ``stretch`` schedules (an LU worker's opMM job folded into
-one heap entry) hold the fold bitwise equal to the DES where another
-process asks for the worker's CPU lane inside a gemm or in a stage gap,
-where one asks at a folded instant (the run defers to ``StepReplay``,
-counted), where twin workers end their stretches at one instant, and
-where a chunk arrives mid-stretch.
+one entry) hold the fold bitwise equal to the DES where another process
+asks for the worker's CPU lane inside a gemm or in a stage gap, where
+one asks at a folded instant (the run replays unfolded, counted), where
+twin workers end their stretches at one instant, and where a chunk
+arrives mid-stretch.
 
 Run as a script, it compares every point of the LU domain the
 Hypothesis test below samples, fast path against DES, in every result
-field::
+field, and counts the runs whose fold deferred::
 
     PYTHONPATH=src python tests/test_engine_differential.py
 """
@@ -45,17 +39,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_design
-from repro.apps.engines import _replayed, replay_schedule
+from repro.apps.engines import replay_schedule
 from repro.apps.lu import LuSimConfig, simulate_lu
-from repro.apps.lu.schedule import lu_processes
 from repro.campaign import CampaignSpec
 from repro.campaign.core import campaign_tasks
 from repro.faults import FaultInjector, FaultScenario
 from repro.hw.mm_design import MatrixMultiplyDesign
 from repro.machine import ReconfigurableSystem, cray_xd1
 from repro.obs.metrics import REGISTRY
-from repro.sim.analytic import (NOMINAL_RATES, FastPathUnsupported, FoldDeferred, Replay,
-                                ReplayCosts, StretchPlan, set_fast_path_mode)
+from repro.sim.analytic import NOMINAL_RATES, ReplayCosts, StretchPlan, set_fast_path_mode
 from repro.sim.interpret import DesInterpreter, Physical
 from repro.sim.stepped import StepReplay
 
@@ -97,7 +89,7 @@ def schedules(draw):
             elif kind == "send":
                 r = draw(st.sampled_from(peers))
                 key = (i, nodes[r], ("m", j, n))
-                prog.append(("send", key, w, None))
+                prog.append(("send", key, w))
                 receives[r].append((0, key))
             elif kind == "set":
                 key = ("ev", j, n)
@@ -134,10 +126,10 @@ def _priced(programs, price):
     ]
 
 
-def _replay(spec, design, programs, engine_type=Replay, start="process"):
-    """The programs on ``engine_type``, each started with ``start``
-    (``"process"``, or ``"spawn"`` for processes it cannot order)."""
-    engine = engine_type(spec.p, spec.network.links_per_node)
+def _replay(spec, design, programs, start="process"):
+    """The programs on :class:`StepReplay`, each started with ``start``
+    (``"process"``, or ``"spawn"`` as a fault injector's stall)."""
+    engine = StepReplay(spec.p, spec.network.links_per_node)
     for ops in _priced(programs, ReplayCosts(spec, design.freq_hz)):
         if start == "process":
             engine.process(iter(ops))
@@ -163,25 +155,11 @@ def _des(spec, design, programs):
 
 @given(schedules())
 @settings(max_examples=300, deadline=None)
-def test_replay_matches_des_bitwise_unless_it_refuses(schedule):
-    p, _nodes, programs = schedule
-    spec = cray_xd1(p=p)
-    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
-    try:
-        replayed = _replay(spec, design, programs)
-    except FastPathUnsupported as exc:
-        assert exc.reason == "ambiguous-tie"
-        return
-    assert replayed == _des(spec, design, programs)
-
-
-@given(schedules())
-@settings(max_examples=300, deadline=None)
 def test_stepped_replay_matches_des_bitwise(schedule):
     p, _nodes, programs = schedule
     spec = cray_xd1(p=p)
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
-    assert _replay(spec, design, programs, StepReplay) == _des(spec, design, programs)
+    assert _replay(spec, design, programs) == _des(spec, design, programs)
 
 
 def test_an_empty_send_batch_resumes_its_process():
@@ -194,31 +172,6 @@ def test_an_empty_send_batch_resumes_its_process():
     replayed = _replay(spec, design, programs)
     assert replayed == _des(spec, design, programs)
     assert replayed[1][0] > 0.0  # node 0 ran its op after the batch
-
-
-def test_a_wait_at_an_instant_where_two_classes_met_refuses():
-    """Reduced from the FPGA-only ``ablation-overlap`` points: at one
-    instant an untagged send takes one of node 3's two ingress links, then
-    two sends of one tie class ask, and the second must wait.  The replay
-    resumes the untagged sender inline when its first transfer ends, so it
-    asks first; the DES resumes it one step later (its mailbox put), behind
-    the two senders woken by the messages that arrived just before, and
-    makes it wait instead (makespan 0.5158253... against the replay's
-    0.5148237...).  Compared only with the previous acquisition, of its own
-    class, the waiting send passed the detector."""
-    spec = cray_xd1(p=4)
-    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
-    programs = [
-        [("send", (2, 1, ("m", 1)), 0, None)],
-        [("send", (2, 1, ("m", 2)), 0, None)],
-        [("send", (0, 2, ("a",)), 0, None), ("send", (0, 3, ("x",)), 0, None),
-         ("cpu", 0, 1, ("cpu",))],
-        [("wait", (2, 1, ("m", 1))), ("send", (1, 3, ("y", 1)), 0, ("y",))],
-        [("wait", (2, 1, ("m", 2))), ("send", (1, 3, ("y", 2)), 0, ("y",))],
-    ]
-    with pytest.raises(FastPathUnsupported, match="ingress"):
-        _replay(spec, design, programs)
-    assert _des(spec, design, programs)[0] == 0.5158253128205128
 
 
 def _handoff_programs():
@@ -237,17 +190,15 @@ def _handoff_programs():
 
 
 def test_a_local_handoff_replays_as_the_des_orders_it():
-    """``Replay`` cannot tell who gets node 0's lane first and refuses;
-    the schedule replays on ``StepReplay``, which grants it to the sink
-    first, as the DES does."""
+    """Who gets node 0's lane first is the DES's step order (``Replay``,
+    with its tie classes, could not tell and refused): the replay grants
+    it to the sink first, as the DES does."""
     spec = cray_xd1(p=2)
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
     programs = _handoff_programs()
-    with pytest.raises(FastPathUnsupported, match="lane"):
-        _replay(spec, design, programs)
-    replayed, des, deferrals, _, stepped = _stretch_runs(2, programs)
+    replayed, des, deferrals, _ = _stretch_runs(2, programs)
     assert replayed == des
-    assert deferrals == 0 and stepped > 0
+    assert deferrals == 0
     gemm, opms = (ReplayCosts(spec, design.freq_hz).cpu(WORK["cpu"][w]) for w in (1, 0))
     assert replayed[0] == gemm + opms + gemm  # node 1's tail follows the sink's opMS
 
@@ -266,12 +217,11 @@ def _same_lu(a, b) -> bool:
 )
 @settings(max_examples=40, deadline=None)
 @example(p=4, nb=5, b_f=0, l=2, overlap=True)  # a service design's CPU-only baseline
-def test_lu_replay_matches_des_bitwise_unless_it_refuses(p, nb, b_f, l, overlap):
-    """Random LU points: every point replays (on ``Replay``, or on
-    ``StepReplay`` where ``Replay`` refuses) and equals the DES in every
+def test_lu_replay_matches_des_bitwise(p, nb, b_f, l, overlap):
+    """Random LU points: every point replays and equals the DES in every
     result field (CPU-only, hybrid and FPGA-only, with and without
-    overlap).  The whole domain (4 x 9 x 3 x 6 x 2 points) was checked
-    exhaustively once: all replay, all equal."""
+    overlap).  The whole domain (4 x 9 x 3 x 6 x 2 points) is checked
+    exhaustively by running this file as a script."""
     spec = cray_xd1(p=p)
     config = LuSimConfig(n=3000 * nb, b=3000, k=8, b_f=b_f, l=l, overlap=overlap)
     assert _same_lu(simulate_lu(spec, config, fast_path="on"),
@@ -279,23 +229,31 @@ def test_lu_replay_matches_des_bitwise_unless_it_refuses(p, nb, b_f, l, overlap)
 
 
 def test_the_stepped_replay_orders_a_met_wait_as_the_des_does():
-    """The schedule of the two-classes test above: ``StepReplay`` replays
-    it equal to the DES whether its processes are started or spawned at
-    t = 0 -- a spawned process (a fault injector's stall) starts at step 1
-    of t = 0 too, in start order, as the DES starts it."""
+    """Reduced from the FPGA-only ``ablation-overlap`` points: at one
+    instant a send takes one of node 3's two ingress links, then two more
+    ask, and the second must wait.  The DES resumes the first sender one
+    step after its first transfer ends (its mailbox put), behind the two
+    senders woken by the messages that arrived just before, and makes it
+    wait.  ``Replay``'s tie classes, which compared an acquisition with
+    the previous one only, let the inline order through (makespan
+    0.5148237... against the DES's 0.5158253...).  ``StepReplay``
+    replays it equal to the DES whether its processes are started or
+    spawned at t = 0 -- a spawned process (a fault injector's stall)
+    starts at step 1 of t = 0 too, in start order, as the DES starts
+    it."""
     spec = cray_xd1(p=4)
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
     programs = [
-        [("send", (2, 1, ("m", 1)), 0, None)],
-        [("send", (2, 1, ("m", 2)), 0, None)],
-        [("send", (0, 2, ("a",)), 0, None), ("send", (0, 3, ("x",)), 0, None),
-         ("cpu", 0, 1, ("cpu",))],
-        [("wait", (2, 1, ("m", 1))), ("send", (1, 3, ("y", 1)), 0, ("y",))],
-        [("wait", (2, 1, ("m", 2))), ("send", (1, 3, ("y", 2)), 0, ("y",))],
+        [("send", (2, 1, ("m", 1)), 0)],
+        [("send", (2, 1, ("m", 2)), 0)],
+        [("send", (0, 2, ("a",)), 0), ("send", (0, 3, ("x",)), 0), ("cpu", 0, 1, ("cpu",))],
+        [("wait", (2, 1, ("m", 1))), ("send", (1, 3, ("y", 1)), 0)],
+        [("wait", (2, 1, ("m", 2))), ("send", (1, 3, ("y", 2)), 0)],
     ]
     des = _des(spec, design, programs)
-    assert _replay(spec, design, programs, StepReplay, start="spawn") == des
-    assert _replay(spec, design, programs, StepReplay) == des
+    assert des[0] == 0.5158253128205128
+    assert _replay(spec, design, programs, start="spawn") == des
+    assert _replay(spec, design, programs) == des
 
 
 def test_twin_gemms_ending_at_one_instant_replay_as_the_des_orders_them():
@@ -332,42 +290,27 @@ def test_the_lu_design_grid_runs_on_the_replay():
         set_fast_path_mode(prev)
 
 
-#: Of 150 default-model LU replicates, how many ``Replay`` serves per
-#: preset: it hands every two-node RASC run to ``StepReplay`` at its
-#: first same-instant lane contention.
-LU_SERVED = {"xd1": 150, "xt3": 150, "rasc": 0}
+#: Default-model LU replicates per preset.
+LU_DRAWS = 20
 
 
-@pytest.mark.parametrize("preset", sorted(LU_SERVED))
+@pytest.mark.parametrize("preset", ["rasc", "xd1", "xt3"])
 def test_default_model_lu_replicates_replay_as_the_stepped_replay(preset):
-    """LU is the one app left on ``Replay``'s checked tie classes.  On
-    default-model campaign replicates (a stall burst over every node plus
-    rate jitter) every run ``Replay`` serves equals :class:`StepReplay`'s,
-    which takes the DES's order by construction, in every result field
-    and stall mark."""
-    campaign = CampaignSpec(apps=("lu",), presets=(preset,), replicates=150, seed=5)
-    served = 0
+    """On default-model campaign replicates (a stall burst over every
+    node plus rate jitter) the replay equals the DES in every result
+    field and stall mark.  ``Replay``'s checked tie classes handed every
+    two-node RASC replicate over at its first same-instant lane
+    contention; the one replay takes the DES's order."""
+    campaign = CampaignSpec(apps=("lu",), presets=(preset,), replicates=LU_DRAWS, seed=5)
     for task in campaign_tasks(campaign):
         lu = build_design("lu", preset, task.get("n"), task.get("b"))
-        config = lu.config()
-        rates = FaultInjector(FaultScenario.from_dict(task["scenario"])).steady_rates()
         runs = []
-        for engine_type in (Replay, StepReplay):
-            engine = engine_type(lu.spec.p, lu.spec.network.links_per_node)
-            try:
-                _replayed(engine, lu.spec, lu.design.freq_hz, rates,
-                          lambda price: lu_processes(config, lu.spec.p, price))
-            except FoldDeferred:
-                break
-            except FastPathUnsupported as exc:
-                assert exc.reason == "ambiguous-tie"
-                break
-            runs.append((engine.max_t, engine.cpu_busy, engine.fpga_busy, engine.net_bytes,
-                         engine.marks))
-        else:
-            assert runs[0] == runs[1], task
-            served += 1
-    assert served == LU_SERVED[preset]
+        for mode in ("on", "off"):
+            faults = FaultInjector(FaultScenario.from_dict(task["scenario"]))
+            got = simulate_lu(lu.spec, lu.config(), lu.design, faults=faults, fast_path=mode)
+            runs.append((got.elapsed, got.cpu_busy, got.fpga_busy, got.network_bytes,
+                         faults.injected))
+        assert runs[0] == runs[1], task
 
 
 # -----------------------------------------------------------------------
@@ -400,13 +343,12 @@ def _stretch_program(ops, price):
 
 
 def _stretch_runs(p, programs):
-    """``(replayed, des, deferrals, folded, stepped)``: the programs
-    through :func:`replay_schedule` and on the DES, with the replay's
-    ``fastpath.deferral``, ``replay.folded`` and ``StepReplay``'s
-    ``replay.events`` increments."""
+    """``(replayed, des, deferrals, folded)``: the programs through
+    :func:`replay_schedule` and on the DES, with the replay's
+    ``fastpath.deferral`` and ``replay.folded`` increments."""
     spec = cray_xd1(p=p)
     design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
-    names = ("fastpath.deferral", "replay.folded", "replay.events")
+    names = ("fastpath.deferral", "replay.folded")
     before = REGISTRY.counter_values(names)
     fields = replay_schedule(
         spec, design.freq_hz, NOMINAL_RATES,
@@ -414,7 +356,6 @@ def _stretch_runs(p, programs):
         [], app="lu")
     deltas = REGISTRY.counter_deltas(before, names)
     count = {name: sum(v for key, v in deltas.items() if key[0] == name) for name in names}
-    stepped = deltas.get(("replay.events", (("engine", "stepped"),)), 0)
     system = ReconfigurableSystem(spec, trace=False)
     system.configure_fpgas(lambda: design)
     des = DesInterpreter(system)
@@ -425,7 +366,7 @@ def _stretch_runs(p, programs):
                 fields["network_bytes"])
     des_fields = (elapsed, [nd.cpu_busy_time for nd in system.nodes],
                   [nd.fpga.busy_time for nd in system.nodes], system.network.bytes_moved)
-    return replayed, des_fields, count["fastpath.deferral"], count["replay.folded"], stepped
+    return replayed, des_fields, count["fastpath.deferral"], count["replay.folded"]
 
 
 #: One opMM-like job of worker node 1: chunk 0, stage, FPGA, gemm, then
@@ -433,7 +374,7 @@ def _stretch_runs(p, programs):
 _C0, _C1, _FK = (0, 1, ("c", 0)), (0, 1, ("c", 1)), ("fpga", 1)
 _JOB = [("stretch", 1, [("wait", 0), ("chan", 0), ("fpga_spawn", 0), ("cpu", 0), ("wait", 1),
                         ("chan", 0), ("cpu", 0), ("wait", 2)], [_C0, _C1, _FK]),
-        ("send", (1, 0, ("r",)), 0, None)]
+        ("send", (1, 0, ("r",)), 0)]
 
 
 def _sink(wait_for):
@@ -451,14 +392,14 @@ def test_an_outside_lane_request_refolds_the_stretch_as_the_des_orders_it(where)
     # Node 0's chunks leave at t = 0; the sink's trigger, a message of
     # 2e6 bytes, arrives mid-stage (1.0016 ms) or, after a 0.2564 s hold
     # on node 0, inside the worker's first gemm.
-    trigger = [("send", (0, 1, ("m",)), 0, None)]
+    trigger = [("send", (0, 1, ("m",)), 0)]
     owner = ([("send_batch", [_C0, _C1], 0)] + (trigger if where == "stage-gap" else [])
              + ([("cpu", 0, 0, ("x",))] + trigger if where == "gemm" else [])
              + [("wait", (1, 0, ("r",)))])
     programs = [owner, _JOB, _sink([("wait", (0, 1, ("m",)))])]
-    replayed, des, deferrals, folded, stepped = _stretch_runs(2, programs)
+    replayed, des, deferrals, folded = _stretch_runs(2, programs)
     assert replayed == des
-    assert (deferrals, folded, stepped) == (0, 7, 0)
+    assert (deferrals, folded) == (0, 7)
 
 
 def test_an_outside_request_at_a_folded_instant_defers_the_run():
@@ -466,33 +407,31 @@ def test_an_outside_request_at_a_folded_instant_defers_the_run():
     then lets node 1's sink ask for the lane: the sink asks exactly when
     the worker's stage ends, where only the unfolded order can tell who
     gets the lane first.  The fold defers (counted once), the run replays
-    on ``StepReplay``, and it equals the DES."""
+    unfolded, and it equals the DES."""
     c2 = (0, 2, ("c", 0))
     programs = [
-        [("send_batch", [_C0, c2], 0), ("send", (0, 1, _C1[2]), 0, None),
+        [("send_batch", [_C0, c2], 0), ("send", (0, 1, _C1[2]), 0),
          ("wait", (1, 0, ("r",)))],
         _JOB,
         [("wait", c2), ("chan", 2, 0, ("x",)), ("set", ("go",))],
         _sink([("wait", ("go",))]),
     ]
-    replayed, des, deferrals, _, stepped = _stretch_runs(3, programs)
+    replayed, des, deferrals, _ = _stretch_runs(3, programs)
     assert replayed == des
     assert deferrals == 1
-    assert stepped > 0
 
 
 def test_twin_stretches_ending_at_one_instant_pop_in_fold_order():
     """Workers 1 and 2 get their chunks in one burst and run the same job:
     their stretches end at one instant (both stop at the second chunk,
     which the owner's next burst brings), and both send to node 0.  The
-    twins' end entries pop in fold order, as the unfolded replay runs
-    them."""
+    twins' end entries pop in fold order, as the DES runs them."""
     def job(i):
         c0, c1, fk = (0, i, ("c", 0)), (0, i, ("c", 1)), ("fpga", i)
         return [("stretch", i, [("wait", 0), ("chan", 0), ("fpga_spawn", 0), ("cpu", 0),
                                 ("wait", 1), ("chan", 0), ("cpu", 0), ("wait", 2)],
                  [c0, c1, fk]),
-                ("send", (i, 0, ("r", i)), 1, None)]
+                ("send", (i, 0, ("r", i)), 1)]
 
     programs = [
         [("send_batch", [(0, 1, ("c", 0)), (0, 2, ("c", 0))], 0),
@@ -500,9 +439,9 @@ def test_twin_stretches_ending_at_one_instant_pop_in_fold_order():
          ("wait_all", [(1, 0, ("r", 1)), (2, 0, ("r", 2))])],
         job(1), job(2),
     ]
-    replayed, des, deferrals, folded, stepped = _stretch_runs(3, programs)
+    replayed, des, deferrals, folded = _stretch_runs(3, programs)
     assert replayed == des
-    assert (deferrals, folded, stepped) == (0, 12, 0)
+    assert (deferrals, folded) == (0, 12)
 
 
 def test_a_chunk_arriving_mid_stretch_stops_the_fold_and_resumes_it():
@@ -510,23 +449,23 @@ def test_a_chunk_arriving_mid_stretch_stops_the_fold_and_resumes_it():
     so the fold stops at its wait; once it arrives the fold goes on, and
     the FPGA job spawned before the stop ends as a real entry."""
     programs = [
-        [("send", _C0, 0, None), ("cpu", 0, 0, ("x",)), ("send", _C1, 1, None),
+        [("send", _C0, 0), ("cpu", 0, 0, ("x",)), ("send", _C1, 1),
          ("wait", (1, 0, ("r",)))],
         _JOB,
     ]
-    replayed, des, deferrals, folded, stepped = _stretch_runs(2, programs)
+    replayed, des, deferrals, folded = _stretch_runs(2, programs)
     assert replayed == des
-    assert (deferrals, folded, stepped) == (0, 6, 0)  # the waits that stop a fold are not folded
+    assert (deferrals, folded) == (0, 6)  # the waits that stop a fold are not folded
 
 
 def test_engine_work_counts_read_the_same_serial_or_parallel():
-    """Each replay run adds its heap entries and folded ops to the
-    registry from state the engine keeps; the pool's workers ship them
-    back, so one figure counts the same work serially and with two
-    workers."""
+    """Each replay run adds its entries and folded ops to the registry
+    from state the engine keeps; the pool's workers ship them back, so
+    one figure counts the same work serially and with two workers.  The
+    figure folds its workers' jobs and defers no fold."""
     from repro import experiments
 
-    names = ("replay.events", "replay.folded")
+    names = ("replay.events", "replay.folded", "fastpath.deferral")
     counts = []
     for jobs in (1, 2):
         before = REGISTRY.counter_values(names)
@@ -534,26 +473,27 @@ def test_engine_work_counts_read_the_same_serial_or_parallel():
             experiments.ALL_EXPERIMENTS["fig8"]()
         counts.append(REGISTRY.counter_deltas(before, names))
     assert counts[0] == counts[1]
-    assert counts[0][("replay.folded", (("engine", "replay"),))] > 0
+    assert counts[0][("replay.folded", (("engine", "stepped"),))] > 0
+    assert not any(key[0] == "fastpath.deferral" for key in counts[0])
 
 
 if __name__ == "__main__":  # pragma: no cover
     import itertools
     import sys
 
-    stepped = REGISTRY.counter("replay.events", engine="stepped")
+    deferred = REGISTRY.counter("fastpath.deferral", app="lu", reason="instant")
     domain = list(itertools.product([2, 3, 4, 6], range(2, 11), [0, 1080, 3000], range(6),
                                     [False, True]))
-    on_stepped = differ = 0
+    unfolded = differ = 0
     for p, nb, b_f, l, overlap in domain:
         spec = cray_xd1(p=p)
         config = LuSimConfig(n=3000 * nb, b=3000, k=8, b_f=b_f, l=l, overlap=overlap)
-        before = stepped.value
+        before = deferred.value
         fast = simulate_lu(spec, config, fast_path="on")
-        on_stepped += stepped.value > before
+        unfolded += deferred.value > before
         if fast != simulate_lu(spec, config, fast_path="off"):
             differ += 1
             print(f"differs from the DES: p={p} n/b={nb} b_f={b_f} l={l} overlap={overlap}")
-    print(f"{len(domain)} LU points: {on_stepped} replayed on StepReplay, "
+    print(f"{len(domain)} LU points: {unfolded} replayed unfolded (a fold deferred), "
           f"{differ} differ from the DES")
     sys.exit(1 if differ else 0)

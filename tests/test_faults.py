@@ -301,8 +301,8 @@ def test_fault_runs_equal_the_des_and_fold_unless_a_node_can_fail(app, policy, n
 
 #: Refusal reasons a production path may count: unfoldable fault
 #: timelines, monitors and configurations the replay
-#: does not model.  Never ``ambiguous-tie``: the replay orders every
-#: same-instant choice of these runs as the DES does.  Never ``trace``,
+#: does not model.  The replay refuses no same-instant order: it takes
+#: every one as the DES does.  Never ``trace``,
 #: and never ``disabled``: no path turns the fast path off by itself,
 #: only ``--fast-path off`` does.
 ALLOWED_FALLBACKS = {"faults", "monitor", "unsupported-config"}

@@ -38,7 +38,7 @@ def wire_time(nbytes):
 def test_send_recv_payload_and_timing():
     # 2 GB at B_n = 2 GB/s: 1 s plus the link latency.
     system = run_schedules(
-        [("send", (0, 1, 0), 2e9, None)],
+        [("send", (0, 1, 0), 2e9)],
         [("wait", (0, 1, 0))],
     )
     (iv,) = recvs(system, 1)
@@ -50,7 +50,7 @@ def test_send_recv_payload_and_timing():
 def test_messages_do_not_overtake():
     """Two sends on the same (src, dst, tag) arrive in send order, also
     when both wait on the mailbox before the receiver asks."""
-    sends = [("send", (0, 1, 0), 8, None), ("send", (0, 1, 0), 16, None)]
+    sends = [("send", (0, 1, 0), 8), ("send", (0, 1, 0), 16)]
     waits = [("wait", (0, 1, 0)), ("wait", (0, 1, 0))]
     busy = [("cpu", 1, ("dgemm", 1e10), ("work", 1))]
     for receiver in (waits, busy + waits):
@@ -60,7 +60,7 @@ def test_messages_do_not_overtake():
 
 def test_tags_demultiplex():
     system = run_schedules(
-        [("send", (0, 1, "a"), 8, None), ("send", (0, 1, "b"), 16, None)],
+        [("send", (0, 1, "a"), 8), ("send", (0, 1, "b"), 16)],
         [("wait", (0, 1, "b")), ("wait", (0, 1, "a"))],
     )
     assert [iv.meta["nbytes"] for iv in recvs(system, 1)] == [16, 8]
@@ -68,7 +68,7 @@ def test_tags_demultiplex():
 
 def test_recv_blocks_until_message():
     system = run_schedules(
-        [("cpu", 0, ("dgemm", 1e10), ("work", 0)), ("send", (0, 1, 0), 8, None)],
+        [("cpu", 0, ("dgemm", 1e10), ("work", 0)), ("send", (0, 1, 0), 8)],
         [("wait", (0, 1, 0))],
     )
     (work,) = system.trace.by_category("cpu0")
@@ -96,14 +96,14 @@ def test_send_batch_and_wait_all_pair_messages():
 
 def test_self_send_rejected():
     with pytest.raises(ProcessFailure) as info:
-        run_schedules([("send", (0, 0, 0), 1, None)])
+        run_schedules([("send", (0, 0, 0), 1)])
     assert isinstance(info.value.__cause__, ValueError)
     assert "itself" in str(info.value.__cause__)
 
 
 def test_bad_rank_rejected():
     with pytest.raises(ProcessFailure) as info:
-        run_schedules([("send", (0, 7, 0), 1, None)])
+        run_schedules([("send", (0, 7, 0), 1)])
     assert isinstance(info.value.__cause__, ValueError)
     assert "out of range" in str(info.value.__cause__)
 
@@ -114,7 +114,7 @@ def test_comm_time_recorded_on_mpi_lane():
     the exclusive cpu compute lanes, because concurrent sends may ride
     the node's two links)."""
     system = run_schedules(
-        [("send", (0, 1, 0), 2e9, None)],
+        [("send", (0, 1, 0), 2e9)],
         [("wait", (0, 1, 0))],
     )
     trace = system.trace
@@ -129,7 +129,7 @@ def test_comm_time_recorded_on_mpi_lane():
 def test_wire_time_uses_network_bandwidth():
     """4 GB at 2 GB/s = 2 s."""
     system = run_schedules(
-        [("send", (0, 3, 0), 4e9, None)],
+        [("send", (0, 3, 0), 4e9)],
         [],
         [],
         [("wait", (0, 3, 0))],

@@ -10,17 +10,15 @@ Pins the ``repr`` of ``elapsed``, ``cpu_busy``, ``fpga_busy`` and
   FPGA-only points and ext-scaling's p = 2 point) and the ten runs of
   the service's LU ``design`` grid that did (nine CPU-only baselines
   and the hybrid n = 24000, p = 4 run), all of which replay now, so a
-  change to the replay's same-instant order or to its ambiguity
-  detector shows up as a changed line;
+  change to the replay's same-instant order shows up as a changed line;
 - stall-folded LU, FW and MM runs on three presets, each with its
   fault injector's log.
 
-The LU runs replay on :class:`repro.sim.analytic.Replay`, or on
-:class:`repro.sim.stepped.StepReplay` where it refuses; the MM runs on
-``StepReplay`` alone, and the FW runs take FW's closed form or its stall
-fold.  Any change to an engine's event order or arithmetic, or to the
-fold's, shows up here as a changed line, whether or not the DES would
-agree.
+The LU and MM runs replay on :class:`repro.sim.stepped.StepReplay` (LU
+with its stretch fold), and the FW runs take FW's closed form or its
+stall fold.  Any change to the replay's event order or arithmetic, or
+to a fold's, shows up here as a changed line, whether or not the DES
+would agree.
 
 Regenerate (only when a result change is intended) with
 ``PYTHONPATH=src python tests/test_replay_golden.py``.

@@ -11,6 +11,7 @@ down when the fast path must hand over to the DES.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,13 +20,16 @@ from repro.apps.fw.analytic import analytic_fw_batch
 from repro.apps.lu import LuSimConfig, simulate_block_mm, simulate_lu
 from repro.apps.lu.analytic import analytic_block_mm, analytic_block_mm_batch
 from repro.apps.mm.simulate import MmSimConfig, simulate_mm
-from repro.machine import ALL_PRESETS
+from repro.hw.mm_design import MatrixMultiplyDesign
+from repro.machine import ALL_PRESETS, ReconfigurableSystem, cray_xd1
 from repro.obs.metrics import REGISTRY
 from repro.sim import SimMonitor
+from repro.sim.interpret import DesInterpreter, Physical
+from repro.sim.stepped import StepReplay
 from repro.sim.analytic import (
     FAST_PATH_ENV_VAR,
     FastPathUnsupported,
-    Replay,
+    ReplayCosts,
     fast_path_refusal,
     fastpath_summary,
     resolve_fast_path,
@@ -142,92 +146,128 @@ def test_other_presets_match_bitwise():
 
 
 # -----------------------------------------------------------------------
-# the ambiguity detector, driven directly
+# same-instant contention: the replay against the DES, driven directly
 # -----------------------------------------------------------------------
 
+#: Physical work of the shapes below; each op's work slot indexes it.
+WORK = {
+    "cpu": [("dgemm", 0.0), ("dgemm", 1e9), ("dgemm", 2e9)],
+    "chan": [0.0, 2.8e6, 5.6e6],
+    "fpga": [(0.0, 0.0), (1e5, 0.0), (2e5, 0.0)],
+    "msg": [0.0, 2e6, 4e6],
+}
+TABLE = {"cpu": "cpu", "chan": "chan", "fpga_spawn": "fpga", "send": "msg", "send_batch": "msg"}
 
-def _ops(*ops):
-    yield from ops
+
+def _priced(ops, price):
+    tables = {kind: [getattr(price, kind)(w) for w in work] for kind, work in WORK.items()}
+    return [op[:2] + (tables[TABLE[op[0]]][op[2]],) + op[3:] if op[0] in TABLE else op
+            for op in ops]
+
+
+def _after(sim, at, steps):
+    """A DES process that first sleeps ``at`` (none at 0), as a fault
+    injector's stall process does."""
+    if at > 0:
+        yield sim.timeout(at)
+    yield from steps
+
+
+def _one_link(p):
+    """An XD1 of ``p`` nodes with one network link per node."""
+    spec = cray_xd1(p=p)
+    return replace(spec, network=replace(spec.network, links_per_node=1))
+
+
+def _replay_and_des(starts, p=3):
+    """``(at, ops)`` per process, spawned in order: every result field of
+    :class:`StepReplay` and of the DES."""
+    spec = _one_link(p)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    engine = StepReplay(spec.p, 1)
+    for at, ops in starts:
+        engine.spawn(iter(_priced(ops, ReplayCosts(spec, design.freq_hz))), at)
+    engine.run()
+    replayed = (engine.max_t, engine.cpu_busy, engine.fpga_busy, engine.net_bytes)
+    system = ReconfigurableSystem(spec, trace=False)
+    system.configure_fpgas(lambda: design)
+    des = DesInterpreter(system)
+    for at, ops in starts:
+        system.sim.process(_after(system.sim, at, des._run(_priced(ops, Physical))))
+    elapsed = system.run()
+    return replayed, (elapsed, [nd.cpu_busy_time for nd in system.nodes],
+                      [nd.fpga.busy_time for nd in system.nodes], system.network.bytes_moved)
 
 
 #: Two processes' first ops, spawned at one instant on a 3-node,
-#: one-link replay: each pair contends for the named queue and nothing
-#: else, so the one that comes second must wait.
+#: one-link machine: each pair contends for the named queue and nothing
+#: else, so the one that comes second must wait.  ``Replay``'s tie
+#: detector refused every one of them.
 CONTENDED = {
-    "lane[1]": [("cpu", 1, 1.0, None), ("cpu", 1, 2.0, None)],
-    "chan[1]": [("chan", 1, 1.0, None), ("chan", 1, 2.0, None)],
-    "fpga[1]": [("fpga_spawn", 1, 1.0, ("fpga", 0), None),
-                ("fpga_spawn", 1, 2.0, ("fpga", 1), None)],
-    "egress[0]": [("send", (0, 1, "a"), (1.0, 8), None), ("send", (0, 2, "b"), (1.0, 8), None)],
-    "ingress[2]": [("send", (0, 2, "a"), (1.0, 8), None), ("send", (1, 2, "b"), (1.0, 8), None)],
+    "lane[1]": [("cpu", 1, 1, None), ("cpu", 1, 2, None)],
+    "chan[1]": [("chan", 1, 1, None), ("chan", 1, 2, None)],
+    "fpga[1]": [("fpga_spawn", 1, 1, ("fpga", 0), None),
+                ("fpga_spawn", 1, 2, ("fpga", 1), None)],
+    "egress[0]": [("send", (0, 1, "a"), 1), ("send", (0, 2, "b"), 1)],
+    "ingress[2]": [("send", (0, 2, "a"), 1), ("send", (1, 2, "b"), 1)],
 }
 
 
 @pytest.mark.parametrize("queue", sorted(CONTENDED))
 @pytest.mark.parametrize("at", [0.0, 2.5])
 def test_same_instant_contention_between_processes_refuses(queue, at):
-    # at == 0 acquires inside spawn, at > 0 inside run; either way the
-    # first acquisition is granted at a new instant and the second one,
-    # queued behind it at that instant, must reach the detector.
-    engine = Replay(3, 1)
-    with pytest.raises(FastPathUnsupported) as exc:
-        for op in CONTENDED[queue]:
-            engine.spawn(_ops(op), at)
-        engine.run()
-    assert exc.value.reason == "ambiguous-tie"
-    assert str(exc.value) == f"ambiguous same-time contention on {queue} at t={at!r}"
+    # Once refused as ambiguous ties; the replay now grants the queue in
+    # the DES's order, at t = 0 (process starts) or at 2.5 (sleeps).
+    replayed, des = _replay_and_des([(at, [op]) for op in CONTENDED[queue]])
+    assert replayed == des
 
 
 #: Per queue: a holder's ops, then a second process's ops.  The second
-#: process, spawned first at t = 1.0, waits for the holder's slot, holds
-#: it for no time and acquires the queue again at 1.0.  The queue is
-#: free then, but its previous acquisition at this instant waited, so
-#: the detector must still fire.
+#: process, spawned first as the holder's hold ends, waits for the
+#: holder's slot, holds it for no time and asks for the queue again at
+#: that instant.  ``Replay``'s detector refused every one of them.
 REACQUIRED = {
-    "lane[1]": ([("cpu", 1, 1.0, None)], [("cpu", 1, 0.0, None), ("cpu", 1, 1.0, None)]),
-    "chan[1]": ([("chan", 1, 1.0, None)], [("chan", 1, 0.0, None), ("chan", 1, 1.0, None)]),
-    "fpga[1]": ([("fpga_spawn", 1, 1.0, ("fpga", 0), None)],
-                [("fpga_spawn", 1, 0.0, ("fpga", 1), None), ("wait", ("fpga", 1)),
-                 ("fpga_spawn", 1, 1.0, ("fpga", 2), None)]),
-    "egress[0]": ([("send", (0, 1, "a"), (1.0, 8), None)],
-                  [("send", (0, 2, "b"), (0.0, 8), None), ("send", (0, 1, "c"), (1.0, 8), None)]),
-    "ingress[2]": ([("send", (1, 2, "a"), (1.0, 8), None)],
-                   [("send", (0, 2, "b"), (0.0, 8), None), ("send", (1, 2, "c"), (1.0, 8), None)]),
+    "lane[1]": ([("cpu", 1, 1, None)], [("cpu", 1, 0, None), ("cpu", 1, 1, None)]),
+    "chan[1]": ([("chan", 1, 1, None)], [("chan", 1, 0, None), ("chan", 1, 1, None)]),
+    "fpga[1]": ([("fpga_spawn", 1, 1, ("fpga", 0), None)],
+                [("fpga_spawn", 1, 0, ("fpga", 1), None), ("wait", ("fpga", 1)),
+                 ("fpga_spawn", 1, 1, ("fpga", 2), None)]),
+    "egress[0]": ([("send", (0, 1, "a"), 1)],
+                  [("send", (0, 2, "b"), 0), ("send", (0, 1, "c"), 1)]),
+    "ingress[2]": ([("send", (1, 2, "a"), 1)],
+                   [("send", (0, 2, "b"), 0), ("send", (1, 2, "c"), 1)]),
 }
 
 
 @pytest.mark.parametrize("queue", sorted(REACQUIRED))
 def test_a_free_queue_still_refuses_at_an_instant_where_it_was_contended(queue):
+    # Once refused as ambiguous ties; the replay orders them as the DES.
     holder, second = REACQUIRED[queue]
-    engine = Replay(3, 1)
-    engine.spawn(_ops(*second), 1.0)
-    engine.spawn(_ops(*holder), 0.0)
-    with pytest.raises(FastPathUnsupported) as exc:
-        engine.run()
-    assert str(exc.value) == f"ambiguous same-time contention on {queue} at t=1.0"
+    spec = _one_link(3)
+    freq = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8).freq_hz
+    cost = _priced(holder, ReplayCosts(spec, freq))[0][2]  # the holder's hold, or (svc, size)
+    replayed, des = _replay_and_des([(cost[0] if type(cost) is tuple else cost, second),
+                                     (0.0, holder)])
+    assert replayed == des
 
 
 @pytest.mark.parametrize("sends", [
-    [("send_batch", [(0, 1, "a"), (0, 2, "b")], (1.0, 8))],
-    [("send", (0, 1, "a"), (1.0, 8), "twins"), ("send", (0, 2, "b"), (1.0, 8), "twins")],
+    [("send_batch", [(0, 1, "a"), (0, 2, "b")], 1)],
+    [("send", (0, 1, "a"), 1), ("send", (0, 2, "b"), 1)],
 ], ids=["one-burst", "one-tie-tag"])
 def test_same_instant_contention_within_one_tie_class_is_served_fifo(sends):
-    # The same egress contention as above, but both transfers share a
-    # tie class: the second waits its turn instead of refusing.
-    engine = Replay(3, 1)
-    for op in sends:
-        engine.spawn(_ops(op), 2.5)
-    assert engine.run() == 4.5
-    assert engine.events == {(0, 1, "a"): 3.5, (0, 2, "b"): 4.5}
-    assert engine.net_bytes == 16
+    # The same egress contention as above, from one burst or from two
+    # processes: the second transfer waits its turn, as on the DES.
+    replayed, des = _replay_and_des([(2.5, [op]) for op in sends])
+    assert replayed == des
+    assert replayed[3] == 2 * 2e6
 
 
 def test_contention_at_distinct_instants_queues_without_refusing():
-    engine = Replay(2, 1)
-    engine.spawn(_ops(("cpu", 0, 2.0, None)), 1.0)
-    engine.spawn(_ops(("cpu", 0, 1.0, None)), 2.0)  # lane busy until 3.0
-    assert engine.run() == 4.0
-    assert engine.cpu_busy == [3.0, 0.0]
+    replayed, des = _replay_and_des([(1.0, [("cpu", 0, 2, None)]), (2.0, [("cpu", 0, 1, None)])],
+                                    p=2)
+    assert replayed == des
+    assert replayed[1][0] > 0.0 and replayed[1][1] == 0.0
 
 
 # -----------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_random_message_storms_deliver_exactly_once(seed, n_msgs):
             op
             for m, (src, dst, size, delay) in enumerate(plan) if src == rank
             for op in (("cpu", rank, ("dgemm", delay * rate), ("delay", m)),
-                       ("send", (rank, dst, "storm"), size, None))
+                       ("send", (rank, dst, "storm"), size))
         ])
         keys = [(src, rank, "storm") for src, dst, *_ in plan if dst == rank]
         des.spawn(f"recv{rank}", [("wait_all", keys)] if keys else [])
@@ -124,8 +124,8 @@ def test_per_channel_fifo_under_storm(seed):
     n = int(rng.integers(2, 10))
     sizes = [float(rng.uniform(8, 1e5)) for _ in range(n)]
     des = DesInterpreter(system)
-    des.spawn("sender", [("send", (0, 1, "fifo"), size, None) for size in sizes])
-    des.spawn("noise", [("send", (2, 1, "noise"), 5e5, None)] * 5)
+    des.spawn("sender", [("send", (0, 1, "fifo"), size) for size in sizes])
+    des.spawn("noise", [("send", (2, 1, "noise"), 5e5)] * 5)
     # The receiver starts after a random delay, so some messages wait
     # on the mailbox before it asks for them.
     rate = system.nodes[1].spec.processor.sustained_flops("dgemm")
